@@ -8,7 +8,9 @@ Segments are kept inside a hemisphere (both planes on one side of the
 center); regions that straddle the equator are returned split in two.
 
 kappa(shell) is the exact maximal number of shell points on any single
-plane, computed by hashing canonical plane normals over point triples.
+plane.  Planes are counted through one anchor point per orbit of the 48
+signed coordinate permutations, keyed by their primitive normals packed
+into one int64 each (exact while (8m+1)^3 < 2^63).
 chi_hat is a lattice-centered surrogate (a lower bound) for the true
 maximal cap count chi(R, s).
 """
@@ -306,48 +308,57 @@ def chi_hat(shell: Shell, s: float) -> int:
     return int((d2 <= s2).sum(axis=1).max())
 
 
-_kappa_cache: dict[int, int] = {}
-
-
-def _canonical_normals(diffs: np.ndarray) -> np.ndarray:
-    """Primitive, sign-canonical integer normals of planes spanned by pairs of
-    difference vectors (all through the shared anchor point)."""
-    j, l = np.triu_indices(len(diffs), k=1)
-    normals = np.cross(diffs[j], diffs[l])
-    g = np.gcd.reduce(np.abs(normals), axis=1)
-    # three sphere points are never collinear, so every normal is nonzero
-    normals //= g[:, None]
-    first = np.take_along_axis(
-        normals, (normals != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
-    normals *= np.where(first < 0, -1, 1)[:, None]
-    return normals
+def _plane_keys(diffs: np.ndarray, j: np.ndarray, l: np.ndarray, m: int) -> np.ndarray:
+    """One int64 key per plane spanned by the difference-vector pairs (j, l),
+    all through the shared anchor: its primitive, sign-canonical normal n
+    packed base 8m+1 after the offset 4m (|n_k| <= |a||b| <= 4m)."""
+    dx, dy, dz = (np.ascontiguousarray(c) for c in diffs.T)
+    ax, ay, az, bx, by, bz = dx[j], dy[j], dz[j], dx[l], dy[l], dz[l]
+    n0 = ay * bz - az * by
+    n1 = az * bx - ax * bz
+    n2 = ax * by - ay * bx
+    # three sphere points are never collinear, so every normal is nonzero;
+    # dividing by +-gcd makes it primitive with a positive leading entry
+    g = np.gcd(np.gcd(n0, n1), n2)
+    lead = np.where(n0 != 0, n0, np.where(n1 != 0, n1, n2))
+    g[lead < 0] *= -1
+    base = 8 * m + 1
+    return ((n0 // g + 4 * m) * base + (n1 // g + 4 * m)) * base + (n2 // g + 4 * m)
 
 
 def kappa(shell: Shell) -> int:
     """Exact kappa(sqrt(m)): the maximal number of shell points on one plane.
 
-    For each anchor point, planes through the anchor are keyed by the
-    canonical normal of (Q - anchor) x (Q' - anchor); a key hit by C(j, 2)
-    pairs carries j further points, so that plane holds j + 1 shell points.
+    The 48 signed coordinate permutations map the shell onto itself and
+    planes onto planes holding as many points, so every maximal plane has an
+    image through the first point of some orbit (rows of equal sorted |mu|).
+    Only those anchors are visited: 4 of N=168 at m=101, 6 of N=240 at
+    m=1009.  Planes through an anchor are keyed by the packed canonical
+    normal of (Q - anchor) x (Q' - anchor); a key hit by C(j, 2) pairs
+    carries j further points, so that plane holds j + 1 shell points.
+    The packed keys are exact while (8m+1)^3 < 2^63, i.e. m < 262144.
     """
     if shell.n == 0:
         raise ValueError(f"kappa undefined for the empty shell m={shell.m}")
-    cached = _kappa_cache.get(shell.m)
-    if cached is not None:
-        return cached
+    if (8 * shell.m + 1) ** 3 >= 2**63:
+        raise ValueError(
+            f"kappa packs plane normals into int64 keys, which needs "
+            f"(8m+1)^3 < 2^63, i.e. m < 262144; got m={shell.m}")
     pts = shell.coords
-    n = shell.n
-    best = min(n, 2)
-    for i in range(n):
-        diffs = np.delete(pts, i, axis=0) - pts[i]
-        normals = _canonical_normals(diffs)
-        _, counts = np.unique(normals, axis=0, return_counts=True)
-        cmax = int(counts.max())
-        # invert cmax = C(j, 2)
-        j = (1 + math.isqrt(1 + 8 * cmax)) // 2
-        assert j * (j - 1) == 2 * cmax, "pair count is not triangular"
-        best = max(best, j + 1)
-    _kappa_cache[shell.m] = best
+    _, anchors = np.unique(np.sort(np.abs(pts), axis=1), axis=0, return_index=True)
+    j, l = np.triu_indices(shell.n - 1, k=1)
+    best = min(shell.n, 2)
+    for i in anchors:
+        keys = np.sort(_plane_keys(np.delete(pts, i, axis=0) - pts[i], j, l, shell.m))
+        run_starts = np.flatnonzero(np.diff(keys)) + 1
+        cmax = int(np.diff(run_starts, prepend=0, append=len(keys)).max())
+        # invert cmax = C(on_plane, 2)
+        on_plane = (1 + math.isqrt(1 + 8 * cmax)) // 2
+        if on_plane * (on_plane - 1) != 2 * cmax:
+            raise RuntimeError(
+                f"kappa: {cmax} point pairs share a plane through one anchor, "
+                f"which is not a triangular number (m={shell.m})")
+        best = max(best, on_plane + 1)
     return best
 
 

@@ -37,6 +37,32 @@ def kappa_brute(shell):
     return best
 
 
+def kappa_all_anchors(shell):
+    """Exact max points-per-plane with every shell point as an anchor.
+
+    Planes through an anchor are keyed by the primitive, sign-canonical
+    normal of (Q - anchor) x (Q' - anchor); a normal hit by C(j, 2) pairs
+    carries j further points, so that plane holds j + 1 shell points.
+    """
+    pts = shell.coords
+    n = len(pts)
+    best = min(n, 2)
+    for i in range(n):
+        diffs = np.delete(pts, i, axis=0) - pts[i]
+        j, l = np.triu_indices(len(diffs), k=1)
+        normals = np.cross(diffs[j], diffs[l])
+        normals //= np.gcd.reduce(np.abs(normals), axis=1)[:, None]
+        first = np.take_along_axis(
+            normals, (normals != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+        normals *= np.where(first < 0, -1, 1)[:, None]
+        _, counts = np.unique(normals, axis=0, return_counts=True)
+        cmax = int(counts.max())
+        on_plane = (1 + math.isqrt(1 + 8 * cmax)) // 2
+        assert on_plane * (on_plane - 1) == 2 * cmax, "pair count is not triangular"
+        best = max(best, on_plane + 1)
+    return best
+
+
 def _pair_candidates(pts, radius):
     """Candidate cap centers from point pairs: geodesic midpoints, plus an
     equatorial frame for antipodal pairs (whose midpoint is undefined)."""

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers_geometry import chi_exact, kappa_brute, region_contains, sample_sphere
+from helpers_geometry import (chi_exact, kappa_all_anchors, kappa_brute, region_contains,
+                              sample_sphere)
 from nodal_lab.geometry import (
     CapSpec,
     Slab,
@@ -206,17 +207,35 @@ def test_kappa_examples():
     assert kappa(enumerate_shell(1)) == 4
     assert kappa(enumerate_shell(2)) == 6
     assert kappa(enumerate_shell(3)) == 4
+    # 101 and 1009 as recorded in the benchmark reference; 3001 checked once
+    # against the every-anchor search (about 84 s)
+    assert kappa(enumerate_shell(101)) == 18
+    assert kappa(enumerate_shell(1009)) == 16
+    assert kappa(enumerate_shell(3001)) == 24
 
 
 def test_kappa_matches_brute_force():
-    for m in (1, 2, 3, 5, 6, 9, 11, 14, 17, 21):
+    for m in range(1, 151):
         sh = enumerate_shell(m)
-        assert kappa(sh) == kappa_brute(sh), m
+        if sh.n:
+            assert kappa(sh) == kappa_brute(sh), m
+
+
+def test_kappa_matches_every_anchor_search():
+    for m in (101, 1009):
+        sh = enumerate_shell(m)
+        assert kappa(sh) == kappa_all_anchors(sh), m
 
 
 def test_kappa_rejects_empty():
     with pytest.raises(ValueError):
         kappa(enumerate_shell(7))
+
+
+def test_kappa_rejects_shells_too_large_for_packed_keys():
+    sh = enumerate_shell(4**9)  # 512 * (the m=1 shell): N=6, cheap to build
+    with pytest.raises(ValueError, match="int64"):
+        kappa(sh)
 
 
 def test_covering_bound_example_and_theta_zero():
