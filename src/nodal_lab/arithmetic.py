@@ -37,6 +37,7 @@ __all__ = [
     "BoundMode",
     "BoundReport",
     "RieszResult",
+    "check_mode",
     "integral_sq",
     "q_sum",
     "r2_terms",
@@ -72,13 +73,17 @@ def integral_sq(beta, length: float):
     return float(out[0]) if scalar else out
 
 
+def _pair_frequencies(shell: Shell, direction: Direction) -> np.ndarray:
+    """N x N pair frequencies beta = <mu - mu', alpha>, rows mu, columns mu'."""
+    b = line_frequencies(shell, direction)
+    return b[:, None] - b[None, :]
+
+
 def q_sum(shell: Shell, line: LineSegment) -> float:
     """Normalized pair sum (1/N^2) * sum over ordered pairs of integral_sq."""
     if shell.n == 0:
         raise ValueError(f"q_sum needs a nonempty shell (m={shell.m})")
-    b = line_frequencies(shell, line.direction)
-    beta = b[:, None] - b[None, :]
-    return float(np.mean(integral_sq(beta, line.length)))
+    return float(np.mean(integral_sq(_pair_frequencies(shell, line.direction), line.length)))
 
 
 @dataclass(frozen=True)
@@ -101,9 +106,8 @@ def r2_terms(shell: Shell, line: LineSegment) -> SquaredCovarianceTerms:
     """Evaluate the four squared-covariance pair sums exactly."""
     if shell.n == 0:
         raise ValueError(f"r2_terms needs a nonempty shell (m={shell.m})")
-    b = line_frequencies(shell, line.direction)
-    w = b / math.sqrt(shell.m)
-    eye = integral_sq(b[:, None] - b[None, :], line.length)
+    w = line_frequencies(shell, line.direction) / math.sqrt(shell.m)
+    eye = integral_sq(_pair_frequencies(shell, line.direction), line.length)
     n_sq = shell.n * shell.n
     rr = float(np.sum(eye)) / n_sq
     r1r1 = float(w @ eye @ w) / n_sq
@@ -128,10 +132,10 @@ class PairSums:
 
 
 def _pair_tables(shell: Shell, direction: Direction):
-    """Pair frequency matrix, exact zero mask, squared pair distances."""
+    """Pair frequency matrix, exact zero mask, squared pair distances, and
+    1/beta^2 (0 on the zero pairs)."""
     coords = shell.coords
-    b = line_frequencies(shell, direction)
-    beta = b[:, None] - b[None, :]
+    beta = _pair_frequencies(shell, direction)
     gram = coords @ coords.T
     dist_sq = (2 * shell.m - 2 * gram).astype(np.float64)
     if direction.rationality is Rationality.RATIONAL:
@@ -161,20 +165,16 @@ def _pair_tables(shell: Shell, direction: Direction):
     return beta, zero, dist_sq, inv_beta_sq
 
 
-def pair_sums(shell: Shell, direction: Direction, rho: float, mode: str = "relative") -> PairSums:
-    """Count zero and small pairs and sum the inverse squares of the tail.
-
-    mode "relative" uses the threshold |<mu-mu', alpha>| <= rho * |mu-mu'|,
-    mode "absolute" the plain |<mu-mu', alpha>| <= rho.  Zero pairs always
-    count as small; the tails run over the strictly-above-threshold pairs.
-    """
-    if shell.n == 0:
-        raise ValueError(f"pair_sums needs a nonempty shell (m={shell.m})")
-    if rho < 0:
+def _check_split(rho: float, mode: str) -> None:
+    if not rho >= 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     if mode not in ("relative", "absolute"):
         raise ValueError(f"mode must be 'relative' or 'absolute', got {mode!r}")
-    beta, zero, dist_sq, inv_beta_sq = _pair_tables(shell, direction)
+
+
+def _split_sums(tables, rho: float, mode: str) -> PairSums:
+    """PairSums from the tables of _pair_tables; see pair_sums."""
+    beta, zero, dist_sq, inv_beta_sq = tables
     if mode == "relative":
         small = np.abs(beta) <= rho * np.sqrt(dist_sq)
     else:
@@ -190,6 +190,19 @@ def pair_sums(shell: Shell, direction: Direction, rho: float, mode: str = "relat
     )
 
 
+def pair_sums(shell: Shell, direction: Direction, rho: float, mode: str = "relative") -> PairSums:
+    """Count zero and small pairs and sum the inverse squares of the tail.
+
+    mode "relative" uses the threshold |<mu-mu', alpha>| <= rho * |mu-mu'|,
+    mode "absolute" the plain |<mu-mu', alpha>| <= rho.  Zero pairs always
+    count as small; the tails run over the strictly-above-threshold pairs.
+    """
+    if shell.n == 0:
+        raise ValueError(f"pair_sums needs a nonempty shell (m={shell.m})")
+    _check_split(rho, mode)
+    return _split_sums(_pair_tables(shell, direction), rho, mode)
+
+
 class BoundMode(enum.Enum):
     RATIONAL = "rational"
     IRRATIONAL = "irrational"
@@ -197,11 +210,18 @@ class BoundMode(enum.Enum):
     CONDITIONAL = "conditional"
 
 
-_MODE_RATIONALITY = {
-    BoundMode.RATIONAL: Rationality.RATIONAL,
-    BoundMode.IRRATIONAL: Rationality.IRRATIONAL,
-    BoundMode.HALF_RATIONAL: Rationality.HALF_RATIONAL,
-}
+def check_mode(mode: BoundMode, direction: Direction) -> None:
+    """Raise ValueError unless mode's theorem covers the direction's class.
+
+    The rational, irrational and half-rational modes share their value with
+    the Rationality they need; the conditional mode takes any direction.
+    """
+    if mode is not BoundMode.CONDITIONAL and mode.value != direction.rationality.value:
+        raise ValueError(
+            f"mode {mode.value} needs a {mode.value} direction, "
+            f"got {direction.rationality.value}"
+        )
+
 
 _MODE_EXPONENT = {
     BoundMode.IRRATIONAL: 1.0 / 7.0,
@@ -239,8 +259,6 @@ class BoundReport:
     inv_sq_sum: float
     q_value: float
     rho: float | None
-    omega: float | None
-    h_param: int | None
     mode: BoundMode
     bound_value: float
     envelope: dict[float, float] = field(repr=False)
@@ -252,8 +270,6 @@ def variance_bound(
     line: LineSegment,
     mode: BoundMode,
     rho: float | None = None,
-    omega: float | None = None,
-    h_param: int | None = None,
 ) -> BoundReport:
     """Evaluate the exact intermediate bound and envelope for one theorem.
 
@@ -262,29 +278,32 @@ def variance_bound(
     L^2 per small pair plus 1/(pi^2 rho^2 |mu - mu'|^2) per tail pair; the
     conditional theorem splits at |beta| <= rho and pays L^2 per small pair
     plus 1/(pi^2 beta^2) per tail pair.  Each split dominates q_sum exactly,
-    term by term.
+    term by term.  q_value, s_zero, inv_sq_sum and bound_value equal what
+    q_sum and pair_sums give, from one set of pair tables.
     """
     direction = line.direction
-    expected = _MODE_RATIONALITY.get(mode)
-    if expected is not None and direction.rationality is not expected:
-        raise ValueError(
-            f"mode {mode.value} needs a {expected.value} direction, "
-            f"got {direction.rationality.value}"
-        )
+    check_mode(mode, direction)
+    rho_used = rho if rho is not None else _default_rho(mode, shell.m)
+    split = "absolute" if mode is BoundMode.CONDITIONAL else "relative"
+    if mode is not BoundMode.RATIONAL:
+        _check_split(rho_used, split)
     kap = kappa(shell)
-    q_val = q_sum(shell, line)
-    whole = pair_sums(shell, direction, 0.0, "absolute")
     n_sq = shell.n * shell.n
     length = line.length
-    rho_used = rho if rho is not None else _default_rho(mode, shell.m)
+
+    tables = _pair_tables(shell, direction)
+    whole = _split_sums(tables, 0.0, "absolute")
+    if mode is not BoundMode.RATIONAL:
+        parts = _split_sums(tables, rho_used, split)
+    beta = tables[0]
+    del tables  # only beta stays alive while integral_sq allocates
+    q_val = float(np.mean(integral_sq(beta, length)))
 
     if mode is BoundMode.RATIONAL:
         bound = q_val
     elif mode is BoundMode.CONDITIONAL:
-        parts = pair_sums(shell, direction, rho_used, "absolute")
         bound = (length * length * parts.s_small + parts.inv_sq_sum / PI_SQ) / n_sq
     else:
-        parts = pair_sums(shell, direction, rho_used, "relative")
         tail = parts.inv_dist_sq_sum / (PI_SQ * rho_used * rho_used)
         bound = (length * length * parts.s_small + tail) / n_sq
 
@@ -305,8 +324,6 @@ def variance_bound(
         inv_sq_sum=whole.inv_sq_sum,
         q_value=q_val,
         rho=rho_used,
-        omega=omega,
-        h_param=h_param,
         mode=mode,
         bound_value=bound,
         envelope=envelope,

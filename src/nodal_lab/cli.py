@@ -27,8 +27,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import BoundMode, integral_sq, pair_sums, q_sum, riesz_energy, variance_bound
-from .diophantine import Direction, Rationality, dirichlet_1d
+from .arithmetic import (
+    BoundMode,
+    check_mode,
+    integral_sq,
+    pair_sums,
+    q_sum,
+    riesz_energy,
+    variance_bound,
+)
+from .diophantine import Direction, dirichlet_1d
 from .geometry import kappa
 from .lattice import ProjectedShell, classify_m, enumerate_shell, project_shell, scale_check
 from .nodal import count_zeros, monte_carlo
@@ -56,7 +64,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 THREADS_ENV_VAR = "NODAL_LAB_THREADS"
 COMMANDS = ("shell", "wave", "simulate", "bounds", "riesz", "verify")
 MEAN_FACTOR = 2.0 / math.sqrt(3.0)
@@ -74,19 +82,6 @@ ZETA_CATALOG = {
     "sqrt5": math.sqrt(5.0),
     "sqrt7": math.sqrt(7.0),
     "sqrt11": math.sqrt(11.0),
-}
-
-_MODE_NAMES = {
-    "rational": BoundMode.RATIONAL,
-    "irrational": BoundMode.IRRATIONAL,
-    "half_rational": BoundMode.HALF_RATIONAL,
-    "conditional": BoundMode.CONDITIONAL,
-}
-
-_AUTO_MODE = {
-    Rationality.RATIONAL: "rational",
-    Rationality.HALF_RATIONAL: "half_rational",
-    Rationality.IRRATIONAL: "irrational",
 }
 
 
@@ -109,8 +104,6 @@ class ExperimentConfig:
     trials: int = 200
     seed: int = 0
     rho: float | None = None
-    omega: float | None = None
-    h_param: int | None = None
     mode: str | None = None
     sigma: float = 1.0
     out: str | None = None
@@ -125,11 +118,12 @@ class ExperimentConfig:
         for m in self.m_list:
             if not isinstance(m, int) or m < 1:
                 raise UsageError("--m", f"shell numbers must be positive integers, got {m}")
-        if not self.length > 0:
-            raise UsageError("--len", f"segment length must be positive, got {self.length}")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise UsageError(
+                "--len", f"segment length must be positive and finite, got {self.length}")
         if self.command == "simulate" and self.trials < 2:
             raise UsageError("--trials", f"simulate needs at least 2 trials, got {self.trials}")
-        if self.mode is not None and self.mode not in _MODE_NAMES:
+        if self.mode is not None and self.mode not in [m.value for m in BoundMode]:
             raise UsageError("--mode", f"unknown mode {self.mode!r}")
         if not 0.0 < self.sigma < 2.0:
             raise UsageError("--sigma", f"sigma must lie in (0, 2), got {self.sigma}")
@@ -137,10 +131,8 @@ class ExperimentConfig:
             raise UsageError("--format", f"unknown format {self.format!r}")
         if self.threads < 1:
             raise UsageError("--threads", f"thread count must be >= 1, got {self.threads}")
-        if self.rho is not None and self.rho < 0:
+        if self.rho is not None and not self.rho >= 0:
             raise UsageError("--rho", f"rho must be nonnegative, got {self.rho}")
-        if self.h_param is not None and self.h_param < 1:
-            raise UsageError("--bigh", f"H must be >= 1, got {self.h_param}")
         if self.command in ("wave", "simulate", "bounds"):
             parse_direction(self.direction)
 
@@ -273,16 +265,11 @@ def _run_simulate(config: ExperimentConfig) -> list[dict]:
 
 
 def _resolve_mode(config: ExperimentConfig, direction: Direction) -> BoundMode:
-    name = config.mode or _AUTO_MODE[direction.rationality]
-    mode = _MODE_NAMES[name]
-    if mode is not BoundMode.CONDITIONAL:
-        expected = {BoundMode.RATIONAL: Rationality.RATIONAL,
-                    BoundMode.IRRATIONAL: Rationality.IRRATIONAL,
-                    BoundMode.HALF_RATIONAL: Rationality.HALF_RATIONAL}[mode]
-        if direction.rationality is not expected:
-            raise UsageError(
-                "--mode", f"mode {name} needs a {expected.value} direction, "
-                          f"got {direction.rationality.value}")
+    mode = BoundMode(config.mode or direction.rationality.value)
+    try:
+        check_mode(mode, direction)
+    except ValueError as exc:
+        raise UsageError("--mode", str(exc)) from None
     return mode
 
 
@@ -292,8 +279,7 @@ def _run_bounds(config: ExperimentConfig) -> list[dict]:
     line = LineSegment(direction, config.length)
     rows = []
     for m, shell in _admissible_shells(config):
-        report = variance_bound(shell, line, mode, rho=config.rho,
-                                omega=config.omega, h_param=config.h_param)
+        report = variance_bound(shell, line, mode, rho=config.rho)
         rows.append({
             "m": m,
             "n": shell.n,
@@ -301,8 +287,6 @@ def _run_bounds(config: ExperimentConfig) -> list[dict]:
             "length": config.length,
             "mode": mode.value,
             "rho": report.rho,
-            "omega": report.omega,
-            "h_param": report.h_param,
             "kappa": report.kappa,
             "s_zero": report.s_zero,
             "inv_sq_sum": report.inv_sq_sum,
@@ -545,11 +529,7 @@ def parse_args(argv) -> ExperimentConfig:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rho", type=float, default=None,
                         help="pair-split threshold override")
-    parser.add_argument("--omega", type=float, default=None,
-                        help="auxiliary angle parameter, recorded in reports")
-    parser.add_argument("--bigh", dest="h_param", type=int, default=None,
-                        help="Dirichlet denominator cap, recorded in reports")
-    parser.add_argument("--mode", choices=sorted(_MODE_NAMES), default=None,
+    parser.add_argument("--mode", choices=[m.value for m in BoundMode], default=None,
                         help="bound mode (default: match the direction)")
     parser.add_argument("--sigma", type=float, default=1.0,
                         help="Riesz energy exponent in (0, 2)")
@@ -577,8 +557,6 @@ def parse_args(argv) -> ExperimentConfig:
         trials=args.trials,
         seed=args.seed,
         rho=args.rho,
-        omega=args.omega,
-        h_param=args.h_param,
         mode=args.mode,
         sigma=args.sigma,
         out=args.out,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .diophantine import Direction
 from .lattice import Shell
-from .randomwave import LineSegment, WaveSample, evaluate_f, line_frequencies, sample_wave
+from .randomwave import LineSegment, WaveSample, evaluate_f, half_frequencies, sample_wave
 
 __all__ = [
     "DegenerateSampleError",
@@ -100,8 +100,7 @@ def shifted_sample(sample: WaveSample, base_point) -> WaveSample:
     evaluation segment is a phase rotation of the coefficients.
     """
     x0 = np.asarray(base_point, dtype=np.float64)
-    h = sample.shell.n // 2
-    phase = 2.0 * math.pi * (sample.shell.coords[:h].astype(np.float64) @ x0)
+    phase = 2.0 * math.pi * half_frequencies(sample.shell, x0)
     return WaveSample(sample.shell, sample.half_coefficients * np.exp(1j * phase))
 
 
@@ -116,8 +115,7 @@ def _base_grid(sample: WaveSample, line: LineSegment, n_pts: int):
     hit = _BASE_CACHE.get(key)
     if hit is None:
         t = np.linspace(0.0, line.length, n_pts)
-        h = sample.shell.n // 2
-        b = sample.shell.coords[:h].astype(np.float64) @ line.direction.components
+        b = half_frequencies(sample.shell, line.direction.components)
         phase = 2.0 * math.pi * t[:, None] * b
         hit = (t, np.cos(phase), np.sin(phase))
         if len(_BASE_CACHE) > 16:
@@ -243,18 +241,16 @@ def count_zeros(sample: WaveSample, line: LineSegment, grid_factor: float = 8.0)
     """
     if grid_factor < 4:
         raise ValueError(f"grid_factor must be >= 4, got {grid_factor}")
-    b = line_frequencies(sample.shell, line.direction)
-    f_max = float(np.max(np.abs(b)))
+    b = half_frequencies(sample.shell, line.direction.components)
+    f_max = float(np.max(np.abs(b)))  # the mirrored rows carry -b
     n_pts = max(int(math.ceil(grid_factor * 2.0 * f_max * line.length)) + 1, 2)
     t, cos_mat, sin_mat = _base_grid(sample, line, n_pts)
-    a = sample.half_coefficients
-    scale = 2.0 / math.sqrt(sample.shell.n)
-    fv = scale * (cos_mat @ a.real - sin_mat @ a.imag)
+    fv = sample.combine(cos_mat, sin_mat)
     if np.all(np.abs(fv) < DEGENERATE_TOL):
         raise DegenerateSampleError("degenerate sample: f vanishes on the whole grid")
     near_tol = NEAR_ZERO_FACTOR * float(np.sqrt(np.mean(fv * fv)))
-    half_b = b[: sample.shell.n // 2]
-    m2 = scale * float(np.sum((2.0 * math.pi * half_b) ** 2 * np.abs(a)))
+    scale = 2.0 / math.sqrt(sample.shell.n)
+    m2 = scale * float(np.sum((2.0 * math.pi * b) ** 2 * np.abs(sample.half_coefficients)))
     roots, depth_hit, tangency = _scan(sample, line, t, fv, near_tol, m2, 1)
     roots.sort()
     merged: list[float] = []

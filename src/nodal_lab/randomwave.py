@@ -26,11 +26,11 @@ __all__ = [
     "CovarianceValues",
     "sample_wave",
     "evaluate_F",
-    "evaluate_F_complex",
     "evaluate_f",
     "evaluate_f_prime",
     "covariance",
     "line_frequencies",
+    "half_frequencies",
     "second_moment_ratio",
 ]
 
@@ -110,6 +110,16 @@ class WaveSample:
             half[pair] = stored
         return cls(shell, half)
 
+    def combine(self, cos_phase: np.ndarray, sin_phase: np.ndarray) -> np.ndarray:
+        """Real wave values from half-shell phase matrices, one column per pair.
+
+        (2/sqrt(N)) * (cos_phase @ Re a - sin_phase @ Im a), the cosine/sine
+        form of the full shell sum.
+        """
+        a = self.half_coefficients
+        scale = 2.0 / math.sqrt(self.shell.n)
+        return scale * (cos_phase @ a.real - sin_phase @ a.imag)
+
 
 @dataclass(frozen=True)
 class CovarianceValues:
@@ -149,25 +159,24 @@ def evaluate_F(sample: WaveSample, x):
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != 3:
         raise ValueError("x must have three components")
-    h = sample.shell.n // 2
-    phase = TWO_PI * pts @ sample.shell.coords[:h].astype(np.float64).T
-    a = sample.half_coefficients
-    scale = 2.0 / math.sqrt(sample.shell.n)
-    vals = scale * (np.cos(phase) @ a.real - np.sin(phase) @ a.imag)
+    phase = TWO_PI * half_frequencies(sample.shell, pts.T).T
+    vals = sample.combine(np.cos(phase), np.sin(phase))
     return float(vals[0]) if single else vals
-
-
-def evaluate_F_complex(sample: WaveSample, x) -> complex:
-    """Full complex shell sum at one point; the cross-check for evaluate_F."""
-    x = np.asarray(x, dtype=np.float64)
-    phase = TWO_PI * sample.shell.coords.astype(np.float64) @ x
-    total = np.sum(sample.coefficients * np.exp(1j * phase))
-    return complex(total) / math.sqrt(sample.shell.n)
 
 
 def line_frequencies(shell: Shell, direction: Direction) -> np.ndarray:
     """Frequencies <mu, alpha> of the restricted process, one per shell row."""
     return shell.coords.astype(np.float64) @ direction.components
+
+
+def half_frequencies(shell: Shell, v) -> np.ndarray:
+    """<mu, v> over the half shell, one value per antipodal pair.
+
+    The half shell is the first n//2 rows of shell.coords (row i mirrors row
+    n-1-i).  v is one vector of three components, or a 3 x k matrix whose
+    columns are vectors; the result then has one column per vector.
+    """
+    return shell.coords[: shell.n // 2].astype(np.float64) @ v
 
 
 def _check_t(line: LineSegment, t) -> np.ndarray:
@@ -181,12 +190,9 @@ def evaluate_f(sample: WaveSample, line: LineSegment, t):
     """Restriction f(t) = F(t*alpha); vectorized over t in [0, L]."""
     t = _check_t(line, t)
     single = t.ndim == 0
-    h = sample.shell.n // 2
-    b = sample.shell.coords[:h].astype(np.float64) @ line.direction.components
+    b = half_frequencies(sample.shell, line.direction.components)
     phase = TWO_PI * np.atleast_1d(t)[:, None] * b
-    a = sample.half_coefficients
-    scale = 2.0 / math.sqrt(sample.shell.n)
-    vals = scale * (np.cos(phase) @ a.real - np.sin(phase) @ a.imag)
+    vals = sample.combine(np.cos(phase), np.sin(phase))
     return float(vals[0]) if single else vals
 
 
@@ -194,8 +200,7 @@ def evaluate_f_prime(sample: WaveSample, line: LineSegment, t):
     """Derivative f'(t), term-wise 2 pi <mu, alpha> factors."""
     t = _check_t(line, t)
     single = t.ndim == 0
-    h = sample.shell.n // 2
-    b = sample.shell.coords[:h].astype(np.float64) @ line.direction.components
+    b = half_frequencies(sample.shell, line.direction.components)
     phase = TWO_PI * np.atleast_1d(t)[:, None] * b
     a = sample.half_coefficients
     w = TWO_PI * b

@@ -241,6 +241,8 @@ class TestPairSums:
         shell = enumerate_shell(2)
         with pytest.raises(ValueError, match="rho"):
             pair_sums(shell, AXIS, -0.1)
+        with pytest.raises(ValueError, match="rho"):
+            pair_sums(shell, AXIS, math.nan)
         with pytest.raises(ValueError, match="mode"):
             pair_sums(shell, AXIS, 0.1, "sideways")
         with pytest.raises(ValueError, match="m=7"):
@@ -303,11 +305,64 @@ class TestVarianceBound:
     def test_custom_rho_and_extras_pass_through(self):
         shell = enumerate_shell(5)
         report = variance_bound(shell, LineSegment(IRR, 1.0), BoundMode.IRRATIONAL,
-                                rho=0.25, omega=0.1, h_param=12)
+                                rho=0.25)
         assert report.rho == 0.25
-        assert report.omega == 0.1
-        assert report.h_param == 12
         assert report.q_value <= report.bound_value * (1.0 + 1e-12)
+
+    # kappa, s_zero, inv_sq_sum, q_value, bound_value, as recorded from the
+    # unmodified package in perfbench/reference.json
+    @pytest.mark.parametrize("m,direction,mode,expected", [
+        (101, AXIS, BoundMode.RATIONAL,
+         (18, 1920, 3319.835847389243, 0.06802721088435375, 0.06802721088435375)),
+        (1009, AXIS, BoundMode.RATIONAL,
+         (16, 2720, 1979.917298954643, 0.04722222222222222, 0.04722222222222222)),
+        (101, IRR, BoundMode.IRRATIONAL,
+         (18, 168, 4951578.946116077, 0.05175636126195175, 0.2024206805100498)),
+        (1009, IRR, BoundMode.IRRATIONAL,
+         (16, 240, 3291073.7216422795, 0.018108892513898113, 0.11917149271909598)),
+    ])
+    def test_pinned_report_values(self, m, direction, mode, expected):
+        report = variance_bound(enumerate_shell(m), LineSegment(direction, 1.0), mode)
+        assert (report.kappa, report.s_zero, report.inv_sq_sum, report.q_value,
+                report.bound_value) == expected
+
+    @pytest.mark.parametrize("direction,mode", [
+        (AXIS, BoundMode.RATIONAL),
+        (IRR, BoundMode.IRRATIONAL),
+        (HALF, BoundMode.HALF_RATIONAL),
+        (AXIS, BoundMode.CONDITIONAL),
+        (IRR, BoundMode.CONDITIONAL),
+        (HALF, BoundMode.CONDITIONAL),
+    ])
+    def test_matches_separate_pair_sums(self, direction, mode):
+        for m in (5, 9, 101):
+            shell = enumerate_shell(m)
+            line = LineSegment(direction, 0.8)
+            report = variance_bound(shell, line, mode)
+            q_val = q_sum(shell, line)
+            whole = pair_sums(shell, direction, 0.0, "absolute")
+            assert report.q_value == q_val
+            assert report.s_zero == whole.s_zero
+            assert report.inv_sq_sum == whole.inv_sq_sum
+            n_sq = shell.n * shell.n
+            l_sq = line.length * line.length
+            pi_sq = math.pi * math.pi
+            rho = report.rho
+            if mode is BoundMode.RATIONAL:
+                bound = q_val
+            elif mode is BoundMode.CONDITIONAL:
+                parts = pair_sums(shell, direction, rho, "absolute")
+                bound = (l_sq * parts.s_small + parts.inv_sq_sum / pi_sq) / n_sq
+            else:
+                parts = pair_sums(shell, direction, rho, "relative")
+                tail = parts.inv_dist_sq_sum / (pi_sq * rho * rho)
+                bound = (l_sq * parts.s_small + tail) / n_sq
+            assert report.bound_value == bound
+
+    def test_rejects_nan_rho(self):
+        shell = enumerate_shell(5)
+        with pytest.raises(ValueError, match="rho"):
+            variance_bound(shell, LineSegment(IRR, 1.0), BoundMode.IRRATIONAL, rho=math.nan)
 
     def test_report_invariants(self):
         shell = enumerate_shell(9)

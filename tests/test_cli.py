@@ -40,8 +40,7 @@ class TestConfig:
             make_config(command="simulate", m_list=(1, 2, 5), trials=64, seed=9,
                         direction="irr:std", threads=4, out="report.csv"),
             make_config(command="bounds", direction="halfrat:1,1,sqrt2",
-                        mode="conditional", rho=0.3, omega=0.8, h_param=7,
-                        format="json"),
+                        mode="conditional", rho=0.3, format="json"),
         ]
         for config in configs:
             assert ExperimentConfig.from_dict(config.to_dict()) == config
@@ -63,8 +62,9 @@ class TestConfig:
         (dict(format="xml"), "--format"),
         (dict(threads=0), "--threads"),
         (dict(rho=-1.0), "--rho"),
-        (dict(h_param=0), "--bigh"),
+        (dict(rho=math.nan), "--rho"),
         (dict(command="wave", direction="rat:one,0,0"), "--dir"),
+        (dict(length=math.inf), "--len"),
     ])
     def test_validate_names_offending_field(self, overrides, field):
         config = make_config(**overrides)
@@ -106,14 +106,14 @@ class TestArgParsing:
     def test_full_flag_set(self):
         config = parse_args([
             "bounds", "--m", "5,9", "--dir", "irr:s235", "--len", "0.5",
-            "--trials", "32", "--seed", "7", "--rho", "0.2", "--omega", "0.4",
-            "--bigh", "11", "--mode", "conditional", "--sigma", "1.5",
+            "--trials", "32", "--seed", "7", "--rho", "0.2",
+            "--mode", "conditional", "--sigma", "1.5",
             "--out", "x.csv", "--format", "json", "--threads", "2",
         ])
         assert config == ExperimentConfig(
             command="bounds", m_list=(5, 9), direction="irr:s235", length=0.5,
-            trials=32, seed=7, rho=0.2, omega=0.4, h_param=11,
-            mode="conditional", sigma=1.5, out="x.csv", format="json", threads=2)
+            trials=32, seed=7, rho=0.2, mode="conditional", sigma=1.5,
+            out="x.csv", format="json", threads=2)
 
     def test_defaults(self):
         config = parse_args(["shell"])
@@ -219,7 +219,7 @@ class TestJsonReports:
         command, rows = parse_report(text)
         assert command == "simulate"
         assert rows == cli._run_simulate(config)
-        assert json.loads(text)["schema_version"] == 1
+        assert json.loads(text)["schema_version"] == 2
 
     def test_round_trip_bounds_envelope_keys(self, tmp_path):
         out = tmp_path / "bounds.json"
@@ -232,7 +232,7 @@ class TestJsonReports:
 
     def test_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema_version"):
-            parse_report(json.dumps({"schema_version": 2, "command": "x", "rows": []}))
+            parse_report(json.dumps({"schema_version": 3, "command": "x", "rows": []}))
 
 
 class TestBoundsCommand:
@@ -242,9 +242,9 @@ class TestBoundsCommand:
                         out=str(out)))
         with open(out, newline="") as handle:
             header = next(csv.reader(handle))
-        assert header == ["m", "n", "direction", "length", "mode", "rho", "omega",
-                          "h_param", "kappa", "s_zero", "inv_sq_sum", "q_value",
-                          "bound_value", "envelope", "conjecture_assumed"]
+        assert header == ["m", "n", "direction", "length", "mode", "rho", "kappa",
+                          "s_zero", "inv_sq_sum", "q_value", "bound_value", "envelope",
+                          "conjecture_assumed"]
 
     def test_mode_defaults_to_direction(self, tmp_path):
         out = tmp_path / "bounds.csv"

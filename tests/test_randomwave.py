@@ -12,7 +12,6 @@ from nodal_lab.randomwave import (
     WaveSample,
     covariance,
     evaluate_F,
-    evaluate_F_complex,
     evaluate_f,
     evaluate_f_prime,
     sample_wave,
@@ -21,6 +20,14 @@ from nodal_lab.randomwave import (
 
 E1 = Direction.rational(1, 0, 0)
 IRR = Direction.irrational(1.0, math.sqrt(2), math.sqrt(3))
+
+
+def evaluate_F_complex(sample, x) -> complex:
+    """Full complex shell sum at one point; the cross-check for evaluate_F."""
+    x = np.asarray(x, dtype=np.float64)
+    phase = 2 * math.pi * sample.shell.coords.astype(np.float64) @ x
+    total = np.sum(sample.coefficients * np.exp(1j * phase))
+    return complex(total) / math.sqrt(sample.shell.n)
 
 
 def single_mode(m=1):
