@@ -38,6 +38,7 @@ __all__ = [
     "BoundReport",
     "RieszResult",
     "check_mode",
+    "check_rho",
     "integral_sq",
     "q_sum",
     "r2_terms",
@@ -223,6 +224,12 @@ def check_mode(mode: BoundMode, direction: Direction) -> None:
         )
 
 
+def check_rho(mode: BoundMode, rho: float | None) -> None:
+    """Raise ValueError if rho is given to the rational bound, which uses none."""
+    if rho is not None and mode is BoundMode.RATIONAL:
+        raise ValueError(f"the rational bound uses no rho, got {rho}")
+
+
 _MODE_EXPONENT = {
     BoundMode.IRRATIONAL: 1.0 / 7.0,
     BoundMode.HALF_RATIONAL: 1.0 / 5.0,
@@ -283,6 +290,7 @@ def variance_bound(
     """
     direction = line.direction
     check_mode(mode, direction)
+    check_rho(mode, rho)
     rho_used = rho if rho is not None else _default_rho(mode, shell.m)
     split = "absolute" if mode is BoundMode.CONDITIONAL else "relative"
     if mode is not BoundMode.RATIONAL:

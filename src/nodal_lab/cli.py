@@ -7,11 +7,11 @@ zero-count statistics), ``bounds`` (variance-bound reports), ``riesz``
 invariant checks, nonzero exit status on any violation).
 
 Determinism contract: a fixed configuration and seed produce byte-identical
-reports across runs and across thread counts.  Each row derives its own
-integer seed from (seed, m), so rows are independent and reproducible in
-isolation.  Direction specs name their rationality explicitly: ``rat:a,b,c``
-for integer directions, ``halfrat:u,v,<name>`` with a cataloged irrational
-slope, and ``irr:<name>`` from a catalog of square-root direction triples.
+reports across runs.  Each row derives its own integer seed from (seed, m),
+so rows are independent and reproducible in isolation.  Direction specs
+name their rationality explicitly: ``rat:a,b,c`` for integer directions,
+``halfrat:u,v,<name>`` with a cataloged irrational slope, and
+``irr:<name>`` from a catalog of square-root direction triples.
 """
 
 import argparse
@@ -20,8 +20,8 @@ import io
 import json
 import logging
 import math
-import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
@@ -30,6 +30,7 @@ import numpy as np
 from .arithmetic import (
     BoundMode,
     check_mode,
+    check_rho,
     integral_sq,
     pair_sums,
     q_sum,
@@ -59,13 +60,11 @@ __all__ = [
     "run",
     "main",
     "SCHEMA_VERSION",
-    "THREADS_ENV_VAR",
 ]
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 2
-THREADS_ENV_VAR = "NODAL_LAB_THREADS"
+SCHEMA_VERSION = 3
 COMMANDS = ("shell", "wave", "simulate", "bounds", "riesz", "verify")
 MEAN_FACTOR = 2.0 / math.sqrt(3.0)
 
@@ -108,7 +107,6 @@ class ExperimentConfig:
     sigma: float = 1.0
     out: str | None = None
     format: str = "csv"
-    threads: int = 1
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -121,6 +119,8 @@ class ExperimentConfig:
         if not (math.isfinite(self.length) and self.length > 0):
             raise UsageError(
                 "--len", f"segment length must be positive and finite, got {self.length}")
+        if self.seed < 0:
+            raise UsageError("--seed", f"seed must be a nonnegative integer, got {self.seed}")
         if self.command == "simulate" and self.trials < 2:
             raise UsageError("--trials", f"simulate needs at least 2 trials, got {self.trials}")
         if self.mode is not None and self.mode not in [m.value for m in BoundMode]:
@@ -129,8 +129,6 @@ class ExperimentConfig:
             raise UsageError("--sigma", f"sigma must lie in (0, 2), got {self.sigma}")
         if self.format not in ("csv", "json"):
             raise UsageError("--format", f"unknown format {self.format!r}")
-        if self.threads < 1:
-            raise UsageError("--threads", f"thread count must be >= 1, got {self.threads}")
         if self.rho is not None and not self.rho >= 0:
             raise UsageError("--rho", f"rho must be nonnegative, got {self.rho}")
         if self.command in ("wave", "simulate", "bounds"):
@@ -246,8 +244,7 @@ def _run_simulate(config: ExperimentConfig) -> list[dict]:
     line = LineSegment(direction, config.length)
     rows = []
     for m, shell in _admissible_shells(config):
-        report = monte_carlo(shell, line, config.trials, _row_seed(config.seed, m),
-                             threads=config.threads)
+        report = monte_carlo(shell, line, config.trials, _row_seed(config.seed, m))
         rows.append({
             "m": m,
             "n": shell.n,
@@ -260,6 +257,8 @@ def _run_simulate(config: ExperimentConfig) -> list[dict]:
             "stderr": report.stderr,
             "expected_mean": MEAN_FACTOR * config.length * math.sqrt(m),
             "histogram": report.histogram,
+            "near_tangency_trials": report.near_tangency_trials,
+            "depth_hit_trials": report.depth_hit_trials,
         })
     return rows
 
@@ -270,6 +269,10 @@ def _resolve_mode(config: ExperimentConfig, direction: Direction) -> BoundMode:
         check_mode(mode, direction)
     except ValueError as exc:
         raise UsageError("--mode", str(exc)) from None
+    try:
+        check_rho(mode, config.rho)
+    except ValueError as exc:
+        raise UsageError("--rho", str(exc)) from None
     return mode
 
 
@@ -382,11 +385,13 @@ def _verify_checks(config: ExperimentConfig):
 
     shell5 = enumerate_shell(5)
     line = LineSegment(axis, 1.0)
-    rep_a = monte_carlo(shell5, line, 60, 11, threads=1)
-    rep_b = monte_carlo(shell5, line, 60, 11, threads=2)
-    same = (rep_a.mean == rep_b.mean and rep_a.variance == rep_b.variance
-            and rep_a.histogram == rep_b.histogram)
-    yield "mc_thread_determinism", same, "60-trial run identical for threads=1 and threads=2"
+    rep_a = monte_carlo(shell5, line, 60, 11)
+    trial_by_trial = Counter(
+        count_zeros(sample_wave(shell5, np.random.default_rng(stream)), line).count
+        for stream in np.random.SeedSequence(11).spawn(60))
+    same = rep_a.histogram == trial_by_trial
+    yield "mc_block_determinism", same, (
+        "60-trial histogram identical in one block and trial by trial")
 
     expected = MEAN_FACTOR * math.sqrt(5.0)
     gap = abs(rep_a.mean - expected)
@@ -535,20 +540,7 @@ def parse_args(argv) -> ExperimentConfig:
                         help="Riesz energy exponent in (0, 2)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default ${THREADS_ENV_VAR} or 1)")
     args = parser.parse_args(argv)
-
-    if args.threads is None:
-        env = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            threads = int(env)
-        except ValueError:
-            raise UsageError(
-                "--threads", f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
-    else:
-        threads = args.threads
-
     return ExperimentConfig(
         command=args.command,
         m_list=_parse_m_list(args.m),
@@ -561,7 +553,6 @@ def parse_args(argv) -> ExperimentConfig:
         sigma=args.sigma,
         out=args.out,
         format=args.format,
-        threads=threads,
     )
 
 

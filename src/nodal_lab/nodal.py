@@ -3,29 +3,48 @@
 The restricted process f is a trigonometric polynomial whose frequencies
 |<mu, alpha>| are at most sqrt(m), so a uniform grid denser than twice the
 top frequency (default eight times) brackets almost every zero between two
-sign changes.  Brackets are bisected.  A pair of roots can still hide inside
-a cell whose endpoints share a sign, but only if the smaller endpoint value
-is below M2 * w^2 / 8, where w is the cell width and M2 bounds |f''| via the
-triangle inequality; such cells, and grid points where f is suspiciously
-small without an adjacent sign change, get a local refinement pass at eight
-times the density.  Touch-without-crossing configurations are flagged and
-counted as zero crossings are not.
+sign changes.  A pair of roots can still hide inside a cell whose endpoints
+share a sign, but only if the smaller endpoint value is below M2 * w^2 / 8,
+where w is the cell width and M2 bounds |f''| via the triangle inequality;
+such cells, and grid points where f is suspiciously small without an
+adjacent sign change, get a local refinement pass at eight times the
+density.  Touch-without-crossing configurations are flagged and counted as
+zero crossings are not.
 
-Monte-Carlo trials draw independent substreams from one seed sequence, so
-reports are reproducible bit for bit regardless of thread count: the per
-trial results are integers and the reduction is exact integer arithmetic.
+The rule has one home, ``_scan``, which runs it over a block of samples one
+depth level at a time: one matrix product gives every sample's base grid,
+the masks of ``_level`` run over all segments of the block at once, and each
+refinement level evaluates f with one small product per sample, by angle
+addition from the window anchors (``_window_values``).  ``_scan`` returns the
+sign-change brackets of every level and the flags.  ``count_zeros`` bisects
+the brackets and returns the roots.  ``monte_carlo`` only counts them: each
+bracket holds one root, and two roots can merge only where brackets share
+an end point at which f is numerically zero, or where a sample has exact
+grid zeros; only those brackets are bisected.
+
+Monte-Carlo trials draw independent substreams from one seed sequence and
+are scanned BLOCK_TRIALS at a time.  The per trial results are integers and
+the reduction is exact integer arithmetic, so reports are reproducible bit
+for bit.  The block size can move only the last bit of the base-grid
+product, which changes no count in the test matrix.
 """
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diophantine import Direction
 from .lattice import Shell
-from .randomwave import LineSegment, WaveSample, evaluate_f, half_frequencies, sample_wave
+from .randomwave import (
+    TWO_PI,
+    LineSegment,
+    WaveSample,
+    evaluate_f,
+    half_frequencies,
+    sample_wave,
+)
 
 __all__ = [
     "DegenerateSampleError",
@@ -42,12 +61,22 @@ NEAR_ZERO_FACTOR = 1e-10
 DEGENERATE_TOL = 1e-13
 REFINE_RATIO = 8
 MAX_REFINE_DEPTH = 8
-
-_BASE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# Trials scanned together by monte_carlo.  Larger blocks amortize the
+# per-level numpy calls, but their flat per-point temporaries raise the peak
+# memory: at m = 1009 a block of 16 adds about 0.3 MB to a simulate process
+# and a block of 32 about 0.8 MB, for about 10% less time per trial.
+BLOCK_TRIALS = 16
 
 
 class DegenerateSampleError(RuntimeError):
-    """Raised when f is numerically zero on the whole sampling grid."""
+    """Raised when f is numerically zero on the whole sampling grid.
+
+    ``row`` is the offending sample's position in the scanned block.
+    """
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -80,7 +109,11 @@ class ZeroCount:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Zero-count statistics over independent wave draws."""
+    """Zero-count statistics over independent wave draws.
+
+    near_tangency_trials and depth_hit_trials count the trials whose
+    ZeroFlags raised near_tangency and refinement_depth_hit.
+    """
 
     m: int
     direction: Direction
@@ -90,6 +123,8 @@ class MonteCarloReport:
     variance: float
     stderr: float
     histogram: dict[int, int]
+    near_tangency_trials: int
+    depth_hit_trials: int
     seed: int
 
 
@@ -104,24 +139,29 @@ def shifted_sample(sample: WaveSample, base_point) -> WaveSample:
     return WaveSample(sample.shell, sample.half_coefficients * np.exp(1j * phase))
 
 
-def _base_grid(sample: WaveSample, line: LineSegment, n_pts: int):
-    """Cached cosine/sine design matrices for the uniform base grid."""
-    key = (
-        sample.shell.m,
-        line.direction.components.tobytes(),
-        float(line.length),
-        int(n_pts),
-    )
-    hit = _BASE_CACHE.get(key)
-    if hit is None:
-        t = np.linspace(0.0, line.length, n_pts)
-        b = half_frequencies(sample.shell, line.direction.components)
-        phase = 2.0 * math.pi * t[:, None] * b
-        hit = (t, np.cos(phase), np.sin(phase))
-        if len(_BASE_CACHE) > 16:
-            _BASE_CACHE.clear()
-        _BASE_CACHE[key] = hit
-    return hit
+@dataclass(frozen=True)
+class _BaseGrid:
+    """The uniform base grid on [0, L] and its half-shell design matrices."""
+
+    t: np.ndarray
+    cos_phase: np.ndarray
+    sin_phase: np.ndarray
+    b: np.ndarray  # <mu, alpha> per antipodal pair
+
+
+def _base_grid(shell: Shell, line: LineSegment, grid_factor: float) -> _BaseGrid:
+    """Base grid of ceil(grid_factor * 2 * f_max * L) + 1 uniform points."""
+    if grid_factor < 4:
+        raise ValueError(f"grid_factor must be >= 4, got {grid_factor}")
+    if shell.n == 0:
+        raise ValueError(f"f has no frequencies on the empty shell m={shell.m}")
+    b = half_frequencies(shell, line.direction.components)
+    f_max = float(np.max(np.abs(b)))  # the mirrored rows carry -b
+    n_pts = max(int(math.ceil(grid_factor * 2.0 * f_max * line.length)) + 1, 2)
+    t = np.linspace(0.0, line.length, n_pts)
+    phase = TWO_PI * t[:, None] * b
+    cos_phase = np.cos(phase)
+    return _BaseGrid(t, cos_phase, np.sin(phase, out=phase), b)
 
 
 def _zero_runs(t: np.ndarray, fv: np.ndarray):
@@ -171,65 +211,235 @@ def _bisect(sample, line, lo, hi, f_lo):
     return 0.5 * (lo + hi)
 
 
-def _merge_windows(windows: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Merge overlapping index windows [lo, hi]."""
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(windows):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
+def _merge_windows(lo: np.ndarray, hi: np.ndarray):
+    """Merge index windows [lo, hi] that overlap or share an end point."""
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)
+    opens = np.ones(lo.size, dtype=bool)
+    opens[1:] = lo[1:] > reach[:-1]
+    closes = np.ones(lo.size, dtype=bool)
+    closes[:-1] = opens[1:]
+    return lo[opens], reach[closes]
 
 
-def _scan(sample, line, t, fv, near_tol, m2, depth):
-    """One resolution level: exact zeros, brackets, then local refinement.
+def _level(t, fv, seg, near_tol, dip_tol):
+    """One depth level over concatenated segments: brackets and windows.
 
-    Cells whose endpoints share a sign are refined when the curvature bound
-    m2 says f could reach zero inside; tiny endpoint values that sit next to
-    a sign change are exempt, being the skirt of an already bracketed root.
+    ``seg`` names each point's segment; ``near_tol`` and ``dip_tol`` (the
+    M2 * w^2 / 8 curvature test) hold one value per segment.  Returns the
+    sign-change cells (index of their left point) and the merged refinement
+    windows [lo, hi].  Cells whose endpoints share a sign are refined when
+    the curvature bound says f could reach zero inside; tiny endpoint values
+    that sit next to a sign change are exempt, being the skirt of an already
+    bracketed root.
     """
-    roots, tangency = _zero_runs(t, fv)
-    depth_hit = False
     n = fv.size
-    w = float(t[1] - t[0]) if n > 1 else 0.0
-    prod = fv[:-1] * fv[1:]
-    sign_change = prod < 0.0
-    if np.any(sign_change):
-        cells = np.flatnonzero(sign_change)
-        found = _bisect(sample, line, t[cells], t[cells + 1], fv[cells])
-        roots.extend(float(r) for r in found)
-
+    inner = seg[:-1] == seg[1:]  # cells that do not straddle two segments
+    zero = fv == 0.0
+    sign_change = inner & (fv[:-1] * fv[1:] < 0.0)
     abs_f = np.abs(fv)
-    tiny = (abs_f <= near_tol) & (fv != 0.0)
+    tiny = (abs_f <= near_tol[seg]) & ~zero
     beside_change = np.zeros(n, dtype=bool)
     beside_change[:-1] |= sign_change
     beside_change[1:] |= sign_change
     beside_zero = np.zeros(n, dtype=bool)
-    beside_zero[:-1] |= fv[1:] == 0.0
-    beside_zero[1:] |= fv[:-1] == 0.0
+    beside_zero[:-1] |= inner & zero[1:]
+    beside_zero[1:] |= inner & zero[:-1]
 
     masked = np.where(tiny & beside_change, np.inf, abs_f)
-    zero_edge = (fv[:-1] == 0.0) | (fv[1:] == 0.0)
-    dip_possible = np.minimum(masked[:-1], masked[1:]) <= m2 * w * w / 8.0
-    risky_cells = np.flatnonzero(~sign_change & ~zero_edge & dip_possible)
-    suspects = np.flatnonzero(tiny & ~beside_change & ~beside_zero & (fv != 0.0))
+    zero_edge = zero[:-1] | zero[1:]
+    dip_possible = np.minimum(masked[:-1], masked[1:]) <= dip_tol[seg[:-1]]
+    risky = np.flatnonzero(inner & ~sign_change & ~zero_edge & dip_possible)
+    suspects = np.flatnonzero(tiny & ~beside_change & ~beside_zero)
 
-    windows = [(int(c), int(c) + 1) for c in risky_cells]
-    windows += [(max(int(i) - 1, 0), min(int(i) + 1, n - 1)) for i in suspects]
-    if windows:
+    first = np.ones(n, dtype=bool)
+    first[1:] = ~inner
+    last = np.ones(n, dtype=bool)
+    last[:-1] = ~inner
+    lo = np.concatenate([risky, np.where(first[suspects], suspects, suspects - 1)])
+    hi = np.concatenate([risky + 1, np.where(last[suspects], suspects, suspects + 1)])
+    return np.flatnonzero(sign_change), *_merge_windows(lo, hi)
+
+
+def _sub_grids(t, lo, hi):
+    """Concatenated np.linspace(t[lo], t[hi], (hi - lo) * REFINE_RATIO + 1).
+
+    Returns the points, the index of each sub-grid's first point and the
+    sub-grid sizes.
+    """
+    num = (hi - lo) * REFINE_RATIO + 1
+    starts = np.cumsum(num) - num
+    owner = np.repeat(np.arange(num.size), num)
+    step = (t[hi] - t[lo]) / (num - 1)
+    sub_t = (np.arange(owner.size) - starts[owner]) * step[owner] + t[lo][owner]
+    sub_t[starts + num - 1] = t[hi]
+    return sub_t, starts, num
+
+
+def _window_values(re, im, scale, b, owner, anchor, num, step):
+    """f at anchor + k * step, k < num, on every window: one product per sample.
+
+    Angle addition, a e^{2 pi i b (t0 + k step)} = (a e^{2 pi i b t0}) *
+    e^{2 pi i b k step}, needs cos and sin once per window and pair plus one
+    table per level, instead of at every sub-grid point.  Windows are grouped
+    by ``owner``, the block row of their sample.  With the level's step these
+    are the points of _sub_grids up to rounding, and the values agree with
+    evaluate_f there to rounding.
+    """
+    k = np.arange(int(num.max()))
+    table = TWO_PI * (k * step)[:, None] * b
+    cos_k = np.cos(table)
+    sin_k = np.sin(table, out=table)
+    fill = k < num[:, None]
+    out = np.empty(int(num.sum()))
+    first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    pos = 0
+    for lo, hi in zip(first, np.append(first[1:], owner.size)):
+        i = owner[lo]
+        phase = TWO_PI * anchor[lo:hi, None] * b
+        cos_a, sin_a = np.cos(phase), np.sin(phase)
+        p = cos_a * re[i] - sin_a * im[i]  # Re and Im of a e^{2 pi i b t0}
+        q = sin_a * re[i] + cos_a * im[i]
+        vals = (p @ cos_k.T - q @ sin_k.T)[fill[lo:hi]]
+        out[pos:pos + vals.size] = scale * vals
+        pos += vals.size
+    return out
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """The refinement rule's findings over a block of samples.
+
+    One entry per sign-change bracket [lo, hi]: the block row of its sample,
+    its depth level and f at lo.  Per sample: the roots at exact grid zeros,
+    the two flags, the near-zero tolerance and the |f''| bound M2.
+    """
+
+    row: np.ndarray
+    level: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    f_lo: np.ndarray
+    zero_roots: list[list[float]]
+    tangency: np.ndarray
+    depth_hit: np.ndarray
+    near_tol: np.ndarray
+    m2: np.ndarray
+
+
+def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
+    """Brackets and flags of every sample in a block, one level at a time.
+
+    Every sample's base grid comes from one matrix product, scaled as
+    WaveSample.combine scales.  Each refinement level concatenates the
+    windows of all samples into segments, evaluates f with one product per
+    sample (_window_values) and applies the masks of _level to all at once.
+    """
+    k = len(samples)
+    half = np.array([s.half_coefficients for s in samples])
+    re, im = np.ascontiguousarray(half.real), np.ascontiguousarray(half.imag)
+    scale = 2.0 / math.sqrt(samples[0].shell.n)
+    fv = scale * (grid.cos_phase @ re.T - grid.sin_phase @ im.T)
+    fv = np.ascontiguousarray(fv.T)  # one row per sample
+    dead = np.flatnonzero(np.all(np.abs(fv) < DEGENERATE_TOL, axis=1))
+    if dead.size:
+        raise DegenerateSampleError(
+            "degenerate sample: f vanishes on the whole grid", row=int(dead[0]))
+    near_tol = NEAR_ZERO_FACTOR * np.sqrt(np.mean(fv * fv, axis=1))
+    m2 = scale * np.sum((TWO_PI * grid.b) ** 2 * np.abs(half), axis=1)
+
+    n = grid.t.size
+    t = np.tile(grid.t, k)
+    fv = fv.ravel()
+    starts = np.arange(k) * n  # first point of each segment
+    owner = np.arange(k)  # block row of each segment
+    zero_roots: list[list[float]] = [[] for _ in range(k)]
+    tangency = np.zeros(k, dtype=bool)
+    depth_hit = np.zeros(k, dtype=bool)
+    found = []
+    depth = 1
+    step = grid.t[1] - grid.t[0]  # cell width; each level divides it by REFINE_RATIO
+    while True:
+        ends = np.append(starts[1:], t.size)
+        seg = np.repeat(np.arange(starts.size), ends - starts)
+        w = t[starts + 1] - t[starts]
+        cells, win_lo, win_hi = _level(t, fv, seg, near_tol[owner],
+                                       m2[owner] * w * w / 8.0)
+        found.append((owner[seg[cells]], np.full(cells.size, depth),
+                      t[cells], t[cells + 1], fv[cells]))
+        for s in sorted(set(seg[fv == 0.0].tolist())):
+            roots, touch = _zero_runs(t[starts[s]:ends[s]], fv[starts[s]:ends[s]])
+            zero_roots[owner[s]].extend(roots)
+            tangency[owner[s]] |= touch
+        if win_lo.size == 0:
+            break
+        owner = owner[seg[win_lo]]
         if depth >= MAX_REFINE_DEPTH:
-            depth_hit = True
-            tangency = True
-        else:
-            for lo_i, hi_i in _merge_windows(windows):
-                sub_t = np.linspace(t[lo_i], t[hi_i], (hi_i - lo_i) * REFINE_RATIO + 1)
-                sub_f = np.atleast_1d(evaluate_f(sample, line, sub_t))
-                sub = _scan(sample, line, sub_t, sub_f, near_tol, m2, depth + 1)
-                roots.extend(sub[0])
-                depth_hit |= sub[1]
-                tangency |= sub[2]
-    return roots, depth_hit, tangency
+            depth_hit[owner] = True
+            tangency[owner] = True
+            break
+        t, starts, num = _sub_grids(t, win_lo, win_hi)
+        step /= REFINE_RATIO
+        fv = _window_values(re, im, scale, grid.b, owner, t[starts], num, step)
+        depth += 1
+
+    row, level, lo, hi, f_lo = (np.concatenate(parts) for parts in zip(*found))
+    return _Scan(row, level, lo, hi, f_lo, zero_roots, tangency, depth_hit, near_tol, m2)
+
+
+def _bisect_brackets(scan: _Scan, sel: np.ndarray, sample: WaveSample,
+                     line: LineSegment) -> list[float]:
+    """Roots of the selected brackets of one sample, bisected level by level."""
+    roots = []
+    for depth in sorted(set(scan.level[sel].tolist())):
+        at = sel & (scan.level == depth)
+        roots.extend(_bisect(sample, line, scan.lo[at], scan.hi[at], scan.f_lo[at]).tolist())
+    return roots
+
+
+def _merge_roots(roots: list[float]) -> np.ndarray:
+    """Sorted roots, dropping each within 2*BISECT_TOL of the last one kept."""
+    merged: list[float] = []
+    for r in sorted(roots):
+        if merged and r - merged[-1] <= 2 * BISECT_TOL:
+            continue
+        merged.append(r)
+    return np.array(merged)
+
+
+def _counts(scan: _Scan, samples: list[WaveSample], line: LineSegment) -> np.ndarray:
+    """Zero count of every scanned sample, as count_zeros would give it.
+
+    Brackets have disjoint interiors and each bisects to one root inside
+    it, so two roots can merge only where brackets lie within 2*BISECT_TOL
+    of each other, in practice where they share an end point e.  Even then,
+    two roots within 2*BISECT_TOL of each other around e give
+    |f(e)| <= noise + 2 * M2 * BISECT_TOL^2 (linear interpolation between
+    them, with the evaluation noise bounded by near_tol), so a larger
+    |f(e)| keeps them apart.  Only the remaining close brackets are
+    bisected, plus every bracket of a sample with exact grid zeros, whose
+    roots lie outside any bracket.
+    """
+    counts = np.bincount(scan.row, minlength=len(samples))
+    order = np.lexsort((scan.lo, scan.row))
+    row, lo, hi, f_lo = (a[order] for a in (scan.row, scan.lo, scan.hi, scan.f_lo))
+    touching = (row[1:] == row[:-1]) & (lo[1:] - hi[:-1] <= 2 * BISECT_TOL)
+    floor = 2.0 * scan.near_tol + 2.0 * scan.m2 * BISECT_TOL**2
+    touching &= ~((lo[1:] == hi[:-1]) & (np.abs(f_lo[1:]) > floor[row[1:]]))
+    close = np.zeros(row.size, dtype=bool)
+    close[order[:-1][touching]] = True
+    close[order[1:][touching]] = True
+    redo = set(scan.row[close].tolist())
+    for i, roots in enumerate(scan.zero_roots):
+        if roots:
+            close |= scan.row == i
+            redo.add(i)
+    for i in sorted(redo):
+        sel = close & (scan.row == i)
+        roots = _bisect_brackets(scan, sel, samples[i], line)
+        counts[i] += _merge_roots(scan.zero_roots[i] + roots).size - np.count_nonzero(sel)
+    return counts
 
 
 def count_zeros(sample: WaveSample, line: LineSegment, grid_factor: float = 8.0) -> ZeroCount:
@@ -239,27 +449,12 @@ def count_zeros(sample: WaveSample, line: LineSegment, grid_factor: float = 8.0)
     where f_max = max |<mu, alpha>| is the top frequency of f.  grid_factor
     must be at least 4 (twice the Nyquist rate).
     """
-    if grid_factor < 4:
-        raise ValueError(f"grid_factor must be >= 4, got {grid_factor}")
-    b = half_frequencies(sample.shell, line.direction.components)
-    f_max = float(np.max(np.abs(b)))  # the mirrored rows carry -b
-    n_pts = max(int(math.ceil(grid_factor * 2.0 * f_max * line.length)) + 1, 2)
-    t, cos_mat, sin_mat = _base_grid(sample, line, n_pts)
-    fv = sample.combine(cos_mat, sin_mat)
-    if np.all(np.abs(fv) < DEGENERATE_TOL):
-        raise DegenerateSampleError("degenerate sample: f vanishes on the whole grid")
-    near_tol = NEAR_ZERO_FACTOR * float(np.sqrt(np.mean(fv * fv)))
-    scale = 2.0 / math.sqrt(sample.shell.n)
-    m2 = scale * float(np.sum((2.0 * math.pi * b) ** 2 * np.abs(sample.half_coefficients)))
-    roots, depth_hit, tangency = _scan(sample, line, t, fv, near_tol, m2, 1)
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if merged and r - merged[-1] <= 2 * BISECT_TOL:
-            continue
-        merged.append(r)
-    flags = ZeroFlags(refinement_depth_hit=depth_hit, near_tangency=tangency)
-    return ZeroCount(count=len(merged), roots=np.array(merged), flags=flags)
+    grid = _base_grid(sample.shell, line, grid_factor)
+    scan = _scan([sample], grid)
+    roots = _merge_roots(scan.zero_roots[0] + _bisect_brackets(scan, scan.row == 0, sample, line))
+    flags = ZeroFlags(refinement_depth_hit=bool(scan.depth_hit[0]),
+                      near_tangency=bool(scan.tangency[0]))
+    return ZeroCount(count=roots.size, roots=roots, flags=flags)
 
 
 def monte_carlo(
@@ -268,29 +463,29 @@ def monte_carlo(
     trials: int,
     seed: int,
     grid_factor: float = 8.0,
-    threads: int = 1,
 ) -> MonteCarloReport:
     """Estimate mean and variance of the zero count over independent draws.
 
-    Each trial uses its own substream spawned from the seed, so the counts
-    (and therefore the whole report) do not depend on the thread count.
+    Each trial uses its own substream spawned from the seed and gets the
+    count count_zeros gives its sample; trials are scanned BLOCK_TRIALS at
+    a time, counted without bisection wherever no two roots could merge.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    grid = _base_grid(shell, line, grid_factor)
     streams = np.random.SeedSequence(seed).spawn(trials)
-
-    def one_trial(i: int) -> int:
-        sample = sample_wave(shell, np.random.default_rng(streams[i]))
+    counts: list[int] = []
+    near_tangency = depth_hit = 0
+    for start in range(0, trials, BLOCK_TRIALS):
+        samples = [sample_wave(shell, np.random.default_rng(stream))
+                   for stream in streams[start:start + BLOCK_TRIALS]]
         try:
-            return count_zeros(sample, line, grid_factor).count
+            scan = _scan(samples, grid)
         except DegenerateSampleError as exc:
-            raise DegenerateSampleError(f"trial {i}: {exc}") from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(one_trial, range(trials)))
-    else:
-        counts = [one_trial(i) for i in range(trials)]
+            raise DegenerateSampleError(f"trial {start + exc.row}: {exc}") from exc
+        counts.extend(_counts(scan, samples, line).tolist())
+        near_tangency += int(np.count_nonzero(scan.tangency))
+        depth_hit += int(np.count_nonzero(scan.depth_hit))
 
     total = sum(counts)
     total_sq = sum(c * c for c in counts)
@@ -305,5 +500,7 @@ def monte_carlo(
         variance=variance,
         stderr=math.sqrt(variance / trials),
         histogram=dict(sorted(Counter(counts).items())),
+        near_tangency_trials=near_tangency,
+        depth_hit_trials=depth_hit,
         seed=seed,
     )

@@ -19,7 +19,7 @@ from scipy import integrate
 
 from helpers_geometry import chi_exact
 from helpers_stats import negative_trend_p
-from nodal_lab import cli
+from nodal_lab import cli, nodal
 from nodal_lab.arithmetic import (
     BoundMode,
     integral_sq,
@@ -85,9 +85,9 @@ def read_rows(path):
         return list(csv.DictReader(handle))
 
 
-def simulate_config(m_list, direction, trials, seed, out, threads):
+def simulate_config(m_list, direction, trials, seed, out):
     return ExperimentConfig(command="simulate", m_list=m_list, direction=direction,
-                            trials=trials, seed=seed, out=str(out), threads=threads)
+                            trials=trials, seed=seed, out=str(out))
 
 
 @pytest.fixture(scope="session")
@@ -97,7 +97,7 @@ def mean_matrix(tmp_path_factory):
     runs = {}
     for direction in DIRECTIONS:
         out = base / f"mean_{direction.split(':')[0]}.csv"
-        config = simulate_config(MEAN_MS, direction, 2000, MEAN_SEED, out, threads=2)
+        config = simulate_config(MEAN_MS, direction, 2000, MEAN_SEED, out)
         assert cli.run(config) == 0
         runs[direction] = (config, out)
     return runs
@@ -110,8 +110,7 @@ def variance_matrix(tmp_path_factory):
     runs = {}
     for direction in DIRECTIONS:
         out = base / f"var_{direction.split(':')[0]}.csv"
-        config = simulate_config(VARIANCE_MS, direction, 2000, VARIANCE_SEED, out,
-                                 threads=2)
+        config = simulate_config(VARIANCE_MS, direction, 2000, VARIANCE_SEED, out)
         assert cli.run(config) == 0
         runs[direction] = (config, out)
     return runs
@@ -430,15 +429,18 @@ def test_criterion_8_variance_decay_and_bounds(variance_matrix):
                   f"C2 = {c2_global:.2f} <= {C2_CALIBRATION}")
 
 
-def test_criterion_9_report_determinism(mean_matrix, variance_matrix, tmp_path_factory):
+def test_criterion_9_report_determinism(mean_matrix, variance_matrix, tmp_path_factory,
+                                       monkeypatch):
     base = tmp_path_factory.mktemp("determinism")
+    default_block = nodal.BLOCK_TRIALS
+    monkeypatch.setattr(nodal, "BLOCK_TRIALS", 7)
     compared = 0
     for index, (config, path) in enumerate([*mean_matrix.values(),
                                             *variance_matrix.values()]):
         rerun_out = base / f"rerun_{index}.csv"
-        rerun = dataclasses.replace(config, threads=1, out=str(rerun_out))
+        rerun = dataclasses.replace(config, out=str(rerun_out))
         assert cli.run(rerun) == 0
         assert rerun_out.read_bytes() == path.read_bytes(), config.direction
         compared += 1
     record(9, compared == 4,
-           "4 reports byte-identical on rerun with threads 2 -> 1")
+           f"4 reports byte-identical on rerun with block size {default_block} -> 7")

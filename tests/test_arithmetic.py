@@ -364,6 +364,16 @@ class TestVarianceBound:
         with pytest.raises(ValueError, match="rho"):
             variance_bound(shell, LineSegment(IRR, 1.0), BoundMode.IRRATIONAL, rho=math.nan)
 
+    def test_rational_mode_rejects_rho(self):
+        shell = enumerate_shell(5)
+        with pytest.raises(ValueError, match="rational bound uses no rho"):
+            variance_bound(shell, LineSegment(AXIS, 1.0), BoundMode.RATIONAL, rho=0.3)
+        report = variance_bound(shell, LineSegment(AXIS, 1.0), BoundMode.RATIONAL)
+        assert report.rho is None and report.bound_value == report.q_value
+        conditional = variance_bound(shell, LineSegment(AXIS, 1.0), BoundMode.CONDITIONAL,
+                                     rho=0.3)
+        assert conditional.rho == 0.3
+
     def test_report_invariants(self):
         shell = enumerate_shell(9)
         line = LineSegment(HALF, 0.8)

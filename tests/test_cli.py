@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from nodal_lab import cli
+from nodal_lab import cli, nodal
 from nodal_lab.cli import (
     ExperimentConfig,
     UsageError,
@@ -38,7 +38,7 @@ class TestConfig:
         configs = [
             make_config(),
             make_config(command="simulate", m_list=(1, 2, 5), trials=64, seed=9,
-                        direction="irr:std", threads=4, out="report.csv"),
+                        direction="irr:std", out="report.csv"),
             make_config(command="bounds", direction="halfrat:1,1,sqrt2",
                         mode="conditional", rho=0.3, format="json"),
         ]
@@ -60,7 +60,7 @@ class TestConfig:
         (dict(mode="best"), "--mode"),
         (dict(sigma=2.0), "--sigma"),
         (dict(format="xml"), "--format"),
-        (dict(threads=0), "--threads"),
+        (dict(seed=-1), "--seed"),
         (dict(rho=-1.0), "--rho"),
         (dict(rho=math.nan), "--rho"),
         (dict(command="wave", direction="rat:one,0,0"), "--dir"),
@@ -108,27 +108,18 @@ class TestArgParsing:
             "bounds", "--m", "5,9", "--dir", "irr:s235", "--len", "0.5",
             "--trials", "32", "--seed", "7", "--rho", "0.2",
             "--mode", "conditional", "--sigma", "1.5",
-            "--out", "x.csv", "--format", "json", "--threads", "2",
+            "--out", "x.csv", "--format", "json",
         ])
         assert config == ExperimentConfig(
             command="bounds", m_list=(5, 9), direction="irr:s235", length=0.5,
             trials=32, seed=7, rho=0.2, mode="conditional", sigma=1.5,
-            out="x.csv", format="json", threads=2)
+            out="x.csv", format="json")
 
     def test_defaults(self):
         config = parse_args(["shell"])
         assert config.m_list == (1,)
         assert config.direction == "rat:1,0,0"
         assert config.format == "csv"
-        assert config.threads == 1
-
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
-        assert parse_args(["shell"]).threads == 3
-        assert parse_args(["shell", "--threads", "2"]).threads == 2
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "many")
-        with pytest.raises(UsageError, match="--threads"):
-            parse_args(["shell"])
 
 
 class TestShellCommand:
@@ -188,14 +179,28 @@ class TestSimulateCommand:
                         out=str(both)))
         assert read_csv(alone)[0] == read_csv(both)[1]
 
+    def test_stable_columns(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        run(make_config(command="simulate", m_list=(5,), trials=20, seed=4,
+                        out=str(out)))
+        with open(out, newline="") as handle:
+            header = next(csv.reader(handle))
+        assert header == ["m", "n", "direction", "length", "trials", "seed", "mean",
+                          "variance", "stderr", "expected_mean", "histogram",
+                          "near_tangency_trials", "depth_hit_trials"]
+        row = read_csv(out)[0]
+        assert 0 <= int(row["near_tangency_trials"]) <= 20
+        assert 0 <= int(row["depth_hit_trials"]) <= int(row["near_tangency_trials"])
+
 
 class TestDeterminism:
-    def test_byte_identical_across_threads_and_reruns(self, tmp_path):
+    def test_byte_identical_across_block_sizes_and_reruns(self, tmp_path, monkeypatch):
         texts = []
-        for name, threads in [("a", 1), ("b", 4), ("c", 1)]:
+        for name, block in [("a", 256), ("b", 7), ("c", 256)]:
+            monkeypatch.setattr(nodal, "BLOCK_TRIALS", block)
             out = tmp_path / f"{name}.csv"
             run(make_config(command="simulate", m_list=(1, 2), trials=60,
-                            seed=9, threads=threads, out=str(out)))
+                            seed=9, out=str(out)))
             texts.append(out.read_bytes())
         assert texts[0] == texts[1] == texts[2]
 
@@ -219,7 +224,8 @@ class TestJsonReports:
         command, rows = parse_report(text)
         assert command == "simulate"
         assert rows == cli._run_simulate(config)
-        assert json.loads(text)["schema_version"] == 2
+        assert json.loads(text)["schema_version"] == 3
+        assert all(isinstance(row["near_tangency_trials"], int) for row in rows)
 
     def test_round_trip_bounds_envelope_keys(self, tmp_path):
         out = tmp_path / "bounds.json"
@@ -232,7 +238,7 @@ class TestJsonReports:
 
     def test_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema_version"):
-            parse_report(json.dumps({"schema_version": 3, "command": "x", "rows": []}))
+            parse_report(json.dumps({"schema_version": 4, "command": "x", "rows": []}))
 
 
 class TestBoundsCommand:
@@ -259,6 +265,15 @@ class TestBoundsCommand:
                              mode="irrational")
         with pytest.raises(UsageError, match="--mode"):
             run(config)
+
+    def test_rho_in_rational_mode_is_usage_error(self, tmp_path, capsys):
+        config = make_config(command="bounds", m_list=(5,), direction="rat:1,0,0",
+                             rho=0.3, out=str(tmp_path / "bounds.csv"))
+        with pytest.raises(UsageError, match="--rho"):
+            run(config)
+        assert main(["bounds", "--m", "5", "--rho", "0.3"]) == 2
+        assert "--rho" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
 
 
 class TestRieszCommand:
@@ -301,3 +316,7 @@ class TestMain:
     def test_bad_direction_reported(self, capsys):
         assert main(["simulate", "--m", "1", "--dir", "rat:x,y,z"]) == 2
         assert "--dir" in capsys.readouterr().err
+
+    def test_negative_seed_reported(self, capsys):
+        assert main(["simulate", "--m", "1", "--trials", "4", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err

@@ -1,11 +1,14 @@
 """Zero counting and Monte-Carlo statistics of the count."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from helpers_stats import negative_trend_p
+from nodal_lab import nodal
+from nodal_lab.cli import parse_direction
 from nodal_lab.diophantine import Direction
 from nodal_lab.lattice import enumerate_shell
 from nodal_lab.nodal import (
@@ -24,9 +27,13 @@ IRR = Direction.irrational(1.0, math.sqrt(2), math.sqrt(3))
 TWO_PI = 2 * math.pi
 
 
-def cosine_sample(extra=None):
-    """m=1 sample with a_(1,0,0)=1 plus optional zero-frequency amplitudes."""
-    values = {(1, 0, 0): 1.0}
+def cosine_sample(extra=None, shift=0.0):
+    """m=1 sample proportional to cos(2 pi (t - shift)) + extra along E1.
+
+    a_(1,0,0) = e^{-2 pi i shift}; extra sits on (0,1,0), whose frequency
+    along E1 is zero.
+    """
+    values = {(1, 0, 0): complex(np.exp(-1j * TWO_PI * shift)) if shift else 1.0}
     if extra is not None:
         values[(0, 1, 0)] = extra
     return WaveSample.from_coefficients(enumerate_shell(1), values)
@@ -94,6 +101,14 @@ def test_degenerate_sample_raises():
 def test_grid_factor_floor():
     with pytest.raises(ValueError):
         count_zeros(cosine_sample(), LineSegment(E1, 1.0), grid_factor=2)
+    with pytest.raises(ValueError, match="grid_factor"):
+        monte_carlo(enumerate_shell(1), LineSegment(E1, 1.0), trials=4, seed=0,
+                    grid_factor=2)
+
+
+def test_monte_carlo_rejects_empty_shell():
+    with pytest.raises(ValueError, match="empty shell m=7"):
+        monte_carlo(enumerate_shell(7), LineSegment(E1, 1.0), trials=4, seed=0)
 
 
 def dense_scan_count(sample, line, factor=800.0):
@@ -138,12 +153,13 @@ def test_monte_carlo_report_identities():
     assert report.stderr == math.sqrt(report.variance / report.trials)
 
 
-def test_monte_carlo_deterministic_and_thread_invariant():
+def test_monte_carlo_deterministic_and_block_invariant(monkeypatch):
     shell = enumerate_shell(5)
     line = LineSegment(IRR, 1.0)
     a = monte_carlo(shell, line, trials=64, seed=11)
     b = monte_carlo(shell, line, trials=64, seed=11)
-    c = monte_carlo(shell, line, trials=64, seed=11, threads=4)
+    monkeypatch.setattr(nodal, "BLOCK_TRIALS", 5)
+    c = monte_carlo(shell, line, trials=64, seed=11)
     assert a == b == c
     tiny = monte_carlo(shell, line, trials=2, seed=1)
     assert tiny == monte_carlo(shell, line, trials=2, seed=1)
@@ -152,13 +168,115 @@ def test_monte_carlo_deterministic_and_thread_invariant():
 
 
 def test_monte_carlo_degenerate_trial_reports_index(monkeypatch):
-    import nodal_lab.nodal as nodal_mod
-
     shell = enumerate_shell(2)
     zero = WaveSample.from_coefficients(shell, {})
-    monkeypatch.setattr(nodal_mod, "sample_wave", lambda s, rng: zero)
+    monkeypatch.setattr(nodal, "sample_wave", lambda s, rng: zero)
     with pytest.raises(DegenerateSampleError, match="trial 0"):
         monte_carlo(shell, LineSegment(IRR, 1.0), trials=4, seed=0)
+
+
+def test_monte_carlo_degenerate_trial_index_counts_earlier_blocks(monkeypatch):
+    shell = enumerate_shell(2)
+    zero = WaveSample.from_coefficients(shell, {})
+    draws = iter([sample_wave(shell, i) for i in range(9)] + [zero] * 3)
+    monkeypatch.setattr(nodal, "sample_wave", lambda s, rng: next(draws))
+    monkeypatch.setattr(nodal, "BLOCK_TRIALS", 4)
+    with pytest.raises(DegenerateSampleError, match="trial 9:"):
+        monte_carlo(shell, LineSegment(IRR, 1.0), trials=12, seed=0)
+
+
+def per_trial_counts(shell, line, trials, seed):
+    """count_zeros over monte_carlo's substreams, one trial at a time."""
+    streams = np.random.SeedSequence(seed).spawn(trials)
+    return [count_zeros(sample_wave(shell, np.random.default_rng(s)), line)
+            for s in streams]
+
+
+ORACLE_TRIALS = {1: 200, 2: 200, 5: 200, 101: 80, 1009: 40}
+
+
+@pytest.mark.parametrize("spec", ["rat:1,0,0", "irr:std", "halfrat:1,1,sqrt2"])
+@pytest.mark.parametrize("m", sorted(ORACLE_TRIALS))
+def test_monte_carlo_matches_count_zeros_per_trial(m, spec):
+    shell = enumerate_shell(m)
+    line = LineSegment(parse_direction(spec), 1.0)
+    trials = ORACLE_TRIALS[m]
+    report = monte_carlo(shell, line, trials=trials, seed=1611)
+    zeros = per_trial_counts(shell, line, trials, 1611)
+    assert report.histogram == dict(sorted(Counter(z.count for z in zeros).items()))
+    assert report.near_tangency_trials == sum(z.flags.near_tangency for z in zeros)
+    assert report.depth_hit_trials == sum(z.flags.refinement_depth_hit for z in zeros)
+
+
+EDGE_SAMPLES = {
+    # f is exactly 0.0 at the grid point t = 5/16: a zero run, not a bracket
+    "exact_grid_zero": (dict(extra=-float(np.cos(TWO_PI * 0.3125))), 2),
+    # two roots 0.0045 apart inside the base cell (1/2, 9/16): only the
+    # refinement window of that cell brackets them
+    "hidden_pair": (dict(extra=1.0 - 1e-4, shift=1.0 / 32.0), 2),
+    "touch": (dict(extra=1.0), 0),
+    "depth_limit": (dict(extra=1.0 + 1e-12), 0),
+    "plain": (dict(), 2),
+}
+
+
+def test_monte_carlo_matches_count_zeros_on_edge_samples(monkeypatch):
+    samples = [cosine_sample(**kwargs) for kwargs, _ in EDGE_SAMPLES.values()]
+    line = LineSegment(E1, 1.0)
+    zeros = [count_zeros(s, line) for s in samples]
+    assert [z.count for z in zeros] == [count for _, count in EDGE_SAMPLES.values()]
+    for block in (1, 2, 32):
+        draws = iter(samples * 3)
+        monkeypatch.setattr(nodal, "sample_wave", lambda shell, rng: next(draws))
+        monkeypatch.setattr(nodal, "BLOCK_TRIALS", block)
+        report = monte_carlo(enumerate_shell(1), line, trials=3 * len(samples), seed=0)
+        expected = Counter(z.count for z in zeros * 3)
+        assert report.histogram == dict(sorted(expected.items()))
+        assert report.near_tangency_trials == 3 * sum(z.flags.near_tangency for z in zeros)
+        assert report.depth_hit_trials == 3 * sum(
+            z.flags.refinement_depth_hit for z in zeros)
+
+
+def test_hidden_pair_is_found_by_refinement():
+    sample = cosine_sample(**EDGE_SAMPLES["hidden_pair"][0])
+    line = LineSegment(E1, 1.0)
+    grid = nodal._base_grid(sample.shell, line, 8.0)
+    scan = nodal._scan([sample], grid)
+    assert scan.level.tolist() == [2, 2]
+    assert not scan.tangency[0] and not scan.depth_hit[0]
+    roots = count_zeros(sample, line).roots
+    assert np.allclose(roots, 17 / 32 + np.array([-1, 1]) * math.sqrt(2e-4) / TWO_PI,
+                       atol=1e-6)
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+@pytest.mark.parametrize("m,spec", [(5, "irr:std"), (101, "rat:1,0,0"),
+                                    (1009, "halfrat:1,1,sqrt2")])
+def test_monte_carlo_block_size_leaves_report_unchanged(monkeypatch, m, spec, block):
+    shell = enumerate_shell(m)
+    line = LineSegment(parse_direction(spec), 1.0)
+    default = monte_carlo(shell, line, trials=40, seed=5)
+    monkeypatch.setattr(nodal, "BLOCK_TRIALS", block)
+    assert monte_carlo(shell, line, trials=40, seed=5) == default
+
+
+def test_window_values_match_evaluate_f():
+    shell = enumerate_shell(1009)
+    line = LineSegment(IRR, 1.0)
+    samples = [sample_wave(shell, seed) for seed in (3, 4)]
+    grid = nodal._base_grid(shell, line, 8.0)
+    lo = np.array([0, 17, 40, 400])
+    hi = np.array([1, 20, 41, 402])
+    t, starts, sizes = nodal._sub_grids(grid.t, lo, hi)
+    owner = np.array([0, 0, 1, 1])
+    half = np.array([s.half_coefficients for s in samples])
+    values = nodal._window_values(half.real, half.imag, 2.0 / math.sqrt(shell.n), grid.b,
+                                  owner, t[starts], sizes, grid.t[1] / nodal.REFINE_RATIO)
+    direct = np.concatenate([
+        evaluate_f(samples[i], line, t[a:a + size])
+        for i, a, size in zip(owner, starts, sizes)])
+    assert t.size == 9 + 25 + 9 + 17
+    assert np.max(np.abs(values - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
 def test_shifted_sample_mean_invariance():
