@@ -13,6 +13,21 @@ exactly zero is decided in integer arithmetic whenever the direction's
 declared rationality allows it; only fully irrational directions fall back
 to a tolerance.
 
+Every pair sum runs over block-triangular row tiles: rows [lo, hi) against
+columns [lo, N), about TILE_ENTRIES entries each, so a sum takes O(N^2) time
+in O(TILE_ENTRIES) memory and no N x N table is ever built.  Each summand is
+symmetric in the pair: integral_sq is even in beta, beta_ji = -beta_ij
+exactly in floating point (so the zero and small masks and 1/beta^2 agree
+on both), |mu - mu'|^2 is an exact integer, the weighted sums carry
+w_i * w_j, and Riesz distances are symmetric.  A tile's diagonal block
+therefore counts once and the columns right of it count twice, for the
+mirror pairs no tile holds: only half the pairs are evaluated, and counts
+stay exact integers.  When N^2 <= TILE_ENTRIES (N <= 256) the single tile is
+the whole table and each reduction is the whole-table one (one np.sum, one
+masked gather, one w @ E @ w), so small shells give the same floats as a
+dense evaluation; larger shells add their tile sums in another order and
+agree with it to rounding.
+
 The bound evaluation reports two numbers per mode: the exact intermediate
 quantity (a rigorous upper bound for q_sum by construction) and the
 theorem's nominal asymptotic envelope, which carries unknowable constants
@@ -54,37 +69,79 @@ PI_SQ = math.pi * math.pi
 ZERO_BETA_TOL = 1e-14
 IRRATIONAL_ZERO_TOL = 1e-10
 ENVELOPE_EPSILONS = (0.01, 0.05)
+TILE_ENTRIES = 1 << 16
 
 
 def integral_sq(beta, length: float):
     """Squared modulus of the segment integral of e^{2 pi i t beta}.
 
-    Vectorized over beta; length must be positive.  The value is continuous
-    at beta = 0 where it equals length^2.
+    Vectorized over beta, which must be finite; length must be positive.
+    The value is continuous at beta = 0 where it equals length^2.
     """
     if not length > 0:
         raise ValueError(f"length must be positive, got {length}")
     b = np.asarray(beta, dtype=np.float64)
     scalar = b.ndim == 0
     b = np.atleast_1d(b)
-    out = np.full(b.shape, length * length)
-    nz = np.abs(b) > ZERO_BETA_TOL
-    s = np.sin(math.pi * length * b[nz])
-    out[nz] = (s * s) / (PI_SQ * b[nz] * b[nz])
+    if not np.isfinite(b).all():
+        raise ValueError("beta must be finite")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sin(math.pi * length * b)
+        out = (s * s) / (PI_SQ * b * b)
+    out[np.abs(b) <= ZERO_BETA_TOL] = length * length
     return float(out[0]) if scalar else out
 
 
-def _pair_frequencies(shell: Shell, direction: Direction) -> np.ndarray:
-    """N x N pair frequencies beta = <mu - mu', alpha>, rows mu, columns mu'."""
-    b = line_frequencies(shell, direction)
-    return b[:, None] - b[None, :]
+def _over_tiles(n: int, tile_sums):
+    """Add up tile_sums(lo, hi), a tuple of folded sums, over the row tiles.
+
+    Tile [lo, hi) holds the pairs of rows [lo, hi) and columns [lo, n) of an
+    n x n pair table, about TILE_ENTRIES of them.  The sums of a single tile
+    are returned as they are.
+    """
+    rows = max(1, TILE_ENTRIES // n)
+    total = None
+    for lo in range(0, n, rows):
+        part = tile_sums(lo, min(lo + rows, n))
+        total = part if total is None else tuple(a + b for a, b in zip(total, part))
+    return total
+
+
+def _fold(reduce, width: int, *tables):
+    """reduce over one tile, each pair right of its diagonal block counted twice.
+
+    tables are the tile's arrays (and column weights), whose last axis runs
+    over the columns [lo, n).  The first width columns are the diagonal block
+    and count once; the columns [hi, n) count twice, for the mirror pairs
+    below the diagonal that no tile holds.
+    """
+    total = reduce(*(t[..., :width] for t in tables))
+    if tables[0].shape[-1] > width:
+        total += 2 * reduce(*(t[..., width:] for t in tables))
+    return total
+
+
+def _masked_sum(values, keep):
+    return np.sum(values[keep])
+
+
+def _pair_frequencies(b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Tile of pair frequencies beta = b_i - b_j, rows i in [lo, hi), columns j >= lo."""
+    return b[lo:hi, None] - b[None, lo:]
 
 
 def q_sum(shell: Shell, line: LineSegment) -> float:
     """Normalized pair sum (1/N^2) * sum over ordered pairs of integral_sq."""
     if shell.n == 0:
         raise ValueError(f"q_sum needs a nonempty shell (m={shell.m})")
-    return float(np.mean(integral_sq(_pair_frequencies(shell, line.direction), line.length)))
+    b = line_frequencies(shell, line.direction)
+
+    def tile(lo, hi):
+        eye = integral_sq(_pair_frequencies(b, lo, hi), line.length)
+        return (_fold(np.sum, hi - lo, eye),)
+
+    (total,) = _over_tiles(shell.n, tile)
+    return float(total / (shell.n * shell.n))
 
 
 @dataclass(frozen=True)
@@ -107,14 +164,23 @@ def r2_terms(shell: Shell, line: LineSegment) -> SquaredCovarianceTerms:
     """Evaluate the four squared-covariance pair sums exactly."""
     if shell.n == 0:
         raise ValueError(f"r2_terms needs a nonempty shell (m={shell.m})")
-    w = line_frequencies(shell, line.direction) / math.sqrt(shell.m)
-    eye = integral_sq(_pair_frequencies(shell, line.direction), line.length)
-    n_sq = shell.n * shell.n
-    rr = float(np.sum(eye)) / n_sq
-    r1r1 = float(w @ eye @ w) / n_sq
+    b = line_frequencies(shell, line.direction)
+    w = b / math.sqrt(shell.m)
     w_sq = w * w
-    r12r12 = float(w_sq @ eye @ w_sq) / n_sq
-    return SquaredCovarianceTerms(rr=rr, r1r1=r1r1, r2r2=r1r1, r12r12=r12r12)
+
+    def tile(lo, hi):
+        eye = integral_sq(_pair_frequencies(b, lo, hi), line.length)
+        width = hi - lo
+        return (
+            _fold(np.sum, width, eye),
+            _fold(lambda e, wc: w[lo:hi] @ e @ wc, width, eye, w[lo:]),
+            _fold(lambda e, wc: w_sq[lo:hi] @ e @ wc, width, eye, w_sq[lo:]),
+        )
+
+    rr, r1r1, r12r12 = _over_tiles(shell.n, tile)
+    n_sq = shell.n * shell.n
+    return SquaredCovarianceTerms(rr=float(rr) / n_sq, r1r1=float(r1r1) / n_sq,
+                                  r2r2=float(r1r1) / n_sq, r12r12=float(r12r12) / n_sq)
 
 
 @dataclass(frozen=True)
@@ -133,37 +199,49 @@ class PairSums:
 
 
 def _pair_tables(shell: Shell, direction: Direction):
-    """Pair frequency matrix, exact zero mask, squared pair distances, and
-    1/beta^2 (0 on the zero pairs)."""
+    """Tile builder: tables(lo, hi) gives the tile's pair frequencies, exact
+    zero mask, squared pair distances, and 1/beta^2 (0 on the zero pairs)."""
     coords = shell.coords
-    beta = _pair_frequencies(shell, direction)
-    gram = coords @ coords.T
-    dist_sq = (2 * shell.m - 2 * gram).astype(np.float64)
+    b = line_frequencies(shell, direction)
     if direction.rationality is Rationality.RATIONAL:
         dots = coords @ np.array(direction.ints, dtype=np.int64)
-        num = dots[:, None] - dots[None, :]
-        zero = num == 0
         norm_sq = float(sum(c * c for c in direction.ints))
-        num_f = num.astype(np.float64)
-        inv_beta_sq = norm_sq / np.where(zero, np.inf, num_f * num_f)
     elif direction.rationality is Rationality.HALF_RATIONAL:
         u, v = direction.uv
         plane = v * coords[:, 0] + u * coords[:, 1]
         height = coords[:, 2]
-        zero = (plane[:, None] == plane[None, :]) & (height[:, None] == height[None, :])
-        inv_beta_sq = 1.0 / np.where(zero, np.inf, beta * beta)
-    else:
-        zero = np.abs(beta) <= IRRATIONAL_ZERO_TOL
-        extra = int(zero.sum()) - shell.n
-        if extra > 0:
-            log.warning(
-                "irrational direction %s: %d off-diagonal pair(s) within %g of zero",
-                direction,
-                extra,
-                IRRATIONAL_ZERO_TOL,
-            )
-        inv_beta_sq = 1.0 / np.where(zero, np.inf, beta * beta)
-    return beta, zero, dist_sq, inv_beta_sq
+
+    def tables(lo, hi):
+        beta = _pair_frequencies(b, lo, hi)
+        gram = coords[lo:hi] @ coords[lo:].T
+        dist_sq = (2 * shell.m - 2 * gram).astype(np.float64)
+        if direction.rationality is Rationality.RATIONAL:
+            num = dots[lo:hi, None] - dots[None, lo:]
+            zero = num == 0
+            num_f = num.astype(np.float64)
+            inv_beta_sq = norm_sq / np.where(zero, np.inf, num_f * num_f)
+        else:
+            if direction.rationality is Rationality.HALF_RATIONAL:
+                zero = ((plane[lo:hi, None] == plane[None, lo:])
+                        & (height[lo:hi, None] == height[None, lo:]))
+            else:
+                zero = np.abs(beta) <= IRRATIONAL_ZERO_TOL
+            inv_beta_sq = 1.0 / np.where(zero, np.inf, beta * beta)
+        return beta, zero, dist_sq, inv_beta_sq
+
+    return tables
+
+
+def _warn_near_zero(direction: Direction, s_zero: int, n: int) -> None:
+    """Warn when an irrational direction's tolerance counts off-diagonal zeros."""
+    extra = s_zero - n
+    if direction.rationality is Rationality.IRRATIONAL and extra > 0:
+        log.warning(
+            "irrational direction %s: %d off-diagonal pair(s) within %g of zero",
+            direction,
+            extra,
+            IRRATIONAL_ZERO_TOL,
+        )
 
 
 def _check_split(rho: float, mode: str) -> None:
@@ -173,8 +251,9 @@ def _check_split(rho: float, mode: str) -> None:
         raise ValueError(f"mode must be 'relative' or 'absolute', got {mode!r}")
 
 
-def _split_sums(tables, rho: float, mode: str) -> PairSums:
-    """PairSums from the tables of _pair_tables; see pair_sums."""
+def _split_sums(tables, rho: float, mode: str, width: int) -> tuple:
+    """One tile's folded (s_zero, s_small, inv_sq_sum, inv_dist_sq_sum) from
+    the tables of _pair_tables; see pair_sums."""
     beta, zero, dist_sq, inv_beta_sq = tables
     if mode == "relative":
         small = np.abs(beta) <= rho * np.sqrt(dist_sq)
@@ -183,12 +262,18 @@ def _split_sums(tables, rho: float, mode: str) -> PairSums:
     small |= zero
     tail = ~small
     inv_dist = 1.0 / np.where(dist_sq == 0.0, np.inf, dist_sq)
-    return PairSums(
-        s_zero=int(zero.sum()),
-        s_small=int(small.sum()),
-        inv_sq_sum=float(np.sum(inv_beta_sq[tail])),
-        inv_dist_sq_sum=float(np.sum(inv_dist[tail])),
+    return (
+        _fold(np.sum, width, zero),
+        _fold(np.sum, width, small),
+        _fold(_masked_sum, width, inv_beta_sq, tail),
+        _fold(_masked_sum, width, inv_dist, tail),
     )
+
+
+def _as_pair_sums(sums) -> PairSums:
+    s_zero, s_small, inv_sq_sum, inv_dist_sq_sum = sums
+    return PairSums(s_zero=int(s_zero), s_small=int(s_small),
+                    inv_sq_sum=float(inv_sq_sum), inv_dist_sq_sum=float(inv_dist_sq_sum))
 
 
 def pair_sums(shell: Shell, direction: Direction, rho: float, mode: str = "relative") -> PairSums:
@@ -201,7 +286,11 @@ def pair_sums(shell: Shell, direction: Direction, rho: float, mode: str = "relat
     if shell.n == 0:
         raise ValueError(f"pair_sums needs a nonempty shell (m={shell.m})")
     _check_split(rho, mode)
-    return _split_sums(_pair_tables(shell, direction), rho, mode)
+    tables = _pair_tables(shell, direction)
+    sums = _as_pair_sums(_over_tiles(
+        shell.n, lambda lo, hi: _split_sums(tables(lo, hi), rho, mode, hi - lo)))
+    _warn_near_zero(direction, sums.s_zero, shell.n)
+    return sums
 
 
 class BoundMode(enum.Enum):
@@ -286,7 +375,7 @@ def variance_bound(
     conditional theorem splits at |beta| <= rho and pays L^2 per small pair
     plus 1/(pi^2 beta^2) per tail pair.  Each split dominates q_sum exactly,
     term by term.  q_value, s_zero, inv_sq_sum and bound_value equal what
-    q_sum and pair_sums give, from one set of pair tables.
+    q_sum and pair_sums give, from one pass over the pair tiles.
     """
     direction = line.direction
     check_mode(mode, direction)
@@ -300,12 +389,22 @@ def variance_bound(
     length = line.length
 
     tables = _pair_tables(shell, direction)
-    whole = _split_sums(tables, 0.0, "absolute")
+
+    def tile(lo, hi):
+        tab = tables(lo, hi)
+        width = hi - lo
+        sums = (_fold(np.sum, width, integral_sq(tab[0], length)),)
+        sums += _split_sums(tab, 0.0, "absolute", width)
+        if mode is not BoundMode.RATIONAL:
+            sums += _split_sums(tab, rho_used, split, width)
+        return sums
+
+    sums = _over_tiles(shell.n, tile)  # q, then whole-shell and split PairSums fields
+    q_val = float(sums[0] / n_sq)
+    whole = _as_pair_sums(sums[1:5])
+    _warn_near_zero(direction, whole.s_zero, shell.n)
     if mode is not BoundMode.RATIONAL:
-        parts = _split_sums(tables, rho_used, split)
-    beta = tables[0]
-    del tables  # only beta stays alive while integral_sq allocates
-    q_val = float(np.mean(integral_sq(beta, length)))
+        parts = _as_pair_sums(sums[5:])
 
     if mode is BoundMode.RATIONAL:
         bound = q_val
@@ -362,13 +461,22 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
     n = len(pts)
     if n < 2:
         raise ValueError(f"need at least two points, got {n}")
-    gram = pts @ pts.T
-    dist_sq = np.clip(2.0 - 2.0 * gram, 0.0, None)
-    off = ~np.eye(n, dtype=bool)
-    dists = np.sqrt(dist_sq[off])
-    if np.any(dists == 0.0):
-        raise ValueError("coincident points give a divergent energy")
-    energy = float(np.sum(dists**-sigma))
+    if not np.isfinite(pts).all():
+        raise ValueError("unit points must be finite")
+
+    def energy_of(dist_sq, keep):
+        dists = np.sqrt(dist_sq[keep])
+        if np.any(dists == 0.0):
+            raise ValueError("coincident points give a divergent energy")
+        return np.sum(dists**-sigma)
+
+    def tile(lo, hi):
+        dist_sq = np.clip(2.0 - 2.0 * (pts[lo:hi] @ pts[lo:].T), 0.0, None)
+        off = np.ones(dist_sq.shape, dtype=bool)
+        np.fill_diagonal(off, False)  # the diagonal of the diagonal block
+        return (_fold(energy_of, hi - lo, dist_sq, off),)
+
+    energy = float(_over_tiles(n, tile)[0])
     limit_i = 2.0 ** (1.0 - sigma) / (2.0 - sigma)
     return RieszResult(
         sigma=sigma,

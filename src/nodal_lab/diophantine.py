@@ -87,6 +87,8 @@ class Direction:
     def half_rational(cls, u: int, v: int, zeta: float, label: str = "") -> "Direction":
         """alpha proportional to (v, u, zeta*v) with declared-irrational zeta."""
         u, v = int(u), int(v)
+        if not math.isfinite(zeta):
+            raise ValueError(f"zeta must be finite, got {zeta}")
         if v < 1:
             raise ValueError(f"v must be a positive integer, got {v}")
         g = math.gcd(abs(u), v)
@@ -102,6 +104,8 @@ class Direction:
     def irrational(cls, x: float, y: float, z: float, label: str = "") -> "Direction":
         """Direction with both ratios declared irrational by the caller's recipe."""
         vec = np.array([x, y, z], dtype=np.float64)
+        if not np.isfinite(vec).all():
+            raise ValueError(f"direction components must be finite, got {vec.tolist()}")
         norm = np.linalg.norm(vec)
         if norm == 0:
             raise ValueError("direction must be nonzero")
@@ -112,8 +116,8 @@ class Direction:
 
     def __post_init__(self):
         norm = float(np.linalg.norm(self.components))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"direction is not unit: |alpha| = {norm}")
+        if not abs(norm - 1.0) <= 1e-12:
+            raise ValueError(f"direction is not a finite unit vector: |alpha| = {norm}")
 
     def __str__(self) -> str:
         return self.label or f"dir({self.components.tolist()})"

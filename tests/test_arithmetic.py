@@ -2,11 +2,13 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from nodal_lab import arithmetic
 from nodal_lab.arithmetic import (
     BoundMode,
     integral_sq,
@@ -16,11 +18,20 @@ from nodal_lab.arithmetic import (
     riesz_energy,
     variance_bound,
 )
+from nodal_lab.cli import parse_direction
 from nodal_lab.diophantine import Direction
 from nodal_lab.geometry import kappa
 from nodal_lab.lattice import ProjectedShell, enumerate_shell, project_shell
 from nodal_lab.randomwave import LineSegment, covariance
 
+from helpers_arithmetic import (
+    dense_bound,
+    dense_pair_tables,
+    dense_q_sum,
+    dense_r2_terms,
+    dense_riesz_energy,
+    dense_split_sums,
+)
 from helpers_stats import negative_trend_p
 
 AXIS = Direction.rational(1, 0, 0)
@@ -95,6 +106,18 @@ class TestIntegralSq:
             integral_sq(1.0, 0.0)
         with pytest.raises(ValueError, match="length"):
             integral_sq(1.0, -2.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf,
+                                      np.array([0.5, math.nan, 0.0])])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            integral_sq(beta, 1.0)
+
+    def test_zero_and_tiny_beta_give_length_squared(self):
+        betas = np.array([0.0, -0.0, 1e-300, -1e-15, 1e-14, 2e-14])
+        vals = integral_sq(betas, 0.5)
+        assert vals[:5].tolist() == [0.25] * 5
+        assert vals[5] == pytest.approx(0.25, rel=1e-12)  # the quotient, finite
 
 
 class TestQSum:
@@ -431,3 +454,135 @@ class TestRieszEnergy:
         lonely = ProjectedShell(m=0, unit_points=np.array([[1.0, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="two points"):
             riesz_energy(lonely, 1.0)
+        broken = ProjectedShell(m=0, unit_points=np.array([[0.0, 0.0, 1.0],
+                                                           [math.nan, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            riesz_energy(broken, 1.0)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 6])
+    def test_coincident_points_in_different_tiles(self, monkeypatch, rows):
+        pts = project_shell(enumerate_shell(1)).unit_points.copy()
+        monkeypatch.setattr(arithmetic, "TILE_ENTRIES", rows * len(pts))
+        # each point's own (zero) distance on the diagonal blocks is left out
+        assert riesz_energy(ProjectedShell(m=1, unit_points=pts), 1.0).energy == \
+            pytest.approx(dense_riesz_energy(pts, 1.0), rel=1e-12)
+        pts[5] = pts[0]  # rows 0 and 5 lie in different tiles unless rows == 6
+        with pytest.raises(ValueError, match="coincident"):
+            riesz_energy(ProjectedShell(m=1, unit_points=pts), 1.0)
+
+
+TILE_DIRECTIONS = ["rat:1,0,0", "rat:1,1,1", "irr:std", "halfrat:1,1,sqrt2"]
+
+
+def modes_for(direction):
+    return [BoundMode(direction.rationality.value), BoundMode.CONDITIONAL]
+
+
+def assert_pair_sums_match(got, want):
+    assert (got.s_zero, got.s_small) == (want.s_zero, want.s_small)
+    assert got.inv_sq_sum == pytest.approx(want.inv_sq_sum, rel=1e-12)
+    assert got.inv_dist_sq_sum == pytest.approx(want.inv_dist_sq_sum, rel=1e-12)
+
+
+def assert_tiles_match_dense(shell, direction):
+    """Every tiled pair sum of one shell against the dense N x N oracle."""
+    line = LineSegment(direction, 0.8)
+    assert q_sum(shell, line) == pytest.approx(dense_q_sum(shell, line), rel=1e-12)
+    terms, want = r2_terms(shell, line), dense_r2_terms(shell, line)
+    for name in ("rr", "r1r1", "r2r2", "r12r12"):
+        assert getattr(terms, name) == pytest.approx(getattr(want, name), rel=1e-12)
+    tables = dense_pair_tables(shell, direction)
+    for rho in (0.0, 0.05, 0.3, 2.0):
+        for split in ("relative", "absolute"):
+            assert_pair_sums_match(pair_sums(shell, direction, rho, split),
+                                   dense_split_sums(tables, rho, split))
+    for mode in modes_for(direction):
+        report = variance_bound(shell, line, mode)
+        q_val, whole, bound = dense_bound(shell, line, mode, report.rho)
+        assert report.s_zero == whole.s_zero
+        assert report.inv_sq_sum == pytest.approx(whole.inv_sq_sum, rel=1e-12)
+        assert report.q_value == pytest.approx(q_val, rel=1e-12)
+        assert report.bound_value == pytest.approx(bound, rel=1e-12)
+    projected = project_shell(shell)
+    assert riesz_energy(projected, 1.3).energy == pytest.approx(
+        dense_riesz_energy(projected.unit_points, 1.3), rel=1e-12)
+
+
+class TestTiledPairSums:
+    """The block-triangular row tiles against the dense N x N oracle."""
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("spec", TILE_DIRECTIONS)
+    @pytest.mark.parametrize("m", [1, 2, 5, 9, 101])
+    def test_small_tiles_match_dense(self, monkeypatch, m, spec, rows):
+        shell = enumerate_shell(m)
+        monkeypatch.setattr(arithmetic, "TILE_ENTRIES", rows * shell.n)
+        assert_tiles_match_dense(shell, parse_direction(spec))
+
+    @pytest.mark.parametrize("spec", TILE_DIRECTIONS)
+    def test_default_tiles_match_dense(self, spec):
+        shell = enumerate_shell(3001)
+        assert shell.n == 480 and shell.n * shell.n > arithmetic.TILE_ENTRIES
+        assert_tiles_match_dense(shell, parse_direction(spec))
+
+    @pytest.mark.parametrize("spec", TILE_DIRECTIONS)
+    def test_single_tile_is_the_dense_sum(self, spec):
+        # N^2 <= TILE_ENTRIES: one tile, reduced exactly as the dense table
+        shell = enumerate_shell(101)
+        direction = parse_direction(spec)
+        line = LineSegment(direction, 0.8)
+        assert q_sum(shell, line) == dense_q_sum(shell, line)
+        assert r2_terms(shell, line) == dense_r2_terms(shell, line)
+        tables = dense_pair_tables(shell, direction)
+        for split in ("relative", "absolute"):
+            assert pair_sums(shell, direction, 0.3, split) == \
+                dense_split_sums(tables, 0.3, split)
+        projected = project_shell(shell)
+        assert riesz_energy(projected, 1.0).energy == \
+            dense_riesz_energy(projected.unit_points, 1.0)
+
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    def test_near_zero_warning_fires_once_with_dense_count(self, monkeypatch, caplog, rows):
+        pretend = Direction.irrational(1.0, 1.0, 1.0)
+        shell = enumerate_shell(9)
+        monkeypatch.setattr(arithmetic, "TILE_ENTRIES", rows * shell.n)
+        extra = int(dense_pair_tables(shell, pretend)[1].sum()) - shell.n
+        assert extra > 0
+        calls = [lambda: pair_sums(shell, pretend, 0.0, "absolute"),
+                 lambda: pair_sums(shell, pretend, 0.3, "relative"),
+                 lambda: variance_bound(shell, LineSegment(pretend, 1.0),
+                                        BoundMode.IRRATIONAL)]
+        for call in calls:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="nodal_lab.arithmetic"):
+                call()
+            warnings = [rec for rec in caplog.records if "off-diagonal" in rec.message]
+            assert len(warnings) == 1
+            assert warnings[0].args[1] == extra
+
+
+def test_pair_sums_memory_stays_below_one_dense_table():
+    """Each pair sum at N=1920 peaks below one N x N float64 table (29.5 MB)."""
+    shell = enumerate_shell(10001)
+    assert shell.n == 1920
+    dense_bytes = shell.n * shell.n * 8
+    direction = parse_direction("irr:std")
+    line = LineSegment(direction, 1.0)
+    projected = project_shell(shell)
+    calls = {
+        "q_sum": lambda: q_sum(shell, line),
+        "pair_sums relative": lambda: pair_sums(shell, direction, 0.01, "relative"),
+        "pair_sums absolute": lambda: pair_sums(shell, direction, 0.0, "absolute"),
+        "r2_terms": lambda: r2_terms(shell, line),
+        "riesz_energy": lambda: riesz_energy(projected, 1.0),
+    }
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak < dense_bytes, f"{name} peaked at {peak} bytes"
+    finally:
+        tracemalloc.stop()

@@ -40,6 +40,23 @@ def test_direction_rejects_degenerate():
         Direction.irrational(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Direction.irrational(math.nan, 1.0, 1.0),
+    lambda: Direction.irrational(1.0, 1.0, math.nan),
+    lambda: Direction.irrational(math.inf, 1.0, 1.0),
+    lambda: Direction.irrational(1.0, -math.inf, 1.0),
+    lambda: Direction.half_rational(1, 1, math.nan),
+    lambda: Direction.half_rational(1, 1, math.inf),
+    lambda: Direction.half_rational(1, 1, -math.inf),
+    lambda: Direction(components=np.array([math.nan, 0.0, 0.0]),
+                      rationality=Rationality.IRRATIONAL),
+])
+def test_direction_rejects_non_finite(build):
+    # a NaN norm fails every comparison, so these once built without error
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_dirichlet_1d_examples():
     assert dirichlet_1d(math.sqrt(2), 5) == (7, 5)
     assert dirichlet_1d(1 / 3, 3) == (1, 3)
