@@ -463,6 +463,9 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
         raise ValueError(f"need at least two points, got {n}")
     if not np.isfinite(pts).all():
         raise ValueError("unit points must be finite")
+    # the tiles take 2 - 2<p, q> as the squared distance, true for unit vectors only
+    if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-12):
+        raise ValueError("unit points must have norm 1 (within 1e-12)")
 
     def energy_of(dist_sq, keep):
         dists = np.sqrt(dist_sq[keep])

@@ -4,23 +4,39 @@ The restricted process f is a trigonometric polynomial whose frequencies
 |<mu, alpha>| are at most sqrt(m), so a uniform grid denser than twice the
 top frequency (default eight times) brackets almost every zero between two
 sign changes.  A pair of roots can still hide inside a cell whose endpoints
-share a sign, but only if the smaller endpoint value is below M2 * w^2 / 8,
-where w is the cell width and M2 bounds |f''| via the triangle inequality;
-such cells, and grid points where f is suspiciously small without an
-adjacent sign change, get a local refinement pass at eight times the
-density.  Touch-without-crossing configurations are flagged and counted as
-zero crossings are not.
+share a sign.  Such cells, and grid points where f is suspiciously small
+without an adjacent sign change, get a local refinement pass at eight times
+the density.  A cell is refined only when neither of two exclusion tests
+rules out a zero inside it:
+  - the curvature test: the smaller endpoint |f| exceeds M2 * w^2 / 8, where
+    w is the cell width and M2 = scale * sum (2 pi b)^2 |a| bounds |f''| by
+    the triangle inequality;
+  - on the base grid only, the Hermite test: the exact minimum over the cell
+    of sign(f0) * H, with H the cubic Hermite interpolant of f and f' at the
+    cell's end points, exceeds M4 * w^4 / 384 plus a floating-point margin.
+    M4 = scale * sum (2 pi b)^4 |a| bounds |f^(4)|, so M4 * w^4 / 384 bounds
+    |f - H| (the classical Hermite remainder), and the margin,
+    2 * near_tol + 64 * eps * S, covers the noise in the computed f and f'
+    (derived in ``_level``).
+Either test rules a cell out only where f provably keeps one sign, so the
+counts are those of the curvature test alone.  The Hermite test is much
+tighter: at m = 1009 it keeps about one in three hundred of the base cells
+the curvature test would refine.  It needs f' at the end points, which on
+the base grid costs one more matrix product per block.  Deeper levels keep
+the curvature test alone, and need no f': too few windows get there for a
+tighter test to pay.  Touch-without-crossing configurations are flagged and
+counted as zero crossings are not.
 
 The rule has one home, ``_scan``, which runs it over a block of samples one
-depth level at a time: one matrix product gives every sample's base grid,
-the masks of ``_level`` run over all segments of the block at once, and each
-refinement level evaluates f with one small product per sample, by angle
-addition from the window anchors (``_window_values``).  ``_scan`` returns the
-sign-change brackets of every level and the flags.  ``count_zeros`` bisects
-the brackets and returns the roots.  ``monte_carlo`` only counts them: each
-bracket holds one root, and two roots can merge only where brackets share
-an end point at which f is numerically zero, or where a sample has exact
-grid zeros; only those brackets are bisected.
+depth level at a time: two matrix products give every sample's base-grid
+values of f and f', the masks of ``_level`` run over all segments of the
+block at once, and each refinement level evaluates f with one small product
+per sample, by angle addition from the window anchors (``_window_values``).
+``_scan`` returns the sign-change brackets of every level and the flags.
+``count_zeros`` bisects the brackets and returns the roots.  ``monte_carlo``
+only counts them: each bracket holds one root, and two roots can merge only
+where brackets share an end point at which f is numerically zero, or where a
+sample has exact grid zeros; only those brackets are bisected.
 
 Monte-Carlo trials draw independent substreams from one seed sequence and
 are scanned BLOCK_TRIALS at a time.  The per trial results are integers and
@@ -151,8 +167,8 @@ class _BaseGrid:
 
 def _base_grid(shell: Shell, line: LineSegment, grid_factor: float) -> _BaseGrid:
     """Base grid of ceil(grid_factor * 2 * f_max * L) + 1 uniform points."""
-    if grid_factor < 4:
-        raise ValueError(f"grid_factor must be >= 4, got {grid_factor}")
+    if not 4 <= grid_factor < math.inf:
+        raise ValueError(f"grid_factor must be finite and >= 4, got {grid_factor}")
     if shell.n == 0:
         raise ValueError(f"f has no frequencies on the empty shell m={shell.m}")
     b = half_frequencies(shell, line.direction.components)
@@ -223,7 +239,33 @@ def _merge_windows(lo: np.ndarray, hi: np.ndarray):
     return lo[opens], reach[closes]
 
 
-def _level(t, fv, seg, near_tol, dip_tol):
+def _hermite_min(f0, f1, d0, d1):
+    """Exact minimum over u in [0, 1] of sign(f0) * H(u), cell by cell.
+
+    H is the cubic with H(0) = f0, H(1) = f1, H'(0) = d0 and H'(1) = d1
+    (d = w * f' on a cell of width w): H(u) = f0 + d0 u + b u^2 + a u^3.
+    The minimum sits at an end point or at a real root of
+    H'(u) = 3a u^2 + 2b u + d0 inside the cell.  The roots are q / (3a) and
+    d0 / q with q = -(b + sign(b) sqrt(b^2 - 3a d0)), a form free of
+    cancellation.  With a = 0 the second root is the quadratic's
+    -d0 / (2b) and the first is infinite; with a = b = 0 H is linear and
+    neither is finite.  Both roots are clipped into [0, 1], undefined ones
+    (0 / 0) becoming 1, and a negative discriminant yields the inflection
+    point: an extra point of the cell can never pull the minimum below its
+    true value.
+    """
+    a = 2.0 * (f0 - f1) + d0 + d1
+    b = 3.0 * (f1 - f0) - 2.0 * d0 - d1
+    q = -(b + np.copysign(np.sqrt(np.maximum(b * b - 3.0 * a * d0, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.array([q / (3.0 * a), d0 / q])
+    u = np.fmax(np.fmin(u, 1.0), 0.0)  # fmin takes 1 over NaN
+    s = np.sign(f0)
+    h = ((a * u + b) * u + d0) * u + f0
+    return np.minimum(np.minimum(s * f0, s * f1), np.min(s * h, axis=0))
+
+
+def _level(t, fv, seg, near_tol, dip_tol, slope=None, remainder=None):
     """One depth level over concatenated segments: brackets and windows.
 
     ``seg`` names each point's segment; ``near_tol`` and ``dip_tol`` (the
@@ -233,6 +275,30 @@ def _level(t, fv, seg, near_tol, dip_tol):
     the curvature bound says f could reach zero inside; tiny endpoint values
     that sit next to a sign change are exempt, being the skirt of an already
     bracketed root.
+
+    Given ``slope`` (f' at every point) and ``remainder`` (M4 * w^4 / 384,
+    one value per segment), a cell that passes the curvature test is refined
+    only if also
+
+        min over the cell of sign(f0) * H  <=  remainder + 2 near_tol + 64 eps S
+
+    with H the cell's cubic Hermite interpolant (_hermite_min), built from
+    f0, f1, w f0' and w f1', and S = |f0| + |f1| + w |f0'| + w |f1'|.  The
+    right side bounds |f - H| as computed, so above it f keeps the sign of
+    f0 on the whole cell and has no zero there:
+      - for exact end data |f - H| <= M4 w^4 / 384, the classical Hermite
+        remainder: f^(4)(xi) / 4! times (t - t0)^2 (t - t1)^2 <= w^4 / 16;
+      - the values of f carry at most near_tol of rounding noise, the premise
+        _counts rests on too.  f' is the same sum with each term weighted by
+        |2 pi b| <= 2 pi f_max, so its noise is at most 2 pi f_max near_tol.
+        H depends on f0 and f1 through weights that sum to 1, and on w f0'
+        and w f1' through weights whose absolute values sum to
+        u (1 - u) <= 1/4.  So the noise moves H by at most
+        (1 + 2 pi f_max w / 4) near_tol <= (1 + pi / 16) near_tol, since
+        w <= 1 / (8 f_max) when grid_factor >= 4; 2 near_tol covers it;
+      - 64 eps S covers the rounding of the cubic's coefficients, of Horner's
+        rule and of its critical points, where an error moves H only to
+        second order.
     """
     n = fv.size
     inner = seg[:-1] == seg[1:]  # cells that do not straddle two segments
@@ -251,6 +317,13 @@ def _level(t, fv, seg, near_tol, dip_tol):
     zero_edge = zero[:-1] | zero[1:]
     dip_possible = np.minimum(masked[:-1], masked[1:]) <= dip_tol[seg[:-1]]
     risky = np.flatnonzero(inner & ~sign_change & ~zero_edge & dip_possible)
+    if slope is not None:
+        f0, f1 = fv[risky], fv[risky + 1]
+        w = t[risky + 1] - t[risky]
+        d0, d1 = w * slope[risky], w * slope[risky + 1]
+        rounding = 64.0 * np.finfo(float).eps * (np.abs(f0) + np.abs(f1) + np.abs(d0) + np.abs(d1))
+        margin = remainder[seg[risky]] + 2.0 * near_tol[seg[risky]] + rounding
+        risky = risky[_hermite_min(f0, f1, d0, d1) <= margin]
     suspects = np.flatnonzero(tiny & ~beside_change & ~beside_zero)
 
     first = np.ones(n, dtype=bool)
@@ -331,10 +404,13 @@ class _Scan:
 def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     """Brackets and flags of every sample in a block, one level at a time.
 
-    Every sample's base grid comes from one matrix product, scaled as
-    WaveSample.combine scales.  Each refinement level concatenates the
-    windows of all samples into segments, evaluates f with one product per
-    sample (_window_values) and applies the masks of _level to all at once.
+    Every sample's base-grid values of f come from one matrix product,
+    scaled as WaveSample.combine scales, and those of f' from one more, with
+    the weights 2 pi b of evaluate_f_prime.  The base level applies the
+    masks of _level with both exclusion tests, curvature (M2) and Hermite
+    (M4, f'); each refinement level concatenates the windows of all samples
+    into segments, evaluates f with one product per sample (_window_values)
+    and applies the masks of _level with the curvature test alone.
     """
     k = len(samples)
     half = np.array([s.half_coefficients for s in samples])
@@ -347,7 +423,12 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
         raise DegenerateSampleError(
             "degenerate sample: f vanishes on the whole grid", row=int(dead[0]))
     near_tol = NEAR_ZERO_FACTOR * np.sqrt(np.mean(fv * fv, axis=1))
-    m2 = scale * np.sum((TWO_PI * grid.b) ** 2 * np.abs(half), axis=1)
+    omega = TWO_PI * grid.b
+    m2 = scale * np.sum(omega**2 * np.abs(half), axis=1)
+    m4 = scale * np.sum(omega**4 * np.abs(half), axis=1)
+    # f' on the base grid, as evaluate_f_prime forms it
+    fp = -scale * (grid.sin_phase @ (omega * re).T + grid.cos_phase @ (omega * im).T)
+    slope = fp.T.ravel()  # one run per sample, as fv below
 
     n = grid.t.size
     t = np.tile(grid.t, k)
@@ -364,8 +445,9 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
         ends = np.append(starts[1:], t.size)
         seg = np.repeat(np.arange(starts.size), ends - starts)
         w = t[starts + 1] - t[starts]
+        hermite = (slope, m4 * w**4 / 384.0) if depth == 1 else (None, None)
         cells, win_lo, win_hi = _level(t, fv, seg, near_tol[owner],
-                                       m2[owner] * w * w / 8.0)
+                                       m2[owner] * w * w / 8.0, *hermite)
         found.append((owner[seg[cells]], np.full(cells.size, depth),
                       t[cells], t[cells + 1], fv[cells]))
         for s in sorted(set(seg[fv == 0.0].tolist())):

@@ -458,6 +458,10 @@ class TestRieszEnergy:
                                                            [math.nan, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="finite"):
             riesz_energy(broken, 1.0)
+        # 2 - 2<p, q> is 8 for this antipodal pair, not the true squared distance 16
+        long = ProjectedShell(m=0, unit_points=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]]))
+        with pytest.raises(ValueError, match="norm 1"):
+            riesz_energy(long, 1.0)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 6])
     def test_coincident_points_in_different_tiles(self, monkeypatch, rows):

@@ -20,7 +20,13 @@ from nodal_lab.nodal import (
     monte_carlo,
     shifted_sample,
 )
-from nodal_lab.randomwave import LineSegment, WaveSample, evaluate_f, sample_wave
+from nodal_lab.randomwave import (
+    LineSegment,
+    WaveSample,
+    evaluate_f,
+    evaluate_f_prime,
+    sample_wave,
+)
 
 E1 = Direction.rational(1, 0, 0)
 IRR = Direction.irrational(1.0, math.sqrt(2), math.sqrt(3))
@@ -101,6 +107,9 @@ def test_degenerate_sample_raises():
 def test_grid_factor_floor():
     with pytest.raises(ValueError):
         count_zeros(cosine_sample(), LineSegment(E1, 1.0), grid_factor=2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="grid_factor must be finite"):
+            count_zeros(cosine_sample(), LineSegment(E1, 1.0), grid_factor=bad)
     with pytest.raises(ValueError, match="grid_factor"):
         monte_carlo(enumerate_shell(1), LineSegment(E1, 1.0), trials=4, seed=0,
                     grid_factor=2)
@@ -277,6 +286,106 @@ def test_window_values_match_evaluate_f():
         for i, a, size in zip(owner, starts, sizes)])
     assert t.size == 9 + 25 + 9 + 17
     assert np.max(np.abs(values - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def hermite_cubics(rng):
+    """End data (f0, f1, d0, d1) of random cubics and of the special cases."""
+    f0, f1, d0, d1 = rng.normal(size=(4, 400)) * np.array([[1.0], [1.0], [3.0], [3.0]])
+    f1 = np.where(rng.random(400) < 0.5, f1, np.abs(f1) * np.sign(f0))  # half share a sign
+    cases = {"random": (f0, f1, d0, d1),
+             "critical at 0": (f0, f1, 0.0 * d0, d1),
+             "critical at 1": (f0, f1, d0, 0.0 * d1),
+             "quadratic (a = 0)": (f0, f1, d0, 2.0 * (f1 - f0) - d0),
+             "linear (a = b = 0)": (f0, f1, f1 - f0, f1 - f0)}
+    return {name: tuple(np.broadcast_arrays(*data)) for name, data in cases.items()}
+
+
+def test_hermite_min_matches_dense_sampling():
+    u = np.linspace(0.0, 1.0, 10_001)[:, None]
+    for name, (f0, f1, d0, d1) in hermite_cubics(np.random.default_rng(6)).items():
+        a = 2.0 * (f0 - f1) + d0 + d1
+        b = 3.0 * (f1 - f0) - 2.0 * d0 - d1
+        if name.startswith("quadratic"):
+            assert np.all(np.abs(a) < 1e-14 * (np.abs(f0) + np.abs(f1) + np.abs(d0)))
+        if name.startswith("linear"):
+            assert np.all(np.abs(a) + np.abs(b) < 1e-14 * (np.abs(f0) + np.abs(f1)))
+        h00, h01 = (1 + 2 * u) * (1 - u) ** 2, u * u * (3 - 2 * u)
+        h10, h11 = u * (1 - u) ** 2, u * u * (u - 1)
+        dense = np.min(np.sign(f0) * (f0 * h00 + f1 * h01 + d0 * h10 + d1 * h11), axis=0)
+        closed = nodal._hermite_min(f0, f1, d0, d1)
+        rounding = 1e-13 * (np.abs(f0) + np.abs(f1) + np.abs(d0) + np.abs(d1))
+        # no sample point lies below the minimum; the nearest one to the true
+        # minimiser is within 5e-5, where H exceeds it by at most |H''| / 2 * 5e-5^2
+        curvature = np.maximum(np.abs(2 * b), np.abs(6 * a + 2 * b))
+        assert np.all(closed <= dense + rounding), name
+        assert np.all(dense - closed <= curvature * 1.25e-9 + rounding), name
+
+
+def scan_base_level(monkeypatch, samples, line):
+    """_scan over a block, returning the arguments of its base-level _level call."""
+    calls = []
+    level = nodal._level
+
+    def spy(*args):
+        calls.append(args)
+        return level(*args)
+
+    monkeypatch.setattr(nodal, "_level", spy)
+    nodal._scan(samples, nodal._base_grid(samples[0].shell, line, 8.0))
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_base_grid_slope_matches_evaluate_f_prime(monkeypatch):
+    for m, spec in [(5, "irr:std"), (1009, "rat:1,0,0"), (1009, "halfrat:1,1,sqrt2")]:
+        shell = enumerate_shell(m)
+        line = LineSegment(parse_direction(spec), 1.0)
+        samples = [sample_wave(shell, seed) for seed in range(3)]
+        t, fv, seg, _, _, slope, _ = scan_base_level(monkeypatch, samples, line)
+        direct = np.concatenate([evaluate_f_prime(s, line, t[seg == i])
+                                 for i, s in enumerate(samples)])
+        assert np.max(np.abs(slope - direct)) < 1e-12 * np.max(np.abs(direct)), (m, spec)
+
+
+def refined_cells(t, fv, seg, *args):
+    """Base cells (index of their left point) inside a refinement window of _level."""
+    _, lo, hi = nodal._level(t, fv, seg, *args)
+    return set(np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)]).tolist())
+
+
+@pytest.mark.parametrize("spec", ["rat:1,0,0", "irr:std"])
+@pytest.mark.parametrize("m", [101, 1009])
+def test_hermite_test_drops_only_cells_without_zeros(monkeypatch, m, spec):
+    shell = enumerate_shell(m)
+    line = LineSegment(parse_direction(spec), 1.0)
+    samples = [sample_wave(shell, 7000 + seed) for seed in range(200)]
+    t, fv, seg, near_tol, dip_tol, slope, remainder = scan_base_level(monkeypatch, samples, line)
+    both = refined_cells(t, fv, seg, near_tol, dip_tol, slope, remainder)
+    dropped = sorted(refined_cells(t, fv, seg, near_tol, dip_tol) - both)
+    assert len(dropped) > 5 * len(samples)  # the curvature test alone opens many more
+    for cell in dropped:
+        i = seg[cell]
+        sub = np.linspace(t[cell], t[cell + 1], 64)
+        values = np.sign(fv[cell]) * evaluate_f(samples[i], line, sub)
+        assert np.min(values) > 2.0 * near_tol[i], (i, t[cell])
+
+
+def test_hermite_test_leaves_few_windows(monkeypatch):
+    """Fewer than one base cell per trial opens a refinement window at m=1009."""
+    shell = enumerate_shell(1009)
+    line = LineSegment(IRR, 1.0)
+    base_step = nodal._base_grid(shell, line, 8.0).t[1]
+    cells = []
+    window_values = nodal._window_values
+
+    def spy(re, im, scale, b, owner, anchor, num, step):
+        if step == base_step / nodal.REFINE_RATIO:
+            cells.append(int(np.sum((num - 1) // nodal.REFINE_RATIO)))
+        return window_values(re, im, scale, b, owner, anchor, num, step)
+
+    monkeypatch.setattr(nodal, "_window_values", spy)
+    monte_carlo(shell, line, trials=200, seed=2024)
+    assert sum(cells) < 200
 
 
 def test_shifted_sample_mean_invariance():
