@@ -22,25 +22,19 @@ from .arithmetic import (
 )
 from .diophantine import (
     Direction,
-    PsiBound,
     Rationality,
     RationalApprox,
     approx_direction,
     dirichlet_1d,
     dirichlet_simultaneous,
-    segment_psi_bound,
-    unit_difference_bound,
 )
 from .geometry import (
     CapSpec,
-    CountResult,
     SegmentSpec,
     Slab,
     cap_from,
-    chi_hat,
     cone_region,
-    count_in_cap,
-    count_in_segment,
+    count_in,
     covering_bound,
     kappa,
     segment_from,
@@ -48,7 +42,6 @@ from .geometry import (
     slicing_bound,
 )
 from .lattice import (
-    LatticePoint,
     MClass,
     ProjectedShell,
     Shell,
@@ -64,14 +57,12 @@ from .nodal import (
     ZeroFlags,
     count_zeros,
     monte_carlo,
-    shifted_sample,
 )
 from .randomwave import (
     CovarianceValues,
     LineSegment,
     WaveSample,
     covariance,
-    evaluate_F,
     evaluate_f,
     evaluate_f_prime,
     line_frequencies,
@@ -85,17 +76,14 @@ __all__ = [
     "BoundMode",
     "BoundReport",
     "CapSpec",
-    "CountResult",
     "CovarianceValues",
     "DegenerateSampleError",
     "Direction",
-    "LatticePoint",
     "LineSegment",
     "MClass",
     "MonteCarloReport",
     "PairSums",
     "ProjectedShell",
-    "PsiBound",
     "Rationality",
     "RationalApprox",
     "RieszResult",
@@ -108,18 +96,15 @@ __all__ = [
     "ZeroFlags",
     "approx_direction",
     "cap_from",
-    "chi_hat",
     "classify_m",
     "cone_region",
-    "count_in_cap",
-    "count_in_segment",
+    "count_in",
     "count_zeros",
     "covariance",
     "covering_bound",
     "dirichlet_1d",
     "dirichlet_simultaneous",
     "enumerate_shell",
-    "evaluate_F",
     "evaluate_f",
     "evaluate_f_prime",
     "integral_sq",
@@ -135,10 +120,7 @@ __all__ = [
     "scale_check",
     "second_moment_ratio",
     "segment_from",
-    "segment_psi_bound",
-    "shifted_sample",
     "slab_region",
     "slicing_bound",
-    "unit_difference_bound",
     "variance_bound",
 ]

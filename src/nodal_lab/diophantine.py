@@ -21,19 +21,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import kappa
-from .lattice import Shell
-
 __all__ = [
     "Rationality",
     "Direction",
     "RationalApprox",
-    "PsiBound",
     "dirichlet_1d",
     "dirichlet_simultaneous",
     "approx_direction",
-    "unit_difference_bound",
-    "segment_psi_bound",
 ]
 
 
@@ -135,24 +129,11 @@ class RationalApprox:
     a: tuple[int, int, int]
     h_param: int
     angle_err: float
-    phi: float
     tau: float | None = None
 
     @property
     def norm(self) -> float:
         return math.sqrt(sum(t * t for t in self.a))
-
-
-@dataclass(frozen=True)
-class PsiBound:
-    """Segment-count bound shape kappa*(1 + R*theta^exponent) with diagnostics."""
-
-    value: float
-    kappa: int
-    h_param: int
-    exponent: float
-    approx: RationalApprox
-    theta: float
 
 
 def _qualifies(zeta: Fraction, p: int, q: int, h_param: int) -> bool:
@@ -242,45 +223,6 @@ def approx_direction(direction: Direction, h_param: int) -> RationalApprox:
     a_vec = np.array(a, dtype=np.float64)
     unit = a_vec / np.linalg.norm(a_vec)
     chord = float(np.linalg.norm(comps - unit))
-    phi = float(np.arctan2(np.linalg.norm(np.cross(comps, unit)),
-                           float(comps @ unit)))
     return RationalApprox(a=tuple(int(t) for t in a), h_param=h_param,
-                          angle_err=chord, phi=phi, tau=tau)
+                          angle_err=chord, tau=tau)
 
-
-def unit_difference_bound(v, w) -> float:
-    """|v/|v| - w/|w||, which never exceeds 2|v - w| / |w|."""
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    nv, nw = np.linalg.norm(v), np.linalg.norm(w)
-    if nv == 0 or nw == 0:
-        raise ValueError("zero vector has no direction")
-    return float(np.linalg.norm(v / nv - w / nw))
-
-
-def segment_psi_bound(shell: Shell, theta: float, direction: Direction) -> PsiBound:
-    """Bound shape for the number of shell points on a segment of opening
-    angle theta in the given direction.
-
-    Both ratios irrational: kappa*(1 + R*theta^(1/3)) with H = floor(sqrt(2)/
-    theta^(1/3)); one rational ratio: kappa*(1 + R*theta^(1/2)) with
-    H = floor(1/theta^(1/2)).  The hidden absolute constants in the original
-    estimates are NOT included; calibrate empirically when comparing with
-    brute-force counts.
-    """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    radius = shell.radius
-    kap = kappa(shell)
-    if direction.rationality is Rationality.IRRATIONAL:
-        exponent = 1.0 / 3.0
-        h_param = max(1, math.floor(math.sqrt(2) / theta ** exponent))
-    elif direction.rationality is Rationality.HALF_RATIONAL:
-        exponent = 0.5
-        h_param = max(1, math.floor(1.0 / math.sqrt(theta)))
-    else:
-        raise ValueError("rational directions use the exact slicing bound instead")
-    approx = approx_direction(direction, h_param)
-    value = kap * (1.0 + radius * theta ** exponent)
-    return PsiBound(value=value, kappa=kap, h_param=h_param,
-                    exponent=exponent, approx=approx, theta=theta)

@@ -11,8 +11,10 @@ kappa(shell) is the exact maximal number of shell points on any single
 plane.  Planes are counted through one anchor point per orbit of the 48
 signed coordinate permutations, keyed by their primitive normals packed
 into one int64 each (exact while (8m+1)^3 < 2^63).
-chi_hat is a lattice-centered surrogate (a lower bound) for the true
-maximal cap count chi(R, s).
+
+cone_region and slab_region build the regions around a point B that hold
+the small pairs of the relative and absolute pair splits; count_in counts
+the shell points in any region these constructors return.
 """
 
 import logging
@@ -21,18 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticePoint, Shell
+from .lattice import Shell
 
 __all__ = [
     "CapSpec",
     "SegmentSpec",
     "Slab",
-    "CountResult",
     "cap_from",
     "segment_from",
-    "count_in_cap",
-    "count_in_segment",
-    "chi_hat",
+    "count_in",
     "kappa",
     "covering_bound",
     "slicing_bound",
@@ -50,7 +49,7 @@ def _unit(direction) -> np.ndarray:
     if beta.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {beta.shape}")
     norm = float(np.linalg.norm(beta))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"direction must be a unit vector, |beta| = {norm}")
     beta = beta / norm
     beta.setflags(write=False)
@@ -77,8 +76,18 @@ class CapSpec:
         return d <= self.s + atol
 
 
+class _Band:
+    """Closed slab lo <= <p, beta> <= hi: the containment test of SegmentSpec
+    and Slab."""
+
+    def contains(self, points, atol: float = 0.0) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        t = pts @ self.direction
+        return (t >= self.lo - atol) & (t <= self.hi + atol)
+
+
 @dataclass(frozen=True, eq=False)
-class SegmentSpec:
+class SegmentSpec(_Band):
     """Spherical segment: the slab offset - h <= <p, beta> <= offset on the sphere.
 
     ``offset`` is the signed height of the top base plane along beta and ``k``
@@ -101,14 +110,9 @@ class SegmentSpec:
     def hi(self) -> float:
         return self.offset
 
-    def contains(self, points, atol: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        t = pts @ self.direction
-        return (t >= self.lo - atol) & (t <= self.hi + atol)
-
 
 @dataclass(frozen=True, eq=False)
-class Slab:
+class Slab(_Band):
     """Raw slab lo <= <p, beta> <= hi intersected with the sphere.
 
     Unlike SegmentSpec this carries no hemisphere convention; it is the
@@ -120,11 +124,6 @@ class Slab:
     lo: float
     hi: float
 
-    def contains(self, points, atol: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        t = pts @ self.direction
-        return (t >= self.lo - atol) & (t <= self.hi + atol)
-
     def split(self) -> tuple[SegmentSpec, SegmentSpec]:
         """Split a straddling slab into its two hemisphere segments."""
         if not self.lo < 0.0 < self.hi:
@@ -133,12 +132,6 @@ class Slab:
             _segment_between(self.r_sphere, self.direction, 0.0, self.hi),
             _segment_between(self.r_sphere, self.direction, self.lo, 0.0),
         )
-
-
-@dataclass(frozen=True)
-class CountResult:
-    count: int
-    witnesses: tuple[LatticePoint, ...]
 
 
 def _cap_params_from_h(r: float, h: float) -> tuple[float, float, float, float]:
@@ -159,8 +152,8 @@ def cap_from(r_sphere: float, *, s=None, h=None, k=None, theta=None,
     counting near-antipodal caps works.  The k -> h inversion takes the
     hemisphere branch h = R - sqrt(R^2 - k^2).
     """
-    if r_sphere <= 0:
-        raise ValueError(f"r_sphere must be positive, got {r_sphere}")
+    if not 0.0 < r_sphere < math.inf:
+        raise ValueError(f"r_sphere must be positive and finite, got {r_sphere}")
     given = [(name, val) for name, val in
              (("s", s), ("h", h), ("k", k), ("theta", theta)) if val is not None]
     if len(given) != 1:
@@ -211,11 +204,11 @@ def segment_from(r_sphere: float, direction, *, h=None, k=None, theta=None,
     both sides of the center raises with instructions to split it.
     """
     r = float(r_sphere)
-    if r <= 0:
-        raise ValueError(f"r_sphere must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"r_sphere must be positive and finite, got {r}")
     tol = 1e-12 * max(1.0, r)
     offset = float(offset)
-    if abs(offset) > r + tol:
+    if not abs(offset) <= r + tol:
         raise ValueError(f"offset out of range [-R, R]: offset={offset}, R={r}")
     offset = min(max(offset, -r), r)
     if h is None and k is None and theta is None:
@@ -223,8 +216,8 @@ def segment_from(r_sphere: float, direction, *, h=None, k=None, theta=None,
 
     if h is not None:
         hh = float(h)
-        if hh < -tol:
-            raise ValueError(f"h must be nonnegative, got {hh}")
+        if not -tol <= hh < math.inf:
+            raise ValueError(f"h must be nonnegative and finite, got {hh}")
         hh = max(hh, 0.0)
     elif theta is not None:
         th = float(theta)
@@ -259,7 +252,7 @@ def segment_from(r_sphere: float, direction, *, h=None, k=None, theta=None,
     for name, given, got in (("h", h, seg.h), ("k", k, seg.k), ("theta", theta, seg.theta)):
         if given is not None:
             scale = max(1.0, abs(got))
-            if abs(float(given) - got) > _CONSISTENCY_RTOL * scale:
+            if not abs(float(given) - got) <= _CONSISTENCY_RTOL * scale:
                 raise ValueError(
                     f"inconsistent segment parameters: {name}={given} vs derived {got}")
     return seg
@@ -271,41 +264,16 @@ def _check_radius(shell: Shell, r_sphere: float) -> None:
             f"radius mismatch: region has R={r_sphere}, shell has sqrt(m)={shell.radius}")
 
 
-def _witnesses(shell: Shell, mask: np.ndarray) -> CountResult:
-    idx = np.flatnonzero(mask)
-    witnesses = tuple(LatticePoint(*map(int, shell.coords[i])) for i in idx)
-    return CountResult(count=len(witnesses), witnesses=witnesses)
-
-
-def count_in_cap(shell: Shell, cap: CapSpec) -> CountResult:
-    """Count shell points in the closed cap, with witnesses."""
-    _check_radius(shell, cap.r_sphere)
-    return _witnesses(shell, cap.contains(shell.coords))
-
-
-def count_in_segment(shell: Shell, seg) -> CountResult:
-    """Count shell points in the closed slab of a SegmentSpec or Slab."""
-    _check_radius(shell, seg.r_sphere)
-    return _witnesses(shell, seg.contains(shell.coords))
-
-
-def chi_hat(shell: Shell, s: float) -> int:
-    """Surrogate for chi(R, s): the max cap count over caps centered at the
-    lattice directions of the shell; a LOWER bound for the true maximum
-    (the optimal center need not be a lattice direction).
-
-    Any s >= 2R covers the whole sphere, so larger values are clamped.
-    """
-    if s < 0:
-        raise ValueError(f"cap radius s must be nonnegative, got {s}")
-    if shell.n == 0:
-        return 0
-    # cap centers R*(mu/|mu|) are the lattice points themselves, so counting
-    # reduces to exact integer squared chord distances
-    pts = shell.coords
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    s2 = min(float(s) ** 2, 4.0 * shell.m)
-    return int((d2 <= s2).sum(axis=1).max())
+def count_in(shell: Shell, region) -> int:
+    """Count the shell points in a closed region: a CapSpec, SegmentSpec or
+    Slab, or a split pair of segments, which counts as the union of its two
+    parts (so the plane the parts share counts once)."""
+    parts = region if isinstance(region, tuple) else (region,)
+    inside = np.zeros(shell.n, dtype=bool)
+    for part in parts:
+        _check_radius(shell, part.r_sphere)
+        inside |= part.contains(shell.coords)
+    return int(inside.sum())
 
 
 def _plane_keys(diffs: np.ndarray, j: np.ndarray, l: np.ndarray, m: int) -> np.ndarray:
@@ -371,10 +339,10 @@ def covering_bound(r_sphere: float, k: float, theta: float, omega: float,
     hence bound 0: a zero-angle segment is a circle that may still hold
     lattice points, so callers must use theta > 0 (or the slab form).
     """
-    if not 0.0 < omega < r_sphere:
+    if not 0.0 < omega < r_sphere < math.inf:
         raise ValueError(f"omega out of range (0, R): omega={omega}, R={r_sphere}")
-    if k < 0 or theta < 0:
-        raise ValueError("k and theta must be nonnegative")
+    if not (0.0 <= k < math.inf and 0.0 <= theta < math.inf):
+        raise ValueError(f"k and theta must be nonnegative and finite, got k={k}, theta={theta}")
     chi = int(chi_fn(r_sphere, (2.0 * math.pi + 0.5) * omega))
     return chi * math.ceil(k / omega) * math.ceil(r_sphere * theta / omega)
 
@@ -385,7 +353,7 @@ def slicing_bound(shell: Shell, b, h: float) -> int:
     b = np.asarray(b, dtype=np.int64)
     if b.shape != (3,) or not b.any():
         raise ValueError("b must be a nonzero integer 3-vector")
-    if h < 0 or h > shell.radius + 1e-9:
+    if not 0.0 <= h <= shell.radius + 1e-9:
         raise ValueError(f"h out of range [0, R]: h={h}")
     return math.floor(kappa(shell) * (1.0 + float(np.linalg.norm(b)) * h))
 
@@ -436,8 +404,8 @@ def cone_region(B, beta, c: float):
         raise ValueError(f"c out of range (0, 1): {c}")
     B = np.asarray(B, dtype=np.float64)
     r = float(np.linalg.norm(B))
-    if r <= 0:
-        raise ValueError("B must be a nonzero point on the sphere")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"B must be a nonzero finite point, got {B.tolist()}")
     beta = _unit(beta)
     z = min(1.0, max(-1.0, float(B @ beta) / r))
     phi = math.acos(z)
@@ -454,12 +422,12 @@ def slab_region(B, beta, c: float):
     Near a pole the region becomes a cap of height at most 2c; c >= R
     degenerates to the whole sphere (clamped, with a logged warning).
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     B = np.asarray(B, dtype=np.float64)
     r = float(np.linalg.norm(B))
-    if r <= 0:
-        raise ValueError("B must be a nonzero point on the sphere")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"B must be a nonzero finite point, got {B.tolist()}")
     beta = _unit(beta)
     z0 = min(1.0, max(-1.0, float(B @ beta) / r))
     return _band_region(r, beta, z0 - c / r, z0 + c / r)

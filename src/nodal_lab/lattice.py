@@ -14,12 +14,10 @@ m is not congruent to 0, 4 or 7 mod 8 (the "admissible" m).
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "LatticePoint",
     "MClass",
     "Shell",
     "ProjectedShell",
@@ -28,15 +26,6 @@ __all__ = [
     "scale_check",
     "project_shell",
 ]
-
-
-class LatticePoint(NamedTuple):
-    x: int
-    y: int
-    z: int
-
-    def norm_sq(self) -> int:
-        return self.x * self.x + self.y * self.y + self.z * self.z
 
 
 @dataclass(frozen=True)
@@ -53,18 +42,13 @@ class MClass:
 class Shell:
     """All lattice points with squared norm m.
 
-    ``coords`` is a read-only (n, 3) int64 array in lexicographic order;
-    ``points`` presents the same data as LatticePoint tuples.
+    ``coords`` is a read-only (n, 3) int64 array in lexicographic order.
     """
 
     m: int
     n: int
     m_class: MClass
     coords: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def points(self) -> tuple[LatticePoint, ...]:
-        return tuple(LatticePoint(int(x), int(y), int(z)) for x, y, z in self.coords)
 
     @property
     def radius(self) -> float:

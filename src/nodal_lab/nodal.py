@@ -69,7 +69,6 @@ __all__ = [
     "MonteCarloReport",
     "count_zeros",
     "monte_carlo",
-    "shifted_sample",
 ]
 
 BISECT_TOL = 1e-12
@@ -142,17 +141,6 @@ class MonteCarloReport:
     near_tangency_trials: int
     depth_hit_trials: int
     seed: int
-
-
-def shifted_sample(sample: WaveSample, base_point) -> WaveSample:
-    """Sample of the same wave translated by a base point.
-
-    F(base + x) has amplitudes a_mu * e^{2 pi i <mu, base>}, so shifting the
-    evaluation segment is a phase rotation of the coefficients.
-    """
-    x0 = np.asarray(base_point, dtype=np.float64)
-    phase = 2.0 * math.pi * half_frequencies(sample.shell, x0)
-    return WaveSample(sample.shell, sample.half_coefficients * np.exp(1j * phase))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ __all__ = [
     "WaveSample",
     "CovarianceValues",
     "sample_wave",
-    "evaluate_F",
     "evaluate_f",
     "evaluate_f_prime",
     "covariance",
@@ -146,22 +145,6 @@ def sample_wave(shell: Shell, rng_seed) -> WaveSample:
         rng = np.random.default_rng(rng_seed)
     z = rng.standard_normal((shell.n // 2, 2)) * math.sqrt(0.5)
     return WaveSample(shell, z[:, 0] + 1j * z[:, 1])
-
-
-def evaluate_F(sample: WaveSample, x):
-    """Evaluate F at a point x (or rows of points) of the unit cube.
-
-    Uses the half-shell cosine/sine form, which is real by construction:
-    F(x) = (2/sqrt(N)) * sum_pairs (Re a * cos(2 pi <mu,x>) - Im a * sin(...)).
-    """
-    pts = np.asarray(x, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[-1] != 3:
-        raise ValueError("x must have three components")
-    phase = TWO_PI * half_frequencies(sample.shell, pts.T).T
-    vals = sample.combine(np.cos(phase), np.sin(phase))
-    return float(vals[0]) if single else vals
 
 
 def line_frequencies(shell: Shell, direction: Direction) -> np.ndarray:

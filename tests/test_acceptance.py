@@ -22,6 +22,7 @@ from helpers_stats import negative_trend_p
 from nodal_lab import cli, nodal
 from nodal_lab.arithmetic import (
     BoundMode,
+    _default_rho,
     integral_sq,
     pair_sums,
     q_sum,
@@ -38,10 +39,12 @@ from nodal_lab.diophantine import (
 )
 from nodal_lab.geometry import (
     cap_from,
-    count_in_segment,
+    cone_region,
+    count_in,
     covering_bound,
     kappa,
     segment_from,
+    slab_region,
     slicing_bound,
 )
 from nodal_lab.lattice import classify_m, enumerate_shell, project_shell, scale_check
@@ -202,8 +205,10 @@ def _random_direction(rng):
 
 def test_criterion_4_exact_inequalities():
     failures = []
+    families = []
 
     # zero pairs never exceed the plane capacity N*kappa
+    families.append("plane_capacity")
     plane_dirs = [Direction.rational(*t) for t in
                   [(1, 0, 0), (1, 1, 0), (2, 1, 0), (1, 1, 1), (3, 2, 1)]]
     for m in range(1, 201):
@@ -216,6 +221,7 @@ def test_criterion_4_exact_inequalities():
                 failures.append(("plane_capacity", m, direction.ints))
 
     # oscillatory integral obeys the min(L^2, 1/(pi^2 beta^2)) envelope
+    families.append("min_bound")
     rng = np.random.default_rng(404)
     beta = rng.uniform(-50.0, 50.0, size=1_000_000)
     vals = integral_sq(beta, 1.0)
@@ -225,6 +231,7 @@ def test_criterion_4_exact_inequalities():
         failures.append(("min_bound",))
 
     # derivative pair sums never exceed the plain squared-covariance sum
+    families.append("derivative_terms")
     for _ in range(20):
         m = int(rng.choice([2, 3, 5, 6, 9, 10, 11, 50]))
         line = LineSegment(_random_direction(rng), float(rng.uniform(0.2, 2.0)))
@@ -234,6 +241,7 @@ def test_criterion_4_exact_inequalities():
             failures.append(("derivative_terms", m))
 
     # cap-covering bound dominates brute segment counts
+    families.append("covering")
     rng = np.random.default_rng(405)
     for m in (2, 5, 9, 50):
         shell = enumerate_shell(m)
@@ -249,11 +257,12 @@ def test_criterion_4_exact_inequalities():
             omega = float(rng.uniform(0.1 * r, 0.9 * r))
             bound = covering_bound(r, seg.k, seg.theta, omega,
                                    lambda rr, s: chi_exact(shell, s))
-            if bound < count_in_segment(shell, seg).count:
+            if bound < count_in(shell, seg):
                 failures.append(("covering", m))
             done += 1
 
     # plane-slicing bound dominates brute counts in rational directions
+    families.append("slicing")
     rng = np.random.default_rng(406)
     for m in (2, 5, 9, 50):
         shell = enumerate_shell(m)
@@ -266,11 +275,12 @@ def test_criterion_4_exact_inequalities():
             hi = float(rng.uniform(0.05 * r, r))
             h = float(rng.uniform(0.0, hi))
             seg = segment_from(r, b / np.linalg.norm(b), h=h, offset=hi)
-            if slicing_bound(shell, b, h) < count_in_segment(shell, seg).count:
+            if slicing_bound(shell, b, h) < count_in(shell, seg):
                 failures.append(("slicing", m))
             done += 1
 
     # normalized difference of unit vectors versus the raw difference
+    families.append("unit_difference")
     rng = np.random.default_rng(407)
     v = rng.standard_normal((1_000_000, 3))
     w = rng.standard_normal((1_000_000, 3))
@@ -281,6 +291,7 @@ def test_criterion_4_exact_inequalities():
         failures.append(("unit_difference",))
 
     # Dirichlet guarantees, exact in rational arithmetic
+    families.append("dirichlet")
     rng = np.random.default_rng(408)
     for _ in range(100):
         zeta = float(rng.uniform(-10.0, 10.0))
@@ -300,6 +311,7 @@ def test_criterion_4_exact_inequalities():
             failures.append(("dirichlet_sim", h_param))
 
     # integer direction approximations hit their documented output bounds
+    families.append("approx_direction")
     rng = np.random.default_rng(409)
     irr_dirs = [Direction.irrational(*rng.standard_normal(3)) for _ in range(50)]
     half_dirs = []
@@ -321,8 +333,33 @@ def test_criterion_4_exact_inequalities():
                     and ap.angle_err < 2 * math.sqrt(3.0) * tau * tau / (ap.norm * h_param)):
                 failures.append(("approx_half_rational", h_param))
 
-    record(4, not failures, f"8 exact families checked; violations: {failures[:4]}"
-           if failures else "8 exact families, 0 violations")
+    # the small pairs of each split, counted around each point B at the
+    # mode's default rho: the cone region covers the relative split's
+    # partners (it is a guard band, so an inequality) and the slab region
+    # holds exactly the absolute split's partners
+    families.extend(["cone_region", "slab_region"])
+    for m in (5, 9, 50, 101, 1009):
+        shell = enumerate_shell(m)
+        for label in ("irr:std", "halfrat:1,1,sqrt2"):
+            direction = parse_direction(label)
+            rho = _default_rho(BoundMode(direction.rationality.value), m)
+            small = pair_sums(shell, direction, rho, "relative").s_small
+            covered = sum(count_in(shell, cone_region(b, direction.components, rho))
+                          for b in shell.coords)
+            if small > covered:
+                failures.append(("cone_region", m, label, small, covered))
+        rho = _default_rho(BoundMode.CONDITIONAL, m)
+        for label in ("rat:1,0,0", "rat:1,1,0", "rat:1,1,1", "irr:std"):
+            direction = parse_direction(label)
+            small = pair_sums(shell, direction, rho, "absolute").s_small
+            inside = sum(count_in(shell, slab_region(b, direction.components, rho))
+                         for b in shell.coords)
+            if small != inside:
+                failures.append(("slab_region", m, label, small, inside))
+
+    detail = f"{len(families)} exact families"
+    record(4, not failures, f"{detail} checked; violations: {failures[:4]}"
+           if failures else f"{detail}, 0 violations")
 
 
 def test_criterion_5_cap_identities():

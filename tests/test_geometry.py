@@ -11,10 +11,8 @@ from nodal_lab.geometry import (
     CapSpec,
     Slab,
     cap_from,
-    chi_hat,
     cone_region,
-    count_in_cap,
-    count_in_segment,
+    count_in,
     covering_bound,
     kappa,
     segment_from,
@@ -149,58 +147,50 @@ def test_segment_k_on_lower_side_rejected():
         segment_from(1.0, (0, 0, 1), k=0.5, offset=-0.2)
 
 
+def inside(shell, region):
+    """The shell rows a single-part region contains."""
+    return shell.coords[region.contains(shell.coords)].tolist()
+
+
 def test_count_in_cap_examples():
     shell = enumerate_shell(1)
-    c1 = count_in_cap(shell, cap_from(1.0, s=0.5, direction=(1, 0, 0)))
-    assert c1.count == 1 and tuple(c1.witnesses[0]) == (1, 0, 0)
-    c2 = count_in_cap(shell, cap_from(1.0, s=1.9, direction=(1, 0, 0)))
-    assert c2.count == 5
+    cap1 = cap_from(1.0, s=0.5, direction=(1, 0, 0))
+    assert count_in(shell, cap1) == 1 and inside(shell, cap1) == [[1, 0, 0]]
+    assert count_in(shell, cap_from(1.0, s=1.9, direction=(1, 0, 0))) == 5
     shell2 = enumerate_shell(2)
-    c3 = count_in_cap(
-        shell2,
-        cap_from(math.sqrt(2), s=0.1, direction=np.array([1.0, 1.0, 0.0]) / math.sqrt(2)),
-    )
-    assert c3.count == 1 and tuple(c3.witnesses[0]) == (1, 1, 0)
+    cap3 = cap_from(math.sqrt(2), s=0.1, direction=np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
+    assert count_in(shell2, cap3) == 1 and inside(shell2, cap3) == [[1, 1, 0]]
 
 
 def test_count_radius_mismatch():
     with pytest.raises(ValueError, match="radius mismatch"):
-        count_in_cap(enumerate_shell(2), cap_from(1.0, s=0.5))
+        count_in(enumerate_shell(2), cap_from(1.0, s=0.5))
     with pytest.raises(ValueError, match="radius mismatch"):
-        count_in_segment(enumerate_shell(2), segment_from(1.0, (0, 0, 1), h=0.5, offset=1.0))
+        count_in(enumerate_shell(2), segment_from(1.0, (0, 0, 1), h=0.5, offset=1.0))
+    with pytest.raises(ValueError, match="radius mismatch"):
+        count_in(enumerate_shell(2), slab_region((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.3))
 
 
 def test_count_in_segment_examples():
     shell2 = enumerate_shell(2)
     slab = Slab(math.sqrt(2), np.array([0.0, 0.0, 1.0]), -0.5, 0.5)
-    res = count_in_segment(shell2, slab)
-    assert res.count == 4
-    assert all(p.z == 0 for p in res.witnesses)
+    assert count_in(shell2, slab) == 4
+    assert all(p[2] == 0 for p in inside(shell2, slab))
     shell1 = enumerate_shell(1)
-    up = count_in_segment(shell1, segment_from(1.0, (0, 0, 1), h=0.5, offset=1.0))
-    assert up.count == 1 and tuple(up.witnesses[0]) == (0, 0, 1)
-    empty = count_in_segment(shell1, segment_from(1.0, (0, 0, 1), h=0.0, offset=1 / math.pi))
-    assert empty.count == 0
+    up = segment_from(1.0, (0, 0, 1), h=0.5, offset=1.0)
+    assert count_in(shell1, up) == 1 and inside(shell1, up) == [[0, 0, 1]]
+    empty = segment_from(1.0, (0, 0, 1), h=0.0, offset=1 / math.pi)
+    assert count_in(shell1, empty) == 0
 
 
-def test_chi_hat_examples_and_monotonicity():
+def test_count_in_split_pair_counts_the_shared_plane_once():
+    # the band |z| <= 0.3 around the equator of E(1) splits into two closed
+    # segments that both hold the four points with z = 0
     shell = enumerate_shell(1)
-    assert chi_hat(shell, 0.5) == 1
-    assert chi_hat(shell, 1.9) == 5
-    assert chi_hat(shell, 2.0) == 6  # closed cap at the antipode distance
-    for m in (2, 5, 9):
-        sh = enumerate_shell(m)
-        values = [chi_hat(sh, s) for s in np.linspace(0, 2 * math.sqrt(m), 25)]
-        assert values == sorted(values)
-        assert values[-1] == sh.n
-
-
-def test_chi_hat_is_a_lower_bound_for_exact_chi():
-    rng = np.random.default_rng(3)
-    for m in (1, 2, 5, 9):
-        sh = enumerate_shell(m)
-        for s in rng.uniform(0.1, 2 * math.sqrt(m), size=4):
-            assert chi_hat(sh, float(s)) <= chi_exact(sh, float(s))
+    pair = slab_region((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.3)
+    assert isinstance(pair, tuple)
+    assert [count_in(shell, part) for part in pair] == [4, 4]
+    assert count_in(shell, pair) == 4
 
 
 def test_kappa_examples():
@@ -240,10 +230,10 @@ def test_kappa_rejects_shells_too_large_for_packed_keys():
 
 def test_covering_bound_example_and_theta_zero():
     shell2 = enumerate_shell(2)
-    chi_fn = lambda r, s: chi_hat(shell2, s)
+    chi_fn = lambda r, s: chi_exact(shell2, s)
     seg = segment_from(math.sqrt(2), (0, 0, 1), h=0.5, offset=0.5)
     bound = covering_bound(math.sqrt(2), seg.k, seg.theta, 1.0, chi_fn)
-    assert bound >= count_in_segment(shell2, seg).count
+    assert bound >= count_in(shell2, seg)
     assert covering_bound(math.sqrt(2), seg.k, 0.0, 1.0, chi_fn) == 0
     with pytest.raises(ValueError):
         covering_bound(math.sqrt(2), seg.k, seg.theta, 2.0, chi_fn)
@@ -264,7 +254,7 @@ def test_covering_bound_dominates_brute_counts():
             omega = float(rng.uniform(0.1 * r, 0.9 * r))
             bound = covering_bound(r, seg.k, seg.theta, omega,
                                    lambda rr, s: chi_exact(sh, s))
-            assert bound >= count_in_segment(sh, seg).count
+            assert bound >= count_in(sh, seg)
 
 
 def test_slicing_bound_examples():
@@ -277,7 +267,7 @@ def test_slicing_bound_examples():
     # compare against a brute slab count in the rational direction
     beta = np.array(b) / math.sqrt(3)
     seg = segment_from(1.0, beta, h=0.5, offset=float(beta @ np.array([1, 0, 0])) + 0.25)
-    assert bound >= count_in_segment(sh1, seg).count
+    assert bound >= count_in(sh1, seg)
     with pytest.raises(ValueError):
         slicing_bound(sh1, (0, 0, 0), 0.5)
 
@@ -295,7 +285,7 @@ def test_slicing_bound_dominates_rational_segments():
             hi = float(rng.uniform(0.05 * r, r))
             h = float(rng.uniform(0, hi))
             seg = segment_from(r, beta, h=h, offset=hi)
-            assert slicing_bound(sh, b, h) >= count_in_segment(sh, seg).count
+            assert slicing_bound(sh, b, h) >= count_in(sh, seg)
 
 
 def test_k_theta_vs_height_inequality():
@@ -391,3 +381,27 @@ def test_slab_region_rejection_sampling():
         pts = sample_sphere(rng, 2.0, 20000)
         qualifying = np.abs((b_point - pts) @ np.asarray(beta)) <= c
         assert region_contains(reg, pts[qualifying]).all()
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: cap_from(1.0, h=0.5, direction=(NAN, 0, 1)), "unit vector"),
+    (lambda: cap_from(NAN, theta=1.0), "r_sphere"),
+    (lambda: cap_from(INF, h=1.0), "r_sphere"),
+    (lambda: segment_from(2.0, (0, 0, 1), h=NAN, offset=1.0), "h must be"),
+    (lambda: segment_from(2.0, (0, 0, 1), h=0.5, offset=NAN), "offset"),
+    (lambda: segment_from(2.0, (0, 0, 1), h=0.5, theta=NAN, offset=1.0), "inconsistent"),
+    (lambda: segment_from(INF, (0, 0, 1), h=0.5, offset=1.0), "r_sphere"),
+    (lambda: slab_region((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), NAN), "c must be"),
+    (lambda: slab_region((NAN, 0.0, 0.0), (0.0, 0.0, 1.0), 0.3), "finite point"),
+    (lambda: cone_region((INF, 0.0, 0.0), (0.0, 0.0, 1.0), 0.3), "finite point"),
+    (lambda: covering_bound(2.0, NAN, 1.0, 1.0, lambda r, s: 1), "k and theta"),
+    (lambda: covering_bound(2.0, 1.0, INF, 1.0, lambda r, s: 1), "k and theta"),
+    (lambda: covering_bound(INF, 1.0, 1.0, 1.0, lambda r, s: 1), "omega"),
+    (lambda: slicing_bound(enumerate_shell(2), (0, 0, 1), NAN), "h out of range"),
+])
+def test_non_finite_inputs_raise_named_errors(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nodal_lab.lattice import (
-    LatticePoint,
     classify_m,
     enumerate_shell,
     project_shell,
@@ -50,38 +49,38 @@ def test_m1_is_the_six_unit_vectors():
         (0, 1, 0), (0, -1, 0),
         (0, 0, 1), (0, 0, -1),
     }
-    assert set(map(tuple, shell.points)) == expected
+    assert set(map(tuple, shell.coords.tolist())) == expected
 
 
 def test_m7_is_empty():
     shell = enumerate_shell(7)
     assert shell.n == 0
-    assert shell.points == ()
+    assert shell.coords.tolist() == []
     assert not shell.m_class.representable
 
 
 def test_m5_cardinality_and_brute_equality():
     shell = enumerate_shell(5)
     assert shell.n == 24
-    assert [tuple(p) for p in shell.points] == brute_shell(5)
+    assert [tuple(p) for p in shell.coords.tolist()] == brute_shell(5)
 
 
 def test_enumeration_matches_brute_force_smallish_m():
     for m in range(1, 130):
         shell = enumerate_shell(m)
-        assert [tuple(p) for p in shell.points] == brute_shell(m), m
+        assert [tuple(p) for p in shell.coords.tolist()] == brute_shell(m), m
 
 
 def test_points_are_lexicographically_sorted_and_distinct():
     for m in (2, 9, 50, 101):
-        pts = [tuple(p) for p in enumerate_shell(m).points]
+        pts = [tuple(p) for p in enumerate_shell(m).coords.tolist()]
         assert pts == sorted(pts)
         assert len(pts) == len(set(pts))
 
 
 def test_antipodal_closure():
     for m in (1, 2, 3, 5, 6, 9, 50, 101):
-        pts = set(map(tuple, enumerate_shell(m).points))
+        pts = set(map(tuple, enumerate_shell(m).coords.tolist()))
         for p in pts:
             assert (-p[0], -p[1], -p[2]) in pts
 
@@ -93,10 +92,6 @@ def test_component_bound_and_nonempty_for_admissible():
             assert shell.n >= 1
         if shell.n:
             assert int(np.abs(shell.coords).max()) <= math.isqrt(m)
-
-
-def test_latticepoint_norm():
-    assert LatticePoint(1, -2, 0).norm_sq() == 5
 
 
 def test_classify_examples():
@@ -147,7 +142,7 @@ def test_projection_m2_vectors():
     proj = project_shell(enumerate_shell(2))
     assert proj.n == 12
     got = {tuple(np.round(v * math.sqrt(2)).astype(int)) for v in proj.unit_points}
-    assert got == {tuple(p) for p in enumerate_shell(2).points}
+    assert got == {tuple(p) for p in enumerate_shell(2).coords.tolist()}
 
 
 def test_projection_m9_count():

@@ -18,15 +18,16 @@ from nodal_lab.nodal import (
     ZeroFlags,
     count_zeros,
     monte_carlo,
-    shifted_sample,
 )
 from nodal_lab.randomwave import (
     LineSegment,
     WaveSample,
     evaluate_f,
     evaluate_f_prime,
+    half_frequencies,
     sample_wave,
 )
+from test_randomwave import evaluate_F_complex
 
 E1 = Direction.rational(1, 0, 0)
 IRR = Direction.irrational(1.0, math.sqrt(2), math.sqrt(3))
@@ -388,6 +389,17 @@ def test_hermite_test_leaves_few_windows(monkeypatch):
     assert sum(cells) < 200
 
 
+def shifted_sample(sample: WaveSample, base_point) -> WaveSample:
+    """Sample of the same wave translated by a base point.
+
+    F(base + x) has amplitudes a_mu * e^{2 pi i <mu, base>}, so shifting the
+    evaluation segment is a phase rotation of the coefficients.
+    """
+    x0 = np.asarray(base_point, dtype=np.float64)
+    phase = 2.0 * math.pi * half_frequencies(sample.shell, x0)
+    return WaveSample(sample.shell, sample.half_coefficients * np.exp(1j * phase))
+
+
 def test_shifted_sample_mean_invariance():
     # stationarity: a segment through a base point sees the same count law
     shell = enumerate_shell(2)
@@ -411,11 +423,9 @@ def test_shifted_sample_values():
     base = np.array([0.2, 0.45, 0.9])
     moved = shifted_sample(sample, base)
     line = LineSegment(IRR, 1.0)
-    from nodal_lab.randomwave import evaluate_F
-
     for t in (0.0, 0.3, 0.8):
         shifted_val = evaluate_f(moved, line, t)
-        direct = evaluate_F(sample, base + t * IRR.components)
+        direct = evaluate_F_complex(sample, base + t * IRR.components).real
         assert shifted_val == pytest.approx(direct, abs=1e-12)
 
 

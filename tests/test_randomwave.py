@@ -11,7 +11,6 @@ from nodal_lab.randomwave import (
     LineSegment,
     WaveSample,
     covariance,
-    evaluate_F,
     evaluate_f,
     evaluate_f_prime,
     sample_wave,
@@ -23,7 +22,8 @@ IRR = Direction.irrational(1.0, math.sqrt(2), math.sqrt(3))
 
 
 def evaluate_F_complex(sample, x) -> complex:
-    """Full complex shell sum at one point; the cross-check for evaluate_F."""
+    """Full complex shell sum F(x) at one point x of the unit cube: the oracle
+    for values of the wave off the segment."""
     x = np.asarray(x, dtype=np.float64)
     phase = 2 * math.pi * sample.shell.coords.astype(np.float64) @ x
     total = np.sum(sample.coefficients * np.exp(1j * phase))
@@ -99,38 +99,12 @@ def test_sample_moments_and_field_variance():
     for i, ss in enumerate(streams):
         sample = sample_wave(shell, np.random.default_rng(ss))
         coeffs.append(sample.half_coefficients)
-        f_vals[i] = evaluate_F(sample, x)
+        f_vals[i] = evaluate_F_complex(sample, x).real
     draws = np.concatenate(coeffs)
     assert draws.size >= 100_000
     assert abs(np.mean(draws)) < 4 / math.sqrt(draws.size)
     assert 0.99 < np.mean(np.abs(draws) ** 2) < 1.01
     assert abs(np.mean(f_vals**2) - 1.0) < 3 * math.sqrt(2 / f_vals.size)
-
-
-def test_evaluate_F_at_origin_sums_real_parts():
-    shell = enumerate_shell(5)
-    sample = sample_wave(shell, 11)
-    expect = 2 / math.sqrt(shell.n) * np.sum(sample.half_coefficients.real)
-    assert evaluate_F(sample, (0, 0, 0)) == pytest.approx(expect, abs=1e-14)
-
-
-def test_evaluate_F_single_mode_cosine():
-    sample = single_mode()
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0, 1, size=(50, 3))
-    vals = evaluate_F(sample, pts)
-    assert np.allclose(vals, 2 / math.sqrt(6) * np.cos(2 * math.pi * pts[:, 0]), atol=1e-13)
-    assert evaluate_F(sample, pts[0]) == pytest.approx(vals[0])
-
-
-def test_evaluate_F_matches_complex_sum():
-    rng = np.random.default_rng(5)
-    for m in (2, 5, 9):
-        sample = sample_wave(enumerate_shell(m), rng)
-        for x in rng.uniform(0, 1, size=(20, 3)):
-            z = evaluate_F_complex(sample, x)
-            assert abs(z.imag) < 1e-10
-            assert evaluate_F(sample, x) == pytest.approx(z.real, abs=1e-12)
 
 
 def test_evaluate_f_matches_F_on_the_segment():
@@ -140,7 +114,7 @@ def test_evaluate_f_matches_F_on_the_segment():
     rng = np.random.default_rng(19)
     t = rng.uniform(0, line.length, size=100)
     f = evaluate_f(sample, line, t)
-    on_curve = evaluate_F(sample, line.point(t))
+    on_curve = np.array([evaluate_F_complex(sample, x).real for x in line.point(t)])
     assert np.max(np.abs(f - on_curve)) < 1e-12
 
 
