@@ -22,7 +22,7 @@ import logging
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -133,21 +133,6 @@ class ExperimentConfig:
             raise UsageError("--rho", f"rho must be nonnegative, got {self.rho}")
         if self.command in ("wave", "simulate", "bounds"):
             parse_direction(self.direction)
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["m_list"] = list(self.m_list)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise UsageError("config", f"unknown fields {sorted(unknown)}")
-        prepared = dict(data)
-        prepared["m_list"] = tuple(int(m) for m in data.get("m_list", ()))
-        return cls(**prepared)
 
 
 def parse_direction(spec: str) -> Direction:

@@ -350,9 +350,11 @@ def covering_bound(r_sphere: float, k: float, theta: float, omega: float,
 def slicing_bound(shell: Shell, b, h: float) -> int:
     """Segment-count bound for rational directions b/|b|: the slab of height h
     meets at most 1 + |b|*h lattice planes, each holding at most kappa points."""
-    b = np.asarray(b, dtype=np.int64)
-    if b.shape != (3,) or not b.any():
-        raise ValueError("b must be a nonzero integer 3-vector")
+    raw = np.asarray(b, dtype=np.float64)
+    whole = np.isfinite(raw) & (raw == np.trunc(raw))  # NaN and inf fail, and 0.5
+    if not (raw.shape == (3,) and whole.all() and raw.any()):
+        raise ValueError(f"b must be a nonzero integer 3-vector, got {b}")
+    b = raw.astype(np.int64)
     if not 0.0 <= h <= shell.radius + 1e-9:
         raise ValueError(f"h out of range [0, R]: h={h}")
     return math.floor(kappa(shell) * (1.0 + float(np.linalg.norm(b)) * h))

@@ -13,7 +13,6 @@ m is not congruent to 0, 4 or 7 mod 8 (the "admissible" m).
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -85,7 +84,6 @@ def classify_m(m: int) -> MClass:
     )
 
 
-@lru_cache(maxsize=512)
 def enumerate_shell(m: int) -> Shell:
     """Enumerate E(m) = {(x, y, z) in Z^3 : x^2 + y^2 + z^2 = m}.
 

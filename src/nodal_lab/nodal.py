@@ -2,7 +2,7 @@
 
 The restricted process f is a trigonometric polynomial whose frequencies
 |<mu, alpha>| are at most sqrt(m), so a uniform grid denser than twice the
-top frequency (default eight times) brackets almost every zero between two
+top frequency (GRID_FACTOR = 8 times) brackets almost every zero between two
 sign changes.  A pair of roots can still hide inside a cell whose endpoints
 share a sign.  Such cells, and grid points where f is suspiciously small
 without an adjacent sign change, get a local refinement pass at eight times
@@ -29,14 +29,16 @@ counted as zero crossings are not.
 
 The rule has one home, ``_scan``, which runs it over a block of samples one
 depth level at a time: two matrix products give every sample's base-grid
-values of f and f', the masks of ``_level`` run over all segments of the
-block at once, and each refinement level evaluates f with one small product
-per sample, by angle addition from the window anchors (``_window_values``).
-``_scan`` returns the sign-change brackets of every level and the flags.
-``count_zeros`` bisects the brackets and returns the roots.  ``monte_carlo``
-only counts them: each bracket holds one root, and two roots can merge only
-where brackets share an end point at which f is numerically zero, or where a
-sample has exact grid zeros; only those brackets are bisected.
+values of f and f', and the masks of ``_level`` run over all segments of the
+block at once.  Off the base grid f has one evaluator, ``f_at``, which
+``_scan`` builds for its block: f of any block row at any point, with no loop
+over samples.  Each refinement level evaluates its sub-grid points with it.
+``_scan`` returns the sign-change brackets of every level, the flags and
+``f_at``.  ``count_zeros`` bisects all the brackets in one call to
+``_bisect`` and returns the roots.  ``monte_carlo`` only counts them: each
+bracket holds one root, and two roots can merge only where brackets share an
+end point at which f is numerically zero, or where a sample has exact grid
+zeros; only those brackets are bisected, in one call per block.
 
 Monte-Carlo trials draw independent substreams from one seed sequence and
 are scanned BLOCK_TRIALS at a time.  The per trial results are integers and
@@ -47,6 +49,7 @@ product, which changes no count in the test matrix.
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +60,6 @@ from .randomwave import (
     TWO_PI,
     LineSegment,
     WaveSample,
-    evaluate_f,
     half_frequencies,
     sample_wave,
 )
@@ -71,6 +73,7 @@ __all__ = [
     "monte_carlo",
 ]
 
+GRID_FACTOR = 8.0  # base-grid points per Nyquist interval of the top frequency
 BISECT_TOL = 1e-12
 NEAR_ZERO_FACTOR = 1e-10
 DEGENERATE_TOL = 1e-13
@@ -153,15 +156,13 @@ class _BaseGrid:
     b: np.ndarray  # <mu, alpha> per antipodal pair
 
 
-def _base_grid(shell: Shell, line: LineSegment, grid_factor: float) -> _BaseGrid:
-    """Base grid of ceil(grid_factor * 2 * f_max * L) + 1 uniform points."""
-    if not 4 <= grid_factor < math.inf:
-        raise ValueError(f"grid_factor must be finite and >= 4, got {grid_factor}")
+def _base_grid(shell: Shell, line: LineSegment) -> _BaseGrid:
+    """Base grid of ceil(GRID_FACTOR * 2 * f_max * L) + 1 uniform points."""
     if shell.n == 0:
         raise ValueError(f"f has no frequencies on the empty shell m={shell.m}")
     b = half_frequencies(shell, line.direction.components)
     f_max = float(np.max(np.abs(b)))  # the mirrored rows carry -b
-    n_pts = max(int(math.ceil(grid_factor * 2.0 * f_max * line.length)) + 1, 2)
+    n_pts = max(int(math.ceil(GRID_FACTOR * 2.0 * f_max * line.length)) + 1, 2)
     t = np.linspace(0.0, line.length, n_pts)
     phase = TWO_PI * t[:, None] * b
     cos_phase = np.cos(phase)
@@ -197,8 +198,13 @@ def _zero_runs(t: np.ndarray, fv: np.ndarray):
     return roots, tangency
 
 
-def _bisect(sample, line, lo, hi, f_lo):
-    """Vectorized bisection on cells with a sign change; returns midpoints."""
+def _bisect(f_at, row, lo, hi, f_lo):
+    """Vectorized bisection on cells with a sign change; returns midpoints.
+
+    Bracket i belongs to block row ``row[i]`` of the evaluator ``f_at``.
+    Brackets of any widths are bisected together; one narrower than the
+    others may get a few extra halvings, which keep its midpoint inside it.
+    """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
     f_lo = np.array(f_lo, dtype=np.float64)
@@ -206,7 +212,7 @@ def _bisect(sample, line, lo, hi, f_lo):
         if np.all(hi - lo <= 2 * BISECT_TOL):
             break
         mid = 0.5 * (lo + hi)
-        fm = np.atleast_1d(evaluate_f(sample, line, mid))
+        fm = f_at(row, mid)
         exact = fm == 0.0
         lower = f_lo * fm < 0
         hi = np.where(exact | lower, mid, hi)
@@ -282,8 +288,8 @@ def _level(t, fv, seg, near_tol, dip_tol, slope=None, remainder=None):
         H depends on f0 and f1 through weights that sum to 1, and on w f0'
         and w f1' through weights whose absolute values sum to
         u (1 - u) <= 1/4.  So the noise moves H by at most
-        (1 + 2 pi f_max w / 4) near_tol <= (1 + pi / 16) near_tol, since
-        w <= 1 / (8 f_max) when grid_factor >= 4; 2 near_tol covers it;
+        (1 + 2 pi f_max w / 4) near_tol <= (1 + pi / 32) near_tol, since
+        w <= 1 / (2 GRID_FACTOR f_max) = 1 / (16 f_max); 2 near_tol covers it;
       - 64 eps S covers the rounding of the cubic's coefficients, of Horner's
         rule and of its critical points, where an error moves H only to
         second order.
@@ -338,47 +344,18 @@ def _sub_grids(t, lo, hi):
     return sub_t, starts, num
 
 
-def _window_values(re, im, scale, b, owner, anchor, num, step):
-    """f at anchor + k * step, k < num, on every window: one product per sample.
-
-    Angle addition, a e^{2 pi i b (t0 + k step)} = (a e^{2 pi i b t0}) *
-    e^{2 pi i b k step}, needs cos and sin once per window and pair plus one
-    table per level, instead of at every sub-grid point.  Windows are grouped
-    by ``owner``, the block row of their sample.  With the level's step these
-    are the points of _sub_grids up to rounding, and the values agree with
-    evaluate_f there to rounding.
-    """
-    k = np.arange(int(num.max()))
-    table = TWO_PI * (k * step)[:, None] * b
-    cos_k = np.cos(table)
-    sin_k = np.sin(table, out=table)
-    fill = k < num[:, None]
-    out = np.empty(int(num.sum()))
-    first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-    pos = 0
-    for lo, hi in zip(first, np.append(first[1:], owner.size)):
-        i = owner[lo]
-        phase = TWO_PI * anchor[lo:hi, None] * b
-        cos_a, sin_a = np.cos(phase), np.sin(phase)
-        p = cos_a * re[i] - sin_a * im[i]  # Re and Im of a e^{2 pi i b t0}
-        q = sin_a * re[i] + cos_a * im[i]
-        vals = (p @ cos_k.T - q @ sin_k.T)[fill[lo:hi]]
-        out[pos:pos + vals.size] = scale * vals
-        pos += vals.size
-    return out
-
-
 @dataclass(frozen=True)
 class _Scan:
     """The refinement rule's findings over a block of samples.
 
-    One entry per sign-change bracket [lo, hi]: the block row of its sample,
-    its depth level and f at lo.  Per sample: the roots at exact grid zeros,
-    the two flags, the near-zero tolerance and the |f''| bound M2.
+    One entry per sign-change bracket [lo, hi], at any depth level: the
+    block row of its sample and f at lo.  Per sample: the roots at exact grid
+    zeros, the two flags, the near-zero tolerance and the |f''| bound M2.
+    ``f_at(row, t)`` is f of block row row[i] at t[i], for any points of the
+    segment.
     """
 
     row: np.ndarray
-    level: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     f_lo: np.ndarray
@@ -387,6 +364,7 @@ class _Scan:
     depth_hit: np.ndarray
     near_tol: np.ndarray
     m2: np.ndarray
+    f_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
@@ -397,8 +375,8 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     the weights 2 pi b of evaluate_f_prime.  The base level applies the
     masks of _level with both exclusion tests, curvature (M2) and Hermite
     (M4, f'); each refinement level concatenates the windows of all samples
-    into segments, evaluates f with one product per sample (_window_values)
-    and applies the masks of _level with the curvature test alone.
+    into segments, evaluates f at their sub-grid points with f_at and
+    applies the masks of _level with the curvature test alone.
     """
     k = len(samples)
     half = np.array([s.half_coefficients for s in samples])
@@ -418,6 +396,13 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     fp = -scale * (grid.sin_phase @ (omega * re).T + grid.cos_phase @ (omega * im).T)
     slope = fp.T.ravel()  # one run per sample, as fv below
 
+    def f_at(row, t):
+        # scale * sum (cos(2 pi b t) Re a - sin(2 pi b t) Im a), a of row[i] at t[i]
+        phase = TWO_PI * t[:, None] * grid.b
+        cos = np.cos(phase)
+        sin = np.sin(phase, out=phase)
+        return scale * (np.einsum("ij,ij->i", cos, re[row]) - np.einsum("ij,ij->i", sin, im[row]))
+
     n = grid.t.size
     t = np.tile(grid.t, k)
     fv = fv.ravel()
@@ -428,7 +413,6 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     depth_hit = np.zeros(k, dtype=bool)
     found = []
     depth = 1
-    step = grid.t[1] - grid.t[0]  # cell width; each level divides it by REFINE_RATIO
     while True:
         ends = np.append(starts[1:], t.size)
         seg = np.repeat(np.arange(starts.size), ends - starts)
@@ -436,8 +420,7 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
         hermite = (slope, m4 * w**4 / 384.0) if depth == 1 else (None, None)
         cells, win_lo, win_hi = _level(t, fv, seg, near_tol[owner],
                                        m2[owner] * w * w / 8.0, *hermite)
-        found.append((owner[seg[cells]], np.full(cells.size, depth),
-                      t[cells], t[cells + 1], fv[cells]))
+        found.append((owner[seg[cells]], t[cells], t[cells + 1], fv[cells]))
         for s in sorted(set(seg[fv == 0.0].tolist())):
             roots, touch = _zero_runs(t[starts[s]:ends[s]], fv[starts[s]:ends[s]])
             zero_roots[owner[s]].extend(roots)
@@ -450,22 +433,11 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
             tangency[owner] = True
             break
         t, starts, num = _sub_grids(t, win_lo, win_hi)
-        step /= REFINE_RATIO
-        fv = _window_values(re, im, scale, grid.b, owner, t[starts], num, step)
+        fv = f_at(np.repeat(owner, num), t)
         depth += 1
 
-    row, level, lo, hi, f_lo = (np.concatenate(parts) for parts in zip(*found))
-    return _Scan(row, level, lo, hi, f_lo, zero_roots, tangency, depth_hit, near_tol, m2)
-
-
-def _bisect_brackets(scan: _Scan, sel: np.ndarray, sample: WaveSample,
-                     line: LineSegment) -> list[float]:
-    """Roots of the selected brackets of one sample, bisected level by level."""
-    roots = []
-    for depth in sorted(set(scan.level[sel].tolist())):
-        at = sel & (scan.level == depth)
-        roots.extend(_bisect(sample, line, scan.lo[at], scan.hi[at], scan.f_lo[at]).tolist())
-    return roots
+    row, lo, hi, f_lo = (np.concatenate(parts) for parts in zip(*found))
+    return _Scan(row, lo, hi, f_lo, zero_roots, tangency, depth_hit, near_tol, m2, f_at)
 
 
 def _merge_roots(roots: list[float]) -> np.ndarray:
@@ -478,7 +450,7 @@ def _merge_roots(roots: list[float]) -> np.ndarray:
     return np.array(merged)
 
 
-def _counts(scan: _Scan, samples: list[WaveSample], line: LineSegment) -> np.ndarray:
+def _counts(scan: _Scan) -> np.ndarray:
     """Zero count of every scanned sample, as count_zeros would give it.
 
     Brackets have disjoint interiors and each bisects to one root inside
@@ -488,10 +460,10 @@ def _counts(scan: _Scan, samples: list[WaveSample], line: LineSegment) -> np.nda
     |f(e)| <= noise + 2 * M2 * BISECT_TOL^2 (linear interpolation between
     them, with the evaluation noise bounded by near_tol), so a larger
     |f(e)| keeps them apart.  Only the remaining close brackets are
-    bisected, plus every bracket of a sample with exact grid zeros, whose
-    roots lie outside any bracket.
+    bisected, all in one call, plus every bracket of a sample with exact grid
+    zeros, whose roots lie outside any bracket.
     """
-    counts = np.bincount(scan.row, minlength=len(samples))
+    counts = np.bincount(scan.row, minlength=len(scan.zero_roots))
     order = np.lexsort((scan.lo, scan.row))
     row, lo, hi, f_lo = (a[order] for a in (scan.row, scan.lo, scan.hi, scan.f_lo))
     touching = (row[1:] == row[:-1]) & (lo[1:] - hi[:-1] <= 2 * BISECT_TOL)
@@ -505,23 +477,23 @@ def _counts(scan: _Scan, samples: list[WaveSample], line: LineSegment) -> np.nda
         if roots:
             close |= scan.row == i
             redo.add(i)
-    for i in sorted(redo):
-        sel = close & (scan.row == i)
-        roots = _bisect_brackets(scan, sel, samples[i], line)
-        counts[i] += _merge_roots(scan.zero_roots[i] + roots).size - np.count_nonzero(sel)
+    owner = scan.row[close]
+    roots = _bisect(scan.f_at, owner, scan.lo[close], scan.hi[close], scan.f_lo[close])
+    for i in redo:
+        mine = roots[owner == i]
+        counts[i] += _merge_roots(scan.zero_roots[i] + mine.tolist()).size - mine.size
     return counts
 
 
-def count_zeros(sample: WaveSample, line: LineSegment, grid_factor: float = 8.0) -> ZeroCount:
+def count_zeros(sample: WaveSample, line: LineSegment) -> ZeroCount:
     """Count the zeros of f on [0, L].
 
-    The base grid has ceil(grid_factor * 2 * f_max * L) + 1 uniform points
-    where f_max = max |<mu, alpha>| is the top frequency of f.  grid_factor
-    must be at least 4 (twice the Nyquist rate).
+    The base grid has ceil(GRID_FACTOR * 2 * f_max * L) + 1 uniform points
+    where f_max = max |<mu, alpha>| is the top frequency of f.
     """
-    grid = _base_grid(sample.shell, line, grid_factor)
-    scan = _scan([sample], grid)
-    roots = _merge_roots(scan.zero_roots[0] + _bisect_brackets(scan, scan.row == 0, sample, line))
+    scan = _scan([sample], _base_grid(sample.shell, line))
+    roots = _merge_roots(
+        scan.zero_roots[0] + _bisect(scan.f_at, scan.row, scan.lo, scan.hi, scan.f_lo).tolist())
     flags = ZeroFlags(refinement_depth_hit=bool(scan.depth_hit[0]),
                       near_tangency=bool(scan.tangency[0]))
     return ZeroCount(count=roots.size, roots=roots, flags=flags)
@@ -532,7 +504,6 @@ def monte_carlo(
     line: LineSegment,
     trials: int,
     seed: int,
-    grid_factor: float = 8.0,
 ) -> MonteCarloReport:
     """Estimate mean and variance of the zero count over independent draws.
 
@@ -542,7 +513,7 @@ def monte_carlo(
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    grid = _base_grid(shell, line, grid_factor)
+    grid = _base_grid(shell, line)
     streams = np.random.SeedSequence(seed).spawn(trials)
     counts: list[int] = []
     near_tangency = depth_hit = 0
@@ -553,7 +524,7 @@ def monte_carlo(
             scan = _scan(samples, grid)
         except DegenerateSampleError as exc:
             raise DegenerateSampleError(f"trial {start + exc.row}: {exc}") from exc
-        counts.extend(_counts(scan, samples, line).tolist())
+        counts.extend(_counts(scan).tolist())
         near_tangency += int(np.count_nonzero(scan.tangency))
         depth_hit += int(np.count_nonzero(scan.depth_hit))
 

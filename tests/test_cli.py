@@ -34,23 +34,6 @@ def make_config(**overrides):
 
 
 class TestConfig:
-    def test_round_trip_identity(self):
-        configs = [
-            make_config(),
-            make_config(command="simulate", m_list=(1, 2, 5), trials=64, seed=9,
-                        direction="irr:std", out="report.csv"),
-            make_config(command="bounds", direction="halfrat:1,1,sqrt2",
-                        mode="conditional", rho=0.3, format="json"),
-        ]
-        for config in configs:
-            assert ExperimentConfig.from_dict(config.to_dict()) == config
-
-    def test_from_dict_rejects_unknown_fields(self):
-        data = make_config().to_dict()
-        data["surprise"] = 1
-        with pytest.raises(UsageError, match="surprise"):
-            ExperimentConfig.from_dict(data)
-
     @pytest.mark.parametrize("overrides,field", [
         (dict(command="orbit"), "command"),
         (dict(m_list=()), "--m"),

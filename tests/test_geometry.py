@@ -270,6 +270,9 @@ def test_slicing_bound_examples():
     assert bound >= count_in(sh1, seg)
     with pytest.raises(ValueError):
         slicing_bound(sh1, (0, 0, 0), 0.5)
+    for bad in ((0.5, 0, 1), (1.9, 0, 0), (math.nan, 0, 1)):
+        with pytest.raises(ValueError, match="integer 3-vector"):
+            slicing_bound(enumerate_shell(2), bad, 1.0)
 
 
 def test_slicing_bound_dominates_rational_segments():

@@ -105,17 +105,6 @@ def test_degenerate_sample_raises():
         count_zeros(zero, LineSegment(IRR, 1.0))
 
 
-def test_grid_factor_floor():
-    with pytest.raises(ValueError):
-        count_zeros(cosine_sample(), LineSegment(E1, 1.0), grid_factor=2)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="grid_factor must be finite"):
-            count_zeros(cosine_sample(), LineSegment(E1, 1.0), grid_factor=bad)
-    with pytest.raises(ValueError, match="grid_factor"):
-        monte_carlo(enumerate_shell(1), LineSegment(E1, 1.0), trials=4, seed=0,
-                    grid_factor=2)
-
-
 def test_monte_carlo_rejects_empty_shell():
     with pytest.raises(ValueError, match="empty shell m=7"):
         monte_carlo(enumerate_shell(7), LineSegment(E1, 1.0), trials=4, seed=0)
@@ -250,9 +239,10 @@ def test_monte_carlo_matches_count_zeros_on_edge_samples(monkeypatch):
 def test_hidden_pair_is_found_by_refinement():
     sample = cosine_sample(**EDGE_SAMPLES["hidden_pair"][0])
     line = LineSegment(E1, 1.0)
-    grid = nodal._base_grid(sample.shell, line, 8.0)
+    grid = nodal._base_grid(sample.shell, line)
     scan = nodal._scan([sample], grid)
-    assert scan.level.tolist() == [2, 2]
+    # both brackets are cells of the first refinement level
+    assert np.allclose(scan.hi - scan.lo, [grid.t[1] / nodal.REFINE_RATIO] * 2, rtol=1e-12, atol=0)
     assert not scan.tangency[0] and not scan.depth_hit[0]
     roots = count_zeros(sample, line).roots
     assert np.allclose(roots, 17 / 32 + np.array([-1, 1]) * math.sqrt(2e-4) / TWO_PI,
@@ -270,23 +260,52 @@ def test_monte_carlo_block_size_leaves_report_unchanged(monkeypatch, m, spec, bl
     assert monte_carlo(shell, line, trials=40, seed=5) == default
 
 
-def test_window_values_match_evaluate_f():
+def test_f_at_matches_evaluate_f():
     shell = enumerate_shell(1009)
     line = LineSegment(IRR, 1.0)
     samples = [sample_wave(shell, seed) for seed in (3, 4)]
-    grid = nodal._base_grid(shell, line, 8.0)
+    grid = nodal._base_grid(shell, line)
     lo = np.array([0, 17, 40, 400])
     hi = np.array([1, 20, 41, 402])
     t, starts, sizes = nodal._sub_grids(grid.t, lo, hi)
     owner = np.array([0, 0, 1, 1])
-    half = np.array([s.half_coefficients for s in samples])
-    values = nodal._window_values(half.real, half.imag, 2.0 / math.sqrt(shell.n), grid.b,
-                                  owner, t[starts], sizes, grid.t[1] / nodal.REFINE_RATIO)
+    values = nodal._scan(samples, grid).f_at(np.repeat(owner, sizes), t)
     direct = np.concatenate([
         evaluate_f(samples[i], line, t[a:a + size])
         for i, a, size in zip(owner, starts, sizes)])
     assert t.size == 9 + 25 + 9 + 17
     assert np.max(np.abs(values - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def narrowed(f_at, row, lo, hi, parts):
+    """The first sign-change cell of width (hi - lo) / parts in each bracket."""
+    points = np.linspace(lo, hi, parts + 1)
+    values = np.array([f_at(row, p) for p in points])
+    first = np.argmax(values[:-1] * values[1:] < 0, axis=0)
+    pick = np.arange(row.size)
+    return row, points[first, pick], points[first + 1, pick], values[first, pick]
+
+
+def test_bisect_mixes_bracket_widths_and_samples():
+    shell = enumerate_shell(101)
+    line = LineSegment(IRR, 1.0)
+    grid = nodal._base_grid(shell, line)
+    samples = [sample_wave(shell, seed) for seed in (5, 6)]
+    scan = nodal._scan(samples, grid)
+    base = np.isclose(scan.hi - scan.lo, grid.t[1], rtol=1e-9)
+    assert set(scan.row[base].tolist()) == {0, 1}
+    groups = [narrowed(scan.f_at, scan.row[base], scan.lo[base], scan.hi[base], parts)
+              for parts in (1, 8, 64)]
+    row, lo, hi, f_lo = (np.concatenate(parts) for parts in zip(*groups))
+    assert np.all(f_lo * scan.f_at(row, hi) < 0)
+    together = nodal._bisect(scan.f_at, row, lo, hi, f_lo)
+    apart = np.concatenate([nodal._bisect(scan.f_at, *group) for group in groups])
+    assert np.all((lo <= together) & (together <= hi))
+    assert np.max(np.abs(together - apart)) <= 2 * nodal.BISECT_TOL
+    for i, sample in enumerate(samples):  # each midpoint is a root of its own sample
+        roots = together[row == i]
+        assert np.all(evaluate_f(sample, line, roots - 1e-9)
+                      * evaluate_f(sample, line, roots + 1e-9) < 0)
 
 
 def hermite_cubics(rng):
@@ -332,7 +351,7 @@ def scan_base_level(monkeypatch, samples, line):
         return level(*args)
 
     monkeypatch.setattr(nodal, "_level", spy)
-    nodal._scan(samples, nodal._base_grid(samples[0].shell, line, 8.0))
+    nodal._scan(samples, nodal._base_grid(samples[0].shell, line))
     monkeypatch.undo()
     return calls[0]
 
@@ -375,16 +394,16 @@ def test_hermite_test_leaves_few_windows(monkeypatch):
     """Fewer than one base cell per trial opens a refinement window at m=1009."""
     shell = enumerate_shell(1009)
     line = LineSegment(IRR, 1.0)
-    base_step = nodal._base_grid(shell, line, 8.0).t[1]
+    base_t = nodal._base_grid(shell, line).t
     cells = []
-    window_values = nodal._window_values
+    sub_grids = nodal._sub_grids
 
-    def spy(re, im, scale, b, owner, anchor, num, step):
-        if step == base_step / nodal.REFINE_RATIO:
-            cells.append(int(np.sum((num - 1) // nodal.REFINE_RATIO)))
-        return window_values(re, im, scale, b, owner, anchor, num, step)
+    def spy(t, lo, hi):
+        if np.array_equal(t[:base_t.size], base_t):  # windows of the base level
+            cells.append(int(np.sum(hi - lo)))
+        return sub_grids(t, lo, hi)
 
-    monkeypatch.setattr(nodal, "_window_values", spy)
+    monkeypatch.setattr(nodal, "_sub_grids", spy)
     monte_carlo(shell, line, trials=200, seed=2024)
     assert sum(cells) < 200
 
