@@ -245,8 +245,8 @@ def _warn_near_zero(direction: Direction, s_zero: int, n: int) -> None:
 
 
 def _check_split(rho: float, mode: str) -> None:
-    if not rho >= 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
+    if not 0 <= rho < math.inf:
+        raise ValueError(f"rho must be nonnegative and finite, got {rho}")
     if mode not in ("relative", "absolute"):
         raise ValueError(f"mode must be 'relative' or 'absolute', got {mode!r}")
 

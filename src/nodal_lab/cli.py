@@ -38,7 +38,7 @@ from .arithmetic import (
     variance_bound,
 )
 from .diophantine import Direction, dirichlet_1d
-from .geometry import kappa
+from .geometry import KAPPA_M_LIMIT, kappa
 from .lattice import ProjectedShell, classify_m, enumerate_shell, project_shell, scale_check
 from .nodal import count_zeros, monte_carlo
 from .randomwave import (
@@ -116,6 +116,10 @@ class ExperimentConfig:
         for m in self.m_list:
             if not isinstance(m, int) or m < 1:
                 raise UsageError("--m", f"shell numbers must be positive integers, got {m}")
+            if self.command == "bounds" and m >= KAPPA_M_LIMIT:
+                raise UsageError(
+                    "--m", f"bounds needs kappa, which is exact only for m < {KAPPA_M_LIMIT}, "
+                    f"got {m}")
         if not (math.isfinite(self.length) and self.length > 0):
             raise UsageError(
                 "--len", f"segment length must be positive and finite, got {self.length}")
@@ -129,8 +133,8 @@ class ExperimentConfig:
             raise UsageError("--sigma", f"sigma must lie in (0, 2), got {self.sigma}")
         if self.format not in ("csv", "json"):
             raise UsageError("--format", f"unknown format {self.format!r}")
-        if self.rho is not None and not self.rho >= 0:
-            raise UsageError("--rho", f"rho must be nonnegative, got {self.rho}")
+        if self.rho is not None and not 0 <= self.rho < math.inf:
+            raise UsageError("--rho", f"rho must be nonnegative and finite, got {self.rho}")
         if self.command in ("wave", "simulate", "bounds"):
             parse_direction(self.direction)
 

@@ -9,8 +9,11 @@ center); regions that straddle the equator are returned split in two.
 
 kappa(shell) is the exact maximal number of shell points on any single
 plane.  Planes are counted through one anchor point per orbit of the 48
-signed coordinate permutations, keyed by their primitive normals packed
-into one int64 each (exact while (8m+1)^3 < 2^63).
+signed coordinate permutations.  Each plane through the anchor and a second
+point is keyed by the float64 ratio of two entries of its normal; both
+entries come exactly from one GEMM, and the correctly rounded ratios tell
+planes apart while m < 2^24.  The rows of keys are sorted in blocks of about
+2^16 entries, and every new maximum is recounted in int64.
 
 cone_region and slab_region build the regions around a point B that hold
 the small pairs of the relative and absolute pair splits; count_in counts
@@ -42,6 +45,11 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _CONSISTENCY_RTOL = 1e-9
+
+# kappa's plane keys tell planes apart for m < KAPPA_M_LIMIT; see kappa
+KAPPA_M_LIMIT = 2**24
+# kappa sorts its plane keys in blocks of about this many (rows * N)
+_BLOCK_ENTRIES = 2**16
 
 
 def _unit(direction) -> np.ndarray:
@@ -276,57 +284,77 @@ def count_in(shell: Shell, region) -> int:
     return int(inside.sum())
 
 
-def _plane_keys(diffs: np.ndarray, j: np.ndarray, l: np.ndarray, m: int) -> np.ndarray:
-    """One int64 key per plane spanned by the difference-vector pairs (j, l),
-    all through the shared anchor: its primitive, sign-canonical normal n
-    packed base 8m+1 after the offset 4m (|n_k| <= |a||b| <= 4m)."""
-    dx, dy, dz = (np.ascontiguousarray(c) for c in diffs.T)
-    ax, ay, az, bx, by, bz = dx[j], dy[j], dz[j], dx[l], dy[l], dz[l]
-    n0 = ay * bz - az * by
-    n1 = az * bx - ax * bz
-    n2 = ax * by - ay * bx
-    # three sphere points are never collinear, so every normal is nonzero;
-    # dividing by +-gcd makes it primitive with a positive leading entry
-    g = np.gcd(np.gcd(n0, n1), n2)
-    lead = np.where(n0 != 0, n0, np.where(n1 != 0, n1, n2))
-    g[lead < 0] *= -1
-    base = 8 * m + 1
-    return ((n0 // g + 4 * m) * base + (n1 // g + 4 * m)) * base + (n2 // g + 4 * m)
-
-
 def kappa(shell: Shell) -> int:
     """Exact kappa(sqrt(m)): the maximal number of shell points on one plane.
 
     The 48 signed coordinate permutations map the shell onto itself and
     planes onto planes holding as many points, so every maximal plane has an
     image through the first point of some orbit (rows of equal sorted |mu|).
-    Only those anchors are visited: 4 of N=168 at m=101, 6 of N=240 at
-    m=1009.  Planes through an anchor are keyed by the packed canonical
-    normal of (Q - anchor) x (Q' - anchor); a key hit by C(j, 2) pairs
-    carries j further points, so that plane holds j + 1 shell points.
-    The packed keys are exact while (8m+1)^3 < 2^63, i.e. m < 262144.
+    Only those anchors p are visited: 4 of N=168 at m=101, 6 of N=240 at
+    m=1009.
+
+    Planes through p and a second point q are keyed by one ratio each.  With
+    d_r = r - p, the plane through p, q, r has normal n = d_q x d_r, which is
+    orthogonal to d_q.  Let k be the axis of d_q's largest entry and i, j the
+    other two: since d_q[k] != 0, n . d_q = 0 gives n_k from (n_i, n_j), and
+    (n_i, n_j) is (0, 0) only for r = q (three sphere points are never
+    collinear).  So the key
+    n_i / n_j, with n_j = 0 mapped to +inf, names the plane, and r = q gets
+    the key 0/0 = NaN, which equals nothing.  A run of c equal keys in the
+    row of q is a plane holding p, q and c more points, so kappa is the
+    longest run plus 2.  Both parts come from one float64 GEMM per block of
+    rows, n_i = d_r . (e_i x d_q); they are integers with |n| <= |d_q| |d_r|
+    <= 4m, so every product and sum is exact.
+
+    Equal planes have proportional normals, hence the same rational ratio and
+    the same correctly rounded key.  Distinct planes keep distinct keys while
+    m < 2^24 (KAPPA_M_LIMIT): if x = a/b != y = c/d with |a|, |c| <= 4m and
+    1 <= |b|, |d| <= 4m, then |x - y| = |ad - bc| / |bd| >= 1 / |bd|, while
+    rounding moves each by at most 2^-53 |x| <= 2^-53 * 4m / |b|, so both
+    round together only if 1 <= 2^-53 * 4m (|b| + |d|) <= 2^-53 * 32 m^2.
+
+    Rows are sorted in blocks of about _BLOCK_ENTRIES keys.  A block is only
+    asked whether it holds a run one longer than the best so far; each such
+    run is recounted in int64 as the shell points x with n.x == n.p, and a
+    recount that disagrees raises RuntimeError.
     """
     if shell.n == 0:
         raise ValueError(f"kappa undefined for the empty shell m={shell.m}")
-    if (8 * shell.m + 1) ** 3 >= 2**63:
+    if shell.m >= KAPPA_M_LIMIT:
         raise ValueError(
-            f"kappa packs plane normals into int64 keys, which needs "
-            f"(8m+1)^3 < 2^63, i.e. m < 262144; got m={shell.m}")
+            f"kappa's ratio keys are exact only for m < 2^24 = {KAPPA_M_LIMIT}; "
+            f"got m={shell.m}")
     pts = shell.coords
     _, anchors = np.unique(np.sort(np.abs(pts), axis=1), axis=0, return_index=True)
-    j, l = np.triu_indices(shell.n - 1, k=1)
-    best = min(shell.n, 2)
-    for i in anchors:
-        keys = np.sort(_plane_keys(np.delete(pts, i, axis=0) - pts[i], j, l, shell.m))
-        run_starts = np.flatnonzero(np.diff(keys)) + 1
-        cmax = int(np.diff(run_starts, prepend=0, append=len(keys)).max())
-        # invert cmax = C(on_plane, 2)
-        on_plane = (1 + math.isqrt(1 + 8 * cmax)) // 2
-        if on_plane * (on_plane - 1) != 2 * cmax:
-            raise RuntimeError(
-                f"kappa: {cmax} point pairs share a plane through one anchor, "
-                f"which is not a triangular number (m={shell.m})")
-        best = max(best, on_plane + 1)
+    axes = np.eye(3)
+    rows = max(1, _BLOCK_ENTRIES // shell.n)
+    best = min(shell.n, 3)
+    for a in anchors:
+        diffs = np.delete(pts, a, axis=0) - pts[a]
+        exact = diffs.astype(np.float64)
+        for lo in range(0, len(diffs), rows):
+            d = exact[lo:lo + rows]
+            k = np.abs(d).argmax(axis=1)
+            ij = np.concatenate([np.cross(axes[(k + 1) % 3], d),
+                                 np.cross(axes[(k + 2) % 3], d)]) @ exact.T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                keys = ij[:len(d)] / ij[len(d):]
+            keys[keys == -np.inf] = np.inf  # n_j = 0: one plane, whatever the signs
+            runs = np.sort(keys, axis=1)
+            while True:
+                c = best - 2  # a run of c + 1 equal keys makes kappa best + 1
+                hit = runs[:, c:] == runs[:, :-c]
+                if not hit.any():
+                    break
+                row, col = np.unravel_index(hit.argmax(), hit.shape)
+                on_plane = keys[row] == runs[row, col]
+                normal = np.cross(diffs[lo + row], diffs[on_plane.argmax()])
+                count = int((pts @ normal == pts[a] @ normal).sum())
+                if count != on_plane.sum() + 2:
+                    raise RuntimeError(
+                        f"kappa: {on_plane.sum()} keys share one plane through two "
+                        f"points, but it holds {count} shell points (m={shell.m})")
+                best = count
     return best
 
 

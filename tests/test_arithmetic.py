@@ -387,6 +387,13 @@ class TestVarianceBound:
         with pytest.raises(ValueError, match="rho"):
             variance_bound(shell, LineSegment(IRR, 1.0), BoundMode.IRRATIONAL, rho=math.nan)
 
+    def test_rejects_infinite_rho(self):
+        shell = enumerate_shell(5)
+        with pytest.raises(ValueError, match="rho"):
+            pair_sums(shell, AXIS, math.inf)
+        with pytest.raises(ValueError, match="rho"):
+            variance_bound(shell, LineSegment(AXIS, 1.0), BoundMode.CONDITIONAL, rho=math.inf)
+
     def test_rational_mode_rejects_rho(self):
         shell = enumerate_shell(5)
         with pytest.raises(ValueError, match="rational bound uses no rho"):

@@ -258,6 +258,22 @@ class TestBoundsCommand:
         assert "--rho" in capsys.readouterr().err
         assert not (tmp_path / "bounds.csv").exists()
 
+    def test_infinite_rho_is_usage_error(self, capsys):
+        # JSON has no Infinity, and rho = inf would report the trivial bound 1
+        assert main(["bounds", "--m", "5", "--mode", "conditional", "--rho", "inf",
+                     "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert "--rho" in captured.err and captured.out == ""
+
+    def test_m_past_kappa_range_is_usage_error(self, capsys, monkeypatch):
+        def refuse(m):
+            raise AssertionError(f"enumerated m={m}")
+
+        monkeypatch.setattr(cli, "enumerate_shell", refuse)
+        # 2^24 + 1 (1 mod 8) is the least admissible m past kappa's exact range
+        assert main(["bounds", "--m", str(2**24 + 1), "--dir", "irr:std"]) == 2
+        assert "--m" in capsys.readouterr().err
+
 
 class TestRieszCommand:
     def test_sigma_flows_through(self, tmp_path):

@@ -7,7 +7,9 @@ import pytest
 
 from helpers_geometry import (chi_exact, kappa_all_anchors, kappa_brute, region_contains,
                               sample_sphere)
+from nodal_lab import geometry
 from nodal_lab.geometry import (
+    KAPPA_M_LIMIT,
     CapSpec,
     Slab,
     cap_from,
@@ -19,7 +21,7 @@ from nodal_lab.geometry import (
     slab_region,
     slicing_bound,
 )
-from nodal_lab.lattice import enumerate_shell
+from nodal_lab.lattice import Shell, classify_m, enumerate_shell
 
 
 def quadruple_residuals(cap):
@@ -198,23 +200,35 @@ def test_kappa_examples():
     assert kappa(enumerate_shell(2)) == 6
     assert kappa(enumerate_shell(3)) == 4
     # 101 and 1009 as recorded in the benchmark reference; 3001 checked once
-    # against the every-anchor search (about 84 s)
+    # against the every-anchor search (about 84 s), 10001 against a kappa
+    # keyed by primitive int64 normals (about 14 s)
     assert kappa(enumerate_shell(101)) == 18
     assert kappa(enumerate_shell(1009)) == 16
     assert kappa(enumerate_shell(3001)) == 24
+    assert kappa(enumerate_shell(10001)) == 48
+
+
+def kappa_in_row_blocks(sh):
+    """kappa with its default row blocks, then with blocks of 1 and of 7 rows."""
+    got = [kappa(sh)]
+    for rows in (1, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_BLOCK_ENTRIES", rows * sh.n)
+            got.append(kappa(sh))
+    return got
 
 
 def test_kappa_matches_brute_force():
     for m in range(1, 151):
         sh = enumerate_shell(m)
         if sh.n:
-            assert kappa(sh) == kappa_brute(sh), m
+            assert kappa_in_row_blocks(sh) == [kappa_brute(sh)] * 3, m
 
 
 def test_kappa_matches_every_anchor_search():
     for m in (101, 1009):
         sh = enumerate_shell(m)
-        assert kappa(sh) == kappa_all_anchors(sh), m
+        assert kappa_in_row_blocks(sh) == [kappa_all_anchors(sh)] * 3, m
 
 
 def test_kappa_rejects_empty():
@@ -222,10 +236,31 @@ def test_kappa_rejects_empty():
         kappa(enumerate_shell(7))
 
 
-def test_kappa_rejects_shells_too_large_for_packed_keys():
-    sh = enumerate_shell(4**9)  # 512 * (the m=1 shell): N=6, cheap to build
-    with pytest.raises(ValueError, match="int64"):
+def test_kappa_rejects_shells_past_exact_ratio_keys():
+    # 4096 * (the m=1 shell), built by hand: enumerate_shell(4**12) takes seconds
+    m = 4**12
+    coords = 2**12 * np.concatenate([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)])
+    sh = Shell(m, 6, classify_m(m), coords)
+    assert m == KAPPA_M_LIMIT
+    with pytest.raises(ValueError, match="2\\^24"):
         kappa(sh)
+
+
+def test_kappa_keys_a_plane_once_whatever_the_signs():
+    # a flat point set: in the row of (0, 1, 0) every key is n_z / n_x with
+    # n_x = 0, and n_z changes sign from one side of the y axis to the other
+    coords = np.array([[0, 0, 0], [0, 1, 0], [-2, 1, 0], [-1, -1, 0], [1, -1, 0], [1, 0, 0]])
+    sh = Shell(1, 6, classify_m(1), coords)
+    assert kappa(sh) == kappa_brute(sh) == 6
+
+
+def test_kappa_recount_catches_colliding_keys():
+    # points far outside |x|^2 = m void the exactness of the ratio keys: as
+    # floats, (2^54, 2^54 + 1, 0) and (1, 1, 0) give the same key in the row
+    # of (0, 0, 1), though only the second lies on the plane x = y
+    coords = np.array([[0, 0, 0], [0, 0, 1], [1, 1, 0], [2**54, 2**54 + 1, 0]])
+    with pytest.raises(RuntimeError, match="holds 3 shell points"):
+        kappa(Shell(1, 4, classify_m(1), coords))
 
 
 def test_covering_bound_example_and_theta_zero():
