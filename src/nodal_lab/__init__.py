@@ -31,7 +31,6 @@ from .diophantine import (
 from .geometry import (
     CapSpec,
     SegmentSpec,
-    Slab,
     cap_from,
     cone_region,
     count_in,
@@ -89,7 +88,6 @@ __all__ = [
     "RieszResult",
     "SegmentSpec",
     "Shell",
-    "Slab",
     "SquaredCovarianceTerms",
     "WaveSample",
     "ZeroCount",

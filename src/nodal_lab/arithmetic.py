@@ -314,9 +314,16 @@ def check_mode(mode: BoundMode, direction: Direction) -> None:
 
 
 def check_rho(mode: BoundMode, rho: float | None) -> None:
-    """Raise ValueError if rho is given to the rational bound, which uses none."""
-    if rho is not None and mode is BoundMode.RATIONAL:
+    """Raise ValueError if rho is given to the rational bound, which uses none,
+    or if the irrational or half-rational tail 1/(pi^2 rho^2) would divide by
+    rho^2 = 0 (rho = 0, or so small that rho^2 underflows)."""
+    if rho is None:
+        return
+    if mode is BoundMode.RATIONAL:
         raise ValueError(f"the rational bound uses no rho, got {rho}")
+    if mode in (BoundMode.IRRATIONAL, BoundMode.HALF_RATIONAL) and not rho * rho > 0:
+        raise ValueError(f"the {mode.value} bound divides by rho^2, which is not "
+                         f"positive for rho={rho}")
 
 
 _MODE_EXPONENT = {

@@ -4,8 +4,9 @@ A cap of height h satisfies k^2 + h^2 = s^2 = 2*R*h with opening angle
 theta = 4*arcsin(sqrt(h/2R)); equivalently the cap's polar angle is
 theta/2, so a segment cut out by two parallel planes at signed heights
 lo <= hi along beta has opening angle 2*(arccos(lo/R) - arccos(hi/R)).
-Segments are kept inside a hemisphere (both planes on one side of the
-center); regions that straddle the equator are returned split in two.
+These are the two region shapes the cap and segment counts bound.  A
+segment lies in one hemisphere (both planes on one side of the center);
+segment_from builds it from its height h and the height of its top plane.
 
 kappa(shell) is the exact maximal number of shell points on any single
 plane.  Planes are counted through one anchor point per orbit of the 48
@@ -16,11 +17,11 @@ planes apart while m < 2^24.  The rows of keys are sorted in blocks of about
 2^16 entries, and every new maximum is recounted in int64.
 
 cone_region and slab_region build the regions around a point B that hold
-the small pairs of the relative and absolute pair splits; count_in counts
-the shell points in any region these constructors return.
+the small pairs of the relative and absolute pair splits: a cap, a segment,
+or a band that leaves one hemisphere split at the equator into two closed
+segments.  count_in counts the shell points in any of these.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +32,6 @@ from .lattice import Shell
 __all__ = [
     "CapSpec",
     "SegmentSpec",
-    "Slab",
     "cap_from",
     "segment_from",
     "count_in",
@@ -41,10 +41,6 @@ __all__ = [
     "cone_region",
     "slab_region",
 ]
-
-log = logging.getLogger(__name__)
-
-_CONSISTENCY_RTOL = 1e-9
 
 # kappa's plane keys tell planes apart for m < KAPPA_M_LIMIT; see kappa
 KAPPA_M_LIMIT = 2**24
@@ -84,23 +80,13 @@ class CapSpec:
         return d <= self.s + atol
 
 
-class _Band:
-    """Closed slab lo <= <p, beta> <= hi: the containment test of SegmentSpec
-    and Slab."""
-
-    def contains(self, points, atol: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        t = pts @ self.direction
-        return (t >= self.lo - atol) & (t <= self.hi + atol)
-
-
 @dataclass(frozen=True, eq=False)
-class SegmentSpec(_Band):
+class SegmentSpec:
     """Spherical segment: the slab offset - h <= <p, beta> <= offset on the sphere.
 
     ``offset`` is the signed height of the top base plane along beta and ``k``
     the radius of the larger base circle.  Both planes lie on one side of the
-    center (hemisphere convention); any two of h, k, theta determine the third.
+    center (hemisphere convention); ``contains`` tests the closed slab.
     """
 
     r_sphere: float
@@ -118,28 +104,10 @@ class SegmentSpec(_Band):
     def hi(self) -> float:
         return self.offset
 
-
-@dataclass(frozen=True, eq=False)
-class Slab(_Band):
-    """Raw slab lo <= <p, beta> <= hi intersected with the sphere.
-
-    Unlike SegmentSpec this carries no hemisphere convention; it is the
-    plumbing type for straddling test regions and whole-sphere degeneracies.
-    """
-
-    r_sphere: float
-    direction: np.ndarray = field(repr=False)
-    lo: float
-    hi: float
-
-    def split(self) -> tuple[SegmentSpec, SegmentSpec]:
-        """Split a straddling slab into its two hemisphere segments."""
-        if not self.lo < 0.0 < self.hi:
-            raise ValueError("only slabs straddling the equator can be split")
-        return (
-            _segment_between(self.r_sphere, self.direction, 0.0, self.hi),
-            _segment_between(self.r_sphere, self.direction, self.lo, 0.0),
-        )
+    def contains(self, points, atol: float = 0.0) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        t = pts @ self.direction
+        return (t >= self.lo - atol) & (t <= self.hi + atol)
 
 
 def _cap_params_from_h(r: float, h: float) -> tuple[float, float, float, float]:
@@ -203,13 +171,11 @@ def _segment_between(r: float, direction, lo: float, hi: float) -> SegmentSpec:
                        h=hi - lo, k=k, theta=max(theta, 0.0), offset=hi)
 
 
-def segment_from(r_sphere: float, direction, *, h=None, k=None, theta=None,
-                 offset: float) -> SegmentSpec:
-    """Build a hemisphere segment from offset plus parameters among h, k, theta.
+def segment_from(r_sphere: float, direction, *, h, offset) -> SegmentSpec:
+    """Build the hemisphere segment [offset - h, offset] along the direction.
 
-    The slab is [offset - h, offset] along the direction.  Extra parameters
-    are checked for mutual consistency (1e-9 relative); a slab with planes on
-    both sides of the center raises with instructions to split it.
+    A slab with planes on both sides of the center raises with instructions
+    to split it.
     """
     r = float(r_sphere)
     if not 0.0 < r < math.inf:
@@ -219,51 +185,17 @@ def segment_from(r_sphere: float, direction, *, h=None, k=None, theta=None,
     if not abs(offset) <= r + tol:
         raise ValueError(f"offset out of range [-R, R]: offset={offset}, R={r}")
     offset = min(max(offset, -r), r)
-    if h is None and k is None and theta is None:
-        raise ValueError("give at least one of h, k, theta")
-
-    if h is not None:
-        hh = float(h)
-        if not -tol <= hh < math.inf:
-            raise ValueError(f"h must be nonnegative and finite, got {hh}")
-        hh = max(hh, 0.0)
-    elif theta is not None:
-        th = float(theta)
-        if not -tol <= th <= math.pi + tol:
-            raise ValueError(f"theta out of range [0, pi]: {th}")
-        phi_hi = math.acos(min(1.0, max(-1.0, offset / r)))
-        phi_lo = phi_hi + min(max(th, 0.0), math.pi) / 2.0
-        if phi_lo > math.pi + 1e-12:
-            raise ValueError(f"theta={th} drops below the south pole from offset={offset}")
-        hh = offset - r * math.cos(min(phi_lo, math.pi))
-    else:
-        kk = float(k)
-        if not -tol <= kk <= r + tol:
-            raise ValueError(f"k out of range [0, R]: k={kk}, R={r}")
-        if offset <= 0:
-            # on the lower side the larger base is the offset plane itself,
-            # so k carries no height information
-            raise ValueError("k does not determine a lower-hemisphere segment; give h or theta")
-        lo = math.sqrt(max(r * r - min(kk, r) ** 2, 0.0))
-        if lo > offset + tol:
-            raise ValueError(f"base radius k={kk} is inconsistent with offset={offset}")
-        hh = offset - min(lo, offset)
-
-    lo = offset - hh
+    hh = float(h)
+    if not -tol <= hh < math.inf:
+        raise ValueError(f"h must be nonnegative and finite, got {hh}")
+    lo = offset - max(hh, 0.0)
     if lo < -r - tol:
         raise ValueError(f"lower plane below the sphere: offset-h={lo}, R={r}")
     lo = max(lo, -r)
     if offset > tol and lo < -tol:
         raise ValueError(
             "segment straddles the equator; split it into two hemisphere segments")
-    seg = _segment_between(r, direction, lo, offset)
-    for name, given, got in (("h", h, seg.h), ("k", k, seg.k), ("theta", theta, seg.theta)):
-        if given is not None:
-            scale = max(1.0, abs(got))
-            if not abs(float(given) - got) <= _CONSISTENCY_RTOL * scale:
-                raise ValueError(
-                    f"inconsistent segment parameters: {name}={given} vs derived {got}")
-    return seg
+    return _segment_between(r, direction, lo, offset)
 
 
 def _check_radius(shell: Shell, r_sphere: float) -> None:
@@ -273,9 +205,9 @@ def _check_radius(shell: Shell, r_sphere: float) -> None:
 
 
 def count_in(shell: Shell, region) -> int:
-    """Count the shell points in a closed region: a CapSpec, SegmentSpec or
-    Slab, or a split pair of segments, which counts as the union of its two
-    parts (so the plane the parts share counts once)."""
+    """Count the shell points in a closed region: a CapSpec, a SegmentSpec,
+    or a pair of segments split at the equator, which counts as the union of
+    its two parts (so the equator plane both parts hold counts once)."""
     parts = region if isinstance(region, tuple) else (region,)
     inside = np.zeros(shell.n, dtype=bool)
     for part in parts:
@@ -393,30 +325,22 @@ def _snap(x: float, tol: float = 1e-12) -> float:
 
 
 def _band_region(r: float, beta: np.ndarray, z_lo: float, z_hi: float):
-    """Region of the sphere with scaled heights in [z_lo, z_hi] (z in [-1, 1]),
-    returned per the hemisphere convention: a cap when a pole is included,
-    a segment when one hemisphere contains the band, a split pair otherwise."""
+    """Region of the sphere with scaled heights in [z_lo, z_hi] (z in [-1, 1]):
+    a cap when the band holds a pole and stays in that pole's hemisphere, a
+    segment when it holds no pole and stays in one hemisphere, and otherwise
+    its two closed halves split at the equator (the upper one first).  The
+    whole sphere is the last case: its two hemispheres."""
     z_lo, z_hi = _snap(max(z_lo, -1.0)), _snap(min(z_hi, 1.0))
-    if z_lo <= -1.0 and z_hi >= 1.0:
-        log.warning("region covers the whole sphere; returning a clamped slab")
-        return Slab(r_sphere=r, direction=beta, lo=-r, hi=r)
-    if z_hi >= 1.0:  # north pole included
-        if z_lo >= 0.0:
-            return cap_from(r, h=r * (1.0 - z_lo), direction=beta)
-        return (
-            _segment_between(r, beta, 0.0, r),
-            _segment_between(r, beta, r * z_lo, 0.0),
-        )
-    if z_lo <= -1.0:  # south pole included
-        if z_hi <= 0.0:
-            return cap_from(r, h=r * (1.0 + z_hi), direction=-beta)
-        return (
-            _segment_between(r, beta, 0.0, r * z_hi),
-            _segment_between(r, beta, -r, 0.0),
-        )
+    if z_hi >= 1.0 and z_lo >= 0.0:
+        return cap_from(r, h=r * (1.0 - z_lo), direction=beta)
+    if z_lo <= -1.0 and z_hi <= 0.0:
+        return cap_from(r, h=r * (1.0 + z_hi), direction=-beta)
     if z_lo >= 0.0 or z_hi <= 0.0:
         return _segment_between(r, beta, r * z_lo, r * z_hi)
-    return Slab(r_sphere=r, direction=beta, lo=r * z_lo, hi=r * z_hi).split()
+    return (
+        _segment_between(r, beta, 0.0, r * z_hi),
+        _segment_between(r, beta, r * z_lo, 0.0),
+    )
 
 
 def cone_region(B, beta, c: float):
@@ -428,7 +352,7 @@ def cone_region(B, beta, c: float):
     [phi - delta, phi + delta] with delta = 2*arcsin(c): a segment of opening
     angle 4*delta <= 8c(1+c^2), or a cap of radius at most 4cR when the band
     swallows a pole.  Returns a CapSpec, a SegmentSpec, or a pair of
-    SegmentSpecs when the band straddles the equator.
+    SegmentSpecs split at the equator when the band leaves one hemisphere.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"c out of range (0, 1): {c}")
@@ -449,8 +373,9 @@ def slab_region(B, beta, c: float):
     """Region of sphere points B' with |<B - B', beta>| <= c: the slab of
     height 2c centered at the height of B, clamped to the sphere.
 
-    Near a pole the region becomes a cap of height at most 2c; c >= R
-    degenerates to the whole sphere (clamped, with a logged warning).
+    Near a pole the region becomes a cap of height at most 2c; a slab that
+    reaches both poles (c >= 2R always does) is the whole sphere, returned
+    as its two closed hemispheres.
     """
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")

@@ -514,22 +514,24 @@ def monte_carlo(
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     grid = _base_grid(shell, line)
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    counts: list[int] = []
+    # spawn is stateful: children spawned block by block are those of one
+    # spawn(trials), without holding every trial's stream at once
+    root = np.random.SeedSequence(seed)
+    counts: Counter[int] = Counter()
     near_tangency = depth_hit = 0
     for start in range(0, trials, BLOCK_TRIALS):
         samples = [sample_wave(shell, np.random.default_rng(stream))
-                   for stream in streams[start:start + BLOCK_TRIALS]]
+                   for stream in root.spawn(min(BLOCK_TRIALS, trials - start))]
         try:
             scan = _scan(samples, grid)
         except DegenerateSampleError as exc:
             raise DegenerateSampleError(f"trial {start + exc.row}: {exc}") from exc
-        counts.extend(_counts(scan).tolist())
+        counts.update(_counts(scan).tolist())
         near_tangency += int(np.count_nonzero(scan.tangency))
         depth_hit += int(np.count_nonzero(scan.depth_hit))
 
-    total = sum(counts)
-    total_sq = sum(c * c for c in counts)
+    total = sum(c * k for c, k in counts.items())
+    total_sq = sum(c * c * k for c, k in counts.items())
     mean = total / trials
     variance = (trials * total_sq - total * total) / (trials * (trials - 1))
     return MonteCarloReport(
@@ -540,7 +542,7 @@ def monte_carlo(
         mean=mean,
         variance=variance,
         stderr=math.sqrt(variance / trials),
-        histogram=dict(sorted(Counter(counts).items())),
+        histogram=dict(sorted(counts.items())),
         near_tangency_trials=near_tangency,
         depth_hit_trials=depth_hit,
         seed=seed,

@@ -23,7 +23,6 @@ PUBLIC = [
     "RieszResult",
     "SegmentSpec",
     "Shell",
-    "Slab",
     "SquaredCovarianceTerms",
     "WaveSample",
     "ZeroCount",

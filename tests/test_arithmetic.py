@@ -11,6 +11,7 @@ from scipy import integrate
 from nodal_lab import arithmetic
 from nodal_lab.arithmetic import (
     BoundMode,
+    check_rho,
     integral_sq,
     pair_sums,
     q_sum,
@@ -393,6 +394,17 @@ class TestVarianceBound:
             pair_sums(shell, AXIS, math.inf)
         with pytest.raises(ValueError, match="rho"):
             variance_bound(shell, LineSegment(AXIS, 1.0), BoundMode.CONDITIONAL, rho=math.inf)
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-200])
+    def test_relative_split_modes_reject_rho_with_zero_square(self, rho):
+        # the tail divides by rho^2, which is 0 here (1e-200 underflows)
+        shell = enumerate_shell(5)
+        for mode, direction in ((BoundMode.IRRATIONAL, IRR), (BoundMode.HALF_RATIONAL, HALF)):
+            with pytest.raises(ValueError, match="rho\\^2"):
+                check_rho(mode, rho)
+            with pytest.raises(ValueError, match="rho\\^2"):
+                variance_bound(shell, LineSegment(direction, 1.0), mode, rho=rho)
+        check_rho(BoundMode.CONDITIONAL, rho)
 
     def test_rational_mode_rejects_rho(self):
         shell = enumerate_shell(5)

@@ -265,6 +265,17 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert "--rho" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("direction", ["irr:std", "halfrat:1,1,sqrt2"])
+    @pytest.mark.parametrize("rho", ["0", "1e-200"])
+    def test_rho_with_zero_square_is_usage_error(self, capsys, monkeypatch, direction, rho):
+        def refuse(m):
+            raise AssertionError(f"enumerated m={m}")
+
+        monkeypatch.setattr(cli, "enumerate_shell", refuse)
+        assert main(["bounds", "--m", "5", "--dir", direction, "--rho", rho]) == 2
+        captured = capsys.readouterr()
+        assert "--rho" in captured.err and captured.out == ""
+
     def test_m_past_kappa_range_is_usage_error(self, capsys, monkeypatch):
         def refuse(m):
             raise AssertionError(f"enumerated m={m}")

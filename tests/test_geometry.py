@@ -8,10 +8,11 @@ import pytest
 from helpers_geometry import (chi_exact, kappa_all_anchors, kappa_brute, region_contains,
                               sample_sphere)
 from nodal_lab import geometry
+from nodal_lab.arithmetic import BoundMode, _default_rho
+from nodal_lab.cli import parse_direction
 from nodal_lab.geometry import (
     KAPPA_M_LIMIT,
     CapSpec,
-    Slab,
     cap_from,
     cone_region,
     count_in,
@@ -95,7 +96,7 @@ def test_cap_quadruple_identities_random():
 
 
 def test_segment_hemisphere_example():
-    seg = segment_from(1.0, (0, 0, 1), h=1.0, k=1.0, offset=0.0)
+    seg = segment_from(1.0, (0, 0, 1), h=1.0, offset=0.0)
     assert abs(seg.theta - math.pi) < 1e-12
     assert seg.lo == -1.0 and seg.hi == 0.0
 
@@ -114,39 +115,9 @@ def test_segment_theta_from_height_difference():
     assert abs(seg.theta - math.pi / 3) < 1e-12
 
 
-def test_segment_from_k_and_offset_upper():
-    base = segment_from(3.0, (0, 1, 0), h=0.8, offset=2.5)
-    rebuilt = segment_from(3.0, (0, 1, 0), k=base.k, offset=2.5)
-    assert abs(rebuilt.h - base.h) < 1e-9
-    assert abs(rebuilt.theta - base.theta) < 1e-9
-
-
-def test_segment_from_theta_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        r = float(rng.uniform(0.5, 10.0))
-        hi = float(rng.uniform(-r, r))
-        h = float(rng.uniform(0, r - abs(hi))) if hi > 0 else float(rng.uniform(0, r + hi))
-        if hi > 0:
-            h = float(rng.uniform(0, hi))  # keep within upper hemisphere
-        seg = segment_from(r, (0, 0, 1), h=h, offset=hi)
-        again = segment_from(r, (0, 0, 1), theta=seg.theta, offset=hi)
-        assert abs(again.h - seg.h) < 1e-8 * max(1.0, r)
-        # consistent overdetermined call must pass, inconsistent must raise
-        segment_from(r, (0, 0, 1), h=seg.h, theta=seg.theta, offset=hi)
-        if seg.theta > 1e-3:
-            with pytest.raises(ValueError):
-                segment_from(r, (0, 0, 1), h=seg.h + 0.5 * r, theta=seg.theta, offset=hi)
-
-
 def test_segment_straddle_rejected():
     with pytest.raises(ValueError, match="split"):
         segment_from(1.0, (0, 0, 1), h=0.8, offset=0.4)
-
-
-def test_segment_k_on_lower_side_rejected():
-    with pytest.raises(ValueError, match="give h or theta"):
-        segment_from(1.0, (0, 0, 1), k=0.5, offset=-0.2)
 
 
 def inside(shell, region):
@@ -174,10 +145,13 @@ def test_count_radius_mismatch():
 
 
 def test_count_in_segment_examples():
+    # the band |z| <= 0.5 on E(2), split at the equator, holds the four
+    # points with z = 0
     shell2 = enumerate_shell(2)
-    slab = Slab(math.sqrt(2), np.array([0.0, 0.0, 1.0]), -0.5, 0.5)
-    assert count_in(shell2, slab) == 4
-    assert all(p[2] == 0 for p in inside(shell2, slab))
+    band = (segment_from(math.sqrt(2), (0, 0, 1), h=0.5, offset=0.5),
+            segment_from(math.sqrt(2), (0, 0, 1), h=0.5, offset=0.0))
+    assert count_in(shell2, band) == 4
+    assert all(p[2] == 0 for p in shell2.coords[region_contains(band, shell2.coords, 0.0)])
     shell1 = enumerate_shell(1)
     up = segment_from(1.0, (0, 0, 1), h=0.5, offset=1.0)
     assert count_in(shell1, up) == 1 and inside(shell1, up) == [[0, 0, 1]]
@@ -396,14 +370,17 @@ def test_slab_region_equator_split():
 
 def test_slab_region_large_c_degenerates():
     # from a pole, c past R reaches below the equator: a split pair of total
-    # height R + c; from c >= 2R the slab covers the whole sphere (clamped)
+    # height R + c; from c >= 2R the slab covers the whole sphere, returned
+    # as its two closed hemispheres
     reg = slab_region((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.5)
     assert isinstance(reg, tuple)
     # [z0 - c, z0 + c] clamped at the pole: height R - (z0 - c) = 1.5
     assert abs(sum(p.h for p in reg) - 1.5) < 1e-12
     whole = slab_region((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 2.5)
-    assert isinstance(whole, Slab)
-    assert whole.lo == -1.0 and whole.hi == 1.0
+    assert [(p.lo, p.hi) for p in whole] == [(0.0, 1.0), (-1.0, 0.0)]
+    assert sum(p.h for p in whole) == 2.0
+    shell = enumerate_shell(1)
+    assert count_in(shell, whole) == shell.n
 
 
 def test_slab_region_rejection_sampling():
@@ -421,6 +398,28 @@ def test_slab_region_rejection_sampling():
         assert region_contains(reg, pts[qualifying]).all()
 
 
+def test_regions_hold_each_points_small_pairs():
+    # criterion 4 compares sums over B; here every B is checked on its own
+    # against the direct count of its partners B'
+    for m in (5, 50, 101):
+        shell = enumerate_shell(m)
+        pts = shell.coords.astype(np.float64)
+        rho = _default_rho(BoundMode.CONDITIONAL, m)
+        for label in ("rat:1,1,0", "irr:std"):
+            alpha = parse_direction(label).components
+            for b in pts:
+                direct = int((np.abs((b - pts) @ alpha) <= rho).sum())
+                assert count_in(shell, slab_region(b, alpha, rho)) == direct, (m, label, b)
+        alpha = parse_direction("irr:std").components
+        rho = _default_rho(BoundMode.IRRATIONAL, m)
+        for b in pts:
+            diff = b - pts
+            direct = int((np.abs(diff @ alpha) <= rho * np.linalg.norm(diff, axis=1)).sum())
+            assert count_in(shell, cone_region(b, alpha, rho)) >= direct, (m, b)
+            whole = slab_region(b, alpha, 2.5 * shell.radius)
+            assert count_in(shell, whole) == shell.n, (m, b)
+
+
 NAN, INF = math.nan, math.inf
 
 
@@ -430,7 +429,6 @@ NAN, INF = math.nan, math.inf
     (lambda: cap_from(INF, h=1.0), "r_sphere"),
     (lambda: segment_from(2.0, (0, 0, 1), h=NAN, offset=1.0), "h must be"),
     (lambda: segment_from(2.0, (0, 0, 1), h=0.5, offset=NAN), "offset"),
-    (lambda: segment_from(2.0, (0, 0, 1), h=0.5, theta=NAN, offset=1.0), "inconsistent"),
     (lambda: segment_from(INF, (0, 0, 1), h=0.5, offset=1.0), "r_sphere"),
     (lambda: slab_region((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), NAN), "c must be"),
     (lambda: slab_region((NAN, 0.0, 0.0), (0.0, 0.0, 1.0), 0.3), "finite point"),

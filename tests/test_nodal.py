@@ -1,6 +1,7 @@
 """Zero counting and Monte-Carlo statistics of the count."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -258,6 +259,23 @@ def test_monte_carlo_block_size_leaves_report_unchanged(monkeypatch, m, spec, bl
     default = monte_carlo(shell, line, trials=40, seed=5)
     monkeypatch.setattr(nodal, "BLOCK_TRIALS", block)
     assert monte_carlo(shell, line, trials=40, seed=5) == default
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    # the trial streams are spawned per block and the counts kept as a
+    # histogram, so 8x the trials costs no more than a fixed margin
+    shell = enumerate_shell(1)
+    line = LineSegment(E1, 1.0)
+    monte_carlo(shell, line, trials=16, seed=0)  # first-call imports
+    peaks = []
+    for trials in (1000, 8000):
+        tracemalloc.start()
+        try:
+            monte_carlo(shell, line, trials=trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
 
 
 def test_f_at_matches_evaluate_f():
