@@ -52,15 +52,12 @@ __all__ = [
     "BoundMode",
     "BoundReport",
     "RieszResult",
-    "check_mode",
-    "check_rho",
     "integral_sq",
     "q_sum",
     "r2_terms",
     "pair_sums",
     "variance_bound",
     "riesz_energy",
-    "ENVELOPE_EPSILONS",
 ]
 
 log = logging.getLogger(__name__)
@@ -315,15 +312,18 @@ def check_mode(mode: BoundMode, direction: Direction) -> None:
 
 def check_rho(mode: BoundMode, rho: float | None) -> None:
     """Raise ValueError if rho is given to the rational bound, which uses none,
-    or if the irrational or half-rational tail 1/(pi^2 rho^2) would divide by
-    rho^2 = 0 (rho = 0, or so small that rho^2 underflows)."""
+    or if the irrational or half-rational tail weight 1/(pi^2 rho^2) is not
+    finite: rho = 0, or so small that pi^2 rho^2 underflows to 0 or its
+    inverse overflows (rho below about 2.4e-155)."""
     if rho is None:
         return
     if mode is BoundMode.RATIONAL:
         raise ValueError(f"the rational bound uses no rho, got {rho}")
-    if mode in (BoundMode.IRRATIONAL, BoundMode.HALF_RATIONAL) and not rho * rho > 0:
-        raise ValueError(f"the {mode.value} bound divides by rho^2, which is not "
-                         f"positive for rho={rho}")
+    if mode in (BoundMode.IRRATIONAL, BoundMode.HALF_RATIONAL):
+        pi_sq_rho_sq = PI_SQ * rho * rho
+        if not (pi_sq_rho_sq > 0 and math.isfinite(1.0 / pi_sq_rho_sq)):
+            raise ValueError(f"the {mode.value} bound divides by pi^2 rho^2, whose inverse "
+                             f"is not finite for rho={rho}")
 
 
 _MODE_EXPONENT = {
@@ -420,6 +420,10 @@ def variance_bound(
     else:
         tail = parts.inv_dist_sq_sum / (PI_SQ * rho_used * rho_used)
         bound = (length * length * parts.s_small + tail) / n_sq
+
+    if not (math.isfinite(q_val) and math.isfinite(bound)):
+        raise ValueError(f"the {mode.value} bound overflows at m={shell.m}: "
+                         f"q_value={q_val}, bound_value={bound}")
 
     if mode is BoundMode.RATIONAL:
         envelope = {0.0: kap / shell.n}

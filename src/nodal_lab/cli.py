@@ -66,6 +66,8 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 3
 COMMANDS = ("shell", "wave", "simulate", "bounds", "riesz", "verify")
+MODES = tuple(mode.value for mode in BoundMode)
+FORMATS = ("csv", "json")
 MEAN_FACTOR = 2.0 / math.sqrt(3.0)
 
 IRRATIONAL_CATALOG = {
@@ -94,7 +96,8 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One CLI invocation: command, inputs and output routing."""
+    """One CLI invocation: command, inputs and output routing.  The field
+    defaults are the command line's: parse_args passes only the given flags."""
 
     command: str
     m_list: tuple[int, ...]
@@ -120,18 +123,19 @@ class ExperimentConfig:
                 raise UsageError(
                     "--m", f"bounds needs kappa, which is exact only for m < {KAPPA_M_LIMIT}, "
                     f"got {m}")
-        if not (math.isfinite(self.length) and self.length > 0):
+        if not (math.isfinite(self.length * self.length) and self.length > 0):
             raise UsageError(
-                "--len", f"segment length must be positive and finite, got {self.length}")
+                "--len", f"segment length must be positive with a finite square, "
+                f"got {self.length}")
         if self.seed < 0:
             raise UsageError("--seed", f"seed must be a nonnegative integer, got {self.seed}")
         if self.command == "simulate" and self.trials < 2:
             raise UsageError("--trials", f"simulate needs at least 2 trials, got {self.trials}")
-        if self.mode is not None and self.mode not in [m.value for m in BoundMode]:
+        if self.mode is not None and self.mode not in MODES:
             raise UsageError("--mode", f"unknown mode {self.mode!r}")
         if not 0.0 < self.sigma < 2.0:
             raise UsageError("--sigma", f"sigma must lie in (0, 2), got {self.sigma}")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise UsageError("--format", f"unknown format {self.format!r}")
         if self.rho is not None and not 0 <= self.rho < math.inf:
             raise UsageError("--rho", f"rho must be nonnegative and finite, got {self.rho}")
@@ -511,38 +515,23 @@ def _parse_m_list(text: str) -> tuple[int, ...]:
 
 def parse_args(argv) -> ExperimentConfig:
     parser = argparse.ArgumentParser(
-        prog="nodal-lab",
+        prog="nodal-lab", argument_default=argparse.SUPPRESS,
         description="Lattice-shell wave experiments: shells, samples, zero counts, bounds.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--m", default="1", help="comma-separated shell numbers")
-    parser.add_argument("--dir", dest="direction", default="rat:1,0,0",
+    parser.add_argument("--dir", dest="direction",
                         help="rat:a,b,c | halfrat:u,v,<slope> | irr:<name>")
-    parser.add_argument("--len", dest="length", type=float, default=1.0,
-                        help="segment length")
-    parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rho", type=float, default=None,
-                        help="pair-split threshold override")
-    parser.add_argument("--mode", choices=[m.value for m in BoundMode], default=None,
+    parser.add_argument("--len", dest="length", type=float, help="segment length")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--rho", type=float, help="pair-split threshold override")
+    parser.add_argument("--mode", choices=MODES,
                         help="bound mode (default: match the direction)")
-    parser.add_argument("--sigma", type=float, default=1.0,
-                        help="Riesz energy exponent in (0, 2)")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    args = parser.parse_args(argv)
-    return ExperimentConfig(
-        command=args.command,
-        m_list=_parse_m_list(args.m),
-        direction=args.direction,
-        length=args.length,
-        trials=args.trials,
-        seed=args.seed,
-        rho=args.rho,
-        mode=args.mode,
-        sigma=args.sigma,
-        out=args.out,
-        format=args.format,
-    )
+    parser.add_argument("--sigma", type=float, help="Riesz energy exponent in (0, 2)")
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--format", choices=FORMATS)
+    given = vars(parser.parse_args(argv))
+    return ExperimentConfig(m_list=_parse_m_list(given.pop("m")), **given)
 
 
 def main(argv=None) -> int:

@@ -31,13 +31,26 @@ __all__ = [
 ]
 
 
+# Integer direction entries (a rational triple, or a half-rational u, v) stay
+# below this in magnitude after gcd reduction, so each exact pair test
+# |<mu - mu', a>| < 3 * 2^32 * sqrt(m) on |mu|^2 = m fits int64 for m < ~5e17.
+INT_DIRECTION_LIMIT = 2**31
+
+
+def _check_int_entries(entries: tuple[int, ...]) -> None:
+    if any(abs(t) >= INT_DIRECTION_LIMIT for t in entries):
+        raise ValueError(
+            f"integer direction entries must have magnitude below INT_DIRECTION_LIMIT = "
+            f"{INT_DIRECTION_LIMIT} after gcd reduction, got {entries}")
+
+
 class Rationality(enum.Enum):
     RATIONAL = "rational"
     HALF_RATIONAL = "half_rational"
     IRRATIONAL = "irrational"
 
 
-def _canonical_sign(vec: np.ndarray) -> int:
+def _canonical_sign(vec) -> int:
     for comp in vec:
         if comp != 0:
             return 1 if comp > 0 else -1
@@ -66,10 +79,10 @@ class Direction:
         triple = (int(a), int(b), int(c))
         if not any(triple):
             raise ValueError("rational direction needs a nonzero integer triple")
-        g = math.gcd(math.gcd(abs(triple[0]), abs(triple[1])), abs(triple[2]))
+        g = math.gcd(*triple)
         triple = tuple(t // g for t in triple)
-        vec = np.array(triple, dtype=np.float64)
-        sign = _canonical_sign(vec)
+        _check_int_entries(triple)
+        sign = _canonical_sign(triple)
         triple = tuple(sign * t for t in triple)
         comps = np.array(triple, dtype=np.float64)
         comps /= np.linalg.norm(comps)
@@ -87,6 +100,7 @@ class Direction:
             raise ValueError(f"v must be a positive integer, got {v}")
         g = math.gcd(abs(u), v)
         u, v = u // g, v // g
+        _check_int_entries((u, v))
         vec = np.array([v, u, zeta * v], dtype=np.float64)
         comps = vec / np.linalg.norm(vec)
         comps.setflags(write=False)

@@ -29,7 +29,6 @@ __all__ = [
     "evaluate_f_prime",
     "covariance",
     "line_frequencies",
-    "half_frequencies",
     "second_moment_ratio",
 ]
 
@@ -45,8 +44,9 @@ class LineSegment:
 
     def __post_init__(self):
         length = float(self.length)
-        if not (math.isfinite(length) and length > 0):
-            raise ValueError(f"segment length must be positive, got {self.length}")
+        if not (math.isfinite(length * length) and length > 0):
+            raise ValueError(
+                f"segment length must be positive with a finite square, got {self.length}")
         object.__setattr__(self, "length", length)
 
     def point(self, t):

@@ -311,11 +311,19 @@ class TestVarianceBound:
         assert cond.conjecture_assumed
 
     def test_envelope_curves(self):
+        # m^-(exponent - eps), the default rho = 3^rho_power at m = 9, and
+        # whether the mode rests on the conjecture, for each split mode
         shell = enumerate_shell(9)
-        report = variance_bound(shell, LineSegment(IRR, 1.0), BoundMode.IRRATIONAL)
-        assert set(report.envelope) == {0.01, 0.05}
-        for eps, value in report.envelope.items():
-            assert value == pytest.approx(9.0 ** -(1.0 / 7.0 - eps), rel=1e-15)
+        for mode, direction, exponent, rho_power, conjecture in (
+                (BoundMode.IRRATIONAL, IRR, 1.0 / 7.0, -6.0 / 7.0, False),
+                (BoundMode.HALF_RATIONAL, HALF, 1.0 / 5.0, -4.0 / 5.0, False),
+                (BoundMode.CONDITIONAL, AXIS, 1.0 / 4.0, 3.0 / 8.0, True)):
+            report = variance_bound(shell, LineSegment(direction, 1.0), mode)
+            assert set(report.envelope) == {0.01, 0.05}
+            for eps, value in report.envelope.items():
+                assert value == pytest.approx(9.0 ** -(exponent - eps), rel=1e-15)
+            assert report.rho == pytest.approx(3.0 ** rho_power, rel=1e-15)
+            assert report.conjecture_assumed is conjecture
 
     def test_mode_requires_matching_direction(self):
         shell = enumerate_shell(5)
@@ -395,9 +403,10 @@ class TestVarianceBound:
         with pytest.raises(ValueError, match="rho"):
             variance_bound(shell, LineSegment(AXIS, 1.0), BoundMode.CONDITIONAL, rho=math.inf)
 
-    @pytest.mark.parametrize("rho", [0.0, 1e-200])
+    @pytest.mark.parametrize("rho", [0.0, 1e-200, 1e-160])
     def test_relative_split_modes_reject_rho_with_zero_square(self, rho):
-        # the tail divides by rho^2, which is 0 here (1e-200 underflows)
+        # the tail divides by rho^2, which is 0 here (1e-200 underflows) or
+        # so small that 1/(pi^2 rho^2) overflows (1e-160)
         shell = enumerate_shell(5)
         for mode, direction in ((BoundMode.IRRATIONAL, IRR), (BoundMode.HALF_RATIONAL, HALF)):
             with pytest.raises(ValueError, match="rho\\^2"):
@@ -405,6 +414,14 @@ class TestVarianceBound:
             with pytest.raises(ValueError, match="rho\\^2"):
                 variance_bound(shell, LineSegment(direction, 1.0), mode, rho=rho)
         check_rho(BoundMode.CONDITIONAL, rho)
+
+    def test_overflowing_tail_raises(self):
+        # 1/(pi^2 rho^2) is finite at rho = 1e-154, but the tail sum is not
+        shell = enumerate_shell(5)
+        for mode, direction in ((BoundMode.IRRATIONAL, IRR), (BoundMode.HALF_RATIONAL, HALF)):
+            check_rho(mode, 1e-154)
+            with pytest.raises(ValueError, match="overflows"):
+                variance_bound(shell, LineSegment(direction, 1.0), mode, rho=1e-154)
 
     def test_rational_mode_rejects_rho(self):
         shell = enumerate_shell(5)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from nodal_lab.cli import (
     run,
 )
 from nodal_lab.diophantine import Rationality
+from nodal_lab.lattice import enumerate_shell
 
 
 def read_csv(path):
@@ -48,6 +50,7 @@ class TestConfig:
         (dict(rho=math.nan), "--rho"),
         (dict(command="wave", direction="rat:one,0,0"), "--dir"),
         (dict(length=math.inf), "--len"),
+        (dict(length=1e200), "--len"),
     ])
     def test_validate_names_offending_field(self, overrides, field):
         config = make_config(**overrides)
@@ -266,7 +269,7 @@ class TestBoundsCommand:
         assert "--rho" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("direction", ["irr:std", "halfrat:1,1,sqrt2"])
-    @pytest.mark.parametrize("rho", ["0", "1e-200"])
+    @pytest.mark.parametrize("rho", ["0", "1e-200", "1e-160"])
     def test_rho_with_zero_square_is_usage_error(self, capsys, monkeypatch, direction, rho):
         def refuse(m):
             raise AssertionError(f"enumerated m={m}")
@@ -275,6 +278,36 @@ class TestBoundsCommand:
         assert main(["bounds", "--m", "5", "--dir", direction, "--rho", rho]) == 2
         captured = capsys.readouterr()
         assert "--rho" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("direction", [
+        "rat:1,4611686018427387904,0", "rat:1,9223372036854775807,0",
+        "rat:1,99999999999999999999,0", "halfrat:4611686018427387904,1,sqrt2",
+    ])
+    def test_direction_past_int_limit_is_usage_error(self, capsys, monkeypatch, direction):
+        def refuse(m):
+            raise AssertionError(f"enumerated m={m}")
+
+        monkeypatch.setattr(cli, "enumerate_shell", refuse)
+        assert main(["bounds", "--m", "101", "--dir", direction]) == 2
+        captured = capsys.readouterr()
+        assert "--dir" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("direction,m", [
+        ("rat:1,2147483647,0", 101), ("halfrat:2147483647,1,sqrt2", 5)])
+    def test_s_zero_at_int_limit_matches_exact_count(self, tmp_path, direction, m):
+        out = tmp_path / "bounds.csv"
+        run(make_config(command="bounds", m_list=(m,), direction=direction, out=str(out)))
+        # zero pairs counted in Python ints: <mu, a> for rat:a, and the
+        # pair (v*x + u*y, z) for halfrat:u,v (zeta irrational)
+        d = parse_direction(direction)
+        coords = enumerate_shell(m).coords.tolist()
+        if d.ints is not None:
+            keys = [sum(c * a for c, a in zip(mu, d.ints)) for mu in coords]
+        else:
+            u, v = d.uv
+            keys = [(v * x + u * y, z) for x, y, z in coords]
+        expected = sum(count * count for count in Counter(keys).values())
+        assert int(read_csv(out)[0]["s_zero"]) == expected
 
     def test_m_past_kappa_range_is_usage_error(self, capsys, monkeypatch):
         def refuse(m):

@@ -38,6 +38,25 @@ def test_direction_rejects_degenerate():
 
 
 @pytest.mark.parametrize("build", [
+    lambda: Direction.rational(1, 2**62, 0),
+    lambda: Direction.rational(1, 2**63 - 1, 0),
+    lambda: Direction.rational(1, 10**20 - 1, 0),
+    lambda: Direction.rational(-(2**31), 0, 1),
+    lambda: Direction.half_rational(2**62, 1, math.sqrt(2)),
+    lambda: Direction.half_rational(1, 2**31, math.sqrt(2)),
+])
+def test_integer_directions_reject_entries_past_limit(build):
+    with pytest.raises(ValueError, match="INT_DIRECTION_LIMIT"):
+        build()
+
+
+def test_integer_directions_reduce_before_the_limit():
+    assert Direction.rational(2**31, 2**32, 0).ints == (1, 2, 0)
+    assert Direction.rational(1, 2**31 - 1, -(2**31 - 1)).ints == (1, 2**31 - 1, -(2**31 - 1))
+    assert Direction.half_rational(2**33, 2**32, math.sqrt(2)).uv == (2, 1)
+
+
+@pytest.mark.parametrize("build", [
     lambda: Direction.irrational(math.nan, 1.0, 1.0),
     lambda: Direction.irrational(1.0, 1.0, math.nan),
     lambda: Direction.irrational(math.inf, 1.0, 1.0),

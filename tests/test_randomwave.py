@@ -49,6 +49,8 @@ def test_line_segment_validation():
         LineSegment(E1, 0.0)
     with pytest.raises(ValueError):
         LineSegment(E1, -1.0)
+    with pytest.raises(ValueError, match="finite square"):
+        LineSegment(E1, 1e200)  # L^2 overflows
 
 
 def test_wave_sample_structure():
