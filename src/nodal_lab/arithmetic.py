@@ -13,20 +13,29 @@ exactly zero is decided in integer arithmetic whenever the direction's
 declared rationality allows it; only fully irrational directions fall back
 to a tolerance.
 
-Every pair sum runs over block-triangular row tiles: rows [lo, hi) against
-columns [lo, N), about TILE_ENTRIES entries each, so a sum takes O(N^2) time
-in O(TILE_ENTRIES) memory and no N x N table is ever built.  Each summand is
-symmetric in the pair: integral_sq is even in beta, beta_ji = -beta_ij
-exactly in floating point (so the zero and small masks and 1/beta^2 agree
-on both), |mu - mu'|^2 is an exact integer, the weighted sums carry
-w_i * w_j, and Riesz distances are symmetric.  A tile's diagonal block
-therefore counts once and the columns right of it count twice, for the
-mirror pairs no tile holds: only half the pairs are evaluated, and counts
-stay exact integers.  When N^2 <= TILE_ENTRIES (N <= 256) the single tile is
-the whole table and each reduction is the whole-table one (one np.sum, one
-masked gather, one w @ E @ w), so small shells give the same floats as a
-dense evaluation; larger shells add their tile sums in another order and
-agree with it to rounding.
+Every pair sum except the Riesz energy runs over antipodal classes.  The
+shell is symmetric, E(m) = -E(m), and every summand is even in the pair,
+so the ordered pairs (mu, mu') and (-mu, -mu') add the same term: a sum
+takes its rows from the half shell H (the first N/2 rows, see
+randomwave.half_frequencies) and its columns from H and -H, and is doubled.
+integral_sq is even in beta, |mu - mu'|^2 = 2m - 2<mu, mu'> is an exact
+integer, the weighted sums carry w_i * w_j with w odd, and the zero tests
+see the same integers (or, for irrational directions, the same beta), so
+each summand of the half shell is bit for bit
+the dense table's entry for its pair.
+
+The rows of H then run over block-triangular tiles: rows [lo, hi) against
+the signed columns +-H[lo:], a (2, rows, cols) table of about TILE_ENTRIES
+entries, so a sum takes O(N^2) time in O(TILE_ENTRIES) memory and no N x N
+table is ever built.  Within either column block the summand is symmetric
+in (i, j): beta_ji = -beta_ij exactly in floating point (so the zero and
+small masks and 1/beta^2 agree on both), and b_i + b_j = b_j + b_i.  A
+tile's diagonal block therefore counts once and the columns right of it
+count twice, for the mirror pairs no tile holds; counts stay exact
+integers.  The sums add the dense table's summands in another order and
+match a dense evaluation to rounding.  The Riesz energy takes any unit
+point set, not only antipodal ones, and tiles the whole N x N table the
+same block-triangular way.
 
 The bound evaluation reports two numbers per mode: the exact intermediate
 quantity (a rigorous upper bound for q_sum by construction) and the
@@ -44,7 +53,7 @@ import numpy as np
 from .diophantine import Direction, Rationality
 from .geometry import kappa
 from .lattice import ProjectedShell, Shell
-from .randomwave import LineSegment, line_frequencies
+from .randomwave import LineSegment, half_frequencies
 
 __all__ = [
     "PairSums",
@@ -89,27 +98,37 @@ def integral_sq(beta, length: float):
     return float(out[0]) if scalar else out
 
 
-def _over_tiles(n: int, tile_sums):
+def _over_tiles(n: int, tile_sums, stop: int | None = None):
     """Add up tile_sums(lo, hi), a tuple of folded sums, over the row tiles.
 
-    Tile [lo, hi) holds the pairs of rows [lo, hi) and columns [lo, n) of an
-    n x n pair table, about TILE_ENTRIES of them.  The sums of a single tile
-    are returned as they are.
+    The rows [0, stop) run in tiles of TILE_ENTRIES // n rows, each against
+    n columns at most: the columns [lo, n) of an n x n pair table (stop = n),
+    or the signed half-shell columns +-H[lo:] (stop = n // 2).  The sums of a
+    single tile are returned as they are.
     """
+    stop = n if stop is None else stop
     rows = max(1, TILE_ENTRIES // n)
     total = None
-    for lo in range(0, n, rows):
-        part = tile_sums(lo, min(lo + rows, n))
+    for lo in range(0, stop, rows):
+        part = tile_sums(lo, min(lo + rows, stop))
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
     return total
+
+
+def _over_half_shell(shell: Shell, tile_sums):
+    """Sums over all ordered pairs of the shell from the half-shell row tiles:
+    each antipodal class {(mu, mu'), (-mu, -mu')} is evaluated once, so every
+    total is twice what the tiles add up to."""
+    return tuple(2 * total for total in _over_tiles(shell.n, tile_sums, shell.n // 2))
 
 
 def _fold(reduce, width: int, *tables):
     """reduce over one tile, each pair right of its diagonal block counted twice.
 
     tables are the tile's arrays (and column weights), whose last axis runs
-    over the columns [lo, n).  The first width columns are the diagonal block
-    and count once; the columns [hi, n) count twice, for the mirror pairs
+    over the columns from lo on (of the whole table, or of either signed
+    half-shell block).  The first width columns are the diagonal block and
+    count once; the columns from hi on count twice, for the mirror pairs
     below the diagonal that no tile holds.
     """
     total = reduce(*(t[..., :width] for t in tables))
@@ -122,22 +141,29 @@ def _masked_sum(values, keep):
     return np.sum(values[keep])
 
 
-def _pair_frequencies(b: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Tile of pair frequencies beta = b_i - b_j, rows i in [lo, hi), columns j >= lo."""
-    return b[lo:hi, None] - b[None, lo:]
+def _signed(cols: np.ndarray, parity: int = -1) -> np.ndarray:
+    """A column quantity of H[lo:] stacked with its value on -H[lo:]: negated
+    for an odd quantity (parity -1), repeated for an even one (parity 1)."""
+    return np.stack((cols, parity * cols))
+
+
+def _pair_differences(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Tile of x_i - x_j for an odd quantity x of the half shell: rows i in
+    [lo, hi), columns j over the signed columns +-H[lo:], shape (2, rows, cols)."""
+    return x[lo:hi, None] - _signed(x[lo:])[:, None, :]
 
 
 def q_sum(shell: Shell, line: LineSegment) -> float:
     """Normalized pair sum (1/N^2) * sum over ordered pairs of integral_sq."""
     if shell.n == 0:
         raise ValueError(f"q_sum needs a nonempty shell (m={shell.m})")
-    b = line_frequencies(shell, line.direction)
+    b = half_frequencies(shell, line.direction.components)
 
     def tile(lo, hi):
-        eye = integral_sq(_pair_frequencies(b, lo, hi), line.length)
+        eye = integral_sq(_pair_differences(b, lo, hi), line.length)
         return (_fold(np.sum, hi - lo, eye),)
 
-    (total,) = _over_tiles(shell.n, tile)
+    (total,) = _over_half_shell(shell, tile)
     return float(total / (shell.n * shell.n))
 
 
@@ -161,20 +187,21 @@ def r2_terms(shell: Shell, line: LineSegment) -> SquaredCovarianceTerms:
     """Evaluate the four squared-covariance pair sums exactly."""
     if shell.n == 0:
         raise ValueError(f"r2_terms needs a nonempty shell (m={shell.m})")
-    b = line_frequencies(shell, line.direction)
+    b = half_frequencies(shell, line.direction.components)
     w = b / math.sqrt(shell.m)
     w_sq = w * w
 
     def tile(lo, hi):
-        eye = integral_sq(_pair_frequencies(b, lo, hi), line.length)
+        eye = integral_sq(_pair_differences(b, lo, hi), line.length)
         width = hi - lo
         return (
             _fold(np.sum, width, eye),
-            _fold(lambda e, wc: w[lo:hi] @ e @ wc, width, eye, w[lo:]),
-            _fold(lambda e, wc: w_sq[lo:hi] @ e @ wc, width, eye, w_sq[lo:]),
+            _fold(lambda e, wc: np.vdot(w[lo:hi] @ e, wc), width, eye, _signed(w[lo:])),
+            _fold(lambda e, wc: np.vdot(w_sq[lo:hi] @ e, wc), width, eye,
+                  _signed(w_sq[lo:], 1)),
         )
 
-    rr, r1r1, r12r12 = _over_tiles(shell.n, tile)
+    rr, r1r1, r12r12 = _over_half_shell(shell, tile)
     n_sq = shell.n * shell.n
     return SquaredCovarianceTerms(rr=float(rr) / n_sq, r1r1=float(r1r1) / n_sq,
                                   r2r2=float(r1r1) / n_sq, r12r12=float(r12r12) / n_sq)
@@ -196,31 +223,46 @@ class PairSums:
 
 
 def _pair_tables(shell: Shell, direction: Direction):
-    """Tile builder: tables(lo, hi) gives the tile's pair frequencies, exact
-    zero mask, squared pair distances, and 1/beta^2 (0 on the zero pairs)."""
-    coords = shell.coords
-    b = line_frequencies(shell, direction)
+    """Tile builder over the half shell: tables(lo, hi) gives the signed
+    tile's pair frequencies, exact zero mask, squared pair distances, and
+    1/beta^2 (0 on the zero pairs), each of shape (2, rows, cols).
+
+    Every column quantity is odd and is negated on the antipodal block: the
+    frequencies, the Gram row (so dist^2 = 2m -+ 2<mu, mu'>), and the integer
+    keys of the exact zero tests.  The Gram tile is a float64 product: it and
+    2m -+ 2g are integers of magnitude at most 4m, so they are exact.
+    """
+    b = half_frequencies(shell, direction.components)
+    half = shell.coords[: shell.n // 2]
+    half_f = half.astype(np.float64)
+    two_m = 2.0 * shell.m
     if direction.rationality is Rationality.RATIONAL:
-        dots = coords @ np.array(direction.ints, dtype=np.int64)
+        dots = half @ np.array(direction.ints, dtype=np.int64)
         norm_sq = float(sum(c * c for c in direction.ints))
     elif direction.rationality is Rationality.HALF_RATIONAL:
         u, v = direction.uv
-        plane = v * coords[:, 0] + u * coords[:, 1]
-        height = coords[:, 2]
+        plane = v * half[:, 0] + u * half[:, 1]
+        height = half[:, 2]
 
     def tables(lo, hi):
-        beta = _pair_frequencies(b, lo, hi)
-        gram = coords[lo:hi] @ coords[lo:].T
-        dist_sq = (2 * shell.m - 2 * gram).astype(np.float64)
+        beta = _pair_differences(b, lo, hi)
+        # dist^2 = 2m - 2g on the columns H[lo:] and 2m + 2g on -H[lo:], built
+        # in one tile array: separate temporaries raised the process's peak RSS
+        dist_sq = np.empty((2, hi - lo, len(half) - lo))
+        gram_2 = dist_sq[1]
+        np.matmul(half_f[lo:hi], half_f[lo:].T, out=gram_2)
+        gram_2 *= 2.0
+        np.subtract(two_m, gram_2, out=dist_sq[0])
+        gram_2 += two_m
         if direction.rationality is Rationality.RATIONAL:
-            num = dots[lo:hi, None] - dots[None, lo:]
+            num = _pair_differences(dots, lo, hi)
             zero = num == 0
             num_f = num.astype(np.float64)
             inv_beta_sq = norm_sq / np.where(zero, np.inf, num_f * num_f)
         else:
             if direction.rationality is Rationality.HALF_RATIONAL:
-                zero = ((plane[lo:hi, None] == plane[None, lo:])
-                        & (height[lo:hi, None] == height[None, lo:]))
+                zero = ((_pair_differences(plane, lo, hi) == 0)
+                        & (_pair_differences(height, lo, hi) == 0))
             else:
                 zero = np.abs(beta) <= IRRATIONAL_ZERO_TOL
             inv_beta_sq = 1.0 / np.where(zero, np.inf, beta * beta)
@@ -284,8 +326,8 @@ def pair_sums(shell: Shell, direction: Direction, rho: float, mode: str = "relat
         raise ValueError(f"pair_sums needs a nonempty shell (m={shell.m})")
     _check_split(rho, mode)
     tables = _pair_tables(shell, direction)
-    sums = _as_pair_sums(_over_tiles(
-        shell.n, lambda lo, hi: _split_sums(tables(lo, hi), rho, mode, hi - lo)))
+    sums = _as_pair_sums(_over_half_shell(
+        shell, lambda lo, hi: _split_sums(tables(lo, hi), rho, mode, hi - lo)))
     _warn_near_zero(direction, sums.s_zero, shell.n)
     return sums
 
@@ -295,6 +337,15 @@ class BoundMode(enum.Enum):
     IRRATIONAL = "irrational"
     HALF_RATIONAL = "half_rational"
     CONDITIONAL = "conditional"
+
+
+class BoundOverflowError(ValueError):
+    """A variance bound past the float64 range; parameter names the input
+    ("length" or "rho") whose value made it overflow."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
 
 
 def check_mode(mode: BoundMode, direction: Direction) -> None:
@@ -406,7 +457,8 @@ def variance_bound(
             sums += _split_sums(tab, rho_used, split, width)
         return sums
 
-    sums = _over_tiles(shell.n, tile)  # q, then whole-shell and split PairSums fields
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        sums = _over_half_shell(shell, tile)  # q, then whole-shell and split PairSums fields
     q_val = float(sums[0] / n_sq)
     whole = _as_pair_sums(sums[1:5])
     _warn_near_zero(direction, whole.s_zero, shell.n)
@@ -414,16 +466,21 @@ def variance_bound(
         parts = _as_pair_sums(sums[5:])
 
     if mode is BoundMode.RATIONAL:
-        bound = q_val
-    elif mode is BoundMode.CONDITIONAL:
-        bound = (length * length * parts.s_small + parts.inv_sq_sum / PI_SQ) / n_sq
+        bound = small = q_val
     else:
-        tail = parts.inv_dist_sq_sum / (PI_SQ * rho_used * rho_used)
-        bound = (length * length * parts.s_small + tail) / n_sq
+        small = length * length * parts.s_small
+        if mode is BoundMode.CONDITIONAL:
+            bound = (small + parts.inv_sq_sum / PI_SQ) / n_sq
+        else:
+            tail = parts.inv_dist_sq_sum / (PI_SQ * rho_used * rho_used)
+            bound = (small + tail) / n_sq
 
-    if not (math.isfinite(q_val) and math.isfinite(bound)):
-        raise ValueError(f"the {mode.value} bound overflows at m={shell.m}: "
-                         f"q_value={q_val}, bound_value={bound}")
+    if not (math.isfinite(q_val) and math.isfinite(small)):
+        raise BoundOverflowError("length", f"the {mode.value} bound overflows at "
+                                 f"m={shell.m} for length={length}")
+    if not math.isfinite(bound):
+        raise BoundOverflowError("rho", f"the {mode.value} bound overflows at "
+                                 f"m={shell.m} for rho={rho_used}")
 
     if mode is BoundMode.RATIONAL:
         envelope = {0.0: kap / shell.n}

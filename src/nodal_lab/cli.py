@@ -29,6 +29,7 @@ import numpy as np
 
 from .arithmetic import (
     BoundMode,
+    BoundOverflowError,
     check_mode,
     check_rho,
     integral_sq,
@@ -269,13 +270,19 @@ def _resolve_mode(config: ExperimentConfig, direction: Direction) -> BoundMode:
     return mode
 
 
+_BOUND_FLAGS = {"length": "--len", "rho": "--rho"}
+
+
 def _run_bounds(config: ExperimentConfig) -> list[dict]:
     direction = parse_direction(config.direction)
     mode = _resolve_mode(config, direction)
     line = LineSegment(direction, config.length)
     rows = []
     for m, shell in _admissible_shells(config):
-        report = variance_bound(shell, line, mode, rho=config.rho)
+        try:
+            report = variance_bound(shell, line, mode, rho=config.rho)
+        except BoundOverflowError as exc:
+            raise UsageError(_BOUND_FLAGS[exc.parameter], str(exc)) from None
         rows.append({
             "m": m,
             "n": shell.n,

@@ -41,7 +41,8 @@ class MClass:
 class Shell:
     """All lattice points with squared norm m.
 
-    ``coords`` is a read-only (n, 3) int64 array in lexicographic order.
+    ``coords`` is a read-only (n, 3) int64 array in lexicographic order, so
+    row i is the antipode of row n-1-i; the half-shell sums rely on that.
     """
 
     m: int

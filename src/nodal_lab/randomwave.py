@@ -157,9 +157,16 @@ def half_frequencies(shell: Shell, v) -> np.ndarray:
 
     The half shell is the first n//2 rows of shell.coords (row i mirrors row
     n-1-i).  v is one vector of three components, or a 3 x k matrix whose
-    columns are vectors; the result then has one column per vector.
+    columns are vectors; the result then has one column per vector.  Raises
+    ValueError if the rows are not in that antipodal order (as they are in
+    lexicographic order): the half shell would then miss some pairs and
+    count others twice.
     """
-    return shell.coords[: shell.n // 2].astype(np.float64) @ v
+    coords = shell.coords
+    if not np.array_equal(coords[::-1], -coords):
+        raise ValueError(f"shell m={shell.m}: row i must be the antipode of row n-1-i, "
+                         f"as in lexicographic order")
+    return coords[: shell.n // 2].astype(np.float64) @ v
 
 
 def _check_t(line: LineSegment, t) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the pair sums, variance bounds and Riesz energies."""
 
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -23,7 +24,8 @@ from nodal_lab.cli import parse_direction
 from nodal_lab.diophantine import Direction
 from nodal_lab.geometry import kappa
 from nodal_lab.lattice import ProjectedShell, enumerate_shell, project_shell
-from nodal_lab.randomwave import LineSegment, covariance
+from nodal_lab.nodal import count_zeros
+from nodal_lab.randomwave import LineSegment, covariance, half_frequencies, sample_wave
 
 from helpers_arithmetic import (
     dense_bound,
@@ -32,6 +34,10 @@ from helpers_arithmetic import (
     dense_r2_terms,
     dense_riesz_energy,
     dense_split_sums,
+    half_pair_tables,
+    half_q_sum,
+    half_r2_terms,
+    half_split_sums,
 )
 from helpers_stats import negative_trend_p
 
@@ -342,16 +348,18 @@ class TestVarianceBound:
         assert report.q_value <= report.bound_value * (1.0 + 1e-12)
 
     # kappa, s_zero, inv_sq_sum, q_value, bound_value, as recorded from the
-    # unmodified package in perfbench/reference.json
+    # unmodified package in perfbench/reference.json, except that the sums
+    # over antipodal classes add in another order: the irrational m=101
+    # inv_sq_sum and m=1009 q_value each moved by one ulp
     @pytest.mark.parametrize("m,direction,mode,expected", [
         (101, AXIS, BoundMode.RATIONAL,
          (18, 1920, 3319.835847389243, 0.06802721088435375, 0.06802721088435375)),
         (1009, AXIS, BoundMode.RATIONAL,
          (16, 2720, 1979.917298954643, 0.04722222222222222, 0.04722222222222222)),
         (101, IRR, BoundMode.IRRATIONAL,
-         (18, 168, 4951578.946116077, 0.05175636126195175, 0.2024206805100498)),
+         (18, 168, 4951578.946116076, 0.05175636126195175, 0.2024206805100498)),
         (1009, IRR, BoundMode.IRRATIONAL,
-         (16, 240, 3291073.7216422795, 0.018108892513898113, 0.11917149271909598)),
+         (16, 240, 3291073.7216422795, 0.01810889251389811, 0.11917149271909598)),
     ])
     def test_pinned_report_values(self, m, direction, mode, expected):
         report = variance_bound(enumerate_shell(m), LineSegment(direction, 1.0), mode)
@@ -567,19 +575,51 @@ class TestTiledPairSums:
 
     @pytest.mark.parametrize("spec", TILE_DIRECTIONS)
     def test_single_tile_is_the_dense_sum(self, spec):
-        # N^2 <= TILE_ENTRIES: one tile, reduced exactly as the dense table
+        # N^2 <= TILE_ENTRIES: one tile, reduced exactly as the whole signed
+        # half table, and to rounding as the N x N table
         shell = enumerate_shell(101)
         direction = parse_direction(spec)
         line = LineSegment(direction, 0.8)
-        assert q_sum(shell, line) == dense_q_sum(shell, line)
-        assert r2_terms(shell, line) == dense_r2_terms(shell, line)
-        tables = dense_pair_tables(shell, direction)
+        assert q_sum(shell, line) == half_q_sum(shell, line)
+        assert q_sum(shell, line) == pytest.approx(dense_q_sum(shell, line), rel=1e-12)
+        terms, want = r2_terms(shell, line), dense_r2_terms(shell, line)
+        assert terms == half_r2_terms(shell, line)
+        for name in ("rr", "r1r1", "r2r2", "r12r12"):
+            assert getattr(terms, name) == pytest.approx(getattr(want, name), rel=1e-12)
+        half, dense = half_pair_tables(shell, direction), dense_pair_tables(shell, direction)
         for split in ("relative", "absolute"):
-            assert pair_sums(shell, direction, 0.3, split) == \
-                dense_split_sums(tables, 0.3, split)
+            got = pair_sums(shell, direction, 0.3, split)
+            assert got == half_split_sums(half, 0.3, split)
+            assert_pair_sums_match(got, dense_split_sums(dense, 0.3, split))
         projected = project_shell(shell)
         assert riesz_energy(projected, 1.0).energy == \
             dense_riesz_energy(projected.unit_points, 1.0)
+
+    @pytest.mark.parametrize("spec", TILE_DIRECTIONS)
+    @pytest.mark.parametrize("m", [1, 5, 9, 101, 1009])
+    def test_signed_half_tables_hold_every_dense_summand(self, m, spec):
+        # the summands over antipodal classes, counted twice, are the N x N
+        # table's summands bit for bit; only the order of addition differs
+        shell = enumerate_shell(m)
+        direction = parse_direction(spec)
+        half = half_pair_tables(shell, direction)
+        tiles = arithmetic._pair_tables(shell, direction)(0, shell.n // 2)
+        for got, want in zip(tiles, half):
+            assert np.array_equal(got, want)
+        beta, zero, dist_sq, inv_beta_sq = half
+        dense_beta, dense_zero, dense_dist_sq, dense_inv_beta_sq = \
+            dense_pair_tables(shell, direction)
+
+        def doubled(values):
+            return np.sort(np.repeat(values.ravel(), 2))
+
+        pairs = [(np.abs(beta), np.abs(dense_beta)),
+                 (integral_sq(beta, 0.8), integral_sq(dense_beta, 0.8)),
+                 (inv_beta_sq, dense_inv_beta_sq),
+                 (dist_sq, dense_dist_sq)]
+        for folded, dense in pairs:
+            assert np.array_equal(doubled(folded), np.sort(dense.ravel()))
+        assert 2 * int(zero.sum()) == int(dense_zero.sum())
 
     @pytest.mark.parametrize("rows", [1, 7, 1000])
     def test_near_zero_warning_fires_once_with_dense_count(self, monkeypatch, caplog, rows):
@@ -602,7 +642,8 @@ class TestTiledPairSums:
 
 
 def test_pair_sums_memory_stays_below_one_dense_table():
-    """Each pair sum at N=1920 peaks below one N x N float64 table (29.5 MB)."""
+    """Each pair sum at N=1920 peaks below one N x N float64 table (29.5 MB)
+    and below ten float64 tiles of TILE_ENTRIES entries (5.2 MB)."""
     shell = enumerate_shell(10001)
     assert shell.n == 1920
     dense_bytes = shell.n * shell.n * 8
@@ -624,5 +665,24 @@ def test_pair_sums_memory_stays_below_one_dense_table():
             call()
             peak = tracemalloc.get_traced_memory()[1] - base
             assert peak < dense_bytes, f"{name} peaked at {peak} bytes"
+            assert peak < 10 * arithmetic.TILE_ENTRIES * 8, f"{name} peaked at {peak} bytes"
     finally:
         tracemalloc.stop()
+
+
+def test_shell_out_of_antipodal_order_is_rejected():
+    # rows 0 and 5 of the m=1 shell are antipodes; moving row 5 into the half
+    # shell would fold (mu, -mu) in and leave another pair out, silently
+    shell = enumerate_shell(1)
+    shuffled = dataclasses.replace(shell, coords=shell.coords[[0, 5, 1, 2, 3, 4]])
+    line = LineSegment(IRR, 1.0)
+    calls = [lambda: half_frequencies(shuffled, IRR.components),
+             lambda: q_sum(shuffled, line),
+             lambda: pair_sums(shuffled, IRR, 0.3),
+             lambda: r2_terms(shuffled, line),
+             lambda: variance_bound(shuffled, line, BoundMode.IRRATIONAL),
+             lambda: count_zeros(sample_wave(shuffled, 0), line)]
+    for call in calls:
+        with pytest.raises(ValueError, match="antipode"):
+            call()
+    assert q_sum(shell, line) == pytest.approx(dense_q_sum(shell, line), rel=1e-12)

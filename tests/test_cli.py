@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from collections import Counter
 
 import pytest
@@ -278,6 +279,17 @@ class TestBoundsCommand:
         assert main(["bounds", "--m", "5", "--dir", direction, "--rho", rho]) == 2
         captured = capsys.readouterr()
         assert "--rho" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag,value", [("--rho", "1e-154"), ("--len", "1e154")])
+    def test_overflowing_bound_is_usage_error(self, capsys, flag, value):
+        # 1/(pi^2 rho^2) and L^2 are finite here, but the bound's sums are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", "--m", "5", "--dir", "irr:std", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: {flag}: ")
+        assert captured.err.count("\n") == 1 and "overflows" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("direction", [
         "rat:1,4611686018427387904,0", "rat:1,9223372036854775807,0",
