@@ -40,7 +40,9 @@ same block-triangular way.
 The bound evaluation reports two numbers per mode: the exact intermediate
 quantity (a rigorous upper bound for q_sum by construction) and the
 theorem's nominal asymptotic envelope, which carries unknowable constants
-and is reported for a small family of epsilon values.
+and is reported for a small family of epsilon values.  One table,
+_SPLIT_THEOREMS, holds each split theorem's split, default rho and envelope
+exponent.  No sum returns inf: one past the float64 range is an error.
 """
 
 import enum
@@ -98,6 +100,15 @@ def integral_sq(beta, length: float):
     return float(out[0]) if scalar else out
 
 
+class BoundOverflowError(ValueError):
+    """A pair sum or variance bound past the float64 range; parameter names
+    the input ("length" or "rho") whose value made it overflow."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
 def _over_tiles(n: int, tile_sums, stop: int | None = None):
     """Add up tile_sums(lo, hi), a tuple of folded sums, over the row tiles.
 
@@ -118,8 +129,13 @@ def _over_tiles(n: int, tile_sums, stop: int | None = None):
 def _over_half_shell(shell: Shell, tile_sums):
     """Sums over all ordered pairs of the shell from the half-shell row tiles:
     each antipodal class {(mu, mu'), (-mu, -mu')} is evaluated once, so every
-    total is twice what the tiles add up to."""
-    return tuple(2 * total for total in _over_tiles(shell.n, tile_sums, shell.n // 2))
+    total is twice what the tiles add up to.  A total past the float64 range
+    raises BoundOverflowError("length"): only integral_sq terms (<= L^2) get there."""
+    with np.errstate(over="ignore"):
+        totals = tuple(2 * total for total in _over_tiles(shell.n, tile_sums, shell.n // 2))
+    if not all(np.isfinite(total) for total in totals):
+        raise BoundOverflowError("length", f"a pair sum at m={shell.m} overflows for this length")
+    return totals
 
 
 def _fold(reduce, width: int, *tables):
@@ -155,8 +171,6 @@ def _pair_differences(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 def q_sum(shell: Shell, line: LineSegment) -> float:
     """Normalized pair sum (1/N^2) * sum over ordered pairs of integral_sq."""
-    if shell.n == 0:
-        raise ValueError(f"q_sum needs a nonempty shell (m={shell.m})")
     b = half_frequencies(shell, line.direction.components)
 
     def tile(lo, hi):
@@ -174,19 +188,20 @@ class SquaredCovarianceTerms:
     rr is exactly the double integral of r^2 over the parameter square;
     r1r1 and r2r2 carry one weight w = <mu/|mu|, alpha> per index, r12r12
     the squared weights.  With these normalizations each derivative term is
-    at most rr, since |w| <= 1.
+    at most rr, since |w| <= 1.  r2r2 is r1r1, as r2 = -r1.
     """
 
     rr: float
     r1r1: float
-    r2r2: float
     r12r12: float
+
+    @property
+    def r2r2(self) -> float:
+        return self.r1r1
 
 
 def r2_terms(shell: Shell, line: LineSegment) -> SquaredCovarianceTerms:
     """Evaluate the four squared-covariance pair sums exactly."""
-    if shell.n == 0:
-        raise ValueError(f"r2_terms needs a nonempty shell (m={shell.m})")
     b = half_frequencies(shell, line.direction.components)
     w = b / math.sqrt(shell.m)
     w_sq = w * w
@@ -204,7 +219,7 @@ def r2_terms(shell: Shell, line: LineSegment) -> SquaredCovarianceTerms:
     rr, r1r1, r12r12 = _over_half_shell(shell, tile)
     n_sq = shell.n * shell.n
     return SquaredCovarianceTerms(rr=float(rr) / n_sq, r1r1=float(r1r1) / n_sq,
-                                  r2r2=float(r1r1) / n_sq, r12r12=float(r12r12) / n_sq)
+                                  r12r12=float(r12r12) / n_sq)
 
 
 @dataclass(frozen=True)
@@ -322,8 +337,6 @@ def pair_sums(shell: Shell, direction: Direction, rho: float, mode: str = "relat
     mode "absolute" the plain |<mu-mu', alpha>| <= rho.  Zero pairs always
     count as small; the tails run over the strictly-above-threshold pairs.
     """
-    if shell.n == 0:
-        raise ValueError(f"pair_sums needs a nonempty shell (m={shell.m})")
     _check_split(rho, mode)
     tables = _pair_tables(shell, direction)
     sums = _as_pair_sums(_over_half_shell(
@@ -339,13 +352,14 @@ class BoundMode(enum.Enum):
     CONDITIONAL = "conditional"
 
 
-class BoundOverflowError(ValueError):
-    """A variance bound past the float64 range; parameter names the input
-    ("length" or "rho") whose value made it overflow."""
-
-    def __init__(self, parameter: str, message: str):
-        super().__init__(message)
-        self.parameter = parameter
+# mode -> (split, power, exponent) of each split theorem: its pairs split at
+# |beta| <= rho |mu - mu'| ("relative") or |beta| <= rho ("absolute"), rho is
+# sqrt(m)^power by default, and its envelope is m^-(exponent - epsilon).
+_SPLIT_THEOREMS = {
+    BoundMode.IRRATIONAL: ("relative", -6.0 / 7.0, 1.0 / 7.0),
+    BoundMode.HALF_RATIONAL: ("relative", -4.0 / 5.0, 1.0 / 5.0),
+    BoundMode.CONDITIONAL: ("absolute", 3.0 / 8.0, 1.0 / 4.0),
+}
 
 
 def check_mode(mode: BoundMode, direction: Direction) -> None:
@@ -363,36 +377,25 @@ def check_mode(mode: BoundMode, direction: Direction) -> None:
 
 def check_rho(mode: BoundMode, rho: float | None) -> None:
     """Raise ValueError if rho is given to the rational bound, which uses none,
-    or if the irrational or half-rational tail weight 1/(pi^2 rho^2) is not
-    finite: rho = 0, or so small that pi^2 rho^2 underflows to 0 or its
-    inverse overflows (rho below about 2.4e-155)."""
+    or if a relative split's tail weight 1/(pi^2 rho^2) is not finite: rho = 0,
+    or so small that pi^2 rho^2 underflows to 0 or its inverse overflows (rho
+    below about 2.4e-155)."""
     if rho is None:
         return
-    if mode is BoundMode.RATIONAL:
-        raise ValueError(f"the rational bound uses no rho, got {rho}")
-    if mode in (BoundMode.IRRATIONAL, BoundMode.HALF_RATIONAL):
+    if mode not in _SPLIT_THEOREMS:
+        raise ValueError(f"the {mode.value} bound uses no rho, got {rho}")
+    if _SPLIT_THEOREMS[mode][0] == "relative":
         pi_sq_rho_sq = PI_SQ * rho * rho
         if not (pi_sq_rho_sq > 0 and math.isfinite(1.0 / pi_sq_rho_sq)):
             raise ValueError(f"the {mode.value} bound divides by pi^2 rho^2, whose inverse "
                              f"is not finite for rho={rho}")
 
 
-_MODE_EXPONENT = {
-    BoundMode.IRRATIONAL: 1.0 / 7.0,
-    BoundMode.HALF_RATIONAL: 1.0 / 5.0,
-    BoundMode.CONDITIONAL: 1.0 / 4.0,
-}
-
-
 def _default_rho(mode: BoundMode, m: int) -> float | None:
-    root = math.sqrt(m)
-    if mode is BoundMode.IRRATIONAL:
-        return root ** (-6.0 / 7.0)
-    if mode is BoundMode.HALF_RATIONAL:
-        return root ** (-4.0 / 5.0)
-    if mode is BoundMode.CONDITIONAL:
-        return root ** (3.0 / 8.0)
-    return None
+    """The split theorem's rho = sqrt(m)^power; None for the rational bound."""
+    if mode not in _SPLIT_THEOREMS:
+        return None
+    return math.sqrt(m) ** _SPLIT_THEOREMS[mode][1]
 
 
 @dataclass(frozen=True)
@@ -427,20 +430,22 @@ def variance_bound(
 ) -> BoundReport:
     """Evaluate the exact intermediate bound and envelope for one theorem.
 
-    The rational theorem's intermediate is q_sum itself.  The irrational and
-    half-rational theorems split pairs at |beta| <= rho * |mu - mu'| and pay
-    L^2 per small pair plus 1/(pi^2 rho^2 |mu - mu'|^2) per tail pair; the
-    conditional theorem splits at |beta| <= rho and pays L^2 per small pair
-    plus 1/(pi^2 beta^2) per tail pair.  Each split dominates q_sum exactly,
-    term by term.  q_value, s_zero, inv_sq_sum and bound_value equal what
-    q_sum and pair_sums give, from one pass over the pair tiles.
+    The rational theorem's intermediate is q_sum itself.  The split theorems
+    of _SPLIT_THEOREMS pay L^2 per small pair plus, per tail pair,
+    1/(pi^2 rho^2 |mu - mu'|^2) in the relative split (irrational and
+    half-rational) or 1/(pi^2 beta^2) in the absolute one (conditional).
+    Each split dominates q_sum exactly, term by term.  q_value, s_zero,
+    inv_sq_sum and bound_value equal what q_sum and pair_sums give, from one
+    pass over the pair tiles.  BoundOverflowError names "length" for an
+    overflowing pair sum or L^2 * s_small, and "rho" for an overflowing tail.
     """
     direction = line.direction
     check_mode(mode, direction)
     check_rho(mode, rho)
+    theorem = _SPLIT_THEOREMS.get(mode)
     rho_used = rho if rho is not None else _default_rho(mode, shell.m)
-    split = "absolute" if mode is BoundMode.CONDITIONAL else "relative"
-    if mode is not BoundMode.RATIONAL:
+    if theorem is not None:
+        split, _, exponent = theorem
         _check_split(rho_used, split)
     kap = kappa(shell)
     n_sq = shell.n * shell.n
@@ -453,42 +458,33 @@ def variance_bound(
         width = hi - lo
         sums = (_fold(np.sum, width, integral_sq(tab[0], length)),)
         sums += _split_sums(tab, 0.0, "absolute", width)
-        if mode is not BoundMode.RATIONAL:
+        if theorem is not None:
             sums += _split_sums(tab, rho_used, split, width)
         return sums
 
-    with np.errstate(over="ignore"):  # an overflowing sum is reported below
-        sums = _over_half_shell(shell, tile)  # q, then whole-shell and split PairSums fields
+    sums = _over_half_shell(shell, tile)  # q, then whole-shell and split PairSums fields
     q_val = float(sums[0] / n_sq)
     whole = _as_pair_sums(sums[1:5])
     _warn_near_zero(direction, whole.s_zero, shell.n)
-    if mode is not BoundMode.RATIONAL:
-        parts = _as_pair_sums(sums[5:])
 
-    if mode is BoundMode.RATIONAL:
-        bound = small = q_val
-    else:
-        small = length * length * parts.s_small
-        if mode is BoundMode.CONDITIONAL:
-            bound = (small + parts.inv_sq_sum / PI_SQ) / n_sq
-        else:
-            tail = parts.inv_dist_sq_sum / (PI_SQ * rho_used * rho_used)
-            bound = (small + tail) / n_sq
-
-    if not (math.isfinite(q_val) and math.isfinite(small)):
-        raise BoundOverflowError("length", f"the {mode.value} bound overflows at "
-                                 f"m={shell.m} for length={length}")
-    if not math.isfinite(bound):
-        raise BoundOverflowError("rho", f"the {mode.value} bound overflows at "
-                                 f"m={shell.m} for rho={rho_used}")
-
-    if mode is BoundMode.RATIONAL:
+    if theorem is None:
+        bound = q_val
         envelope = {0.0: kap / shell.n}
     else:
-        exponent = _MODE_EXPONENT[mode]
-        envelope = {
-            eps: float(shell.m) ** -(exponent - eps) for eps in ENVELOPE_EPSILONS
-        }
+        parts = _as_pair_sums(sums[5:])
+        small = length * length * parts.s_small
+        if not math.isfinite(small):
+            raise BoundOverflowError("length", f"the {mode.value} bound overflows at "
+                                     f"m={shell.m} for length={length}")
+        if split == "absolute":
+            tail = parts.inv_sq_sum / PI_SQ
+        else:
+            tail = parts.inv_dist_sq_sum / (PI_SQ * rho_used * rho_used)
+        bound = (small + tail) / n_sq
+        if not math.isfinite(bound):
+            raise BoundOverflowError("rho", f"the {mode.value} bound overflows at "
+                                     f"m={shell.m} for rho={rho_used}")
+        envelope = {eps: float(shell.m) ** -(exponent - eps) for eps in ENVELOPE_EPSILONS}
 
     return BoundReport(
         m=shell.m,

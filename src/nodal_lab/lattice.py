@@ -43,12 +43,19 @@ class Shell:
 
     ``coords`` is a read-only (n, 3) int64 array in lexicographic order, so
     row i is the antipode of row n-1-i; the half-shell sums rely on that.
+    Its size n and the residue class of m are read from coords and m.
     """
 
     m: int
-    n: int
-    m_class: MClass
     coords: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.coords)
+
+    @property
+    def m_class(self) -> MClass:
+        return classify_m(self.m)
 
     @property
     def radius(self) -> float:
@@ -109,7 +116,7 @@ def enumerate_shell(m: int) -> Shell:
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     pts = np.ascontiguousarray(pts[order])
     pts.setflags(write=False)
-    return Shell(m=m, n=len(pts), m_class=classify_m(m), coords=pts)
+    return Shell(m=m, coords=pts)
 
 
 def scale_check(m: int) -> bool:

@@ -109,7 +109,6 @@ class ZeroFlags:
 class ZeroCount:
     """Zeros of f on [0, L]: sorted roots and their count."""
 
-    count: int
     roots: np.ndarray = field(repr=False)
     flags: ZeroFlags
 
@@ -117,12 +116,14 @@ class ZeroCount:
         roots = np.array(self.roots, dtype=np.float64)
         roots.setflags(write=False)
         object.__setattr__(self, "roots", roots)
-        if self.count != roots.size:
-            raise ValueError("count must equal the number of roots")
         if roots.size > 1:
             gaps = np.diff(roots)
             if np.any(gaps <= BISECT_TOL):
                 raise ValueError("roots must be sorted with spacing above the tolerance")
+
+    @property
+    def count(self) -> int:
+        return self.roots.size
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,6 @@ class _BaseGrid:
 
 def _base_grid(shell: Shell, line: LineSegment) -> _BaseGrid:
     """Base grid of ceil(GRID_FACTOR * 2 * f_max * L) + 1 uniform points."""
-    if shell.n == 0:
-        raise ValueError(f"f has no frequencies on the empty shell m={shell.m}")
     b = half_frequencies(shell, line.direction.components)
     f_max = float(np.max(np.abs(b)))  # the mirrored rows carry -b
     n_pts = max(int(math.ceil(GRID_FACTOR * 2.0 * f_max * line.length)) + 1, 2)
@@ -371,7 +370,7 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     """Brackets and flags of every sample in a block, one level at a time.
 
     Every sample's base-grid values of f come from one matrix product,
-    scaled as WaveSample.combine scales, and those of f' from one more, with
+    scaled as evaluate_f scales, and those of f' from one more, with
     the weights 2 pi b of evaluate_f_prime.  The base level applies the
     masks of _level with both exclusion tests, curvature (M2) and Hermite
     (M4, f'); each refinement level concatenates the windows of all samples
@@ -496,7 +495,7 @@ def count_zeros(sample: WaveSample, line: LineSegment) -> ZeroCount:
         scan.zero_roots[0] + _bisect(scan.f_at, scan.row, scan.lo, scan.hi, scan.f_lo).tolist())
     flags = ZeroFlags(refinement_depth_hit=bool(scan.depth_hit[0]),
                       near_tangency=bool(scan.tangency[0]))
-    return ZeroCount(count=roots.size, roots=roots, flags=flags)
+    return ZeroCount(roots=roots, flags=flags)
 
 
 def monte_carlo(

@@ -109,25 +109,18 @@ class WaveSample:
             half[pair] = stored
         return cls(shell, half)
 
-    def combine(self, cos_phase: np.ndarray, sin_phase: np.ndarray) -> np.ndarray:
-        """Real wave values from half-shell phase matrices, one column per pair.
-
-        (2/sqrt(N)) * (cos_phase @ Re a - sin_phase @ Im a), the cosine/sine
-        form of the full shell sum.
-        """
-        a = self.half_coefficients
-        scale = 2.0 / math.sqrt(self.shell.n)
-        return scale * (cos_phase @ a.real - sin_phase @ a.imag)
-
 
 @dataclass(frozen=True)
 class CovarianceValues:
-    """Covariance of (f(t1), f(t2)) and its first and mixed derivatives."""
+    """Covariance of (f(t1), f(t2)), its derivatives r1 = -r2 and mixed r12."""
 
     r: float
     r1: float
-    r2: float
     r12: float
+
+    @property
+    def r2(self) -> float:
+        return -self.r1
 
 
 def sample_wave(shell: Shell, rng_seed) -> WaveSample:
@@ -158,11 +151,13 @@ def half_frequencies(shell: Shell, v) -> np.ndarray:
     The half shell is the first n//2 rows of shell.coords (row i mirrors row
     n-1-i).  v is one vector of three components, or a 3 x k matrix whose
     columns are vectors; the result then has one column per vector.  Raises
-    ValueError if the rows are not in that antipodal order (as they are in
-    lexicographic order): the half shell would then miss some pairs and
-    count others twice.
+    ValueError on the empty shell, which has no frequencies, and if the rows
+    are not in that antipodal order (as they are in lexicographic order): the
+    half shell would then miss some pairs and count others twice.
     """
     coords = shell.coords
+    if shell.n == 0:
+        raise ValueError(f"no frequencies on the empty shell m={shell.m}")
     if not np.array_equal(coords[::-1], -coords):
         raise ValueError(f"shell m={shell.m}: row i must be the antipode of row n-1-i, "
                          f"as in lexicographic order")
@@ -182,7 +177,8 @@ def evaluate_f(sample: WaveSample, line: LineSegment, t):
     single = t.ndim == 0
     b = half_frequencies(sample.shell, line.direction.components)
     phase = TWO_PI * np.atleast_1d(t)[:, None] * b
-    vals = sample.combine(np.cos(phase), np.sin(phase))
+    a = sample.half_coefficients
+    vals = 2.0 / math.sqrt(sample.shell.n) * (np.cos(phase) @ a.real - np.sin(phase) @ a.imag)
     return float(vals[0]) if single else vals
 
 
@@ -213,7 +209,7 @@ def covariance(shell: Shell, line: LineSegment, t1: float, t2: float) -> Covaria
     r = float(np.mean(cos_part))
     r1 = float(np.mean(-TWO_PI * b * np.sin(TWO_PI * tau * b)))
     r12 = float(np.mean((TWO_PI * b) ** 2 * cos_part))
-    return CovarianceValues(r=r, r1=r1, r2=-r1, r12=r12)
+    return CovarianceValues(r=r, r1=r1, r12=r12)
 
 
 def second_moment_ratio(shell: Shell, direction: Direction) -> float:

@@ -91,7 +91,7 @@ def dense_r2_terms(shell, line):
     n_sq = shell.n * shell.n
     r1r1 = float(w @ eye @ w) / n_sq
     w_sq = w * w
-    return SquaredCovarianceTerms(rr=float(np.sum(eye)) / n_sq, r1r1=r1r1, r2r2=r1r1,
+    return SquaredCovarianceTerms(rr=float(np.sum(eye)) / n_sq, r1r1=r1r1,
                                   r12r12=float(w_sq @ eye @ w_sq) / n_sq)
 
 
@@ -179,5 +179,5 @@ def half_r2_terms(shell, line):
     n_sq = shell.n * shell.n
     r1r1 = float(2 * np.vdot(w @ eye, np.stack((w, -w)))) / n_sq
     return SquaredCovarianceTerms(
-        rr=float(2 * np.sum(eye)) / n_sq, r1r1=r1r1, r2r2=r1r1,
+        rr=float(2 * np.sum(eye)) / n_sq, r1r1=r1r1,
         r12r12=float(2 * np.vdot(w_sq @ eye, np.stack((w_sq, w_sq)))) / n_sq)

@@ -12,6 +12,7 @@ from scipy import integrate
 from nodal_lab import arithmetic
 from nodal_lab.arithmetic import (
     BoundMode,
+    BoundOverflowError,
     check_rho,
     integral_sq,
     pair_sums,
@@ -24,7 +25,7 @@ from nodal_lab.cli import parse_direction
 from nodal_lab.diophantine import Direction
 from nodal_lab.geometry import kappa
 from nodal_lab.lattice import ProjectedShell, enumerate_shell, project_shell
-from nodal_lab.nodal import count_zeros
+from nodal_lab.nodal import count_zeros, monte_carlo
 from nodal_lab.randomwave import LineSegment, covariance, half_frequencies, sample_wave
 
 from helpers_arithmetic import (
@@ -150,9 +151,24 @@ class TestQSum:
                 lambda tau: covariance(shell, line, tau, 0.0).r, line.length)
             assert q_sum(shell, line) == pytest.approx(oracle, rel=1e-8)
 
-    def test_rejects_empty_shell(self):
+    @pytest.mark.parametrize("pair_sum", [
+        q_sum,
+        r2_terms,
+        lambda shell, line: pair_sums(shell, line.direction, 0.1),
+        lambda shell, line: monte_carlo(shell, line, trials=4, seed=0),
+    ], ids=["q_sum", "r2_terms", "pair_sums", "monte_carlo"])
+    def test_rejects_empty_shell(self, pair_sum):
+        # half_frequencies, which all of them read, rejects the empty shell
         with pytest.raises(ValueError, match="m=7"):
-            q_sum(enumerate_shell(7), LineSegment(AXIS, 1.0))
+            pair_sum(enumerate_shell(7), LineSegment(AXIS, 1.0))
+
+    @pytest.mark.parametrize("pair_sum", [q_sum, r2_terms])
+    def test_overflowing_sum_raises(self, pair_sum):
+        # L^2 is finite at L = 1e154, but the sum of the pairs' L^2 terms is not
+        line = LineSegment(parse_direction("irr:std"), 1e154)
+        with pytest.raises(BoundOverflowError, match="overflows") as err:
+            pair_sum(enumerate_shell(5), line)
+        assert err.value.parameter == "length"
 
 
 class TestR2Terms:

@@ -22,7 +22,7 @@ from nodal_lab.geometry import (
     slab_region,
     slicing_bound,
 )
-from nodal_lab.lattice import Shell, classify_m, enumerate_shell
+from nodal_lab.lattice import Shell, enumerate_shell
 
 
 def quadruple_residuals(cap):
@@ -214,7 +214,7 @@ def test_kappa_rejects_shells_past_exact_ratio_keys():
     # 4096 * (the m=1 shell), built by hand: enumerate_shell(4**12) takes seconds
     m = 4**12
     coords = 2**12 * np.concatenate([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)])
-    sh = Shell(m, 6, classify_m(m), coords)
+    sh = Shell(m, coords)
     assert m == KAPPA_M_LIMIT
     with pytest.raises(ValueError, match="2\\^24"):
         kappa(sh)
@@ -224,7 +224,7 @@ def test_kappa_keys_a_plane_once_whatever_the_signs():
     # a flat point set: in the row of (0, 1, 0) every key is n_z / n_x with
     # n_x = 0, and n_z changes sign from one side of the y axis to the other
     coords = np.array([[0, 0, 0], [0, 1, 0], [-2, 1, 0], [-1, -1, 0], [1, -1, 0], [1, 0, 0]])
-    sh = Shell(1, 6, classify_m(1), coords)
+    sh = Shell(1, coords)
     assert kappa(sh) == kappa_brute(sh) == 6
 
 
@@ -234,7 +234,7 @@ def test_kappa_recount_catches_colliding_keys():
     # of (0, 0, 1), though only the second lies on the plane x = y
     coords = np.array([[0, 0, 0], [0, 0, 1], [1, 1, 0], [2**54, 2**54 + 1, 0]])
     with pytest.raises(RuntimeError, match="holds 3 shell points"):
-        kappa(Shell(1, 4, classify_m(1), coords))
+        kappa(Shell(1, coords))
 
 
 def test_covering_bound_example_and_theta_zero():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nodal_lab.lattice import (
+    Shell,
     classify_m,
     enumerate_shell,
     project_shell,
@@ -50,6 +51,13 @@ def test_m1_is_the_six_unit_vectors():
         (0, 0, 1), (0, 0, -1),
     }
     assert set(map(tuple, shell.coords.tolist())) == expected
+
+
+def test_shell_size_and_class_come_from_rows():
+    coords = enumerate_shell(5).coords
+    assert Shell(5, coords[:22]).n == 22
+    for m in (1, 5, 7, 28):
+        assert Shell(m, enumerate_shell(m).coords).m_class == classify_m(m)
 
 
 def test_m7_is_empty():
