@@ -13,16 +13,17 @@ exactly zero is decided in integer arithmetic whenever the direction's
 declared rationality allows it; only fully irrational directions fall back
 to a tolerance.
 
-Every pair sum except the Riesz energy runs over antipodal classes.  The
-shell is symmetric, E(m) = -E(m), and every summand is even in the pair,
-so the ordered pairs (mu, mu') and (-mu, -mu') add the same term: a sum
-takes its rows from the half shell H (the first N/2 rows, see
-randomwave.half_frequencies) and its columns from H and -H, and is doubled.
-integral_sq is even in beta, |mu - mu'|^2 = 2m - 2<mu, mu'> is an exact
-integer, the weighted sums carry w_i * w_j with w odd, and the zero tests
-see the same integers (or, for irrational directions, the same beta), so
-each summand of the half shell is bit for bit
-the dense table's entry for its pair.
+Every pair sum runs over antipodal classes.  The shell is symmetric,
+E(m) = -E(m), and every summand is even in the pair, so the ordered pairs
+(mu, mu') and (-mu, -mu') add the same term: a sum takes its rows from the
+half shell H (the first N/2 rows, whose order lattice._antipodal_half
+checks) and its columns from H and -H, and is doubled.  integral_sq is even
+in beta, |mu - mu'|^2 = 2m - 2<mu, mu'> is an exact integer, the weighted
+sums carry w_i * w_j with w odd, and the zero tests see the same integers
+(or, for irrational directions, the same beta), so each summand of the half
+shell is bit for bit the dense table's entry for its pair.  The Riesz
+energy of the projected shell folds the same way, since |p - q| is even in
+the pair; its unit-sphere distances match a dense table to rounding.
 
 The rows of H then run over block-triangular tiles: rows [lo, hi) against
 the signed columns +-H[lo:], a (2, rows, cols) table of about TILE_ENTRIES
@@ -33,9 +34,7 @@ small masks and 1/beta^2 agree on both), and b_i + b_j = b_j + b_i.  A
 tile's diagonal block therefore counts once and the columns right of it
 count twice, for the mirror pairs no tile holds; counts stay exact
 integers.  The sums add the dense table's summands in another order and
-match a dense evaluation to rounding.  The Riesz energy takes any unit
-point set, not only antipodal ones, and tiles the whole N x N table the
-same block-triangular way.
+match a dense evaluation to rounding.
 
 The bound evaluation reports two numbers per mode: the exact intermediate
 quantity (a rigorous upper bound for q_sum by construction) and the
@@ -54,7 +53,7 @@ import numpy as np
 
 from .diophantine import Direction, Rationality
 from .geometry import kappa
-from .lattice import ProjectedShell, Shell
+from .lattice import ProjectedShell, Shell, _antipodal_half
 from .randomwave import LineSegment, half_frequencies
 
 __all__ = [
@@ -101,38 +100,30 @@ def integral_sq(beta, length: float):
 
 
 class BoundOverflowError(ValueError):
-    """A pair sum or variance bound past the float64 range; parameter names
-    the input ("length" or "rho") whose value made it overflow."""
+    """An input too large for a computation: a pair sum or variance bound
+    past the float64 range, or a zero-count grid past its budget; parameter
+    names the input ("length" or "rho") whose value made it so."""
 
     def __init__(self, parameter: str, message: str):
         super().__init__(message)
         self.parameter = parameter
 
 
-def _over_tiles(n: int, tile_sums, stop: int | None = None):
-    """Add up tile_sums(lo, hi), a tuple of folded sums, over the row tiles.
+def _over_half_shell(shell: Shell | ProjectedShell, tile_sums):
+    """Sums over all ordered pairs of the shell from the half-shell row tiles.
 
-    The rows [0, stop) run in tiles of TILE_ENTRIES // n rows, each against
-    n columns at most: the columns [lo, n) of an n x n pair table (stop = n),
-    or the signed half-shell columns +-H[lo:] (stop = n // 2).  The sums of a
-    single tile are returned as they are.
+    tile_sums(lo, hi), a tuple of folded sums, runs the rows [lo, hi) of the
+    half shell H, TILE_ENTRIES // n at a time, against the signed columns
+    +-H[lo:].  Each antipodal class {(mu, mu'), (-mu, -mu')} is evaluated
+    once, so every total is twice what the tiles add up to.  A total past the
+    float64 range raises BoundOverflowError("length"): only integral_sq terms
+    (<= L^2) get there.
     """
-    stop = n if stop is None else stop
-    rows = max(1, TILE_ENTRIES // n)
-    total = None
-    for lo in range(0, stop, rows):
-        part = tile_sums(lo, min(lo + rows, stop))
-        total = part if total is None else tuple(a + b for a, b in zip(total, part))
-    return total
-
-
-def _over_half_shell(shell: Shell, tile_sums):
-    """Sums over all ordered pairs of the shell from the half-shell row tiles:
-    each antipodal class {(mu, mu'), (-mu, -mu')} is evaluated once, so every
-    total is twice what the tiles add up to.  A total past the float64 range
-    raises BoundOverflowError("length"): only integral_sq terms (<= L^2) get there."""
+    half = shell.n // 2
+    rows = max(1, TILE_ENTRIES // shell.n)
     with np.errstate(over="ignore"):
-        totals = tuple(2 * total for total in _over_tiles(shell.n, tile_sums, shell.n // 2))
+        parts = [tile_sums(lo, min(lo + rows, half)) for lo in range(0, half, rows)]
+        totals = tuple(2 * sum(column) for column in zip(*parts))
     if not all(np.isfinite(total) for total in totals):
         raise BoundOverflowError("length", f"a pair sum at m={shell.m} overflows for this length")
     return totals
@@ -142,10 +133,10 @@ def _fold(reduce, width: int, *tables):
     """reduce over one tile, each pair right of its diagonal block counted twice.
 
     tables are the tile's arrays (and column weights), whose last axis runs
-    over the columns from lo on (of the whole table, or of either signed
-    half-shell block).  The first width columns are the diagonal block and
-    count once; the columns from hi on count twice, for the mirror pairs
-    below the diagonal that no tile holds.
+    over the columns from lo on of either signed half-shell block.  The
+    first width columns are the diagonal block and count once; the columns
+    from hi on count twice, for the mirror pairs below the diagonal that no
+    tile holds.
     """
     total = reduce(*(t[..., :width] for t in tables))
     if tables[0].shape[-1] > width:
@@ -167,6 +158,18 @@ def _pair_differences(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Tile of x_i - x_j for an odd quantity x of the half shell: rows i in
     [lo, hi), columns j over the signed columns +-H[lo:], shape (2, rows, cols)."""
     return x[lo:hi, None] - _signed(x[lo:])[:, None, :]
+
+
+def _signed_dist_sq(half: np.ndarray, two_r_sq: float, lo: int, hi: int) -> np.ndarray:
+    """Tile of |x_i -+ x_j|^2 = 2r^2 -+ 2<x_i, x_j> over the signed columns for
+    points of norm r, in one array: separate temporaries raised the peak RSS."""
+    dist_sq = np.empty((2, hi - lo, len(half) - lo))
+    gram_2 = dist_sq[1]
+    np.matmul(half[lo:hi], half[lo:].T, out=gram_2)
+    gram_2 *= 2.0
+    np.subtract(two_r_sq, gram_2, out=dist_sq[0])
+    gram_2 += two_r_sq
+    return dist_sq
 
 
 def q_sum(shell: Shell, line: LineSegment) -> float:
@@ -248,7 +251,7 @@ def _pair_tables(shell: Shell, direction: Direction):
     2m -+ 2g are integers of magnitude at most 4m, so they are exact.
     """
     b = half_frequencies(shell, direction.components)
-    half = shell.coords[: shell.n // 2]
+    half = _antipodal_half(shell.coords, shell.m)
     half_f = half.astype(np.float64)
     two_m = 2.0 * shell.m
     if direction.rationality is Rationality.RATIONAL:
@@ -261,14 +264,7 @@ def _pair_tables(shell: Shell, direction: Direction):
 
     def tables(lo, hi):
         beta = _pair_differences(b, lo, hi)
-        # dist^2 = 2m - 2g on the columns H[lo:] and 2m + 2g on -H[lo:], built
-        # in one tile array: separate temporaries raised the process's peak RSS
-        dist_sq = np.empty((2, hi - lo, len(half) - lo))
-        gram_2 = dist_sq[1]
-        np.matmul(half_f[lo:hi], half_f[lo:].T, out=gram_2)
-        gram_2 *= 2.0
-        np.subtract(two_m, gram_2, out=dist_sq[0])
-        gram_2 += two_m
+        dist_sq = _signed_dist_sq(half_f, two_m, lo, hi)
         if direction.rationality is Rationality.RATIONAL:
             num = _pair_differences(dots, lo, hi)
             zero = num == 0
@@ -286,18 +282,6 @@ def _pair_tables(shell: Shell, direction: Direction):
     return tables
 
 
-def _warn_near_zero(direction: Direction, s_zero: int, n: int) -> None:
-    """Warn when an irrational direction's tolerance counts off-diagonal zeros."""
-    extra = s_zero - n
-    if direction.rationality is Rationality.IRRATIONAL and extra > 0:
-        log.warning(
-            "irrational direction %s: %d off-diagonal pair(s) within %g of zero",
-            direction,
-            extra,
-            IRRATIONAL_ZERO_TOL,
-        )
-
-
 def _check_split(rho: float, mode: str) -> None:
     if not 0 <= rho < math.inf:
         raise ValueError(f"rho must be nonnegative and finite, got {rho}")
@@ -305,27 +289,29 @@ def _check_split(rho: float, mode: str) -> None:
         raise ValueError(f"mode must be 'relative' or 'absolute', got {mode!r}")
 
 
-def _split_sums(tables, rho: float, mode: str, width: int) -> tuple:
-    """One tile's folded (s_zero, s_small, inv_sq_sum, inv_dist_sq_sum) from
-    the tables of _pair_tables; see pair_sums."""
-    beta, zero, dist_sq, inv_beta_sq = tables
-    if mode == "relative":
-        small = np.abs(beta) <= rho * np.sqrt(dist_sq)
-    else:
-        small = np.abs(beta) <= rho
-    small |= zero
-    tail = ~small
-    inv_dist = 1.0 / np.where(dist_sq == 0.0, np.inf, dist_sq)
-    return (
-        _fold(np.sum, width, zero),
-        _fold(np.sum, width, small),
-        _fold(_masked_sum, width, inv_beta_sq, tail),
-        _fold(_masked_sum, width, inv_dist, tail),
-    )
+def _pair_sums(shell: Shell, direction: Direction, rho: float, mode: str) -> PairSums:
+    """The split sums of pair_sums, without its near-zero warning."""
+    _check_split(rho, mode)
+    tables = _pair_tables(shell, direction)
 
+    def tile(lo, hi):
+        beta, zero, dist_sq, inv_beta_sq = tables(lo, hi)
+        if mode == "relative":
+            small = np.abs(beta) <= rho * np.sqrt(dist_sq)
+        else:
+            small = np.abs(beta) <= rho
+        small |= zero
+        tail = ~small
+        inv_dist = 1.0 / np.where(dist_sq == 0.0, np.inf, dist_sq)
+        width = hi - lo
+        return (
+            _fold(np.sum, width, zero),
+            _fold(np.sum, width, small),
+            _fold(_masked_sum, width, inv_beta_sq, tail),
+            _fold(_masked_sum, width, inv_dist, tail),
+        )
 
-def _as_pair_sums(sums) -> PairSums:
-    s_zero, s_small, inv_sq_sum, inv_dist_sq_sum = sums
+    s_zero, s_small, inv_sq_sum, inv_dist_sq_sum = _over_half_shell(shell, tile)
     return PairSums(s_zero=int(s_zero), s_small=int(s_small),
                     inv_sq_sum=float(inv_sq_sum), inv_dist_sq_sum=float(inv_dist_sq_sum))
 
@@ -336,12 +322,14 @@ def pair_sums(shell: Shell, direction: Direction, rho: float, mode: str = "relat
     mode "relative" uses the threshold |<mu-mu', alpha>| <= rho * |mu-mu'|,
     mode "absolute" the plain |<mu-mu', alpha>| <= rho.  Zero pairs always
     count as small; the tails run over the strictly-above-threshold pairs.
+    Warns once when an irrational direction's tolerance counts off-diagonal
+    zeros.
     """
-    _check_split(rho, mode)
-    tables = _pair_tables(shell, direction)
-    sums = _as_pair_sums(_over_half_shell(
-        shell, lambda lo, hi: _split_sums(tables(lo, hi), rho, mode, hi - lo)))
-    _warn_near_zero(direction, sums.s_zero, shell.n)
+    sums = _pair_sums(shell, direction, rho, mode)
+    extra = sums.s_zero - shell.n
+    if direction.rationality is Rationality.IRRATIONAL and extra > 0:
+        log.warning("irrational direction %s: %d off-diagonal pair(s) within %g of zero",
+                    direction, extra, IRRATIONAL_ZERO_TOL)
     return sums
 
 
@@ -419,7 +407,10 @@ class BoundReport:
     mode: BoundMode
     bound_value: float
     envelope: dict[float, float] = field(repr=False)
-    conjecture_assumed: bool = False
+
+    @property
+    def conjecture_assumed(self) -> bool:
+        return self.mode is BoundMode.CONDITIONAL
 
 
 def variance_bound(
@@ -434,10 +425,10 @@ def variance_bound(
     of _SPLIT_THEOREMS pay L^2 per small pair plus, per tail pair,
     1/(pi^2 rho^2 |mu - mu'|^2) in the relative split (irrational and
     half-rational) or 1/(pi^2 beta^2) in the absolute one (conditional).
-    Each split dominates q_sum exactly, term by term.  q_value, s_zero,
-    inv_sq_sum and bound_value equal what q_sum and pair_sums give, from one
-    pass over the pair tiles.  BoundOverflowError names "length" for an
-    overflowing pair sum or L^2 * s_small, and "rho" for an overflowing tail.
+    Each split dominates q_sum exactly, term by term.  variance_bound composes
+    q_sum, pair_sums over the whole shell (rho = 0, absolute) and the split's
+    pair sums.  BoundOverflowError names "length" for an overflowing pair sum
+    or L^2 * s_small, and "rho" for an overflowing tail.
     """
     direction = line.direction
     check_mode(mode, direction)
@@ -450,28 +441,14 @@ def variance_bound(
     kap = kappa(shell)
     n_sq = shell.n * shell.n
     length = line.length
-
-    tables = _pair_tables(shell, direction)
-
-    def tile(lo, hi):
-        tab = tables(lo, hi)
-        width = hi - lo
-        sums = (_fold(np.sum, width, integral_sq(tab[0], length)),)
-        sums += _split_sums(tab, 0.0, "absolute", width)
-        if theorem is not None:
-            sums += _split_sums(tab, rho_used, split, width)
-        return sums
-
-    sums = _over_half_shell(shell, tile)  # q, then whole-shell and split PairSums fields
-    q_val = float(sums[0] / n_sq)
-    whole = _as_pair_sums(sums[1:5])
-    _warn_near_zero(direction, whole.s_zero, shell.n)
+    q_val = q_sum(shell, line)
+    whole = pair_sums(shell, direction, 0.0, "absolute")
 
     if theorem is None:
         bound = q_val
         envelope = {0.0: kap / shell.n}
     else:
-        parts = _as_pair_sums(sums[5:])
+        parts = _pair_sums(shell, direction, rho_used, split)
         small = length * length * parts.s_small
         if not math.isfinite(small):
             raise BoundOverflowError("length", f"the {mode.value} bound overflows at "
@@ -498,7 +475,6 @@ def variance_bound(
         mode=mode,
         bound_value=bound,
         envelope=envelope,
-        conjecture_assumed=mode is BoundMode.CONDITIONAL,
     )
 
 
@@ -509,15 +485,24 @@ class RieszResult:
     sigma: float
     energy: float
     n: int
-    limit_i: float
-    normalized_gap: float
+
+    @property
+    def limit_i(self) -> float:
+        """I(sigma) = 2^(1-sigma)/(2-sigma), the limit of energy/n^2."""
+        return 2.0 ** (1.0 - self.sigma) / (2.0 - self.sigma)
+
+    @property
+    def normalized_gap(self) -> float:
+        return abs(self.energy / (self.n * self.n) - self.limit_i)
 
 
 def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
     """Sum |P_i - P_j|^-sigma over distinct ordered pairs of unit points.
 
-    For shells projected to the unit sphere the normalized energy E/N^2
-    approaches I(sigma) = 2^(1-sigma)/(2-sigma) as the shell grows.
+    Row i must be the antipode of row n-1-i, as project_shell gives them: the
+    sum runs over antipodal classes, like the other pair sums.  For shells
+    projected to the unit sphere the normalized energy E/N^2 approaches
+    I(sigma) = 2^(1-sigma)/(2-sigma) as the shell grows.
     """
     if not 0.0 < sigma < 2.0:
         raise ValueError(f"sigma must lie in (0, 2), got {sigma}")
@@ -527,9 +512,10 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
         raise ValueError(f"need at least two points, got {n}")
     if not np.isfinite(pts).all():
         raise ValueError("unit points must be finite")
-    # the tiles take 2 - 2<p, q> as the squared distance, true for unit vectors only
+    # the tiles take 2 -+ 2<p, q> as the squared distance, true for unit vectors only
     if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-12):
         raise ValueError("unit points must have norm 1 (within 1e-12)")
+    half = _antipodal_half(pts, projected.m)
 
     def energy_of(dist_sq, keep):
         dists = np.sqrt(dist_sq[keep])
@@ -538,17 +524,13 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
         return np.sum(dists**-sigma)
 
     def tile(lo, hi):
-        dist_sq = np.clip(2.0 - 2.0 * (pts[lo:hi] @ pts[lo:].T), 0.0, None)
+        dist_sq = _signed_dist_sq(half, 2.0, lo, hi)
+        np.clip(dist_sq, 0.0, None, out=dist_sq)
         off = np.ones(dist_sq.shape, dtype=bool)
-        np.fill_diagonal(off, False)  # the diagonal of the diagonal block
+        # each point's own pair; the -H block's diagonal holds the antipodal
+        # pairs, at distance 2
+        np.fill_diagonal(off[0], False)
         return (_fold(energy_of, hi - lo, dist_sq, off),)
 
-    energy = float(_over_tiles(n, tile)[0])
-    limit_i = 2.0 ** (1.0 - sigma) / (2.0 - sigma)
-    return RieszResult(
-        sigma=sigma,
-        energy=energy,
-        n=n,
-        limit_i=limit_i,
-        normalized_gap=abs(energy / (n * n) - limit_i),
-    )
+    (energy,) = _over_half_shell(projected, tile)
+    return RieszResult(sigma=sigma, energy=float(energy), n=n)

@@ -270,19 +270,13 @@ def _resolve_mode(config: ExperimentConfig, direction: Direction) -> BoundMode:
     return mode
 
 
-_BOUND_FLAGS = {"length": "--len", "rho": "--rho"}
-
-
 def _run_bounds(config: ExperimentConfig) -> list[dict]:
     direction = parse_direction(config.direction)
     mode = _resolve_mode(config, direction)
     line = LineSegment(direction, config.length)
     rows = []
     for m, shell in _admissible_shells(config):
-        try:
-            report = variance_bound(shell, line, mode, rho=config.rho)
-        except BoundOverflowError as exc:
-            raise UsageError(_BOUND_FLAGS[exc.parameter], str(exc)) from None
+        report = variance_bound(shell, line, mode, rho=config.rho)
         rows.append({
             "m": m,
             "n": shell.n,
@@ -501,7 +495,11 @@ def parse_report(text: str) -> tuple[str, list[dict]]:
 def run(config: ExperimentConfig) -> int:
     """Execute one configuration; returns the process exit status."""
     config.validate()
-    rows = _RUNNERS[config.command](config)
+    try:
+        rows = _RUNNERS[config.command](config)
+    except BoundOverflowError as exc:
+        flag = {"length": "--len", "rho": "--rho"}[exc.parameter]
+        raise UsageError(flag, str(exc)) from None
     text = _to_csv(rows) if config.format == "csv" else _to_json(config.command, rows)
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="") as handle:

@@ -119,6 +119,15 @@ def enumerate_shell(m: int) -> Shell:
     return Shell(m=m, coords=pts)
 
 
+def _antipodal_half(rows: np.ndarray, m: int) -> np.ndarray:
+    """The first half of rows, once row i is checked to be the antipode of row
+    n-1-i: a half-shell sum would else miss some pairs and count others twice."""
+    if not np.array_equal(rows[::-1], -rows):
+        raise ValueError(f"shell m={m}: row i must be the antipode of row n-1-i, "
+                         f"as in lexicographic order")
+    return rows[: len(rows) // 2]
+
+
 def scale_check(m: int) -> bool:
     """True iff E(4m) equals {2*mu : mu in E(m)} as a set of points."""
     doubled = 2 * enumerate_shell(m).coords

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arithmetic import BoundOverflowError
 from .diophantine import Direction
 from .lattice import Shell
 from .randomwave import (
@@ -84,6 +85,9 @@ MAX_REFINE_DEPTH = 8
 # memory: at m = 1009 a block of 16 adds about 0.3 MB to a simulate process
 # and a block of 32 about 0.8 MB, for about 10% less time per trial.
 BLOCK_TRIALS = 16
+# Entries of each base-grid design matrix (points x N/2): cos and sin take at
+# most 512 MB.  m = 100001 at L = 1 needs 14.0M.
+GRID_ENTRIES = 1 << 25
 
 
 class DegenerateSampleError(RuntimeError):
@@ -158,10 +162,15 @@ class _BaseGrid:
 
 
 def _base_grid(shell: Shell, line: LineSegment) -> _BaseGrid:
-    """Base grid of ceil(GRID_FACTOR * 2 * f_max * L) + 1 uniform points."""
+    """Base grid of ceil(GRID_FACTOR * 2 * f_max * L) + 1 uniform points; raises
+    BoundOverflowError("length") for more than GRID_ENTRIES design entries."""
     b = half_frequencies(shell, line.direction.components)
     f_max = float(np.max(np.abs(b)))  # the mirrored rows carry -b
     n_pts = max(int(math.ceil(GRID_FACTOR * 2.0 * f_max * line.length)) + 1, 2)
+    if n_pts * len(b) > GRID_ENTRIES:
+        raise BoundOverflowError(
+            "length", f"the base grid at m={shell.m} needs {n_pts} points x {len(b)} "
+            f"frequencies, over {GRID_ENTRIES} entries, for length={line.length}")
     t = np.linspace(0.0, line.length, n_pts)
     phase = TWO_PI * t[:, None] * b
     cos_phase = np.cos(phase)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diophantine import Direction
-from .lattice import Shell
+from .lattice import Shell, _antipodal_half
 
 __all__ = [
     "LineSegment",
@@ -155,13 +155,9 @@ def half_frequencies(shell: Shell, v) -> np.ndarray:
     are not in that antipodal order (as they are in lexicographic order): the
     half shell would then miss some pairs and count others twice.
     """
-    coords = shell.coords
     if shell.n == 0:
         raise ValueError(f"no frequencies on the empty shell m={shell.m}")
-    if not np.array_equal(coords[::-1], -coords):
-        raise ValueError(f"shell m={shell.m}: row i must be the antipode of row n-1-i, "
-                         f"as in lexicographic order")
-    return coords[: shell.n // 2].astype(np.float64) @ v
+    return _antipodal_half(shell.coords, shell.m).astype(np.float64) @ v
 
 
 def _check_t(line: LineSegment, t) -> np.ndarray:

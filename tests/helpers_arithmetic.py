@@ -11,7 +11,8 @@ table: half-shell rows against the signed columns H and -H, nothing tiled.
 Each reduction runs once over that table and is doubled, the way a kernel
 reduces its single tile when N/2 rows fit in one, so those sums are equal.
 Their tables hold every summand of the N x N table, bit for bit: twice each
-multiset of the signed half table is the dense one.
+multiset of the signed half table is the dense one.  The unit-sphere
+distances of half_riesz_energy match the dense table's to rounding only.
 """
 
 import math
@@ -181,3 +182,15 @@ def half_r2_terms(shell, line):
     return SquaredCovarianceTerms(
         rr=float(2 * np.sum(eye)) / n_sq, r1r1=r1r1,
         r12r12=float(2 * np.vdot(w_sq @ eye, np.stack((w_sq, w_sq)))) / n_sq)
+
+
+def half_riesz_energy(points, sigma):
+    """The Riesz energy of antipodal points from one signed half table: rows
+    H, columns H and -H, each point's own pair left out, the sum doubled."""
+    pts = np.asarray(points, dtype=np.float64)
+    half = pts[: len(pts) // 2]
+    gram = half @ half.T
+    dist_sq = np.clip(2.0 - 2.0 * np.stack((gram, -gram)), 0.0, None)
+    keep = np.ones(dist_sq.shape, dtype=bool)
+    np.fill_diagonal(keep[0], False)
+    return float(2 * np.sum(np.sqrt(dist_sq[keep]) ** -sigma))

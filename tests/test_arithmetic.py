@@ -38,6 +38,7 @@ from helpers_arithmetic import (
     half_pair_tables,
     half_q_sum,
     half_r2_terms,
+    half_riesz_energy,
     half_split_sums,
 )
 from helpers_stats import negative_trend_p
@@ -530,7 +531,11 @@ class TestRieszEnergy:
         # each point's own (zero) distance on the diagonal blocks is left out
         assert riesz_energy(ProjectedShell(m=1, unit_points=pts), 1.0).energy == \
             pytest.approx(dense_riesz_energy(pts, 1.0), rel=1e-12)
-        pts[5] = pts[0]  # rows 0 and 5 lie in different tiles unless rows == 6
+        # rows 0 and 1 of the half shell coincide, and so do their antipodes
+        # 5 and 4, which keeps the antipodal order; they lie in different
+        # tiles when rows == 1
+        pts[1] = pts[0]
+        pts[4] = pts[5]
         with pytest.raises(ValueError, match="coincident"):
             riesz_energy(ProjectedShell(m=1, unit_points=pts), 1.0)
 
@@ -608,8 +613,10 @@ class TestTiledPairSums:
             assert got == half_split_sums(half, 0.3, split)
             assert_pair_sums_match(got, dense_split_sums(dense, 0.3, split))
         projected = project_shell(shell)
-        assert riesz_energy(projected, 1.0).energy == \
-            dense_riesz_energy(projected.unit_points, 1.0)
+        energy = riesz_energy(projected, 1.0).energy
+        assert energy == half_riesz_energy(projected.unit_points, 1.0)
+        assert energy == pytest.approx(dense_riesz_energy(projected.unit_points, 1.0),
+                                       rel=1e-12)
 
     @pytest.mark.parametrize("spec", TILE_DIRECTIONS)
     @pytest.mark.parametrize("m", [1, 5, 9, 101, 1009])
@@ -697,7 +704,8 @@ def test_shell_out_of_antipodal_order_is_rejected():
              lambda: pair_sums(shuffled, IRR, 0.3),
              lambda: r2_terms(shuffled, line),
              lambda: variance_bound(shuffled, line, BoundMode.IRRATIONAL),
-             lambda: count_zeros(sample_wave(shuffled, 0), line)]
+             lambda: count_zeros(sample_wave(shuffled, 0), line),
+             lambda: riesz_energy(project_shell(shuffled), 1.0)]
     for call in calls:
         with pytest.raises(ValueError, match="antipode"):
             call()

@@ -4,8 +4,10 @@ import csv
 import json
 import math
 import re
+import shlex
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from nodal_lab.cli import (
 )
 from nodal_lab.diophantine import Rationality
 from nodal_lab.lattice import enumerate_shell
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -375,3 +379,44 @@ class TestMain:
     def test_negative_seed_reported(self, capsys):
         assert main(["simulate", "--m", "1", "--trials", "4", "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "wave"])
+    def test_grid_past_its_budget_is_usage_error(self, capsys, monkeypatch, command):
+        # m=5 at the default length needs 33 points x 12 frequencies
+        monkeypatch.setattr(nodal, "GRID_ENTRIES", 395)
+        assert main([command, "--m", "5", "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --len: the base grid at m=5 needs 33 ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def readme_examples():
+    """(argv, stdout lines) of each `$ nodal-lab ...` example in the README's
+    "Command line" section; an example's output runs to the next blank line."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples, current = [], None
+    for line in section.splitlines():
+        if line.startswith("$ nodal-lab "):
+            current = (shlex.split(line)[2:], [])
+            examples.append(current)
+        elif current is not None and line and not line.startswith("```"):
+            current[1].append(line)
+        else:
+            current = None
+    return examples
+
+
+def test_readme_examples_match_the_cli(capsys):
+    # an expected line ending in "..." matches as a prefix
+    examples = readme_examples()
+    assert examples
+    for argv, want in examples:
+        assert main(argv) == 0
+        got = capsys.readouterr().out.splitlines()
+        assert len(got) == len(want), argv
+        for line, expected in zip(got, want):
+            if expected.endswith("..."):
+                assert line.startswith(expected[:-3]), argv
+            else:
+                assert line == expected, argv

@@ -9,6 +9,7 @@ import pytest
 
 from helpers_stats import negative_trend_p
 from nodal_lab import nodal
+from nodal_lab.arithmetic import BoundOverflowError
 from nodal_lab.cli import parse_direction
 from nodal_lab.diophantine import Direction
 from nodal_lab.lattice import enumerate_shell
@@ -107,6 +108,20 @@ def test_degenerate_sample_raises():
 def test_monte_carlo_rejects_empty_shell():
     with pytest.raises(ValueError, match="empty shell m=7"):
         monte_carlo(enumerate_shell(7), LineSegment(E1, 1.0), trials=4, seed=0)
+
+
+def test_base_grid_past_its_budget_is_rejected(monkeypatch):
+    # m=5, L=1 on E1: 33 grid points x 12 frequencies; rejected before allocating
+    shell = enumerate_shell(5)
+    sample = sample_wave(shell, np.random.default_rng(0))
+    line = LineSegment(E1, 1.0)
+    entries = nodal._base_grid(shell, line).cos_phase.size
+    monkeypatch.setattr(nodal, "GRID_ENTRIES", entries)
+    count_zeros(sample, line)
+    monkeypatch.setattr(nodal, "GRID_ENTRIES", entries - 1)
+    with pytest.raises(BoundOverflowError, match="base grid") as info:
+        count_zeros(sample, line)
+    assert info.value.parameter == "length"
 
 
 def dense_scan_count(sample, line, factor=800.0):
