@@ -20,18 +20,24 @@ half shell H (the first N/2 rows, whose order lattice._antipodal_half
 checks) and its columns from H and -H, and is doubled.  integral_sq is even
 in beta, |mu - mu'|^2 = 2m - 2<mu, mu'> is an exact integer, the weighted
 sums carry w_i * w_j with w odd, and the zero tests see the same integers
-(or, for irrational directions, the same beta), so each summand of the half
-shell is bit for bit the dense table's entry for its pair.  The Riesz
-energy of the projected shell folds the same way, since |p - q| is even in
-the pair; its unit-sphere distances match a dense table to rounding.
+(or, for irrational directions, the same beta).  So beta, the zero and
+small masks, |mu - mu'|^2 and 1/beta^2 of the half shell are bit for bit the
+dense table's entries for their pairs.  The integral_sq summands of q_sum
+and r2_terms match the dense table's to rounding only: their numerators
+sin(pi L beta) come from per-row phases by angle subtraction, one sine per
+row instead of one per pair, and only the entries with |pi L beta| < 1 are
+integral_sq's own values.  The Riesz energy of the projected shell folds
+the same way, since |p - q| is even in the pair; its unit-sphere distances
+match a dense table to rounding.
 
 The rows of H then run over block-triangular tiles: rows [lo, hi) against
 the signed columns +-H[lo:], a (2, rows, cols) table of about TILE_ENTRIES
 entries, so a sum takes O(N^2) time in O(TILE_ENTRIES) memory and no N x N
 table is ever built.  Within either column block the summand is symmetric
 in (i, j): beta_ji = -beta_ij exactly in floating point (so the zero and
-small masks and 1/beta^2 agree on both), and b_i + b_j = b_j + b_i.  A
-tile's diagonal block therefore counts once and the columns right of it
+small masks and 1/beta^2 agree on both), and b_i + b_j = b_j + b_i; the
+phase numerators of integral_sq are symmetric to rounding.  A tile's
+diagonal block therefore counts once and the columns right of it
 count twice, for the mirror pairs no tile holds; counts stay exact
 integers.  The sums add the dense table's summands in another order and
 match a dense evaluation to rounding.
@@ -154,10 +160,10 @@ def _signed(cols: np.ndarray, parity: int = -1) -> np.ndarray:
     return np.stack((cols, parity * cols))
 
 
-def _pair_differences(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _pair_differences(x: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
     """Tile of x_i - x_j for an odd quantity x of the half shell: rows i in
     [lo, hi), columns j over the signed columns +-H[lo:], shape (2, rows, cols)."""
-    return x[lo:hi, None] - _signed(x[lo:])[:, None, :]
+    return np.subtract(x[lo:hi, None], _signed(x[lo:])[:, None, :], out=out)
 
 
 def _signed_dist_sq(half: np.ndarray, two_r_sq: float, lo: int, hi: int) -> np.ndarray:
@@ -172,13 +178,59 @@ def _signed_dist_sq(half: np.ndarray, two_r_sq: float, lo: int, hi: int) -> np.n
     return dist_sq
 
 
-def q_sum(shell: Shell, line: LineSegment) -> float:
-    """Normalized pair sum (1/N^2) * sum over ordered pairs of integral_sq."""
+def _integral_sq_tiles(shell: Shell, line: LineSegment):
+    """The half-shell frequencies b and a tile builder: tile(lo, hi) gives
+    integral_sq over the signed tile of pair frequencies
+    _pair_differences(b, lo, hi), shape (2, rows, cols), with no sine per pair.
+    The tile lives in buffers the next call overwrites.
+
+    With x = pi L b, s = sin(x) and c = cos(x) are taken once per row, and
+    sin(x_i -+ x_j) = s_i c_j -+ c_i s_j is one (rows x 2) @ (2 x cols)
+    product per signed column block.  That numerator carries an absolute
+    error of order eps (|x_i| + |x_j|), the error that rounding b already
+    puts into pi L beta, so it serves wherever |pi L beta| >= 1.  Below 1 the
+    summand is well conditioned (its relative condition number 2|1 - x cot x|
+    is under 1 there), and those entries, every zero pair among them, come
+    from integral_sq itself.
+    """
     b = half_frequencies(shell, line.direction.components)
+    length = line.length
+    x = math.pi * length * b
+    s, c = np.sin(x), np.cos(x)
+    rows_sc = np.stack((s, c), axis=1)
+    # the +H block's columns give sin(x_i - x_j), the -H block's sin(x_i + x_j)
+    cols_cs = np.stack((np.stack((c, -s)), np.stack((c, s))))
+    near_beta = 1.0 / (math.pi * length)
+    scratch = []
 
     def tile(lo, hi):
-        eye = integral_sq(_pair_differences(b, lo, hi), line.length)
-        return (_fold(np.sum, hi - lo, eye),)
+        shape = (2, hi - lo, len(b) - lo)
+        size = math.prod(shape)
+        if not scratch or scratch[0].size < size:
+            # every smaller tile reuses these: fresh tile-sized temporaries
+            # would have their pages faulted in again on every tile
+            scratch[:] = [np.empty(size) for _ in range(3)] + [np.empty(size, dtype=bool)]
+        beta, eye, den, near = (buf[:size].reshape(shape) for buf in scratch)
+        _pair_differences(b, lo, hi, out=beta)
+        np.matmul(rows_sc[lo:hi], cols_cs[:, :, lo:], out=eye)
+        np.multiply(PI_SQ, beta, out=den)
+        den *= beta
+        eye *= eye
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eye /= den
+        np.less(np.abs(beta, out=den), near_beta, out=near)
+        eye[near] = integral_sq(beta[near], length)
+        return eye
+
+    return b, tile
+
+
+def q_sum(shell: Shell, line: LineSegment) -> float:
+    """Normalized pair sum (1/N^2) * sum over ordered pairs of integral_sq."""
+    _, eye_tile = _integral_sq_tiles(shell, line)
+
+    def tile(lo, hi):
+        return (_fold(np.sum, hi - lo, eye_tile(lo, hi)),)
 
     (total,) = _over_half_shell(shell, tile)
     return float(total / (shell.n * shell.n))
@@ -205,12 +257,12 @@ class SquaredCovarianceTerms:
 
 def r2_terms(shell: Shell, line: LineSegment) -> SquaredCovarianceTerms:
     """Evaluate the four squared-covariance pair sums exactly."""
-    b = half_frequencies(shell, line.direction.components)
+    b, eye_tile = _integral_sq_tiles(shell, line)
     w = b / math.sqrt(shell.m)
     w_sq = w * w
 
     def tile(lo, hi):
-        eye = integral_sq(_pair_differences(b, lo, hi), line.length)
+        eye = eye_tile(lo, hi)
         width = hi - lo
         return (
             _fold(np.sum, width, eye),
@@ -305,8 +357,8 @@ def _pair_sums(shell: Shell, direction: Direction, rho: float, mode: str) -> Pai
         inv_dist = 1.0 / np.where(dist_sq == 0.0, np.inf, dist_sq)
         width = hi - lo
         return (
-            _fold(np.sum, width, zero),
-            _fold(np.sum, width, small),
+            _fold(np.count_nonzero, width, zero),
+            _fold(np.count_nonzero, width, small),
             _fold(_masked_sum, width, inv_beta_sq, tail),
             _fold(_masked_sum, width, inv_dist, tail),
         )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Shell
+from .lattice import Shell, _check_nonempty
 
 __all__ = [
     "CapSpec",
@@ -250,8 +250,7 @@ def kappa(shell: Shell) -> int:
     run is recounted in int64 as the shell points x with n.x == n.p, and a
     recount that disagrees raises RuntimeError.
     """
-    if shell.n == 0:
-        raise ValueError(f"kappa undefined for the empty shell m={shell.m}")
+    _check_nonempty(shell)
     if shell.m >= KAPPA_M_LIMIT:
         raise ValueError(
             f"kappa's ratio keys are exact only for m < 2^24 = {KAPPA_M_LIMIT}; "

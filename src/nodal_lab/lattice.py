@@ -119,6 +119,13 @@ def enumerate_shell(m: int) -> Shell:
     return Shell(m=m, coords=pts)
 
 
+def _check_nonempty(shell: Shell) -> None:
+    """Raise ValueError on the empty shell, which has no points to sum,
+    sample or project."""
+    if shell.n == 0:
+        raise ValueError(f"no lattice points on the empty shell m={shell.m}")
+
+
 def _antipodal_half(rows: np.ndarray, m: int) -> np.ndarray:
     """The first half of rows, once row i is checked to be the antipode of row
     n-1-i: a half-shell sum would else miss some pairs and count others twice."""
@@ -136,8 +143,7 @@ def scale_check(m: int) -> bool:
 
 def project_shell(shell: Shell) -> ProjectedShell:
     """Scale the shell onto the unit sphere (divide every point by sqrt(m))."""
-    if shell.n == 0:
-        raise ValueError(f"no lattice points: E({shell.m}) is empty")
+    _check_nonempty(shell)
     unit = shell.coords / math.sqrt(shell.m)
     unit.setflags(write=False)
     return ProjectedShell(m=shell.m, unit_points=unit)

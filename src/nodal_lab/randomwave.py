@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diophantine import Direction
-from .lattice import Shell, _antipodal_half
+from .lattice import Shell, _antipodal_half, _check_nonempty
 
 __all__ = [
     "LineSegment",
@@ -130,8 +130,7 @@ def sample_wave(shell: Shell, rng_seed) -> WaveSample:
     E|a_mu|^2 = 1.  ``rng_seed`` may be an integer seed or a numpy Generator
     (the latter lets callers hand in per-trial substreams).
     """
-    if shell.n == 0:
-        raise ValueError(f"cannot sample on an empty shell (m={shell.m})")
+    _check_nonempty(shell)
     if isinstance(rng_seed, np.random.Generator):
         rng = rng_seed
     else:
@@ -155,8 +154,7 @@ def half_frequencies(shell: Shell, v) -> np.ndarray:
     are not in that antipodal order (as they are in lexicographic order): the
     half shell would then miss some pairs and count others twice.
     """
-    if shell.n == 0:
-        raise ValueError(f"no frequencies on the empty shell m={shell.m}")
+    _check_nonempty(shell)
     return _antipodal_half(shell.coords, shell.m).astype(np.float64) @ v
 
 
@@ -197,8 +195,7 @@ def covariance(shell: Shell, line: LineSegment, t1: float, t2: float) -> Covaria
     r depends on tau = t1 - t2 only; r1 = dr/dt1 = -r2, and r12 is the mixed
     second derivative, positive on the diagonal.
     """
-    if shell.n == 0:
-        raise ValueError(f"covariance needs a nonempty shell (m={shell.m})")
+    _check_nonempty(shell)
     b = line_frequencies(shell, line.direction)
     tau = float(t1) - float(t2)
     cos_part = np.cos(TWO_PI * tau * b)

@@ -10,9 +10,12 @@ The half_* oracles build the kernels' summands as one whole (2, N/2, N/2)
 table: half-shell rows against the signed columns H and -H, nothing tiled.
 Each reduction runs once over that table and is doubled, the way a kernel
 reduces its single tile when N/2 rows fit in one, so those sums are equal.
-Their tables hold every summand of the N x N table, bit for bit: twice each
-multiset of the signed half table is the dense one.  The unit-sphere
-distances of half_riesz_energy match the dense table's to rounding only.
+The tables of half_pair_tables (beta, the zero mask, dist^2 and 1/beta^2)
+hold every entry of the N x N tables, bit for bit: twice each multiset of
+the signed half table is the dense one.  half_integral_sq takes the
+numerators sin(pi L beta) from per-row phases by angle subtraction, as the
+kernels do, so its summands match the dense integral_sq table to rounding
+only; so do the unit-sphere distances of half_riesz_energy.
 """
 
 import math
@@ -168,15 +171,31 @@ def half_split_sums(tables, rho, mode):
     )
 
 
+def half_integral_sq(shell, line):
+    """integral_sq over the signed half table of pair frequencies, built as
+    the kernels build a tile: sin(pi L (b_i -+ b_j)) from the per-row phases
+    sin(pi L b) and cos(pi L b) in one product per signed block, and
+    integral_sq itself where |pi L beta| < 1."""
+    b = half_frequencies(shell, line.direction.components)
+    beta = _signed_differences(b)
+    x = math.pi * line.length * b
+    s, c = np.sin(x), np.cos(x)
+    num = np.stack((s, c), axis=1) @ np.stack((np.stack((c, -s)), np.stack((c, s))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eye = num * num / (PI_SQ * beta * beta)
+    near = np.abs(beta) < 1.0 / (math.pi * line.length)
+    eye[near] = integral_sq(beta[near], line.length)
+    return eye
+
+
 def half_q_sum(shell, line):
-    beta = half_pair_tables(shell, line.direction)[0]
-    return float(2 * np.sum(integral_sq(beta, line.length)) / (shell.n * shell.n))
+    return float(2 * np.sum(half_integral_sq(shell, line)) / (shell.n * shell.n))
 
 
 def half_r2_terms(shell, line):
     w = half_frequencies(shell, line.direction.components) / math.sqrt(shell.m)
     w_sq = w * w
-    eye = integral_sq(half_pair_tables(shell, line.direction)[0], line.length)
+    eye = half_integral_sq(shell, line)
     n_sq = shell.n * shell.n
     r1r1 = float(2 * np.vdot(w @ eye, np.stack((w, -w)))) / n_sq
     return SquaredCovarianceTerms(
@@ -194,3 +213,46 @@ def half_riesz_energy(points, sigma):
     keep = np.ones(dist_sq.shape, dtype=bool)
     np.fill_diagonal(keep[0], False)
     return float(2 * np.sum(np.sqrt(dist_sq[keep]) ** -sigma))
+
+
+def mp_pair_sums(shell, line, dps=40):
+    """q_sum and the r2_terms sums of one shell at dps digits with mpmath.
+
+    The float64 half-shell frequencies b, the kernels' input, are taken as
+    exact and extended to the whole shell by the antipodes -b.  Each pair's
+    sin^2(pi L beta)/(pi beta)^2 is evaluated at dps digits from the exact
+    beta, once per distinct |beta|, and every ordered pair is summed.
+    Returns (q, r1r1, r12r12, r1r1_abs), each over N^2 (q is also rr);
+    r1r1_abs sums |w_i w_j| integral_sq, the scale of r1r1's cancellation.
+    """
+    import mpmath
+
+    b = half_frequencies(shell, line.direction.components)
+    with mpmath.workdps(dps):
+        freqs = [mpmath.mpf(float(v)) for v in np.concatenate((b, -b[::-1]))]
+        length = mpmath.mpf(line.length)
+        pi_length = mpmath.pi * length
+        root_m = mpmath.sqrt(shell.m)
+        w = [f / root_m for f in freqs]
+        w_abs = [abs(v) for v in w]
+        w_sq = [v * v for v in w]
+        values = {mpmath.mpf(0): pi_length * pi_length}
+
+        def summand(beta):
+            # pi^2 integral_sq(beta) = sin^2(pi L beta) / beta^2
+            key = abs(beta)
+            if key not in values:
+                values[key] = (mpmath.sin(pi_length * key) / key) ** 2
+            return values[key]
+
+        q = r1r1 = r12r12 = r1r1_abs = mpmath.mpf(0)
+        for i, f in enumerate(freqs):
+            # the diagonal pair once, the pairs right of it twice for (j, i)
+            row = [summand(f - g) for g in freqs[i:]]
+            row[1:] = [2 * v for v in row[1:]]
+            q += mpmath.fsum(row)
+            r1r1 += w[i] * mpmath.fdot(row, w[i:])
+            r1r1_abs += w_abs[i] * mpmath.fdot(row, w_abs[i:])
+            r12r12 += w_sq[i] * mpmath.fdot(row, w_sq[i:])
+        scale = mpmath.pi * mpmath.pi * shell.n * shell.n
+        return tuple(float(total / scale) for total in (q, r1r1, r12r12, r1r1_abs))

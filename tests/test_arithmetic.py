@@ -40,6 +40,7 @@ from helpers_arithmetic import (
     half_r2_terms,
     half_riesz_energy,
     half_split_sums,
+    mp_pair_sums,
 )
 from helpers_stats import negative_trend_p
 
@@ -157,9 +158,16 @@ class TestQSum:
         r2_terms,
         lambda shell, line: pair_sums(shell, line.direction, 0.1),
         lambda shell, line: monte_carlo(shell, line, trials=4, seed=0),
-    ], ids=["q_sum", "r2_terms", "pair_sums", "monte_carlo"])
+        lambda shell, line: variance_bound(shell, line, BoundMode.RATIONAL),
+        lambda shell, line: sample_wave(shell, 0),
+        lambda shell, line: covariance(shell, line, 0.0, 0.0),
+        lambda shell, line: project_shell(shell),
+        lambda shell, line: kappa(shell),
+    ], ids=["q_sum", "r2_terms", "pair_sums", "monte_carlo", "variance_bound",
+            "sample_wave", "covariance", "project_shell", "kappa"])
     def test_rejects_empty_shell(self, pair_sum):
-        # half_frequencies, which all of them read, rejects the empty shell
+        # one lattice check, which half_frequencies and every other reader of
+        # the shell's points call, rejects the empty shell
         with pytest.raises(ValueError, match="m=7"):
             pair_sum(enumerate_shell(7), LineSegment(AXIS, 1.0))
 
@@ -543,6 +551,11 @@ class TestRieszEnergy:
 TILE_DIRECTIONS = ["rat:1,0,0", "rat:1,1,1", "irr:std", "halfrat:1,1,sqrt2"]
 
 
+# (1, -1, 0) . alpha = -2e-4 / |alpha|: pairs with 0 < |beta| < 1e-3
+NEAR_ZERO = Direction.irrational(1.0, 1.0 + 2e-4, math.sqrt(2.0), label="irr:near-zero")
+ORACLE_DIRECTIONS = [parse_direction(spec) for spec in TILE_DIRECTIONS] + [NEAR_ZERO]
+
+
 def modes_for(direction):
     return [BoundMode(direction.rationality.value), BoundMode.CONDITIONAL]
 
@@ -662,6 +675,45 @@ class TestTiledPairSums:
             warnings = [rec for rec in caplog.records if "off-diagonal" in rec.message]
             assert len(warnings) == 1
             assert warnings[0].args[1] == extra
+
+
+class TestPhaseTiles:
+    """integral_sq tiles whose numerators come from per-row phases."""
+
+    @pytest.mark.parametrize("length", [1e-3, 0.8, 7.3])
+    @pytest.mark.parametrize("direction", ORACLE_DIRECTIONS, ids=lambda d: d.label)
+    @pytest.mark.parametrize("m", [5, 101])
+    def test_matches_mpmath(self, m, direction, length):
+        # at L = 1e-3 every entry has |pi L beta| < 1 and comes from integral_sq
+        pytest.importorskip("mpmath")
+        shell = enumerate_shell(m)
+        line = LineSegment(direction, length)
+        q, r1r1, r12r12, r1r1_abs = mp_pair_sums(shell, line)
+        terms = r2_terms(shell, line)
+        assert q_sum(shell, line) == pytest.approx(q, rel=1e-14)
+        assert terms.rr == pytest.approx(q, rel=1e-14)
+        assert terms.r12r12 == pytest.approx(r12r12, rel=1e-14)
+        # r1r1 adds w_i w_j of both signs, which nearly cancel at small L
+        # (sum w = 0): its rounding is relative to the absolute summands
+        assert abs(terms.r1r1 - r1r1) <= 1e-14 * r1r1_abs
+
+    @pytest.mark.parametrize("m", [5, 101])
+    def test_near_zero_direction_has_tiny_pair_frequencies(self, m):
+        beta = np.abs(half_pair_tables(enumerate_shell(m), NEAR_ZERO)[0])
+        assert np.any((beta > 0) & (beta < 1e-3))
+
+    @pytest.mark.parametrize("length", [1e-3, 0.8, 7.3])
+    @pytest.mark.parametrize("direction", ORACLE_DIRECTIONS, ids=lambda d: d.label)
+    def test_near_entries_are_integral_sq(self, direction, length):
+        # the entries with |pi L beta| < 1, every zero pair among them, are
+        # integral_sq's own values bit for bit
+        shell = enumerate_shell(101)
+        line = LineSegment(direction, length)
+        eye = arithmetic._integral_sq_tiles(shell, line)[1](0, shell.n // 2)
+        beta = half_pair_tables(shell, direction)[0]
+        near = np.abs(math.pi * length * beta) < 1
+        assert np.count_nonzero(near) >= shell.n // 2
+        assert np.array_equal(eye[near], integral_sq(beta[near], length))
 
 
 def test_pair_sums_memory_stays_below_one_dense_table():
