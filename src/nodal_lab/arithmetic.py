@@ -42,6 +42,16 @@ count twice, for the mirror pairs no tile holds; counts stay exact
 integers.  The sums add the dense table's summands in another order and
 match a dense evaluation to rounding.
 
+Each family of sums has one buffered tile builder: _integral_sq_tiles for
+q_sum and r2_terms, _pair_tables for the split sums of pair_sums and
+variance_bound, and the distance tile of riesz_energy.  A builder allocates
+its buffers once, sized by the first and largest tile, and fills every
+tile in views of them with out= ufuncs, so a sum faults its pages in once
+instead of on every tile.  The tail sums still compact their entries by
+boolean indexing: summing a zeroed whole tile instead would add in another
+order and move reported values by an ulp.  _pair_sums reads any number of
+splits from one sweep of the pair tables.
+
 The bound evaluation reports two numbers per mode: the exact intermediate
 quantity (a rigorous upper bound for q_sum by construction) and the
 theorem's nominal asymptotic envelope, which carries unknowable constants
@@ -118,7 +128,7 @@ class BoundOverflowError(ValueError):
 def _over_half_shell(shell: Shell | ProjectedShell, tile_sums):
     """Sums over all ordered pairs of the shell from the half-shell row tiles.
 
-    tile_sums(lo, hi), a tuple of folded sums, runs the rows [lo, hi) of the
+    tile_sums(lo, hi), a sequence of folded sums, runs the rows [lo, hi) of the
     half shell H, TILE_ENTRIES // n at a time, against the signed columns
     +-H[lo:].  Each antipodal class {(mu, mu'), (-mu, -mu')} is evaluated
     once, so every total is twice what the tiles add up to.  A total past the
@@ -154,35 +164,86 @@ def _masked_sum(values, keep):
     return np.sum(values[keep])
 
 
+def _masked_inv_sum(values, keep):
+    """_masked_sum of 1/values, dividing only the kept entries, in place in
+    the compacted copy: the same quotients, added in the same order."""
+    kept = values[keep]
+    return np.sum(np.divide(1.0, kept, out=kept))
+
+
+def _tile_buffers(*dtypes):
+    """views(shape) gives one array of that shape per dtype, carved from flat
+    buffers that every tile reuses.
+
+    The buffers are allocated by the first call, whose tile is the largest,
+    and each call overwrites what the one before it returned: fresh
+    tile-sized temporaries would have their pages faulted in again on every
+    tile.
+    """
+    flat = []
+
+    def views(shape):
+        size = math.prod(shape)
+        if not flat or flat[0].size < size:
+            flat[:] = [np.empty(size, dtype) for dtype in dtypes]
+        return [buf[:size].reshape(shape) for buf in flat]
+
+    return views
+
+
 def _signed(cols: np.ndarray, parity: int = -1) -> np.ndarray:
     """A column quantity of H[lo:] stacked with its value on -H[lo:]: negated
     for an odd quantity (parity -1), repeated for an even one (parity 1)."""
     return np.stack((cols, parity * cols))
 
 
-def _pair_differences(x: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
+def _pair_differences(x: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """Tile of x_i - x_j for an odd quantity x of the half shell: rows i in
-    [lo, hi), columns j over the signed columns +-H[lo:], shape (2, rows, cols)."""
+    [lo, hi), columns j over the signed columns +-H[lo:], written into out,
+    of shape (2, rows, cols)."""
     return np.subtract(x[lo:hi, None], _signed(x[lo:])[:, None, :], out=out)
 
 
-def _signed_dist_sq(half: np.ndarray, two_r_sq: float, lo: int, hi: int) -> np.ndarray:
+def _signed_dist_sq(half: np.ndarray, two_r_sq: float, lo: int, hi: int,
+                    out: np.ndarray) -> np.ndarray:
     """Tile of |x_i -+ x_j|^2 = 2r^2 -+ 2<x_i, x_j> over the signed columns for
-    points of norm r, in one array: separate temporaries raised the peak RSS."""
-    dist_sq = np.empty((2, hi - lo, len(half) - lo))
-    gram_2 = dist_sq[1]
+    points of norm r, written into out, of shape (2, rows, cols)."""
+    gram_2 = out[1]
     np.matmul(half[lo:hi], half[lo:].T, out=gram_2)
     gram_2 *= 2.0
-    np.subtract(two_r_sq, gram_2, out=dist_sq[0])
+    np.subtract(two_r_sq, gram_2, out=out[0])
     gram_2 += two_r_sq
-    return dist_sq
+    return out
+
+
+# Taylor coefficients of d(x) = (x - sin x) / x = x^2/3! - x^4/5! + ..., whose
+# first omitted term is below 1e-19 relative to d for |x| <= 1
+_DEFICIT_TAYLOR = tuple((-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(9, 0, -1))
+
+
+def _integral_sq_deficit(x: np.ndarray, length_sq: float) -> np.ndarray:
+    """L^2 - integral_sq at x = pi L beta with |x| <= 1, to a few ulp.
+
+    integral_sq = L^2 (sin x / x)^2 = L^2 (1 - d)^2 with d = (x - sin x) / x,
+    so L^2 - integral_sq = L^2 d (2 - d).  d is taken from its Taylor series
+    in x^2, which needs no division and gives 0 at x = 0; a plain
+    L^2 - integral_sq would cancel near beta = 0.
+    """
+    x_sq = x * x
+    d = np.full_like(x_sq, _DEFICIT_TAYLOR[0])
+    for coeff in _DEFICIT_TAYLOR[1:]:
+        d *= x_sq
+        d += coeff
+    d *= x_sq
+    return length_sq * d * (2.0 - d)
 
 
 def _integral_sq_tiles(shell: Shell, line: LineSegment):
     """The half-shell frequencies b and a tile builder: tile(lo, hi) gives
     integral_sq over the signed tile of pair frequencies
-    _pair_differences(b, lo, hi), shape (2, rows, cols), with no sine per pair.
-    The tile lives in buffers the next call overwrites.
+    beta = _pair_differences(b, lo, hi), shape (2, rows, cols), with no sine
+    per pair, in a buffer the next call overwrites; then the flat indices of
+    the entries with |pi L beta| < 1 and their beta.
 
     With x = pi L b, s = sin(x) and c = cos(x) are taken once per row, and
     sin(x_i -+ x_j) = s_i c_j -+ c_i s_j is one (rows x 2) @ (2 x cols)
@@ -201,16 +262,10 @@ def _integral_sq_tiles(shell: Shell, line: LineSegment):
     # the +H block's columns give sin(x_i - x_j), the -H block's sin(x_i + x_j)
     cols_cs = np.stack((np.stack((c, -s)), np.stack((c, s))))
     near_beta = 1.0 / (math.pi * length)
-    scratch = []
+    views = _tile_buffers(np.float64, np.float64, np.float64, bool)
 
     def tile(lo, hi):
-        shape = (2, hi - lo, len(b) - lo)
-        size = math.prod(shape)
-        if not scratch or scratch[0].size < size:
-            # every smaller tile reuses these: fresh tile-sized temporaries
-            # would have their pages faulted in again on every tile
-            scratch[:] = [np.empty(size) for _ in range(3)] + [np.empty(size, dtype=bool)]
-        beta, eye, den, near = (buf[:size].reshape(shape) for buf in scratch)
+        beta, eye, den, near = views((2, hi - lo, len(b) - lo))
         _pair_differences(b, lo, hi, out=beta)
         np.matmul(rows_sc[lo:hi], cols_cs[:, :, lo:], out=eye)
         np.multiply(PI_SQ, beta, out=den)
@@ -219,8 +274,10 @@ def _integral_sq_tiles(shell: Shell, line: LineSegment):
         with np.errstate(divide="ignore", invalid="ignore"):
             eye /= den
         np.less(np.abs(beta, out=den), near_beta, out=near)
-        eye[near] = integral_sq(beta[near], length)
-        return eye
+        near_at = np.flatnonzero(near)
+        near_b = np.take(beta, near_at)
+        np.put(eye, near_at, integral_sq(near_b, length))
+        return eye, near_at, near_b
 
     return b, tile
 
@@ -230,7 +287,7 @@ def q_sum(shell: Shell, line: LineSegment) -> float:
     _, eye_tile = _integral_sq_tiles(shell, line)
 
     def tile(lo, hi):
-        return (_fold(np.sum, hi - lo, eye_tile(lo, hi)),)
+        return (_fold(np.sum, hi - lo, eye_tile(lo, hi)[0]),)
 
     (total,) = _over_half_shell(shell, tile)
     return float(total / (shell.n * shell.n))
@@ -256,20 +313,27 @@ class SquaredCovarianceTerms:
 
 
 def r2_terms(shell: Shell, line: LineSegment) -> SquaredCovarianceTerms:
-    """Evaluate the four squared-covariance pair sums exactly."""
+    """Evaluate the four squared-covariance pair sums exactly.
+
+    r1r1 sums w_i w_j (integral_sq - L^2): the L^2 part would add
+    L^2 (sum w)^2 = 0 and, at small L, cancel most of the sum's digits.
+    """
     b, eye_tile = _integral_sq_tiles(shell, line)
     w = b / math.sqrt(shell.m)
     w_sq = w * w
+    length = line.length
+    length_sq = length * length
 
     def tile(lo, hi):
-        eye = eye_tile(lo, hi)
+        eye, near_at, near_b = eye_tile(lo, hi)
         width = hi - lo
-        return (
-            _fold(np.sum, width, eye),
-            _fold(lambda e, wc: np.vdot(w[lo:hi] @ e, wc), width, eye, _signed(w[lo:])),
-            _fold(lambda e, wc: np.vdot(w_sq[lo:hi] @ e, wc), width, eye,
-                  _signed(w_sq[lo:], 1)),
-        )
+        rr = _fold(np.sum, width, eye)
+        r12r12 = _fold(lambda e, wc: np.vdot(w_sq[lo:hi] @ e, wc), width, eye,
+                       _signed(w_sq[lo:], 1))
+        eye -= length_sq
+        np.put(eye, near_at, -_integral_sq_deficit(math.pi * length * near_b, length_sq))
+        r1r1 = _fold(lambda e, wc: np.vdot(w[lo:hi] @ e, wc), width, eye, _signed(w[lo:]))
+        return rr, r1r1, r12r12
 
     rr, r1r1, r12r12 = _over_half_shell(shell, tile)
     n_sq = shell.n * shell.n
@@ -293,43 +357,58 @@ class PairSums:
 
 
 def _pair_tables(shell: Shell, direction: Direction):
-    """Tile builder over the half shell: tables(lo, hi) gives the signed
-    tile's pair frequencies, exact zero mask, squared pair distances, and
-    1/beta^2 (0 on the zero pairs), each of shape (2, rows, cols).
+    """Buffered tile builder over the half shell: tables(lo, hi) gives the
+    signed tile's pair frequencies beta, exact zero mask, squared pair
+    distances and 1/beta^2 (0 on the zero pairs), then a spare float64 and a
+    spare bool array free for the caller, each of shape (2, rows, cols) and
+    in buffers the next call overwrites.
 
     Every column quantity is odd and is negated on the antipodal block: the
     frequencies, the Gram row (so dist^2 = 2m -+ 2<mu, mu'>), and the integer
     keys of the exact zero tests.  The Gram tile is a float64 product: it and
-    2m -+ 2g are integers of magnitude at most 4m, so they are exact.
+    2m -+ 2g are integers of magnitude at most 4m, so they are exact.  Every
+    table is filled in place, and the zero pairs' beta^2 is set to inf before
+    the divide.  The rational and half-rational zero tests compare int64 key
+    differences, built in the spare buffer viewed as int64 before the caller
+    gets it, so no class pays for a buffer of its own; an irrational
+    direction compares |beta| with IRRATIONAL_ZERO_TOL.
     """
     b = half_frequencies(shell, direction.components)
     half = _antipodal_half(shell.coords, shell.m)
     half_f = half.astype(np.float64)
     two_m = 2.0 * shell.m
-    if direction.rationality is Rationality.RATIONAL:
-        dots = half @ np.array(direction.ints, dtype=np.int64)
-        norm_sq = float(sum(c * c for c in direction.ints))
-    elif direction.rationality is Rationality.HALF_RATIONAL:
+    rationality = direction.rationality
+    numerator = 1.0
+    keys = ()
+    if rationality is Rationality.RATIONAL:
+        keys = (half @ np.array(direction.ints, dtype=np.int64),)
+        numerator = float(sum(c * c for c in direction.ints))
+    elif rationality is Rationality.HALF_RATIONAL:
         u, v = direction.uv
-        plane = v * half[:, 0] + u * half[:, 1]
-        height = half[:, 2]
+        keys = (v * half[:, 0] + u * half[:, 1], half[:, 2])
+    views = _tile_buffers(np.float64, bool, np.float64, np.float64, np.float64, bool)
 
     def tables(lo, hi):
-        beta = _pair_differences(b, lo, hi)
-        dist_sq = _signed_dist_sq(half_f, two_m, lo, hi)
-        if direction.rationality is Rationality.RATIONAL:
-            num = _pair_differences(dots, lo, hi)
-            zero = num == 0
-            num_f = num.astype(np.float64)
-            inv_beta_sq = norm_sq / np.where(zero, np.inf, num_f * num_f)
+        tile = views((2, hi - lo, len(b) - lo))
+        beta, zero, dist_sq, inv_beta_sq, spare, spare_mask = tile
+        _pair_differences(b, lo, hi, out=beta)
+        _signed_dist_sq(half_f, two_m, lo, hi, out=dist_sq)
+        key = spare.view(np.int64)
+        if keys:
+            # beta is 0 exactly where every key difference is 0
+            np.equal(_pair_differences(keys[0], lo, hi, out=key), 0, out=zero)
+            for other in keys[1:]:
+                zero &= np.equal(_pair_differences(other, lo, hi, out=key), 0, out=spare_mask)
         else:
-            if direction.rationality is Rationality.HALF_RATIONAL:
-                zero = ((_pair_differences(plane, lo, hi) == 0)
-                        & (_pair_differences(height, lo, hi) == 0))
-            else:
-                zero = np.abs(beta) <= IRRATIONAL_ZERO_TOL
-            inv_beta_sq = 1.0 / np.where(zero, np.inf, beta * beta)
-        return beta, zero, dist_sq, inv_beta_sq
+            np.less_equal(np.abs(beta, out=inv_beta_sq), IRRATIONAL_ZERO_TOL, out=zero)
+        if rationality is Rationality.RATIONAL:
+            # beta = key / |ints|, so 1/beta^2 = |ints|^2 / key^2
+            np.multiply(key, key, out=inv_beta_sq, dtype=np.float64)
+        else:
+            np.multiply(beta, beta, out=inv_beta_sq)
+        inv_beta_sq[zero] = np.inf
+        np.divide(numerator, inv_beta_sq, out=inv_beta_sq)
+        return tile
 
     return tables
 
@@ -341,31 +420,50 @@ def _check_split(rho: float, mode: str) -> None:
         raise ValueError(f"mode must be 'relative' or 'absolute', got {mode!r}")
 
 
-def _pair_sums(shell: Shell, direction: Direction, rho: float, mode: str) -> PairSums:
-    """The split sums of pair_sums, without its near-zero warning."""
-    _check_split(rho, mode)
+def _pair_sums(shell: Shell, direction: Direction, splits) -> list[PairSums]:
+    """The PairSums of pair_sums for each (rho, mode) of splits, from one
+    sweep over the pair tables, without pair_sums's near-zero warning.
+
+    Each split builds its small mask, then the tail mask, in the tile's
+    spare bool array, and a relative split its threshold rho |mu - mu'| in
+    the spare float64 one.  The tails are summed over their compacted
+    entries; 1/|mu - mu'|^2 is taken on those alone, none of which is a zero
+    pair at distance 0.
+    """
+    for rho, mode in splits:
+        _check_split(rho, mode)
     tables = _pair_tables(shell, direction)
 
     def tile(lo, hi):
-        beta, zero, dist_sq, inv_beta_sq = tables(lo, hi)
-        if mode == "relative":
-            small = np.abs(beta) <= rho * np.sqrt(dist_sq)
-        else:
-            small = np.abs(beta) <= rho
-        small |= zero
-        tail = ~small
-        inv_dist = 1.0 / np.where(dist_sq == 0.0, np.inf, dist_sq)
+        beta, zero, dist_sq, inv_beta_sq, spare, small = tables(lo, hi)
+        abs_beta = np.abs(beta, out=beta)
         width = hi - lo
-        return (
-            _fold(np.count_nonzero, width, zero),
-            _fold(np.count_nonzero, width, small),
-            _fold(_masked_sum, width, inv_beta_sq, tail),
-            _fold(_masked_sum, width, inv_dist, tail),
-        )
+        sums = [_fold(np.count_nonzero, width, zero)]
+        for rho, mode in splits:
+            if mode == "relative":
+                threshold = np.multiply(rho, np.sqrt(dist_sq, out=spare), out=spare)
+            else:
+                threshold = rho
+            np.less_equal(abs_beta, threshold, out=small)
+            small |= zero
+            sums.append(_fold(np.count_nonzero, width, small))
+            tail = np.logical_not(small, out=small)
+            sums.append(_fold(_masked_sum, width, inv_beta_sq, tail))
+            sums.append(_fold(_masked_inv_sum, width, dist_sq, tail))
+        return sums
 
-    s_zero, s_small, inv_sq_sum, inv_dist_sq_sum = _over_half_shell(shell, tile)
-    return PairSums(s_zero=int(s_zero), s_small=int(s_small),
-                    inv_sq_sum=float(inv_sq_sum), inv_dist_sq_sum=float(inv_dist_sq_sum))
+    s_zero, *totals = _over_half_shell(shell, tile)
+    return [PairSums(s_zero=int(s_zero), s_small=int(s_small), inv_sq_sum=float(inv_sq),
+                     inv_dist_sq_sum=float(inv_dist_sq))
+            for s_small, inv_sq, inv_dist_sq in
+            (totals[k:k + 3] for k in range(0, len(totals), 3))]
+
+
+def _warn_near_zero(shell: Shell, direction: Direction, s_zero: int) -> None:
+    extra = s_zero - shell.n
+    if direction.rationality is Rationality.IRRATIONAL and extra > 0:
+        log.warning("irrational direction %s: %d off-diagonal pair(s) within %g of zero",
+                    direction, extra, IRRATIONAL_ZERO_TOL)
 
 
 def pair_sums(shell: Shell, direction: Direction, rho: float, mode: str = "relative") -> PairSums:
@@ -377,11 +475,8 @@ def pair_sums(shell: Shell, direction: Direction, rho: float, mode: str = "relat
     Warns once when an irrational direction's tolerance counts off-diagonal
     zeros.
     """
-    sums = _pair_sums(shell, direction, rho, mode)
-    extra = sums.s_zero - shell.n
-    if direction.rationality is Rationality.IRRATIONAL and extra > 0:
-        log.warning("irrational direction %s: %d off-diagonal pair(s) within %g of zero",
-                    direction, extra, IRRATIONAL_ZERO_TOL)
+    (sums,) = _pair_sums(shell, direction, [(rho, mode)])
+    _warn_near_zero(shell, direction, sums.s_zero)
     return sums
 
 
@@ -478,29 +573,33 @@ def variance_bound(
     1/(pi^2 rho^2 |mu - mu'|^2) in the relative split (irrational and
     half-rational) or 1/(pi^2 beta^2) in the absolute one (conditional).
     Each split dominates q_sum exactly, term by term.  variance_bound composes
-    q_sum, pair_sums over the whole shell (rho = 0, absolute) and the split's
-    pair sums.  BoundOverflowError names "length" for an overflowing pair sum
-    or L^2 * s_small, and "rho" for an overflowing tail.
+    q_sum and one sweep of the pair tables that yields the whole-shell sums
+    (rho = 0, absolute) and the theorem's split together.
+    BoundOverflowError names "length" for an overflowing pair sum or
+    L^2 * s_small, and "rho" for an overflowing tail.
     """
     direction = line.direction
     check_mode(mode, direction)
     check_rho(mode, rho)
     theorem = _SPLIT_THEOREMS.get(mode)
     rho_used = rho if rho is not None else _default_rho(mode, shell.m)
+    splits = [(0.0, "absolute")]
     if theorem is not None:
         split, _, exponent = theorem
         _check_split(rho_used, split)
+        splits.append((rho_used, split))
     kap = kappa(shell)
     n_sq = shell.n * shell.n
     length = line.length
     q_val = q_sum(shell, line)
-    whole = pair_sums(shell, direction, 0.0, "absolute")
+    whole, *split_sums = _pair_sums(shell, direction, splits)
+    _warn_near_zero(shell, direction, whole.s_zero)
 
     if theorem is None:
         bound = q_val
         envelope = {0.0: kap / shell.n}
     else:
-        parts = _pair_sums(shell, direction, rho_used, split)
+        (parts,) = split_sums
         small = length * length * parts.s_small
         if not math.isfinite(small):
             raise BoundOverflowError("length", f"the {mode.value} bound overflows at "
@@ -568,19 +667,23 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
     if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-12):
         raise ValueError("unit points must have norm 1 (within 1e-12)")
     half = _antipodal_half(pts, projected.m)
+    views = _tile_buffers(np.float64, bool)
 
     def energy_of(dist_sq, keep):
-        dists = np.sqrt(dist_sq[keep])
+        dists = dist_sq[keep]
+        np.sqrt(dists, out=dists)
         if np.any(dists == 0.0):
             raise ValueError("coincident points give a divergent energy")
-        return np.sum(dists**-sigma)
+        dists **= -sigma
+        return np.sum(dists)
 
     def tile(lo, hi):
-        dist_sq = _signed_dist_sq(half, 2.0, lo, hi)
+        dist_sq, off = views((2, hi - lo, len(half) - lo))
+        _signed_dist_sq(half, 2.0, lo, hi, out=dist_sq)
         np.clip(dist_sq, 0.0, None, out=dist_sq)
-        off = np.ones(dist_sq.shape, dtype=bool)
         # each point's own pair; the -H block's diagonal holds the antipodal
         # pairs, at distance 2
+        off.fill(True)
         np.fill_diagonal(off[0], False)
         return (_fold(energy_of, hi - lo, dist_sq, off),)
 

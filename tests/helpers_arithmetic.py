@@ -28,6 +28,7 @@ from nodal_lab.arithmetic import (
     BoundMode,
     PairSums,
     SquaredCovarianceTerms,
+    _integral_sq_deficit,
     integral_sq,
 )
 from nodal_lab.diophantine import Rationality
@@ -175,7 +176,8 @@ def half_integral_sq(shell, line):
     """integral_sq over the signed half table of pair frequencies, built as
     the kernels build a tile: sin(pi L (b_i -+ b_j)) from the per-row phases
     sin(pi L b) and cos(pi L b) in one product per signed block, and
-    integral_sq itself where |pi L beta| < 1."""
+    integral_sq itself where |pi L beta| < 1.  Returns the table, beta and
+    that near mask."""
     b = half_frequencies(shell, line.direction.components)
     beta = _signed_differences(b)
     x = math.pi * line.length * b
@@ -185,19 +187,25 @@ def half_integral_sq(shell, line):
         eye = num * num / (PI_SQ * beta * beta)
     near = np.abs(beta) < 1.0 / (math.pi * line.length)
     eye[near] = integral_sq(beta[near], line.length)
-    return eye
+    return eye, beta, near
 
 
 def half_q_sum(shell, line):
-    return float(2 * np.sum(half_integral_sq(shell, line)) / (shell.n * shell.n))
+    return float(2 * np.sum(half_integral_sq(shell, line)[0]) / (shell.n * shell.n))
 
 
 def half_r2_terms(shell, line):
+    """r2_terms from the whole signed half table; r1r1 sums
+    w_i w_j (integral_sq - L^2) as the kernels do, with the near entries'
+    difference from _integral_sq_deficit."""
     w = half_frequencies(shell, line.direction.components) / math.sqrt(shell.m)
     w_sq = w * w
-    eye = half_integral_sq(shell, line)
+    eye, beta, near = half_integral_sq(shell, line)
     n_sq = shell.n * shell.n
-    r1r1 = float(2 * np.vdot(w @ eye, np.stack((w, -w)))) / n_sq
+    l_sq = line.length * line.length
+    shifted = eye - l_sq
+    shifted[near] = -_integral_sq_deficit(math.pi * line.length * beta[near], l_sq)
+    r1r1 = float(2 * np.vdot(w @ shifted, np.stack((w, -w)))) / n_sq
     return SquaredCovarianceTerms(
         rr=float(2 * np.sum(eye)) / n_sq, r1r1=r1r1,
         r12r12=float(2 * np.vdot(w_sq @ eye, np.stack((w_sq, w_sq)))) / n_sq)
@@ -222,8 +230,7 @@ def mp_pair_sums(shell, line, dps=40):
     exact and extended to the whole shell by the antipodes -b.  Each pair's
     sin^2(pi L beta)/(pi beta)^2 is evaluated at dps digits from the exact
     beta, once per distinct |beta|, and every ordered pair is summed.
-    Returns (q, r1r1, r12r12, r1r1_abs), each over N^2 (q is also rr);
-    r1r1_abs sums |w_i w_j| integral_sq, the scale of r1r1's cancellation.
+    Returns (q, r1r1, r12r12), each over N^2 (q is also rr).
     """
     import mpmath
 
@@ -234,7 +241,6 @@ def mp_pair_sums(shell, line, dps=40):
         pi_length = mpmath.pi * length
         root_m = mpmath.sqrt(shell.m)
         w = [f / root_m for f in freqs]
-        w_abs = [abs(v) for v in w]
         w_sq = [v * v for v in w]
         values = {mpmath.mpf(0): pi_length * pi_length}
 
@@ -245,14 +251,13 @@ def mp_pair_sums(shell, line, dps=40):
                 values[key] = (mpmath.sin(pi_length * key) / key) ** 2
             return values[key]
 
-        q = r1r1 = r12r12 = r1r1_abs = mpmath.mpf(0)
+        q = r1r1 = r12r12 = mpmath.mpf(0)
         for i, f in enumerate(freqs):
             # the diagonal pair once, the pairs right of it twice for (j, i)
             row = [summand(f - g) for g in freqs[i:]]
             row[1:] = [2 * v for v in row[1:]]
             q += mpmath.fsum(row)
             r1r1 += w[i] * mpmath.fdot(row, w[i:])
-            r1r1_abs += w_abs[i] * mpmath.fdot(row, w_abs[i:])
             r12r12 += w_sq[i] * mpmath.fdot(row, w_sq[i:])
         scale = mpmath.pi * mpmath.pi * shell.n * shell.n
-        return tuple(float(total / scale) for total in (q, r1r1, r12r12, r1r1_abs))
+        return tuple(float(total / scale) for total in (q, r1r1, r12r12))

@@ -639,7 +639,7 @@ class TestTiledPairSums:
         shell = enumerate_shell(m)
         direction = parse_direction(spec)
         half = half_pair_tables(shell, direction)
-        tiles = arithmetic._pair_tables(shell, direction)(0, shell.n // 2)
+        tiles = arithmetic._pair_tables(shell, direction)(0, shell.n // 2)[:4]
         for got, want in zip(tiles, half):
             assert np.array_equal(got, want)
         beta, zero, dist_sq, inv_beta_sq = half
@@ -656,6 +656,27 @@ class TestTiledPairSums:
         for folded, dense in pairs:
             assert np.array_equal(doubled(folded), np.sort(dense.ravel()))
         assert 2 * int(zero.sum()) == int(dense_zero.sum())
+
+    @pytest.mark.parametrize("rows", [1, 10, 83])
+    def test_ragged_tiles_reuse_stale_buffers_safely(self, monkeypatch, rows):
+        # the 84 half-shell rows of m=101 run as tiles of rows x (84 - lo)
+        # entries per block, smaller each time, the last one holding 1 row
+        # (rows 1 and 83) or 4 (rows 10); every tile is a view into the first
+        # tile's buffers, whose stale entries no sum may read
+        shell = enumerate_shell(101)
+        half = shell.n // 2
+        monkeypatch.setattr(arithmetic, "TILE_ENTRIES", rows * shell.n)
+        tile_rows = [min(rows, half - lo) for lo in range(0, half, rows)]
+        assert len(tile_rows) > 1 and tile_rows[-1] == (4 if rows == 10 else 1)
+        for direction in ORACLE_DIRECTIONS:
+            tables = dense_pair_tables(shell, direction)
+            for rho in (0.0, 0.05, 0.3, 2.0):
+                for split in ("relative", "absolute"):
+                    assert_pair_sums_match(pair_sums(shell, direction, rho, split),
+                                           dense_split_sums(tables, rho, split))
+        projected = project_shell(shell)
+        assert riesz_energy(projected, 1.3).energy == pytest.approx(
+            half_riesz_energy(projected.unit_points, 1.3), rel=1e-12)
 
     @pytest.mark.parametrize("rows", [1, 7, 1000])
     def test_near_zero_warning_fires_once_with_dense_count(self, monkeypatch, caplog, rows):
@@ -688,14 +709,29 @@ class TestPhaseTiles:
         pytest.importorskip("mpmath")
         shell = enumerate_shell(m)
         line = LineSegment(direction, length)
-        q, r1r1, r12r12, r1r1_abs = mp_pair_sums(shell, line)
+        q, r1r1, r12r12 = mp_pair_sums(shell, line)
         terms = r2_terms(shell, line)
         assert q_sum(shell, line) == pytest.approx(q, rel=1e-14)
         assert terms.rr == pytest.approx(q, rel=1e-14)
         assert terms.r12r12 == pytest.approx(r12r12, rel=1e-14)
-        # r1r1 adds w_i w_j of both signs, which nearly cancel at small L
-        # (sum w = 0): its rounding is relative to the absolute summands
-        assert abs(terms.r1r1 - r1r1) <= 1e-14 * r1r1_abs
+        # r1r1's summands w_i w_j integral_sq carry both signs and nearly
+        # cancel at small L (sum w = 0); summing w_i w_j (integral_sq - L^2)
+        # keeps it accurate relative to itself
+        assert abs(terms.r1r1 - r1r1) <= 1e-14 * abs(r1r1)
+
+    def test_integral_sq_deficit_matches_mpmath(self):
+        # L^2 - integral_sq = L^2 (1 - (sin x / x)^2) at x = pi L beta, within
+        # 2 ulp over |x| <= 1 and exactly 0 at x = 0
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.concatenate(([1e-150, 1e-8, 1e-4], np.linspace(1e-3, 1.0, 200)))
+        xs = np.concatenate((xs, -xs))
+        got = arithmetic._integral_sq_deficit(xs, 2.5)
+        with mpmath.workdps(40):
+            for x, value in zip(xs, got):
+                x = mpmath.mpf(float(x))
+                want = float(2.5 * (1 - (mpmath.sin(x) / x) ** 2))
+                assert value == pytest.approx(want, rel=4.5e-16)
+        assert arithmetic._integral_sq_deficit(np.zeros(3), 2.5).tolist() == [0.0] * 3
 
     @pytest.mark.parametrize("m", [5, 101])
     def test_near_zero_direction_has_tiny_pair_frequencies(self, m):
@@ -709,7 +745,7 @@ class TestPhaseTiles:
         # integral_sq's own values bit for bit
         shell = enumerate_shell(101)
         line = LineSegment(direction, length)
-        eye = arithmetic._integral_sq_tiles(shell, line)[1](0, shell.n // 2)
+        eye, _, _ = arithmetic._integral_sq_tiles(shell, line)[1](0, shell.n // 2)
         beta = half_pair_tables(shell, direction)[0]
         near = np.abs(math.pi * length * beta) < 1
         assert np.count_nonzero(near) >= shell.n // 2
