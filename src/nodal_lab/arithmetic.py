@@ -20,15 +20,37 @@ half shell H (the first N/2 rows, whose order lattice._antipodal_half
 checks) and its columns from H and -H, and is doubled.  integral_sq is even
 in beta, |mu - mu'|^2 = 2m - 2<mu, mu'> is an exact integer, the weighted
 sums carry w_i * w_j with w odd, and the zero tests see the same integers
-(or, for irrational directions, the same beta).  So beta, the zero and
-small masks, |mu - mu'|^2 and 1/beta^2 of the half shell are bit for bit the
-dense table's entries for their pairs.  The integral_sq summands of q_sum
-and r2_terms match the dense table's to rounding only: their numerators
-sin(pi L beta) come from per-row phases by angle subtraction, one sine per
-row instead of one per pair, and only the entries with |pi L beta| < 1 are
-integral_sq's own values.  The Riesz energy of the projected shell folds
+(or, for irrational directions, the same beta).  So for the directions whose
+sums run over points, beta, the zero and small masks, |mu - mu'|^2 and
+1/beta^2 of the half shell are bit for bit the dense table's entries for
+their pairs.  The integral_sq summands of q_sum and r2_terms match the
+dense table's to rounding only: their numerators sin(pi L beta) come from
+per-row phases by angle subtraction, one sine per row instead of one per
+pair, and only the entries with |pi L beta| < 1 are integral_sq's own
+values.  The Riesz energy of the projected shell folds
 the same way, since |p - q| is even in the pair; its unit-sphere distances
 match a dense table to rounding.
+
+A rational direction a needs fewer rows.  Its pair frequencies are k/|a|,
+k = <mu - mu', a> an integer, so a sum that reads beta alone depends only on
+how H falls into the planes <mu, a> = k: on its frequency classes, the
+distinct keys k over H, each with the number h of points on its plane
+(_frequency_classes).  q_sum, r2_terms, and pair_sums's s_zero and the
+absolute split's s_small and inv_sq_sum take the classes as rows and their
+signed keys as columns, each class pair weighted by h_i h_j, through the
+same tile driver and builders.  At m = 10001 the 960 points of H fall into
+67, 124 and 343 classes for a = (1,0,0), (1,1,1) and (1,2,3); when every key
+is distinct a class is a point and the sweep costs what the point sweep
+does.  The keys, their differences and the counts' products are integers
+that float64 holds exactly (_EXACT_KEYS), so the counts are exact, and the
+absolute split |k| <= rho |a| is decided exactly, as an integer bound on
+|k|.  The sums that read |mu - mu'| cannot be grouped by key:
+inv_dist_sq_sum and the whole relative split stay on the point sweep, which
+for a rational direction builds the Gram tile and the integer key
+differences alone, no float beta and no 1/beta^2 table, and decides the
+relative split exactly too.  The class sums evaluate each summand at the
+class frequency k/|a|, rounded once, and add the summands in another order,
+so they match the point sums to rounding (an ulp in the bounds reports).
 
 The rows of H then run over block-triangular tiles: rows [lo, hi) against
 the signed columns +-H[lo:], a (2, rows, cols) table of about TILE_ENTRIES
@@ -44,13 +66,16 @@ match a dense evaluation to rounding.
 
 Each family of sums has one buffered tile builder: _integral_sq_tiles for
 q_sum and r2_terms, _pair_tables for the split sums of pair_sums and
-variance_bound, and the distance tile of riesz_energy.  A builder allocates
-its buffers once, sized by the first and largest tile, and fills every
-tile in views of them with out= ufuncs, so a sum faults its pages in once
-instead of on every tile.  The tail sums still compact their entries by
-boolean indexing: summing a zeroed whole tile instead would add in another
-order and move reported values by an ulp.  _pair_sums reads any number of
-splits from one sweep of the pair tables.
+variance_bound over half-rational and irrational directions, the class and
+point tiles of _rational_pair_sums for rational ones, and the distance tile
+of riesz_energy.  A builder allocates its buffers once, sized by the first
+and largest tile, and fills every tile in views of them with out= ufuncs,
+so a sum faults its pages in once instead of on every tile.  The point
+sweeps' tail sums still compact their entries by boolean indexing: summing
+a zeroed whole tile instead would add in another order and move reported
+values by an ulp.  _pair_sums reads any number of
+splits from one sweep of the pair tables, or from one class sweep and one
+point sweep for a rational direction.
 
 The bound evaluation reports two numbers per mode: the exact intermediate
 quantity (a rigorous upper bound for q_sum by construction) and the
@@ -64,12 +89,13 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .diophantine import Direction, Rationality
 from .geometry import kappa
-from .lattice import ProjectedShell, Shell, _antipodal_half
+from .lattice import ProjectedShell, Shell, _antipodal_half, _check_nonempty
 from .randomwave import LineSegment, half_frequencies
 
 __all__ = [
@@ -125,23 +151,23 @@ class BoundOverflowError(ValueError):
         self.parameter = parameter
 
 
-def _over_half_shell(shell: Shell | ProjectedShell, tile_sums):
-    """Sums over all ordered pairs of the shell from the half-shell row tiles.
+def _over_half_shell(m: int, half: int, tile_sums):
+    """Sums over all ordered pairs of the shell E(m) from row tiles of its half.
 
-    tile_sums(lo, hi), a sequence of folded sums, runs the rows [lo, hi) of the
-    half shell H, TILE_ENTRIES // n at a time, against the signed columns
-    +-H[lo:].  Each antipodal class {(mu, mu'), (-mu, -mu')} is evaluated
-    once, so every total is twice what the tiles add up to.  A total past the
-    float64 range raises BoundOverflowError("length"): only integral_sq terms
-    (<= L^2) get there.
+    The half rows are the points of the half shell H or, for a rational
+    direction, its frequency classes.  tile_sums(lo, hi), a sequence of
+    folded sums, runs the rows [lo, hi), TILE_ENTRIES // (2 half) at a time,
+    against the signed columns +-H[lo:].  Each antipodal class
+    {(mu, mu'), (-mu, -mu')} is evaluated once, so every total is twice what
+    the tiles add up to.  A total past the float64 range raises
+    BoundOverflowError("length"): only integral_sq terms (<= L^2) get there.
     """
-    half = shell.n // 2
-    rows = max(1, TILE_ENTRIES // shell.n)
+    rows = max(1, TILE_ENTRIES // (2 * half))
     with np.errstate(over="ignore"):
         parts = [tile_sums(lo, min(lo + rows, half)) for lo in range(0, half, rows)]
         totals = tuple(2 * sum(column) for column in zip(*parts))
     if not all(np.isfinite(total) for total in totals):
-        raise BoundOverflowError("length", f"a pair sum at m={shell.m} overflows for this length")
+        raise BoundOverflowError("length", f"a pair sum at m={m} overflows for this length")
     return totals
 
 
@@ -171,6 +197,34 @@ def _masked_inv_sum(values, keep):
     return np.sum(np.divide(1.0, kept, out=kept))
 
 
+def _masked_inv_key_sq_sum(numerator: float):
+    """reduce for _fold: numerator / k^2 summed over the kept entries of a
+    key table, each k squared in the compacted copy."""
+
+    def reduce(keys, keep):
+        kept = keys[keep]
+        kept *= kept
+        return np.sum(np.divide(numerator, kept, out=kept))
+
+    return reduce
+
+
+def _pair_weights(weights, parity: int = 1):
+    """fold(lo, hi, table): _fold of sum_ij v_i t_ij v'_j over a signed tile
+    of the rows [lo, hi), where v are the row weights and v' the column
+    weights, v on H and parity * v on -H; the plain sum when weights is None.
+    The signed column stack is built once, and each tile slices it."""
+    if weights is None:
+        return lambda lo, hi, table: _fold(np.sum, hi - lo, table)
+    cols = _signed(weights, parity)
+
+    def fold(lo, hi, table):
+        rows = weights[lo:hi]
+        return _fold(lambda t, c: np.vdot(rows @ t, c), hi - lo, table, cols[:, lo:])
+
+    return fold
+
+
 def _tile_buffers(*dtypes):
     """views(shape) gives one array of that shape per dtype, carved from flat
     buffers that every tile reuses.
@@ -197,11 +251,17 @@ def _signed(cols: np.ndarray, parity: int = -1) -> np.ndarray:
     return np.stack((cols, parity * cols))
 
 
-def _pair_differences(x: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-    """Tile of x_i - x_j for an odd quantity x of the half shell: rows i in
-    [lo, hi), columns j over the signed columns +-H[lo:], written into out,
-    of shape (2, rows, cols)."""
-    return np.subtract(x[lo:hi, None], _signed(x[lo:])[:, None, :], out=out)
+def _pair_differences(x: np.ndarray):
+    """tile(lo, hi, out): x_i - x_j for an odd quantity x of the half rows,
+    rows i in [lo, hi) and columns j over the signed columns +-H[lo:], written
+    into out, of shape (2, rows, cols).  The signed column stack is built
+    once per sweep, and each tile slices it."""
+    cols = _signed(x)[:, None, :]
+
+    def tile(lo, hi, out):
+        return np.subtract(x[lo:hi, None], cols[:, :, lo:], out=out)
+
+    return tile
 
 
 def _signed_dist_sq(half: np.ndarray, two_r_sq: float, lo: int, hi: int,
@@ -238,12 +298,49 @@ def _integral_sq_deficit(x: np.ndarray, length_sq: float) -> np.ndarray:
     return length_sq * d * (2.0 - d)
 
 
-def _integral_sq_tiles(shell: Shell, line: LineSegment):
-    """The half-shell frequencies b and a tile builder: tile(lo, hi) gives
-    integral_sq over the signed tile of pair frequencies
-    beta = _pair_differences(b, lo, hi), shape (2, rows, cols), with no sine
-    per pair, in a buffer the next call overwrites; then the flat indices of
-    the entries with |pi L beta| < 1 and their beta.
+# Keys <mu, a> stay below this in magnitude, so float64 holds them and their
+# pairwise sums and differences exactly.
+_EXACT_KEYS = 2.0**52
+
+
+def _half_keys(shell: Shell, direction: Direction) -> np.ndarray:
+    """The integer keys k = <mu, a> of the half shell for a rational
+    direction a, as exact float64 integers.  Raises ValueError if a key
+    reaches _EXACT_KEYS (m past about 1.4e12 for the largest legal a)."""
+    _check_nonempty(shell)
+    keys = _antipodal_half(shell.coords, shell.m) @ np.array(direction.ints, dtype=np.int64)
+    if np.abs(keys).max() >= _EXACT_KEYS:
+        raise ValueError(f"the keys <mu, a> of m={shell.m} reach 2^52, past exact float64 "
+                         f"pair differences")
+    return keys.astype(np.float64)
+
+
+def _frequency_classes(shell: Shell, direction: Direction):
+    """The frequency classes of a rational direction a over the half shell:
+    the distinct keys k = <mu, a>, ascending, and the number h of half-shell
+    points on each plane <mu, a> = k, both as exact float64 integers."""
+    keys, counts = np.unique(_half_keys(shell, direction), return_counts=True)
+    return keys, counts.astype(np.float64)
+
+
+def _frequency_rows(shell: Shell, direction: Direction):
+    """The rows (b, h) of the integral_sq sums: for a rational direction a the
+    class frequencies b = k/|a| of _frequency_classes with their counts h as
+    row weights, otherwise the half-shell frequencies with unit weights
+    (h None).  Every pair frequency of a rational direction is a difference
+    of keys over |a|, so its sums need one row per class, not per point."""
+    if direction.rationality is not Rationality.RATIONAL:
+        return half_frequencies(shell, direction.components), None
+    keys, counts = _frequency_classes(shell, direction)
+    return keys / math.sqrt(sum(c * c for c in direction.ints)), counts
+
+
+def _integral_sq_tiles(b: np.ndarray, length: float):
+    """Tile builder over the row frequencies b: tile(lo, hi) gives integral_sq
+    over the signed tile of pair frequencies beta = b_i -+ b_j, shape
+    (2, rows, cols), with no sine per pair, in a buffer the next call
+    overwrites; then the flat indices of the entries with |pi L beta| < 1
+    and their beta.
 
     With x = pi L b, s = sin(x) and c = cos(x) are taken once per row, and
     sin(x_i -+ x_j) = s_i c_j -+ c_i s_j is one (rows x 2) @ (2 x cols)
@@ -254,19 +351,18 @@ def _integral_sq_tiles(shell: Shell, line: LineSegment):
     is under 1 there), and those entries, every zero pair among them, come
     from integral_sq itself.
     """
-    b = half_frequencies(shell, line.direction.components)
-    length = line.length
     x = math.pi * length * b
     s, c = np.sin(x), np.cos(x)
     rows_sc = np.stack((s, c), axis=1)
     # the +H block's columns give sin(x_i - x_j), the -H block's sin(x_i + x_j)
     cols_cs = np.stack((np.stack((c, -s)), np.stack((c, s))))
     near_beta = 1.0 / (math.pi * length)
+    differences = _pair_differences(b)
     views = _tile_buffers(np.float64, np.float64, np.float64, bool)
 
     def tile(lo, hi):
         beta, eye, den, near = views((2, hi - lo, len(b) - lo))
-        _pair_differences(b, lo, hi, out=beta)
+        differences(lo, hi, out=beta)
         np.matmul(rows_sc[lo:hi], cols_cs[:, :, lo:], out=eye)
         np.multiply(PI_SQ, beta, out=den)
         den *= beta
@@ -279,17 +375,19 @@ def _integral_sq_tiles(shell: Shell, line: LineSegment):
         np.put(eye, near_at, integral_sq(near_b, length))
         return eye, near_at, near_b
 
-    return b, tile
+    return tile
 
 
 def q_sum(shell: Shell, line: LineSegment) -> float:
     """Normalized pair sum (1/N^2) * sum over ordered pairs of integral_sq."""
-    _, eye_tile = _integral_sq_tiles(shell, line)
+    b, h = _frequency_rows(shell, line.direction)
+    eye_tile = _integral_sq_tiles(b, line.length)
+    weighted = _pair_weights(h)
 
     def tile(lo, hi):
-        return (_fold(np.sum, hi - lo, eye_tile(lo, hi)[0]),)
+        return (weighted(lo, hi, eye_tile(lo, hi)[0]),)
 
-    (total,) = _over_half_shell(shell, tile)
+    (total,) = _over_half_shell(shell.m, len(b), tile)
     return float(total / (shell.n * shell.n))
 
 
@@ -318,24 +416,25 @@ def r2_terms(shell: Shell, line: LineSegment) -> SquaredCovarianceTerms:
     r1r1 sums w_i w_j (integral_sq - L^2): the L^2 part would add
     L^2 (sum w)^2 = 0 and, at small L, cancel most of the sum's digits.
     """
-    b, eye_tile = _integral_sq_tiles(shell, line)
+    b, h = _frequency_rows(shell, line.direction)
+    eye_tile = _integral_sq_tiles(b, line.length)
     w = b / math.sqrt(shell.m)
     w_sq = w * w
     length = line.length
     length_sq = length * length
+    weighted_rr = _pair_weights(h)
+    weighted_r1r1 = _pair_weights(w if h is None else h * w, -1)
+    weighted_r12r12 = _pair_weights(w_sq if h is None else h * w_sq)
 
     def tile(lo, hi):
         eye, near_at, near_b = eye_tile(lo, hi)
-        width = hi - lo
-        rr = _fold(np.sum, width, eye)
-        r12r12 = _fold(lambda e, wc: np.vdot(w_sq[lo:hi] @ e, wc), width, eye,
-                       _signed(w_sq[lo:], 1))
+        rr = weighted_rr(lo, hi, eye)
+        r12r12 = weighted_r12r12(lo, hi, eye)
         eye -= length_sq
         np.put(eye, near_at, -_integral_sq_deficit(math.pi * length * near_b, length_sq))
-        r1r1 = _fold(lambda e, wc: np.vdot(w[lo:hi] @ e, wc), width, eye, _signed(w[lo:]))
-        return rr, r1r1, r12r12
+        return rr, weighted_r1r1(lo, hi, eye), r12r12
 
-    rr, r1r1, r12r12 = _over_half_shell(shell, tile)
+    rr, r1r1, r12r12 = _over_half_shell(shell.m, len(b), tile)
     n_sq = shell.n * shell.n
     return SquaredCovarianceTerms(rr=float(rr) / n_sq, r1r1=float(r1r1) / n_sq,
                                   r12r12=float(r12r12) / n_sq)
@@ -357,57 +456,51 @@ class PairSums:
 
 
 def _pair_tables(shell: Shell, direction: Direction):
-    """Buffered tile builder over the half shell: tables(lo, hi) gives the
-    signed tile's pair frequencies beta, exact zero mask, squared pair
-    distances and 1/beta^2 (0 on the zero pairs), then a spare float64 and a
-    spare bool array free for the caller, each of shape (2, rows, cols) and
-    in buffers the next call overwrites.
+    """Buffered tile builder over the half shell of a half-rational or
+    irrational direction: tables(lo, hi) gives the signed tile's pair
+    frequencies beta, exact zero mask, squared pair distances and 1/beta^2
+    (0 on the zero pairs), then a spare float64 and a spare bool array free
+    for the caller, each of shape (2, rows, cols) and in buffers the next
+    call overwrites.
 
     Every column quantity is odd and is negated on the antipodal block: the
     frequencies, the Gram row (so dist^2 = 2m -+ 2<mu, mu'>), and the integer
     keys of the exact zero tests.  The Gram tile is a float64 product: it and
     2m -+ 2g are integers of magnitude at most 4m, so they are exact.  Every
     table is filled in place, and the zero pairs' beta^2 is set to inf before
-    the divide.  The rational and half-rational zero tests compare int64 key
-    differences, built in the spare buffer viewed as int64 before the caller
-    gets it, so no class pays for a buffer of its own; an irrational
-    direction compares |beta| with IRRATIONAL_ZERO_TOL.
+    the divide.  The half-rational zero test compares int64 key differences,
+    built in the spare buffer viewed as int64 before the caller gets it; an
+    irrational direction compares |beta| with IRRATIONAL_ZERO_TOL.  Rational
+    directions run over frequency classes instead (_rational_pair_sums).
     """
     b = half_frequencies(shell, direction.components)
     half = _antipodal_half(shell.coords, shell.m)
     half_f = half.astype(np.float64)
     two_m = 2.0 * shell.m
-    rationality = direction.rationality
-    numerator = 1.0
-    keys = ()
-    if rationality is Rationality.RATIONAL:
-        keys = (half @ np.array(direction.ints, dtype=np.int64),)
-        numerator = float(sum(c * c for c in direction.ints))
-    elif rationality is Rationality.HALF_RATIONAL:
+    differences = _pair_differences(b)
+    key_differences = ()
+    if direction.rationality is Rationality.HALF_RATIONAL:
         u, v = direction.uv
-        keys = (v * half[:, 0] + u * half[:, 1], half[:, 2])
+        key_differences = (_pair_differences(v * half[:, 0] + u * half[:, 1]),
+                           _pair_differences(half[:, 2]))
     views = _tile_buffers(np.float64, bool, np.float64, np.float64, np.float64, bool)
 
     def tables(lo, hi):
         tile = views((2, hi - lo, len(b) - lo))
         beta, zero, dist_sq, inv_beta_sq, spare, spare_mask = tile
-        _pair_differences(b, lo, hi, out=beta)
+        differences(lo, hi, out=beta)
         _signed_dist_sq(half_f, two_m, lo, hi, out=dist_sq)
-        key = spare.view(np.int64)
-        if keys:
-            # beta is 0 exactly where every key difference is 0
-            np.equal(_pair_differences(keys[0], lo, hi, out=key), 0, out=zero)
-            for other in keys[1:]:
-                zero &= np.equal(_pair_differences(other, lo, hi, out=key), 0, out=spare_mask)
+        if key_differences:
+            # beta is 0 exactly where both key differences are 0
+            key = spare.view(np.int64)
+            plane, height = key_differences
+            np.equal(plane(lo, hi, out=key), 0, out=zero)
+            zero &= np.equal(height(lo, hi, out=key), 0, out=spare_mask)
         else:
             np.less_equal(np.abs(beta, out=inv_beta_sq), IRRATIONAL_ZERO_TOL, out=zero)
-        if rationality is Rationality.RATIONAL:
-            # beta = key / |ints|, so 1/beta^2 = |ints|^2 / key^2
-            np.multiply(key, key, out=inv_beta_sq, dtype=np.float64)
-        else:
-            np.multiply(beta, beta, out=inv_beta_sq)
+        np.multiply(beta, beta, out=inv_beta_sq)
         inv_beta_sq[zero] = np.inf
-        np.divide(numerator, inv_beta_sq, out=inv_beta_sq)
+        np.divide(1.0, inv_beta_sq, out=inv_beta_sq)
         return tile
 
     return tables
@@ -422,7 +515,8 @@ def _check_split(rho: float, mode: str) -> None:
 
 def _pair_sums(shell: Shell, direction: Direction, splits) -> list[PairSums]:
     """The PairSums of pair_sums for each (rho, mode) of splits, from one
-    sweep over the pair tables, without pair_sums's near-zero warning.
+    sweep over the pair tables (for a rational direction, the sweeps of
+    _rational_pair_sums), without pair_sums's near-zero warning.
 
     Each split builds its small mask, then the tail mask, in the tile's
     spare bool array, and a relative split its threshold rho |mu - mu'| in
@@ -432,6 +526,8 @@ def _pair_sums(shell: Shell, direction: Direction, splits) -> list[PairSums]:
     """
     for rho, mode in splits:
         _check_split(rho, mode)
+    if direction.rationality is Rationality.RATIONAL:
+        return _rational_pair_sums(shell, direction, splits)
     tables = _pair_tables(shell, direction)
 
     def tile(lo, hi):
@@ -452,11 +548,135 @@ def _pair_sums(shell: Shell, direction: Direction, splits) -> list[PairSums]:
             sums.append(_fold(_masked_inv_sum, width, dist_sq, tail))
         return sums
 
-    s_zero, *totals = _over_half_shell(shell, tile)
+    s_zero, *totals = _over_half_shell(shell.m, shell.n // 2, tile)
     return [PairSums(s_zero=int(s_zero), s_small=int(s_small), inv_sq_sum=float(inv_sq),
                      inv_dist_sq_sum=float(inv_dist_sq))
             for s_small, inv_sq, inv_dist_sq in
             (totals[k:k + 3] for k in range(0, len(totals), 3))]
+
+
+def _key_limit(rho: float, norm_sq: int) -> int:
+    """The largest integer K <= rho |a|, exactly, for |a|^2 = norm_sq: an
+    integer k has |k| <= rho |a| iff k^2 <= rho^2 |a|^2, iff
+    |k| <= isqrt(floor(rho^2 |a|^2)), with rho taken as the exact binary
+    fraction it is.  Capped at 2^53, above every key difference."""
+    return min(math.isqrt(math.floor(Fraction(rho) ** 2 * norm_sq)), 2**53)
+
+
+# The float64 threshold (rho |a|) sqrt(d^2) is within five roundings of the
+# exact rho |a| |mu - mu'|; this relative margin clears them with room to spare.
+_THRESHOLD_MARGIN = 8 * np.finfo(np.float64).eps
+
+
+def _relative_small(key, dist_sq, rho: float, norm_sq: int, small, near, spare):
+    """The small mask |k| <= rho |a| |mu - mu'| of a relative split, exactly,
+    from tiles of the integers |k| and d^2 = |mu - mu'|^2, into small.
+
+    |k| at or below the float64 threshold shrunk by _THRESHOLD_MARGIN is
+    small, and |k| above it grown by the margin is not.  The entries between,
+    where the threshold may fall on the integer |k| itself, are decided as
+    k^2 <= rho^2 |a|^2 d^2 in exact rational arithmetic; near marks them.
+    The slope is capped past every |k|, so a huge rho gives no inf * 0.
+    """
+    slope = min(rho * math.sqrt(norm_sq) * (1.0 + _THRESHOLD_MARGIN), 2.0**64)
+    threshold = np.multiply(slope, np.sqrt(dist_sq, out=spare), out=spare)
+    np.less_equal(key, threshold, out=near)
+    threshold *= (1.0 - _THRESHOLD_MARGIN) / (1.0 + _THRESHOLD_MARGIN)
+    np.less_equal(key, threshold, out=small)
+    near ^= small
+    limit = Fraction(rho) ** 2 * norm_sq
+    for at in np.flatnonzero(near):
+        small.flat[at] = int(key.flat[at]) ** 2 <= limit * int(dist_sq.flat[at])
+    return small
+
+
+def _class_sweep(shell: Shell, direction: Direction, norm_sq: int, limits):
+    """s_zero, then s_small and inv_sq_sum of each absolute split with key
+    limit K in limits, over the frequency classes, each pair of classes
+    weighted by h_i h_j: k = 0 for s_zero, |k| <= K for s_small, and
+    |a|^2/k^2 summed over |k| > K.  The counts are sums of integers below
+    N^2 and so exact in float64."""
+    numerator = float(norm_sq)
+    keys, counts = _frequency_classes(shell, direction)
+    differences = _pair_differences(keys)
+    weighted = _pair_weights(counts)
+    views = _tile_buffers(np.float64, bool, np.float64, np.float64)
+
+    def tile(lo, hi):
+        key, mask, inv_key_sq, tail_inv = views((2, hi - lo, len(keys) - lo))
+        np.abs(differences(lo, hi, out=key), out=key)
+        zero = np.equal(key, 0.0, out=mask)
+        sums = [weighted(lo, hi, zero)]
+        np.multiply(key, key, out=inv_key_sq)
+        inv_key_sq[zero] = np.inf
+        np.divide(numerator, inv_key_sq, out=inv_key_sq)
+        for limit in limits:
+            small = np.less_equal(key, limit, out=mask)
+            sums.append(weighted(lo, hi, small))
+            tail = np.logical_not(small, out=small)
+            sums.append(weighted(lo, hi, np.multiply(inv_key_sq, tail, out=tail_inv)))
+        return sums
+
+    return _over_half_shell(shell.m, len(keys), tile)
+
+
+def _point_sweep(shell: Shell, direction: Direction, norm_sq: int, splits, limits):
+    """Over the half-shell points, from the Gram tile and the key differences
+    alone: for each split, s_small and inv_sq_sum if it is relative (limit
+    None), then inv_dist_sq_sum over its tail, |k| > K for an absolute split
+    with key limit K."""
+    half_f = _antipodal_half(shell.coords, shell.m).astype(np.float64)
+    two_m = 2.0 * shell.m
+    differences = _pair_differences(_half_keys(shell, direction))
+    inv_key_sq_sum = _masked_inv_key_sq_sum(float(norm_sq))
+    views = _tile_buffers(np.float64, np.float64, np.float64, bool, bool)
+
+    def tile(lo, hi):
+        key, dist_sq, spare, mask, near = views((2, hi - lo, len(half_f) - lo))
+        np.abs(differences(lo, hi, out=key), out=key)
+        _signed_dist_sq(half_f, two_m, lo, hi, out=dist_sq)
+        width = hi - lo
+        sums = []
+        for (rho, _), limit in zip(splits, limits):
+            if limit is None:
+                small = _relative_small(key, dist_sq, rho, norm_sq, mask, near, spare)
+                sums.append(_fold(np.count_nonzero, width, small))
+                tail = np.logical_not(small, out=small)
+                sums.append(_fold(inv_key_sq_sum, width, key, tail))
+            else:
+                tail = np.greater(key, limit, out=mask)
+            sums.append(_fold(_masked_inv_sum, width, dist_sq, tail))
+        return sums
+
+    return _over_half_shell(shell.m, len(half_f), tile)
+
+
+def _rational_pair_sums(shell: Shell, direction: Direction, splits) -> list[PairSums]:
+    """_pair_sums for a rational direction a, whose pair frequencies are
+    k/|a| with k = <mu - mu', a> an integer.
+
+    The sums that read beta alone run over the frequency classes
+    (_class_sweep): s_zero, and each absolute split's s_small, decided
+    exactly as |k| <= _key_limit(rho), and inv_sq_sum.  What reads
+    |mu - mu'| runs over the half-shell points (_point_sweep): every split's
+    inv_dist_sq_sum, and the whole relative split, whose small pairs
+    _relative_small decides exactly.  Each sweep frees its buffers before
+    the next one starts.
+    """
+    norm_sq = sum(c * c for c in direction.ints)
+    limits = [_key_limit(rho, norm_sq) if mode == "absolute" else None for rho, mode in splits]
+    s_zero, *class_sums = _class_sweep(shell, direction, norm_sq,
+                                       [limit for limit in limits if limit is not None])
+    class_sums = iter(class_sums)
+    point_sums = iter(_point_sweep(shell, direction, norm_sq, splits, limits))
+    results = []
+    for limit in limits:
+        source = point_sums if limit is None else class_sums
+        s_small, inv_sq = next(source), next(source)
+        results.append(PairSums(s_zero=int(s_zero), s_small=int(s_small),
+                                inv_sq_sum=float(inv_sq),
+                                inv_dist_sq_sum=float(next(point_sums))))
+    return results
 
 
 def _warn_near_zero(shell: Shell, direction: Direction, s_zero: int) -> None:
@@ -687,5 +907,5 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
         np.fill_diagonal(off[0], False)
         return (_fold(energy_of, hi - lo, dist_sq, off),)
 
-    (energy,) = _over_half_shell(projected, tile)
+    (energy,) = _over_half_shell(projected.m, len(half), tile)
     return RieszResult(sigma=sigma, energy=float(energy), n=n)

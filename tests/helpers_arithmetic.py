@@ -19,6 +19,7 @@ only; so do the unit-sphere distances of half_riesz_energy.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -67,14 +68,32 @@ def dense_pair_tables(shell, direction):
     return beta, zero, dist_sq, inv_beta_sq
 
 
-def dense_split_sums(tables, rho, mode):
-    """PairSums from the tables of dense_pair_tables."""
-    beta, zero, dist_sq, inv_beta_sq = tables
+def exact_small_mask(shell, direction, rho, mode):
+    """The N x N small-pair mask of a rational direction a in exact integer
+    arithmetic, rho taken as the binary fraction it is: k^2 <= rho^2 |a|^2
+    (absolute) or k^2 <= rho^2 |a|^2 |mu - mu'|^2 (relative) for the integer
+    k = <mu - mu', a>, compared as Python integers."""
+    coords = shell.coords
+    keys = coords @ np.array(direction.ints, dtype=np.int64)
+    key = np.abs(keys[:, None] - keys[None, :]).astype(object)
+    dist_sq = 1
     if mode == "relative":
-        small = np.abs(beta) <= rho * np.sqrt(dist_sq)
-    else:
-        small = np.abs(beta) <= rho
-    small |= zero
+        dist_sq = (2 * shell.m - 2 * (coords @ coords.T)).astype(object)
+    limit = Fraction(rho) ** 2 * sum(c * c for c in direction.ints)
+    return (key * key * limit.denominator <= dist_sq * limit.numerator).astype(bool)
+
+
+def dense_split_sums(tables, rho, mode, small=None):
+    """PairSums from the tables of dense_pair_tables; small, if given, is the
+    small-pair mask in place of the float64 comparison of beta with the
+    threshold."""
+    beta, zero, dist_sq, inv_beta_sq = tables
+    if small is None:
+        if mode == "relative":
+            small = np.abs(beta) <= rho * np.sqrt(dist_sq)
+        else:
+            small = np.abs(beta) <= rho
+    small = small | zero
     tail = ~small
     inv_dist = 1.0 / np.where(dist_sq == 0.0, np.inf, dist_sq)
     return PairSums(
@@ -226,35 +245,47 @@ def half_riesz_energy(points, sigma):
 def mp_pair_sums(shell, line, dps=40):
     """q_sum and the r2_terms sums of one shell at dps digits with mpmath.
 
-    The float64 half-shell frequencies b, the kernels' input, are taken as
-    exact and extended to the whole shell by the antipodes -b.  Each pair's
+    For a rational direction a the frequencies are the exact k/|a|, with
+    k = <mu, a> an integer, and each pair's beta is its integer key
+    difference over |a|.  Otherwise the float64 half-shell frequencies b,
+    the kernels' input, are taken as exact.  Either way the half shell is
+    extended to the whole shell by the antipodes.  Each pair's
     sin^2(pi L beta)/(pi beta)^2 is evaluated at dps digits from the exact
     beta, once per distinct |beta|, and every ordered pair is summed.
     Returns (q, r1r1, r12r12), each over N^2 (q is also rr).
     """
     import mpmath
 
-    b = half_frequencies(shell, line.direction.components)
+    direction = line.direction
     with mpmath.workdps(dps):
-        freqs = [mpmath.mpf(float(v)) for v in np.concatenate((b, -b[::-1]))]
-        length = mpmath.mpf(line.length)
-        pi_length = mpmath.pi * length
+        if direction.rationality is Rationality.RATIONAL:
+            ints = np.array(direction.ints, dtype=np.int64)
+            half = [int(k) for k in shell.coords[: shell.n // 2] @ ints]
+            unit = 1 / mpmath.sqrt(sum(c * c for c in direction.ints))
+        else:
+            half = [mpmath.mpf(float(v)) for v in half_frequencies(shell, direction.components)]
+            unit = mpmath.mpf(1)
+        # frequency f = key * unit, so beta = (key_i - key_j) * unit
+        keys = half + [-k for k in reversed(half)]
+        pi_length = mpmath.pi * mpmath.mpf(line.length)
         root_m = mpmath.sqrt(shell.m)
-        w = [f / root_m for f in freqs]
+        w = [k * unit / root_m for k in keys]
         w_sq = [v * v for v in w]
-        values = {mpmath.mpf(0): pi_length * pi_length}
+        values = {}
 
-        def summand(beta):
+        def summand(lag):
             # pi^2 integral_sq(beta) = sin^2(pi L beta) / beta^2
-            key = abs(beta)
-            if key not in values:
-                values[key] = (mpmath.sin(pi_length * key) / key) ** 2
-            return values[key]
+            lag = abs(lag)
+            if lag not in values:
+                beta = lag * unit
+                values[lag] = (mpmath.sin(pi_length * beta) / beta) ** 2 if lag else \
+                    pi_length * pi_length
+            return values[lag]
 
         q = r1r1 = r12r12 = mpmath.mpf(0)
-        for i, f in enumerate(freqs):
+        for i, k in enumerate(keys):
             # the diagonal pair once, the pairs right of it twice for (j, i)
-            row = [summand(f - g) for g in freqs[i:]]
+            row = [summand(k - g) for g in keys[i:]]
             row[1:] = [2 * v for v in row[1:]]
             q += mpmath.fsum(row)
             r1r1 += w[i] * mpmath.fdot(row, w[i:])

@@ -22,9 +22,9 @@ from nodal_lab.arithmetic import (
     variance_bound,
 )
 from nodal_lab.cli import parse_direction
-from nodal_lab.diophantine import Direction
+from nodal_lab.diophantine import Direction, Rationality
 from nodal_lab.geometry import kappa
-from nodal_lab.lattice import ProjectedShell, enumerate_shell, project_shell
+from nodal_lab.lattice import ProjectedShell, Shell, enumerate_shell, project_shell
 from nodal_lab.nodal import count_zeros, monte_carlo
 from nodal_lab.randomwave import LineSegment, covariance, half_frequencies, sample_wave
 
@@ -35,6 +35,7 @@ from helpers_arithmetic import (
     dense_r2_terms,
     dense_riesz_energy,
     dense_split_sums,
+    exact_small_mask,
     half_pair_tables,
     half_q_sum,
     half_r2_terms,
@@ -375,12 +376,16 @@ class TestVarianceBound:
     # kappa, s_zero, inv_sq_sum, q_value, bound_value, as recorded from the
     # unmodified package in perfbench/reference.json, except that the sums
     # over antipodal classes add in another order: the irrational m=101
-    # inv_sq_sum and m=1009 q_value each moved by one ulp
+    # inv_sq_sum and m=1009 q_value each moved by one ulp.  The rational
+    # inv_sq_sum values moved by one ulp each when the rational sums went over
+    # frequency classes; the exact sums are 3319.835847389243149901... and
+    # 1979.917298954643129150..., so both old and new values lie within one
+    # ulp of them
     @pytest.mark.parametrize("m,direction,mode,expected", [
         (101, AXIS, BoundMode.RATIONAL,
-         (18, 1920, 3319.835847389243, 0.06802721088435375, 0.06802721088435375)),
+         (18, 1920, 3319.8358473892436, 0.06802721088435375, 0.06802721088435375)),
         (1009, AXIS, BoundMode.RATIONAL,
-         (16, 2720, 1979.917298954643, 0.04722222222222222, 0.04722222222222222)),
+         (16, 2720, 1979.9172989546435, 0.04722222222222222, 0.04722222222222222)),
         (101, IRR, BoundMode.IRRATIONAL,
          (18, 168, 4951578.946116076, 0.05175636126195175, 0.2024206805100498)),
         (1009, IRR, BoundMode.IRRATIONAL,
@@ -566,6 +571,15 @@ def assert_pair_sums_match(got, want):
     assert got.inv_dist_sq_sum == pytest.approx(want.inv_dist_sq_sum, rel=1e-12)
 
 
+def oracle_split_sums(shell, direction, tables, rho, split):
+    """dense_split_sums of the dense tables; for a rational direction with the
+    exact small mask, as the kernels decide it, not the float64 beta's."""
+    small = None
+    if direction.rationality is Rationality.RATIONAL:
+        small = exact_small_mask(shell, direction, rho, split)
+    return dense_split_sums(tables, rho, split, small)
+
+
 def assert_tiles_match_dense(shell, direction):
     """Every tiled pair sum of one shell against the dense N x N oracle."""
     line = LineSegment(direction, 0.8)
@@ -577,7 +591,7 @@ def assert_tiles_match_dense(shell, direction):
     for rho in (0.0, 0.05, 0.3, 2.0):
         for split in ("relative", "absolute"):
             assert_pair_sums_match(pair_sums(shell, direction, rho, split),
-                                   dense_split_sums(tables, rho, split))
+                                   oracle_split_sums(shell, direction, tables, rho, split))
     for mode in modes_for(direction):
         report = variance_bound(shell, line, mode)
         q_val, whole, bound = dense_bound(shell, line, mode, report.rho)
@@ -588,6 +602,26 @@ def assert_tiles_match_dense(shell, direction):
     projected = project_shell(shell)
     assert riesz_energy(projected, 1.3).energy == pytest.approx(
         dense_riesz_energy(projected.unit_points, 1.3), rel=1e-12)
+
+
+def assert_classes_hold_every_dense_key_difference(shell, direction):
+    """Twice the signed class table, each entry k_i -+ k_j counted h_i h_j
+    times, is the multiset of the N x N table's key differences: the class
+    sums add every dense summand, each exactly as often as the dense sum."""
+    ints = np.array(direction.ints, dtype=np.int64)
+    keys, counts = arithmetic._frequency_classes(shell, direction)
+    keys, counts = keys.astype(np.int64), counts.astype(np.int64)
+    assert np.array_equal(np.sort(np.repeat(keys, counts)),
+                          np.sort(shell.coords[: shell.n // 2] @ ints))
+    table = np.abs(keys[:, None] - np.stack((keys, -keys))[:, None, :])
+    weights = np.broadcast_to(counts[:, None] * counts[None, :], table.shape)
+    values, inverse = np.unique(table, return_inverse=True)
+    class_counts = np.bincount(inverse.ravel(), weights=weights.ravel())
+    dense = shell.coords @ ints
+    dense_values, dense_counts = np.unique(np.abs(dense[:, None] - dense[None, :]),
+                                           return_counts=True)
+    assert np.array_equal(values, dense_values)
+    assert np.array_equal(2 * class_counts.astype(np.int64), dense_counts)
 
 
 class TestTiledPairSums:
@@ -610,21 +644,31 @@ class TestTiledPairSums:
     @pytest.mark.parametrize("spec", TILE_DIRECTIONS)
     def test_single_tile_is_the_dense_sum(self, spec):
         # N^2 <= TILE_ENTRIES: one tile, reduced exactly as the whole signed
-        # half table, and to rounding as the N x N table
+        # half table, and to rounding as the N x N table.  A rational
+        # direction's sums run over frequency classes instead, not over this
+        # table: they match the 40-digit oracle to 1e-14.
         shell = enumerate_shell(101)
         direction = parse_direction(spec)
         line = LineSegment(direction, 0.8)
-        assert q_sum(shell, line) == half_q_sum(shell, line)
-        assert q_sum(shell, line) == pytest.approx(dense_q_sum(shell, line), rel=1e-12)
+        rational = direction.rationality is Rationality.RATIONAL
         terms, want = r2_terms(shell, line), dense_r2_terms(shell, line)
-        assert terms == half_r2_terms(shell, line)
+        if rational:
+            q, r1r1, r12r12 = mp_pair_sums(shell, line)
+            assert q_sum(shell, line) == pytest.approx(q, rel=1e-14)
+            assert terms.r1r1 == pytest.approx(r1r1, rel=1e-14)
+            assert terms.r12r12 == pytest.approx(r12r12, rel=1e-14)
+        else:
+            assert q_sum(shell, line) == half_q_sum(shell, line)
+            assert terms == half_r2_terms(shell, line)
+        assert q_sum(shell, line) == pytest.approx(dense_q_sum(shell, line), rel=1e-12)
         for name in ("rr", "r1r1", "r2r2", "r12r12"):
             assert getattr(terms, name) == pytest.approx(getattr(want, name), rel=1e-12)
         half, dense = half_pair_tables(shell, direction), dense_pair_tables(shell, direction)
         for split in ("relative", "absolute"):
             got = pair_sums(shell, direction, 0.3, split)
-            assert got == half_split_sums(half, 0.3, split)
-            assert_pair_sums_match(got, dense_split_sums(dense, 0.3, split))
+            if not rational:
+                assert got == half_split_sums(half, 0.3, split)
+            assert_pair_sums_match(got, oracle_split_sums(shell, direction, dense, 0.3, split))
         projected = project_shell(shell)
         energy = riesz_energy(projected, 1.0).energy
         assert energy == half_riesz_energy(projected.unit_points, 1.0)
@@ -638,6 +682,10 @@ class TestTiledPairSums:
         # table's summands bit for bit; only the order of addition differs
         shell = enumerate_shell(m)
         direction = parse_direction(spec)
+        if direction.rationality is Rationality.RATIONAL:
+            # a rational direction's beta-only sums run over frequency classes
+            assert_classes_hold_every_dense_key_difference(shell, direction)
+            return
         half = half_pair_tables(shell, direction)
         tiles = arithmetic._pair_tables(shell, direction)(0, shell.n // 2)[:4]
         for got, want in zip(tiles, half):
@@ -672,8 +720,9 @@ class TestTiledPairSums:
             tables = dense_pair_tables(shell, direction)
             for rho in (0.0, 0.05, 0.3, 2.0):
                 for split in ("relative", "absolute"):
-                    assert_pair_sums_match(pair_sums(shell, direction, rho, split),
-                                           dense_split_sums(tables, rho, split))
+                    assert_pair_sums_match(
+                        pair_sums(shell, direction, rho, split),
+                        oracle_split_sums(shell, direction, tables, rho, split))
         projected = project_shell(shell)
         assert riesz_energy(projected, 1.3).energy == pytest.approx(
             half_riesz_energy(projected.unit_points, 1.3), rel=1e-12)
@@ -744,12 +793,121 @@ class TestPhaseTiles:
         # the entries with |pi L beta| < 1, every zero pair among them, are
         # integral_sq's own values bit for bit
         shell = enumerate_shell(101)
-        line = LineSegment(direction, length)
-        eye, _, _ = arithmetic._integral_sq_tiles(shell, line)[1](0, shell.n // 2)
+        b = half_frequencies(shell, direction.components)
+        eye, _, _ = arithmetic._integral_sq_tiles(b, length)(0, shell.n // 2)
         beta = half_pair_tables(shell, direction)[0]
         near = np.abs(math.pi * length * beta) < 1
         assert np.count_nonzero(near) >= shell.n // 2
         assert np.array_equal(eye[near], integral_sq(beta[near], length))
+
+
+# rat:1,1000,2147483647 gives every half-shell point a key of its own up to
+# m = 10^5 (|mu_1|, |mu_2| < 500); rat:1,0,2147483647 keys share a class
+# between (x, y, z) and (x, -y, z)
+CLASS_DIRECTIONS = ["rat:1,0,0", "rat:1,1,1", "rat:1,2,3", "rat:1,0,2147483647",
+                    "rat:1,1000,2147483647"]
+
+
+class TestFrequencyClasses:
+    """Rational pair sums over frequency classes against the dense N x N and
+    the 40-digit oracles."""
+
+    @pytest.mark.parametrize("spec", CLASS_DIRECTIONS)
+    @pytest.mark.parametrize("m", [1, 2, 5, 9, 101, 3001])
+    def test_class_sums_match_oracles(self, monkeypatch, m, spec):
+        pytest.importorskip("mpmath")
+        shell = enumerate_shell(m)
+        direction = parse_direction(spec)
+        n_classes = len(arithmetic._frequency_classes(shell, direction)[0])
+        tables = dense_pair_tables(shell, direction)
+        splits = [(rho, split) for rho in (0.0, 0.05, 0.3, 2.0)
+                  for split in ("relative", "absolute")]
+        split_sums = [oracle_split_sums(shell, direction, tables, rho, split)
+                      for rho, split in splits]
+        lines = [LineSegment(direction, length) for length in (1e-3, 0.8, 7.3)]
+        oracles = [(dense_q_sum(shell, line), dense_r2_terms(shell, line),
+                    mp_pair_sums(shell, line)) for line in lines]
+        for rows in (1, 7):
+            # rows classes per tile; the point sweep gets at most as many
+            monkeypatch.setattr(arithmetic, "TILE_ENTRIES", rows * 2 * n_classes)
+            for line, (dense_q, dense_terms, (q, r1r1, r12r12)) in zip(lines, oracles):
+                terms = r2_terms(shell, line)
+                assert terms.rr == q_sum(shell, line)
+                assert terms.rr == pytest.approx(dense_q, rel=1e-12)
+                assert terms.r12r12 == pytest.approx(dense_terms.r12r12, rel=1e-12)
+                if line.length > 1e-3:
+                    # at L = 1e-3 the dense w_i w_j integral_sq sum cancels
+                    # most of its digits; the 40-digit oracle checks r1r1 there
+                    assert terms.r1r1 == pytest.approx(dense_terms.r1r1, rel=1e-12)
+                assert terms.rr == pytest.approx(q, rel=1e-14)
+                assert terms.r1r1 == pytest.approx(r1r1, rel=1e-14)
+                assert terms.r12r12 == pytest.approx(r12r12, rel=1e-14)
+            for (rho, split), want in zip(splits, split_sums):
+                assert_pair_sums_match(pair_sums(shell, direction, rho, split), want)
+
+    def test_distinct_keys_give_one_class_per_point(self):
+        shell = enumerate_shell(3001)
+        distinct = parse_direction("rat:1,1000,2147483647")
+        keys, counts = arithmetic._frequency_classes(shell, distinct)
+        assert len(keys) == shell.n // 2 and np.all(counts == 1)
+        keys, counts = arithmetic._frequency_classes(shell, parse_direction("rat:1,1,1"))
+        assert len(keys) < shell.n // 4 and counts.sum() == shell.n // 2
+
+    @pytest.mark.parametrize("spec,m,rho,split,exact,float_beta", [
+        # rho = 1/sqrt(2) rounded down: the pairs with |k| = 1 have
+        # |beta| = 1/sqrt(2) > rho, but the float64 component 1/sqrt(2)
+        # rounds down to rho itself, so the float beta of (e1, e3) equals rho
+        ("rat:1,1,0", 1, 0.7071067811865475, "absolute", 12, 28),
+        # rho = 2/sqrt(3) rounded up: the pairs with |k| = 2 have
+        # |beta| = 2/sqrt(3) < rho, but their float beta 3c - c, with c the
+        # float64 component 1/sqrt(3), rounds above rho
+        ("rat:1,1,1", 3, 1.1547005383792517, "absolute", 50, 38),
+        # rho = 0.3 of the test grid: the pairs with |k| = 21 and
+        # |mu - mu'|^2 = 350 meet 21^2 = 0.09 * 14 * 350 exactly, so the
+        # float64 rho, just below 0.3, leaves them out; the float beta and
+        # float threshold rho sqrt(350) put some of them in
+        ("rat:1,2,3", 101, 0.3, "relative", 8556, 8560),
+    ])
+    def test_split_is_exact_where_float_beta_is_not(self, spec, m, rho, split, exact,
+                                                    float_beta):
+        # the kernels decide |k| <= rho |a| (absolute) and
+        # |k| <= rho |a| |mu - mu'| (relative) in exact arithmetic; the dense
+        # float oracle compares the float64 beta = b_i - b_j with a float64
+        # threshold, and its rounding moves a pair across a threshold that
+        # sits on it.  The exact rational count agrees with the kernels.
+        shell = enumerate_shell(m)
+        direction = parse_direction(spec)
+        want = int(exact_small_mask(shell, direction, rho, split).sum())
+        got = pair_sums(shell, direction, rho, split).s_small
+        dense = dense_split_sums(dense_pair_tables(shell, direction), rho, split).s_small
+        assert (want, got, dense) == (exact, exact, float_beta)
+
+    def test_key_limit_is_exact_for_huge_rho(self):
+        assert arithmetic._key_limit(0.0, 14) == 0
+        assert arithmetic._key_limit(2.0, 14) == 7
+        assert arithmetic._key_limit(1e300, 3) == 2**53
+        shell = enumerate_shell(5)
+        direction = parse_direction("rat:1,2,3")
+        for split in ("relative", "absolute"):
+            sums = pair_sums(shell, direction, 1e300, split)
+            assert sums.s_small == shell.n * shell.n and sums.inv_sq_sum == 0.0
+
+    def test_keys_past_exact_float64_are_rejected(self):
+        # k = 2^22 (2^31 - 1) is past 2^52, where float64 key differences
+        # would round; such a shell can only be built by hand
+        shell = Shell(m=2**44, coords=np.array([[2**22, 0, 0], [-2**22, 0, 0]]))
+        direction = parse_direction("rat:2147483647,1,0")
+        line = LineSegment(direction, 1.0)
+        for call in (lambda: q_sum(shell, line), lambda: r2_terms(shell, line),
+                     lambda: pair_sums(shell, direction, 0.3, "relative")):
+            with pytest.raises(ValueError, match="2\\^52"):
+                call()
+
+    def test_overflowing_class_sum_raises(self):
+        line = LineSegment(parse_direction("rat:1,1,1"), 1e154)
+        for pair_sum in (q_sum, r2_terms):
+            with pytest.raises(BoundOverflowError, match="overflows"):
+                pair_sum(enumerate_shell(5), line)
 
 
 def test_pair_sums_memory_stays_below_one_dense_table():
@@ -758,16 +916,21 @@ def test_pair_sums_memory_stays_below_one_dense_table():
     shell = enumerate_shell(10001)
     assert shell.n == 1920
     dense_bytes = shell.n * shell.n * 8
-    direction = parse_direction("irr:std")
-    line = LineSegment(direction, 1.0)
     projected = project_shell(shell)
-    calls = {
-        "q_sum": lambda: q_sum(shell, line),
-        "pair_sums relative": lambda: pair_sums(shell, direction, 0.01, "relative"),
-        "pair_sums absolute": lambda: pair_sums(shell, direction, 0.0, "absolute"),
-        "r2_terms": lambda: r2_terms(shell, line),
-        "riesz_energy": lambda: riesz_energy(projected, 1.0),
-    }
+    calls = {"riesz_energy": lambda: riesz_energy(projected, 1.0)}
+    # irr:std runs the point sweeps; the rational directions run class sweeps
+    # of 488 and, with every key distinct, 960 classes
+    for spec in ("irr:std", "rat:1,0,2147483647", "rat:1,1000,2147483647"):
+        direction = parse_direction(spec)
+        line = LineSegment(direction, 1.0)
+        calls.update({
+            f"q_sum {spec}": lambda line=line: q_sum(shell, line),
+            f"pair_sums relative {spec}":
+                lambda d=direction: pair_sums(shell, d, 0.01, "relative"),
+            f"pair_sums absolute {spec}":
+                lambda d=direction: pair_sums(shell, d, 0.0, "absolute"),
+            f"r2_terms {spec}": lambda line=line: r2_terms(shell, line),
+        })
     tracemalloc.start()
     try:
         for name, call in calls.items():
