@@ -446,13 +446,14 @@ class PairSums:
 
     inv_sq_sum runs over the pairs above the threshold with weight
     1/<mu-mu', alpha>^2; inv_dist_sq_sum over the same pairs with weight
-    1/|mu-mu'|^2 (used by the relative-split bounds).
+    1/|mu-mu'|^2 (used by the relative-split bounds; variance_bound leaves
+    it None for the absolute splits, whose bounds do not read it).
     """
 
     s_zero: int
     s_small: int
     inv_sq_sum: float
-    inv_dist_sq_sum: float
+    inv_dist_sq_sum: float | None
 
 
 def _pair_tables(shell: Shell, direction: Direction):
@@ -513,7 +514,8 @@ def _check_split(rho: float, mode: str) -> None:
         raise ValueError(f"mode must be 'relative' or 'absolute', got {mode!r}")
 
 
-def _pair_sums(shell: Shell, direction: Direction, splits) -> list[PairSums]:
+def _pair_sums(shell: Shell, direction: Direction, splits,
+               dist_tails: bool = True) -> list[PairSums]:
     """The PairSums of pair_sums for each (rho, mode) of splits, from one
     sweep over the pair tables (for a rational direction, the sweeps of
     _rational_pair_sums), without pair_sums's near-zero warning.
@@ -522,12 +524,15 @@ def _pair_sums(shell: Shell, direction: Direction, splits) -> list[PairSums]:
     spare bool array, and a relative split its threshold rho |mu - mu'| in
     the spare float64 one.  The tails are summed over their compacted
     entries; 1/|mu - mu'|^2 is taken on those alone, none of which is a zero
-    pair at distance 0.
+    pair at distance 0.  With dist_tails False only the relative splits,
+    whose bounds read it, sum 1/|mu - mu'|^2; an absolute split's
+    inv_dist_sq_sum is then None.
     """
     for rho, mode in splits:
         _check_split(rho, mode)
+    dists = [dist_tails or mode == "relative" for _, mode in splits]
     if direction.rationality is Rationality.RATIONAL:
-        return _rational_pair_sums(shell, direction, splits)
+        return _rational_pair_sums(shell, direction, splits, dists)
     tables = _pair_tables(shell, direction)
 
     def tile(lo, hi):
@@ -535,7 +540,7 @@ def _pair_sums(shell: Shell, direction: Direction, splits) -> list[PairSums]:
         abs_beta = np.abs(beta, out=beta)
         width = hi - lo
         sums = [_fold(np.count_nonzero, width, zero)]
-        for rho, mode in splits:
+        for (rho, mode), dist in zip(splits, dists):
             if mode == "relative":
                 threshold = np.multiply(rho, np.sqrt(dist_sq, out=spare), out=spare)
             else:
@@ -545,14 +550,16 @@ def _pair_sums(shell: Shell, direction: Direction, splits) -> list[PairSums]:
             sums.append(_fold(np.count_nonzero, width, small))
             tail = np.logical_not(small, out=small)
             sums.append(_fold(_masked_sum, width, inv_beta_sq, tail))
-            sums.append(_fold(_masked_inv_sum, width, dist_sq, tail))
+            if dist:
+                sums.append(_fold(_masked_inv_sum, width, dist_sq, tail))
         return sums
 
     s_zero, *totals = _over_half_shell(shell.m, shell.n // 2, tile)
-    return [PairSums(s_zero=int(s_zero), s_small=int(s_small), inv_sq_sum=float(inv_sq),
-                     inv_dist_sq_sum=float(inv_dist_sq))
-            for s_small, inv_sq, inv_dist_sq in
-            (totals[k:k + 3] for k in range(0, len(totals), 3))]
+    totals = iter(totals)
+    return [PairSums(s_zero=int(s_zero), s_small=int(next(totals)),
+                     inv_sq_sum=float(next(totals)),
+                     inv_dist_sq_sum=float(next(totals)) if dist else None)
+            for dist in dists]
 
 
 def _key_limit(rho: float, norm_sq: int) -> int:
@@ -651,31 +658,33 @@ def _point_sweep(shell: Shell, direction: Direction, norm_sq: int, splits, limit
     return _over_half_shell(shell.m, len(half_f), tile)
 
 
-def _rational_pair_sums(shell: Shell, direction: Direction, splits) -> list[PairSums]:
+def _rational_pair_sums(shell: Shell, direction: Direction, splits, dists) -> list[PairSums]:
     """_pair_sums for a rational direction a, whose pair frequencies are
     k/|a| with k = <mu - mu', a> an integer.
 
     The sums that read beta alone run over the frequency classes
     (_class_sweep): s_zero, and each absolute split's s_small, decided
     exactly as |k| <= _key_limit(rho), and inv_sq_sum.  What reads
-    |mu - mu'| runs over the half-shell points (_point_sweep): every split's
-    inv_dist_sq_sum, and the whole relative split, whose small pairs
-    _relative_small decides exactly.  Each sweep frees its buffers before
-    the next one starts.
+    |mu - mu'| runs over the half-shell points (_point_sweep): the
+    inv_dist_sq_sum of each split that dists asks for, and the whole
+    relative split, whose small pairs _relative_small decides exactly.  With
+    neither, the point sweep is skipped.  Each sweep frees its buffers
+    before the next one starts.
     """
     norm_sq = sum(c * c for c in direction.ints)
     limits = [_key_limit(rho, norm_sq) if mode == "absolute" else None for rho, mode in splits]
     s_zero, *class_sums = _class_sweep(shell, direction, norm_sq,
                                        [limit for limit in limits if limit is not None])
     class_sums = iter(class_sums)
-    point_sums = iter(_point_sweep(shell, direction, norm_sq, splits, limits))
+    swept = [(split, limit) for split, limit, dist in zip(splits, limits, dists) if dist]
+    point_sums = iter(_point_sweep(shell, direction, norm_sq, *zip(*swept)) if swept else ())
     results = []
-    for limit in limits:
+    for limit, dist in zip(limits, dists):
         source = point_sums if limit is None else class_sums
         s_small, inv_sq = next(source), next(source)
         results.append(PairSums(s_zero=int(s_zero), s_small=int(s_small),
                                 inv_sq_sum=float(inv_sq),
-                                inv_dist_sq_sum=float(next(point_sums))))
+                                inv_dist_sq_sum=float(next(point_sums)) if dist else None))
     return results
 
 
@@ -794,7 +803,9 @@ def variance_bound(
     half-rational) or 1/(pi^2 beta^2) in the absolute one (conditional).
     Each split dominates q_sum exactly, term by term.  variance_bound composes
     q_sum and one sweep of the pair tables that yields the whole-shell sums
-    (rho = 0, absolute) and the theorem's split together.
+    (rho = 0, absolute) and the theorem's split together.  Only a relative
+    split's 1/|mu - mu'|^2 tail is summed, since no other bound reads one; so
+    a rational direction's bound makes no point sweep.
     BoundOverflowError names "length" for an overflowing pair sum or
     L^2 * s_small, and "rho" for an overflowing tail.
     """
@@ -812,7 +823,7 @@ def variance_bound(
     n_sq = shell.n * shell.n
     length = line.length
     q_val = q_sum(shell, line)
-    whole, *split_sums = _pair_sums(shell, direction, splits)
+    whole, *split_sums = _pair_sums(shell, direction, splits, dist_tails=False)
     _warn_near_zero(shell, direction, whole.s_zero)
 
     if theorem is None:

@@ -9,12 +9,16 @@ segment lies in one hemisphere (both planes on one side of the center);
 segment_from builds it from its height h and the height of its top plane.
 
 kappa(shell) is the exact maximal number of shell points on any single
-plane.  Planes are counted through one anchor point per orbit of the 48
-signed coordinate permutations.  Each plane through the anchor and a second
-point is keyed by the float64 ratio of two entries of its normal; both
-entries come exactly from one GEMM, and the correctly rounded ratios tell
-planes apart while m < 2^24.  The rows of keys are sorted in blocks of about
-2^16 entries, and every new maximum is recounted in int64.
+plane.  The points are ordered by orbit of the 48 signed coordinate
+permutations, largest orbit first, and planes are counted through the first
+point of each orbit against the points of that orbit and the later ones:
+since orbits are invariant, that suffix holds every plane whole once.  Each
+plane through the anchor and a second point q is keyed against the points
+after q by the float64 ratio of two entries of its normal; both entries are
+differences of integer dot products of magnitude at most 2m from one GEMM,
+so they are exact, and the correctly rounded ratios tell planes apart while
+m < 2^24.  The rows of all anchors are swept in order of q and sorted in
+blocks of about 2^16 keys, and every new maximum is recounted in int64.
 
 cone_region and slab_region build the regions around a point B that hold
 the small pairs of the relative and absolute pair splits: a cap, a segment,
@@ -44,7 +48,7 @@ __all__ = [
 
 # kappa's plane keys tell planes apart for m < KAPPA_M_LIMIT; see kappa
 KAPPA_M_LIMIT = 2**24
-# kappa sorts its plane keys in blocks of about this many (rows * N)
+# kappa sorts its plane keys in blocks of about this many (rows * columns)
 _BLOCK_ENTRIES = 2**16
 
 
@@ -216,14 +220,33 @@ def count_in(shell: Shell, region) -> int:
     return int(inside.sum())
 
 
+def _orbit_order(pts: np.ndarray):
+    """The points grouped by orbit of the 48 signed coordinate permutations
+    (rows of equal sorted |mu|, compared as exact int64), largest orbit
+    first, and the index of each orbit's first point in that order."""
+    _, label, size = np.unique(np.sort(np.abs(pts), axis=1), axis=0,
+                               return_inverse=True, return_counts=True)
+    by_size = np.argsort(-size, kind="stable")
+    rank = np.empty_like(by_size)
+    rank[by_size] = np.arange(len(by_size))
+    order = np.argsort(rank[label.ravel()], kind="stable")
+    starts = np.cumsum(size[by_size]) - size[by_size]
+    return pts[order], starts
+
+
 def kappa(shell: Shell) -> int:
     """Exact kappa(sqrt(m)): the maximal number of shell points on one plane.
 
-    The 48 signed coordinate permutations map the shell onto itself and
-    planes onto planes holding as many points, so every maximal plane has an
-    image through the first point of some orbit (rows of equal sorted |mu|).
-    Only those anchors p are visited: 4 of N=168 at m=101, 6 of N=240 at
-    m=1009.
+    The 48 signed coordinate permutations G map the shell onto itself and
+    planes onto planes holding as many points.  The points are ordered by
+    orbit (rows of equal sorted |mu|), largest orbit first, and the anchor
+    p_i is the first point of orbit i; only the points of its suffix S_i,
+    orbits i, i+1, ..., are keyed against it.  That sees every plane whole
+    once: for a plane P let j be the earliest orbit with a point x = g(p_j)
+    on P.  Then g^-1(P) passes through p_j, and since orbits are
+    G-invariant, all its points lie in orbits j, j+1, ....  So kappa is the
+    most points of S_i on one plane through p_i, over all anchors i.  Any
+    order of the orbits would do; largest first keys the fewest pairs.
 
     Planes through p and a second point q are keyed by one ratio each.  With
     d_r = r - p, the plane through p, q, r has normal n = d_q x d_r, which is
@@ -231,12 +254,22 @@ def kappa(shell: Shell) -> int:
     other two: since d_q[k] != 0, n . d_q = 0 gives n_k from (n_i, n_j), and
     (n_i, n_j) is (0, 0) only for r = q (three sphere points are never
     collinear).  So the key
-    n_i / n_j, with n_j = 0 mapped to +inf, names the plane, and r = q gets
-    the key 0/0 = NaN, which equals nothing.  A run of c equal keys in the
-    row of q is a plane holding p, q and c more points, so kappa is the
-    longest run plus 2.  Both parts come from one float64 GEMM per block of
-    rows, n_i = d_r . (e_i x d_q); they are integers with |n| <= |d_q| |d_r|
-    <= 4m, so every product and sum is exact.
+    n_i / n_j, with n_j = 0 mapped to +inf, names the plane.  A plane is
+    complete in the row of its first point q of S_i, so a row keys only the
+    points r > q of S_i, and the other entries of its block are NaN, which
+    equals nothing.  A run of c equal keys in the row of q is a plane holding
+    p, q and c more points, so kappa is the longest run plus 2.
+
+    The rows (p, q) of all anchors are swept in order of q, in blocks of
+    about _BLOCK_ENTRIES keys that are generated one at a time.  A block's
+    rows share the columns r > q of its first row, and their q lie within
+    half a row of it, so both parts come from one float64 GEMM against the
+    points, n_i = (e_i x d_q) . r - (e_i x d_q) . p.
+    Each dot product is an integer of magnitude at most |d_q| |r| <= 2m, so
+    every product, sum and difference is exact, and the keys are those of
+    n_i = (e_i x d_q) . d_r.  At m = 101, 1009 and 10001 this keys 23,620,
+    62,538 and 25.4M pairs, where keying every anchor against all (N-1)^2
+    pairs took 111,556, 342,726 and 154.7M.
 
     Equal planes have proportional normals, hence the same rational ratio and
     the same correctly rounded key.  Distinct planes keep distinct keys while
@@ -245,47 +278,67 @@ def kappa(shell: Shell) -> int:
     rounding moves each by at most 2^-53 |x| <= 2^-53 * 4m / |b|, so both
     round together only if 1 <= 2^-53 * 4m (|b| + |d|) <= 2^-53 * 32 m^2.
 
-    Rows are sorted in blocks of about _BLOCK_ENTRIES keys.  A block is only
-    asked whether it holds a run one longer than the best so far; each such
-    run is recounted in int64 as the shell points x with n.x == n.p, and a
-    recount that disagrees raises RuntimeError.
+    Each sorted block is only asked whether it holds a run one longer than
+    the best so far, and its first such row is taken.  That row's plane is
+    complete: any earlier point of S_i on it would give an earlier row of the
+    same anchor a longer run, which this block or an earlier one would have
+    taken first.  The run is recounted in int64 as the points x of S_i with
+    n.x == n.p, and a recount that disagrees raises RuntimeError.
     """
     _check_nonempty(shell)
     if shell.m >= KAPPA_M_LIMIT:
         raise ValueError(
             f"kappa's ratio keys are exact only for m < 2^24 = {KAPPA_M_LIMIT}; "
             f"got m={shell.m}")
-    pts = shell.coords
-    _, anchors = np.unique(np.sort(np.abs(pts), axis=1), axis=0, return_index=True)
-    axes = np.eye(3)
-    rows = max(1, _BLOCK_ENTRIES // shell.n)
-    best = min(shell.n, 3)
-    for a in anchors:
-        diffs = np.delete(pts, a, axis=0) - pts[a]
-        exact = diffs.astype(np.float64)
-        for lo in range(0, len(diffs), rows):
-            d = exact[lo:lo + rows]
-            k = np.abs(d).argmax(axis=1)
-            ij = np.concatenate([np.cross(axes[(k + 1) % 3], d),
-                                 np.cross(axes[(k + 2) % 3], d)]) @ exact.T
-            with np.errstate(divide="ignore", invalid="ignore"):
-                keys = ij[:len(d)] / ij[len(d):]
-            keys[keys == -np.inf] = np.inf  # n_j = 0: one plane, whatever the signs
-            runs = np.sort(keys, axis=1)
-            while True:
-                c = best - 2  # a run of c + 1 equal keys makes kappa best + 1
-                hit = runs[:, c:] == runs[:, :-c]
-                if not hit.any():
-                    break
-                row, col = np.unravel_index(hit.argmax(), hit.shape)
-                on_plane = keys[row] == runs[row, col]
-                normal = np.cross(diffs[lo + row], diffs[on_plane.argmax()])
-                count = int((pts @ normal == pts[a] @ normal).sum())
-                if count != on_plane.sum() + 2:
-                    raise RuntimeError(
-                        f"kappa: {on_plane.sum()} keys share one plane through two "
-                        f"points, but it holds {count} shell points (m={shell.m})")
-                best = count
+    n = shell.n
+    if n <= 3:
+        return n
+    pts, starts = _orbit_order(shell.coords)
+    exact = pts.astype(np.float64)
+    axes = np.eye(3, dtype=np.int64)
+    # the rows of q are (p_0, q), ..., (p_o, q) for q in orbit o, less (q, q)
+    row_count = np.searchsorted(starts, np.arange(n), side="right")
+    row_count[starts] -= 1
+    first_row = np.concatenate([[0], np.cumsum(row_count)])
+    best = 3
+    lo = 0
+    while lo < first_row[-1]:
+        q_lo = np.searchsorted(first_row, lo, side="right") - 1
+        width = n - 1 - q_lo
+        if width < best - 1:  # no later row has keys enough to beat best
+            break
+        # a block ends within width/2 points of its first q, so NaN padding
+        # fills less than half of any row
+        rows = np.arange(lo, min(lo + max(1, _BLOCK_ENTRIES // width),
+                                 first_row[q_lo + 1 + width // 2]))
+        q = np.searchsorted(first_row, rows, side="right") - 1
+        a = starts[rows - first_row[q]]
+        d = pts[q] - pts[a]
+        k = np.abs(d).argmax(axis=1)
+        u = np.concatenate([np.cross(axes[(k + 1) % 3], d), np.cross(axes[(k + 2) % 3], d)])
+        ij = u.astype(np.float64) @ exact[q_lo + 1:].T
+        ij -= np.einsum("ij,ij->i", u, pts[np.tile(a, 2)])[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keys = ij[:len(rows)] / ij[len(rows):]
+        keys[keys == -np.inf] = np.inf  # n_j = 0: one plane, whatever the signs
+        keys[np.arange(width) < (q - q_lo)[:, None]] = np.nan  # r <= q
+        runs = np.sort(keys, axis=1)
+        while True:
+            c = best - 2  # a run of c + 1 equal keys makes kappa best + 1
+            hit = runs[:, c:] == runs[:, :-c]
+            if not hit.any():
+                break
+            row, col = np.unravel_index(hit.argmax(), hit.shape)
+            on_plane = keys[row] == runs[row, col]
+            p = pts[a[row]]
+            normal = np.cross(d[row], pts[q_lo + 1 + on_plane.argmax()] - p)
+            count = int((pts[a[row]:] @ normal == p @ normal).sum())
+            if count != on_plane.sum() + 2:
+                raise RuntimeError(
+                    f"kappa: {on_plane.sum()} keys share one plane through two "
+                    f"points, but it holds {count} shell points (m={shell.m})")
+            best = count
+        lo = rows[-1] + 1
     return best
 
 

@@ -1,6 +1,14 @@
-"""Shared pytest hooks: prints the acceptance-criteria summary table."""
+"""Shared pytest hooks: prints the acceptance-criteria summary table, and
+runs every hypothesis test from a fixed seed so that the suite stays
+deterministic."""
 
 import sys
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None,
+                          max_examples=60)
+settings.load_profile("deterministic")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

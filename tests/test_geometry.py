@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers_geometry import (chi_exact, kappa_all_anchors, kappa_brute, region_contains,
                               sample_sphere)
@@ -183,7 +185,7 @@ def test_kappa_examples():
 
 
 def kappa_in_row_blocks(sh):
-    """kappa with its default row blocks, then with blocks of 1 and of 7 rows."""
+    """kappa with its default blocks, then with blocks of about N and 7N keys."""
     got = [kappa(sh)]
     for rows in (1, 7):
         with pytest.MonkeyPatch.context() as mp:
@@ -203,6 +205,69 @@ def test_kappa_matches_every_anchor_search():
     for m in (101, 1009):
         sh = enumerate_shell(m)
         assert kappa_in_row_blocks(sh) == [kappa_all_anchors(sh)] * 3, m
+
+
+def test_kappa_ignores_the_row_order():
+    rng = np.random.default_rng(20)
+    for m, want in ((101, 18), (1009, 16), (3001, 24)):
+        coords = enumerate_shell(m).coords
+        assert kappa(Shell(m, coords[rng.permutation(len(coords))])) == want, m
+
+
+@pytest.mark.parametrize("coords", [
+    [[1, 0, 0]],
+    [[1, 0, 0], [-1, 0, 0]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+])
+def test_kappa_of_at_most_three_points(coords):
+    # too few points for a run test, whose c = best - 2 would be 0 or less
+    sh = Shell(1, np.array(coords, dtype=np.int64))
+    assert kappa(sh) == kappa_brute(sh) == len(coords)
+
+
+def test_orbit_order_is_exact_for_any_int64_coords():
+    # (0, 2^54, 2^54 + 1) and (0, 2^54, 2^54) round to one float64 row
+    big = 2**54
+    pts = np.array([[0, big, big], [big + 1, 0, big], [1, 0, 0], [0, big, big + 1],
+                    [0, 0, -1], [big, -big, 0], [0, -1, 0]], dtype=np.int64)
+    ordered, starts = geometry._orbit_order(pts)
+    assert starts.tolist() == [0, 3, 5]
+    assert sorted(map(tuple, ordered.tolist())) == sorted(map(tuple, pts.tolist()))
+    assert {tuple(x) for x in ordered[:3].tolist()} == {(1, 0, 0), (0, 0, -1), (0, -1, 0)}
+    assert {tuple(x) for x in ordered[3:5].tolist()} == {(0, big, big), (big, -big, 0)}
+
+
+def _orbits(m):
+    """The orbits of E(m) under the signed coordinate permutations."""
+    orbits = {}
+    for point in enumerate_shell(m).coords.tolist():
+        orbits.setdefault(tuple(sorted(map(abs, point))), []).append(point)
+    return tuple(orbits.values())
+
+
+SMALL_SHELL_ORBITS = tuple(orbits for orbits in map(_orbits, range(1, 101)) if orbits)
+
+
+@st.composite
+def orbit_unions(draw):
+    """Unions of one to three orbits of a shell E(m), m <= 100, with at most
+    100 points, in a random row order.  Two orbits never suffice for a set
+    whose maximal planes all miss its largest orbit (none has entries up to
+    6), so three are allowed; E(65) is the smallest such shell."""
+    count = draw(st.integers(1, 3))
+    orbits = draw(st.sampled_from([o for o in SMALL_SHELL_ORBITS if len(o) >= count]))
+    chosen = draw(st.lists(st.sampled_from(orbits), min_size=count, max_size=count,
+                           unique_by=lambda orbit: tuple(orbit[0]))
+                  .filter(lambda union: sum(map(len, union)) <= 100))
+    points = [point for orbit in chosen for point in orbit]
+    m = sum(x * x for x in points[0])
+    return Shell(m, np.array(draw(st.permutations(points)), dtype=np.int64))
+
+
+@given(orbit_unions())
+@example(Shell(65, enumerate_shell(65).coords))
+def test_kappa_matches_brute_force_on_orbit_unions(sh):
+    assert kappa(sh) == kappa_brute(sh)
 
 
 def test_kappa_rejects_empty():
