@@ -46,11 +46,11 @@ that float64 holds exactly (_EXACT_KEYS), so the counts are exact, and the
 absolute split |k| <= rho |a| is decided exactly, as an integer bound on
 |k|.  The sums that read |mu - mu'| cannot be grouped by key:
 inv_dist_sq_sum and the whole relative split stay on the point sweep, which
-for a rational direction builds the Gram tile and the integer key
-differences alone, no float beta and no 1/beta^2 table, and decides the
-relative split exactly too.  The class sums evaluate each summand at the
-class frequency k/|a|, rounded once, and add the summands in another order,
-so they match the point sums to rounding (an ulp in the bounds reports).
+for a rational direction keys each pair by its integer |k|, not by the
+float beta, and decides the relative split exactly too.  The class sums
+evaluate each summand at the class frequency k/|a|, rounded once, and add
+the summands in another order, so they match the point sums to rounding
+(an ulp in the bounds reports).
 
 The rows of H then run over block-triangular tiles: rows [lo, hi) against
 the signed columns +-H[lo:], a (2, rows, cols) table of about TILE_ENTRIES
@@ -65,17 +65,19 @@ integers.  The sums add the dense table's summands in another order and
 match a dense evaluation to rounding.
 
 Each family of sums has one buffered tile builder: _integral_sq_tiles for
-q_sum and r2_terms, _pair_tables for the split sums of pair_sums and
-variance_bound over half-rational and irrational directions, the class and
-point tiles of _rational_pair_sums for rational ones, and the distance tile
-of riesz_energy.  A builder allocates its buffers once, sized by the first
-and largest tile, and fills every tile in views of them with out= ufuncs,
-so a sum faults its pages in once instead of on every tile.  The point
-sweeps' tail sums still compact their entries by boolean indexing: summing
-a zeroed whole tile instead would add in another order and move reported
-values by an ulp.  _pair_sums reads any number of
-splits from one sweep of the pair tables, or from one class sweep and one
-point sweep for a rational direction.
+q_sum and r2_terms, _class_sweep for a rational direction's class sums,
+_point_sweep for the split sums over points of every direction class, and
+the distance tile of riesz_energy.  A builder allocates its buffers once,
+sized by the first and largest tile, and fills every tile in views of them
+with out= ufuncs, so a sum faults its pages in once instead of on every
+tile.  The point sweep's classes differ only in the pair key (|beta|, or
+the integer |k| for a rational direction), the zero mask and the split
+rule, all picked before the first tile, and it builds the Gram tile only
+where a split reads |mu - mu'|.  Its tails compact their entries by boolean
+indexing and divide only those: summing a zeroed whole tile instead would
+add in another order and move reported values by an ulp.  _pair_sums reads
+any number of splits from one point sweep, after one class sweep for a
+rational direction.
 
 The bound evaluation reports two numbers per mode: the exact intermediate
 quantity (a rigorous upper bound for q_sum by construction) and the
@@ -186,13 +188,10 @@ def _fold(reduce, width: int, *tables):
     return total
 
 
-def _masked_sum(values, keep):
-    return np.sum(values[keep])
-
-
 def _masked_inv_sum(values, keep):
-    """_masked_sum of 1/values, dividing only the kept entries, in place in
-    the compacted copy: the same quotients, added in the same order."""
+    """np.sum of 1/values over the kept entries, dividing only those, in
+    place in the compacted copy: the same quotients, added in the same order
+    as a whole table's."""
     kept = values[keep]
     return np.sum(np.divide(1.0, kept, out=kept))
 
@@ -456,110 +455,11 @@ class PairSums:
     inv_dist_sq_sum: float | None
 
 
-def _pair_tables(shell: Shell, direction: Direction):
-    """Buffered tile builder over the half shell of a half-rational or
-    irrational direction: tables(lo, hi) gives the signed tile's pair
-    frequencies beta, exact zero mask, squared pair distances and 1/beta^2
-    (0 on the zero pairs), then a spare float64 and a spare bool array free
-    for the caller, each of shape (2, rows, cols) and in buffers the next
-    call overwrites.
-
-    Every column quantity is odd and is negated on the antipodal block: the
-    frequencies, the Gram row (so dist^2 = 2m -+ 2<mu, mu'>), and the integer
-    keys of the exact zero tests.  The Gram tile is a float64 product: it and
-    2m -+ 2g are integers of magnitude at most 4m, so they are exact.  Every
-    table is filled in place, and the zero pairs' beta^2 is set to inf before
-    the divide.  The half-rational zero test compares int64 key differences,
-    built in the spare buffer viewed as int64 before the caller gets it; an
-    irrational direction compares |beta| with IRRATIONAL_ZERO_TOL.  Rational
-    directions run over frequency classes instead (_rational_pair_sums).
-    """
-    b = half_frequencies(shell, direction.components)
-    half = _antipodal_half(shell.coords, shell.m)
-    half_f = half.astype(np.float64)
-    two_m = 2.0 * shell.m
-    differences = _pair_differences(b)
-    key_differences = ()
-    if direction.rationality is Rationality.HALF_RATIONAL:
-        u, v = direction.uv
-        key_differences = (_pair_differences(v * half[:, 0] + u * half[:, 1]),
-                           _pair_differences(half[:, 2]))
-    views = _tile_buffers(np.float64, bool, np.float64, np.float64, np.float64, bool)
-
-    def tables(lo, hi):
-        tile = views((2, hi - lo, len(b) - lo))
-        beta, zero, dist_sq, inv_beta_sq, spare, spare_mask = tile
-        differences(lo, hi, out=beta)
-        _signed_dist_sq(half_f, two_m, lo, hi, out=dist_sq)
-        if key_differences:
-            # beta is 0 exactly where both key differences are 0
-            key = spare.view(np.int64)
-            plane, height = key_differences
-            np.equal(plane(lo, hi, out=key), 0, out=zero)
-            zero &= np.equal(height(lo, hi, out=key), 0, out=spare_mask)
-        else:
-            np.less_equal(np.abs(beta, out=inv_beta_sq), IRRATIONAL_ZERO_TOL, out=zero)
-        np.multiply(beta, beta, out=inv_beta_sq)
-        inv_beta_sq[zero] = np.inf
-        np.divide(1.0, inv_beta_sq, out=inv_beta_sq)
-        return tile
-
-    return tables
-
-
 def _check_split(rho: float, mode: str) -> None:
     if not 0 <= rho < math.inf:
         raise ValueError(f"rho must be nonnegative and finite, got {rho}")
     if mode not in ("relative", "absolute"):
         raise ValueError(f"mode must be 'relative' or 'absolute', got {mode!r}")
-
-
-def _pair_sums(shell: Shell, direction: Direction, splits,
-               dist_tails: bool = True) -> list[PairSums]:
-    """The PairSums of pair_sums for each (rho, mode) of splits, from one
-    sweep over the pair tables (for a rational direction, the sweeps of
-    _rational_pair_sums), without pair_sums's near-zero warning.
-
-    Each split builds its small mask, then the tail mask, in the tile's
-    spare bool array, and a relative split its threshold rho |mu - mu'| in
-    the spare float64 one.  The tails are summed over their compacted
-    entries; 1/|mu - mu'|^2 is taken on those alone, none of which is a zero
-    pair at distance 0.  With dist_tails False only the relative splits,
-    whose bounds read it, sum 1/|mu - mu'|^2; an absolute split's
-    inv_dist_sq_sum is then None.
-    """
-    for rho, mode in splits:
-        _check_split(rho, mode)
-    dists = [dist_tails or mode == "relative" for _, mode in splits]
-    if direction.rationality is Rationality.RATIONAL:
-        return _rational_pair_sums(shell, direction, splits, dists)
-    tables = _pair_tables(shell, direction)
-
-    def tile(lo, hi):
-        beta, zero, dist_sq, inv_beta_sq, spare, small = tables(lo, hi)
-        abs_beta = np.abs(beta, out=beta)
-        width = hi - lo
-        sums = [_fold(np.count_nonzero, width, zero)]
-        for (rho, mode), dist in zip(splits, dists):
-            if mode == "relative":
-                threshold = np.multiply(rho, np.sqrt(dist_sq, out=spare), out=spare)
-            else:
-                threshold = rho
-            np.less_equal(abs_beta, threshold, out=small)
-            small |= zero
-            sums.append(_fold(np.count_nonzero, width, small))
-            tail = np.logical_not(small, out=small)
-            sums.append(_fold(_masked_sum, width, inv_beta_sq, tail))
-            if dist:
-                sums.append(_fold(_masked_inv_sum, width, dist_sq, tail))
-        return sums
-
-    s_zero, *totals = _over_half_shell(shell.m, shell.n // 2, tile)
-    totals = iter(totals)
-    return [PairSums(s_zero=int(s_zero), s_small=int(next(totals)),
-                     inv_sq_sum=float(next(totals)),
-                     inv_dist_sq_sum=float(next(totals)) if dist else None)
-            for dist in dists]
 
 
 def _key_limit(rho: float, norm_sq: int) -> int:
@@ -627,60 +527,126 @@ def _class_sweep(shell: Shell, direction: Direction, norm_sq: int, limits):
     return _over_half_shell(shell.m, len(keys), tile)
 
 
-def _point_sweep(shell: Shell, direction: Direction, norm_sq: int, splits, limits):
-    """Over the half-shell points, from the Gram tile and the key differences
-    alone: for each split, s_small and inv_sq_sum if it is relative (limit
-    None), then inv_dist_sq_sum over its tail, |k| > K for an absolute split
-    with key limit K."""
-    half_f = _antipodal_half(shell.coords, shell.m).astype(np.float64)
+def _point_sweep(shell: Shell, direction: Direction, splits):
+    """Sums over the half-shell points for splits, a list of
+    (rho, mode, counted, dist): s_zero first for a half-rational or
+    irrational direction, then for each split s_small and inv_sq_sum if
+    counted, and inv_dist_sq_sum over its tail if dist.
+
+    A pair's key is |beta|, or for a rational direction a the exact integer
+    |k| = |a| |beta| with numerator |a|^2, and inv_sq_sum adds
+    numerator/key^2.  The class picks its key, zero mask and split rule once,
+    before the tiles.  A half-rational zero pair has both int64 key
+    differences 0 (built in the spare buffer), an irrational one
+    |beta| <= IRRATIONAL_ZERO_TOL; zero pairs are small in every split.  A
+    rational direction's exact splits, |k| <= _key_limit(rho) and
+    _relative_small, hold k = 0 already.  The float64 Gram tile and
+    |mu - mu'|^2 = 2m -+ 2<mu, mu'> are integers of at most 4m, so exact;
+    they are built only when a relative split or a 1/|mu - mu'|^2 tail reads
+    them.  Every tail is compacted by boolean indexing, then divided: a whole
+    table's quotients, added in its order, and none at distance 0.
+    """
+    rational = direction.rationality is Rationality.RATIONAL
+    if rational:
+        norm_sq = sum(c * c for c in direction.ints)
+        differences = _pair_differences(_half_keys(shell, direction))
+    else:
+        norm_sq = 1
+        differences = _pair_differences(half_frequencies(shell, direction.components))
+    half = _antipodal_half(shell.coords, shell.m)
+    half_f = half.astype(np.float64)
     two_m = 2.0 * shell.m
-    differences = _pair_differences(_half_keys(shell, direction))
     inv_key_sq_sum = _masked_inv_key_sq_sum(float(norm_sq))
-    views = _tile_buffers(np.float64, np.float64, np.float64, bool, bool)
+
+    zero_pairs = None
+    if direction.rationality is Rationality.HALF_RATIONAL:
+        u, v = direction.uv
+        plane = _pair_differences(v * half[:, 0] + u * half[:, 1])
+        height = _pair_differences(half[:, 2])
+
+        def zero_pairs(lo, hi, key, zero, ints, scratch):
+            # beta is 0 exactly where both key differences are 0
+            np.equal(plane(lo, hi, out=ints), 0, out=zero)
+            zero &= np.equal(height(lo, hi, out=ints), 0, out=scratch)
+    elif not rational:
+        def zero_pairs(lo, hi, key, zero, ints, scratch):
+            np.less_equal(key, IRRATIONAL_ZERO_TOL, out=zero)
+
+    def small_rule(rho, mode):
+        """rule(key, dist_sq, small, near, spare) writes the split's small
+        mask into small, with near and spare as scratch."""
+        if mode == "absolute":
+            bound = _key_limit(rho, norm_sq) if rational else rho
+            return lambda key, dist_sq, small, near, spare: np.less_equal(key, bound, out=small)
+        if rational:
+            return lambda key, dist_sq, small, near, spare: _relative_small(
+                key, dist_sq, rho, norm_sq, small, near, spare)
+        return lambda key, dist_sq, small, near, spare: np.less_equal(
+            key, np.multiply(rho, np.sqrt(dist_sq, out=spare), out=spare), out=small)
+
+    rules = [(small_rule(rho, mode), counted, dist) for rho, mode, counted, dist in splits]
+    reads_dist = any(mode == "relative" or dist for _, mode, _, dist in splits)
+    views = _tile_buffers(np.float64, np.float64, np.float64, bool, bool, bool)
 
     def tile(lo, hi):
-        key, dist_sq, spare, mask, near = views((2, hi - lo, len(half_f) - lo))
+        key, dist_sq, spare, zero, small, near = views((2, hi - lo, len(half) - lo))
         np.abs(differences(lo, hi, out=key), out=key)
-        _signed_dist_sq(half_f, two_m, lo, hi, out=dist_sq)
+        if reads_dist:
+            _signed_dist_sq(half_f, two_m, lo, hi, out=dist_sq)
         width = hi - lo
         sums = []
-        for (rho, _), limit in zip(splits, limits):
-            if limit is None:
-                small = _relative_small(key, dist_sq, rho, norm_sq, mask, near, spare)
+        if zero_pairs is not None:
+            zero_pairs(lo, hi, key, zero, spare.view(np.int64), near)
+            sums.append(_fold(np.count_nonzero, width, zero))
+        for rule, counted, dist in rules:
+            rule(key, dist_sq, small, near, spare)
+            if zero_pairs is not None:
+                small |= zero
+            if counted:
                 sums.append(_fold(np.count_nonzero, width, small))
-                tail = np.logical_not(small, out=small)
+            tail = np.logical_not(small, out=small)
+            if counted:
                 sums.append(_fold(inv_key_sq_sum, width, key, tail))
-            else:
-                tail = np.greater(key, limit, out=mask)
-            sums.append(_fold(_masked_inv_sum, width, dist_sq, tail))
+            if dist:
+                sums.append(_fold(_masked_inv_sum, width, dist_sq, tail))
         return sums
 
-    return _over_half_shell(shell.m, len(half_f), tile)
+    return _over_half_shell(shell.m, len(half), tile)
 
 
-def _rational_pair_sums(shell: Shell, direction: Direction, splits, dists) -> list[PairSums]:
-    """_pair_sums for a rational direction a, whose pair frequencies are
-    k/|a| with k = <mu - mu', a> an integer.
+def _pair_sums(shell: Shell, direction: Direction, splits,
+               dist_tails: bool = True) -> list[PairSums]:
+    """The PairSums of pair_sums for each (rho, mode) of splits, without
+    pair_sums's near-zero warning.
 
-    The sums that read beta alone run over the frequency classes
-    (_class_sweep): s_zero, and each absolute split's s_small, decided
-    exactly as |k| <= _key_limit(rho), and inv_sq_sum.  What reads
-    |mu - mu'| runs over the half-shell points (_point_sweep): the
-    inv_dist_sq_sum of each split that dists asks for, and the whole
-    relative split, whose small pairs _relative_small decides exactly.  With
-    neither, the point sweep is skipped.  Each sweep frees its buffers
-    before the next one starts.
+    For a rational direction a, s_zero and each absolute split's s_small and
+    inv_sq_sum read beta alone and come from the frequency classes
+    (_class_sweep), the split decided exactly as |k| <= _key_limit(rho).
+    Every other sum comes from one _point_sweep: all of a half-rational or
+    irrational direction's, a rational direction's relative splits, and the
+    1/|mu - mu'|^2 tails.  With dist_tails False only the relative splits,
+    whose bounds read it, sum 1/|mu - mu'|^2; an absolute split's
+    inv_dist_sq_sum is then None, and a rational direction without a
+    relative split makes no point sweep.  Each sweep frees its buffers before
+    the next one starts.
     """
-    norm_sq = sum(c * c for c in direction.ints)
-    limits = [_key_limit(rho, norm_sq) if mode == "absolute" else None for rho, mode in splits]
-    s_zero, *class_sums = _class_sweep(shell, direction, norm_sq,
-                                       [limit for limit in limits if limit is not None])
-    class_sums = iter(class_sums)
-    swept = [(split, limit) for split, limit, dist in zip(splits, limits, dists) if dist]
-    point_sums = iter(_point_sweep(shell, direction, norm_sq, *zip(*swept)) if swept else ())
+    for rho, mode in splits:
+        _check_split(rho, mode)
+    dists = [dist_tails or mode == "relative" for _, mode in splits]
+    rational = direction.rationality is Rationality.RATIONAL
+    classed = [rational and mode == "absolute" for _, mode in splits]
+    class_sums = iter(())
+    if rational:
+        norm_sq = sum(c * c for c in direction.ints)
+        limits = [_key_limit(rho, norm_sq) for (rho, _), c in zip(splits, classed) if c]
+        class_sums = iter(_class_sweep(shell, direction, norm_sq, limits))
+    swept = [(rho, mode, not c, dist)
+             for (rho, mode), c, dist in zip(splits, classed, dists) if dist or not c]
+    point_sums = iter(_point_sweep(shell, direction, swept) if swept else ())
+    s_zero = next(class_sums if rational else point_sums)
     results = []
-    for limit, dist in zip(limits, dists):
-        source = point_sums if limit is None else class_sums
+    for c, dist in zip(classed, dists):
+        source = class_sums if c else point_sums
         s_small, inv_sq = next(source), next(source)
         results.append(PairSums(s_zero=int(s_zero), s_small=int(s_small),
                                 inv_sq_sum=float(inv_sq),
@@ -802,10 +768,11 @@ def variance_bound(
     1/(pi^2 rho^2 |mu - mu'|^2) in the relative split (irrational and
     half-rational) or 1/(pi^2 beta^2) in the absolute one (conditional).
     Each split dominates q_sum exactly, term by term.  variance_bound composes
-    q_sum and one sweep of the pair tables that yields the whole-shell sums
-    (rho = 0, absolute) and the theorem's split together.  Only a relative
-    split's 1/|mu - mu'|^2 tail is summed, since no other bound reads one; so
-    a rational direction's bound makes no point sweep.
+    q_sum and one _pair_sums call, whose point sweep yields the whole-shell
+    sums (rho = 0, absolute) and the theorem's split together.  Only a
+    relative split's 1/|mu - mu'|^2 tail is summed, since no other bound reads
+    one; so the conditional bound builds no Gram tile, and a rational
+    direction's rational and conditional bounds make no point sweep.
     BoundOverflowError names "length" for an overflowing pair sum or
     L^2 * s_small, and "rho" for an overflowing tail.
     """

@@ -72,6 +72,8 @@ class WaveSample:
             raise ValueError(
                 f"need {self.shell.n // 2} pair amplitudes, got shape {half.shape}"
             )
+        if not np.isfinite(half).all():
+            raise ValueError("pair amplitudes must be finite")
         half.setflags(write=False)
         object.__setattr__(self, "half_coefficients", half)
 
@@ -160,7 +162,8 @@ def half_frequencies(shell: Shell, v) -> np.ndarray:
 
 def _check_t(line: LineSegment, t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0) or np.any(t > line.length):
+    # NaN fails both comparisons, so it is rejected with the out-of-range t
+    if not np.all((t >= 0.0) & (t <= line.length)):
         raise ValueError(f"t must lie in [0, {line.length}]")
     return t
 
@@ -198,6 +201,8 @@ def covariance(shell: Shell, line: LineSegment, t1: float, t2: float) -> Covaria
     _check_nonempty(shell)
     b = line_frequencies(shell, line.direction)
     tau = float(t1) - float(t2)
+    if not math.isfinite(tau):
+        raise ValueError(f"t1 and t2 must be finite with a finite difference, got {t1}, {t2}")
     cos_part = np.cos(TWO_PI * tau * b)
     r = float(np.mean(cos_part))
     r1 = float(np.mean(-TWO_PI * b * np.sin(TWO_PI * tau * b)))

@@ -461,6 +461,19 @@ class TestVarianceBound:
             with pytest.raises(ValueError, match="overflows"):
                 variance_bound(shell, LineSegment(direction, 1.0), mode, rho=1e-154)
 
+    @pytest.mark.parametrize("spec", ["irr:std", "halfrat:1,1,sqrt2"])
+    def test_absolute_splits_build_no_distance_tile(self, monkeypatch, spec):
+        # the conditional bound reads no |mu - mu'|: both of its splits are
+        # absolute and it sums no 1/|mu - mu'|^2 tail
+        def no_distances(*args, **kwargs):
+            raise AssertionError("built a |mu - mu'|^2 tile")
+
+        shell = enumerate_shell(101)
+        line = LineSegment(parse_direction(spec), 0.8)
+        want = variance_bound(shell, line, BoundMode.CONDITIONAL)
+        monkeypatch.setattr(arithmetic, "_signed_dist_sq", no_distances)
+        assert variance_bound(shell, line, BoundMode.CONDITIONAL) == want
+
     def test_rational_mode_rejects_rho(self):
         shell = enumerate_shell(5)
         with pytest.raises(ValueError, match="rational bound uses no rho"):
@@ -669,6 +682,9 @@ class TestTiledPairSums:
             if not rational:
                 assert got == half_split_sums(half, 0.3, split)
             assert_pair_sums_match(got, oracle_split_sums(shell, direction, dense, 0.3, split))
+            # rho = 0: the split behind the s_zero and inv_sq_sum bounds reports
+            if not rational:
+                assert pair_sums(shell, direction, 0.0, split) == half_split_sums(half, 0.0, split)
         projected = project_shell(shell)
         energy = riesz_energy(projected, 1.0).energy
         assert energy == half_riesz_energy(projected.unit_points, 1.0)
@@ -687,9 +703,6 @@ class TestTiledPairSums:
             assert_classes_hold_every_dense_key_difference(shell, direction)
             return
         half = half_pair_tables(shell, direction)
-        tiles = arithmetic._pair_tables(shell, direction)(0, shell.n // 2)[:4]
-        for got, want in zip(tiles, half):
-            assert np.array_equal(got, want)
         beta, zero, dist_sq, inv_beta_sq = half
         dense_beta, dense_zero, dense_dist_sq, dense_inv_beta_sq = \
             dense_pair_tables(shell, direction)

@@ -64,6 +64,10 @@ def test_wave_sample_structure():
     assert np.allclose(full[::-1], np.conj(full))
     with pytest.raises(ValueError):
         WaveSample(shell, half[:5])
+    for bad in (math.nan, math.inf):
+        # non-finite amplitudes would give count_zeros 0 roots with no flag
+        with pytest.raises(ValueError, match="finite"):
+            WaveSample(shell, np.full(12, bad))
 
 
 def test_from_coefficients_mirrors_and_validates():
@@ -79,6 +83,8 @@ def test_from_coefficients_mirrors_and_validates():
         WaveSample.from_coefficients(shell, {(0, 1, 0): 1j, (0, -1, 0): 1j})
     with pytest.raises(ValueError):
         WaveSample.from_coefficients(shell, {(1, 1, 0): 1.0})
+    with pytest.raises(ValueError, match="finite"):
+        WaveSample.from_coefficients(enumerate_shell(5), {(1, 2, 0): math.nan})
 
 
 def test_sample_wave_deterministic_and_rejects_empty():
@@ -132,6 +138,11 @@ def test_evaluate_f_single_mode_and_domain():
         evaluate_f(sample, line, 1.01)
     with pytest.raises(ValueError):
         evaluate_f_prime(sample, line, [0.3, 1.2])
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            evaluate_f(sample, line, t)
+    with pytest.raises(ValueError):
+        evaluate_f_prime(sample, line, [0.1, math.nan])
 
 
 def test_f_prime_matches_finite_differences():
@@ -151,6 +162,9 @@ def test_covariance_diagonal():
     cov = covariance(shell, line, 0.37, 0.37)
     assert cov.r == pytest.approx(1.0, abs=1e-12)
     assert cov.r1 == 0.0 and cov.r2 == 0.0
+    for t1, t2 in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            covariance(shell, line, t1, t2)
     b = shell.coords @ IRR.components
     assert cov.r12 == pytest.approx(4 * math.pi**2 * np.mean(b * b))
     assert cov.r12 > 0
