@@ -126,11 +126,13 @@ TILE_ENTRIES = 1 << 16
 def integral_sq(beta, length: float):
     """Squared modulus of the segment integral of e^{2 pi i t beta}.
 
-    Vectorized over beta, which must be finite; length must be positive.
-    The value is continuous at beta = 0 where it equals length^2.
+    Vectorized over beta, which must be finite; length must be positive with
+    a finite square, as a LineSegment's.  The value is continuous at beta = 0
+    where it equals length^2.
     """
-    if not length > 0:
-        raise ValueError(f"length must be positive, got {length}")
+    length = float(length)
+    if not (math.isfinite(length * length) and length > 0):
+        raise ValueError(f"length must be positive with a finite square, got {length}")
     b = np.asarray(beta, dtype=np.float64)
     scalar = b.ndim == 0
     b = np.atleast_1d(b)

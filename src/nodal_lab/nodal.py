@@ -22,17 +22,20 @@ Either test rules a cell out only where f provably keeps one sign, so the
 counts are those of the curvature test alone.  The Hermite test is much
 tighter: at m = 1009 it keeps about one in three hundred of the base cells
 the curvature test would refine.  It needs f' at the end points, which on
-the base grid costs one more matrix product per block.  Deeper levels keep
-the curvature test alone, and need no f': too few windows get there for a
-tighter test to pay.  Touch-without-crossing configurations are flagged and
-counted as zero crossings are not.
+the base grid costs one more matrix product per block: f' is f of the pair
+amplitudes 2 pi i b a, so both products are randomwave's one restriction
+formula over the base grid's phase table.  Deeper levels keep the curvature
+test alone, and need no f': too few windows get there for a tighter test to
+pay.  Touch-without-crossing configurations are flagged and counted as zero
+crossings are not.
 
 The rule has one home, ``_scan``, which runs it over a block of samples one
-depth level at a time: two matrix products give every sample's base-grid
-values of f and f', and the masks of ``_level`` run over all segments of the
-block at once.  Off the base grid f has one evaluator, ``f_at``, which
-``_scan`` builds for its block: f of any block row at any point, with no loop
-over samples.  Each refinement level evaluates its sub-grid points with it.
+depth level at a time: the two restriction products give every sample's
+base-grid values of f and f', and the masks of ``_level`` run over all
+segments of the block at once.  Off the base grid f has one evaluator,
+``f_at``, which ``_scan`` builds for its block: f of any block row at any
+point, with no loop over samples.  Each refinement level evaluates its
+sub-grid points with it.
 ``_scan`` returns the sign-change brackets of every level, the flags and
 ``f_at``.  ``count_zeros`` bisects all the brackets in one call to
 ``_bisect`` and returns the roots.  ``monte_carlo`` only counts them: each
@@ -61,6 +64,9 @@ from .randomwave import (
     TWO_PI,
     LineSegment,
     WaveSample,
+    _phases,
+    _restrict,
+    _slope_parts,
     half_frequencies,
     sample_wave,
 )
@@ -172,9 +178,7 @@ def _base_grid(shell: Shell, line: LineSegment) -> _BaseGrid:
             "length", f"the base grid at m={shell.m} needs {n_pts} points x {len(b)} "
             f"frequencies, over {GRID_ENTRIES} entries, for length={line.length}")
     t = np.linspace(0.0, line.length, n_pts)
-    phase = TWO_PI * t[:, None] * b
-    cos_phase = np.cos(phase)
-    return _BaseGrid(t, cos_phase, np.sin(phase, out=phase), b)
+    return _BaseGrid(t, *_phases(t, b), b)
 
 
 def _zero_runs(t: np.ndarray, fv: np.ndarray):
@@ -291,8 +295,9 @@ def _level(t, fv, seg, near_tol, dip_tol, slope=None, remainder=None):
       - for exact end data |f - H| <= M4 w^4 / 384, the classical Hermite
         remainder: f^(4)(xi) / 4! times (t - t0)^2 (t - t1)^2 <= w^4 / 16;
       - the values of f carry at most near_tol of rounding noise, the premise
-        _counts rests on too.  f' is the same sum with each term weighted by
-        |2 pi b| <= 2 pi f_max, so its noise is at most 2 pi f_max near_tol.
+        _counts rests on too.  f' is f of the amplitudes 2 pi i b a, the
+        same sum with each term weighted by |2 pi b| <= 2 pi f_max, so its
+        noise is at most 2 pi f_max near_tol.
         H depends on f0 and f1 through weights that sum to 1, and on w f0'
         and w f1' through weights whose absolute values sum to
         u (1 - u) <= 1/4.  So the noise moves H by at most
@@ -378,37 +383,43 @@ class _Scan:
 def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     """Brackets and flags of every sample in a block, one level at a time.
 
-    Every sample's base-grid values of f come from one matrix product,
-    scaled as evaluate_f scales, and those of f' from one more, with
-    the weights 2 pi b of evaluate_f_prime.  The base level applies the
-    masks of _level with both exclusion tests, curvature (M2) and Hermite
-    (M4, f'); each refinement level concatenates the windows of all samples
-    into segments, evaluates f at their sub-grid points with f_at and
-    applies the masks of _level with the curvature test alone.
+    Every sample's base-grid values of f come from one restriction product
+    over the grid's phase table, as in evaluate_f, and those of f' from one
+    more: f' is f of the pair amplitudes 2 pi i b a, as in evaluate_f_prime.
+    The base level applies the masks of _level with both exclusion tests,
+    curvature (M2) and Hermite (M4, f'); each refinement level concatenates
+    the windows of all samples into segments, evaluates f at their sub-grid
+    points with f_at and applies the masks of _level with the curvature test
+    alone.
+
+    Raises ValueError before any refinement if f * f, M2 or M4 overflows,
+    as amplitudes near the top of the float64 range make them: near_tol
+    would be inf, every grid point tiny, and the windows would grow eightfold
+    per level.
     """
     k = len(samples)
     half = np.array([s.half_coefficients for s in samples])
     re, im = np.ascontiguousarray(half.real), np.ascontiguousarray(half.imag)
     scale = 2.0 / math.sqrt(samples[0].shell.n)
-    fv = scale * (grid.cos_phase @ re.T - grid.sin_phase @ im.T)
-    fv = np.ascontiguousarray(fv.T)  # one row per sample
+    with np.errstate(over="ignore"):
+        fv = np.ascontiguousarray(_restrict(grid.cos_phase, grid.sin_phase, re, im, scale).T)
+        near_tol = NEAR_ZERO_FACTOR * np.sqrt(np.mean(fv * fv, axis=1))
+        omega = TWO_PI * grid.b
+        m2 = scale * np.sum(omega**2 * np.abs(half), axis=1)
+        m4 = scale * np.sum(omega**4 * np.abs(half), axis=1)
+        # f' on the base grid, one run per sample as fv below
+        parts = _slope_parts(omega, re, im)
+        slope = _restrict(grid.cos_phase, grid.sin_phase, *parts, scale).T.ravel()
     dead = np.flatnonzero(np.all(np.abs(fv) < DEGENERATE_TOL, axis=1))
     if dead.size:
         raise DegenerateSampleError(
             "degenerate sample: f vanishes on the whole grid", row=int(dead[0]))
-    near_tol = NEAR_ZERO_FACTOR * np.sqrt(np.mean(fv * fv, axis=1))
-    omega = TWO_PI * grid.b
-    m2 = scale * np.sum(omega**2 * np.abs(half), axis=1)
-    m4 = scale * np.sum(omega**4 * np.abs(half), axis=1)
-    # f' on the base grid, as evaluate_f_prime forms it
-    fp = -scale * (grid.sin_phase @ (omega * re).T + grid.cos_phase @ (omega * im).T)
-    slope = fp.T.ravel()  # one run per sample, as fv below
+    if not np.isfinite([near_tol, m2, m4]).all():
+        raise ValueError("f overflows: the pair amplitudes are too large to scan")
 
     def f_at(row, t):
         # scale * sum (cos(2 pi b t) Re a - sin(2 pi b t) Im a), a of row[i] at t[i]
-        phase = TWO_PI * t[:, None] * grid.b
-        cos = np.cos(phase)
-        sin = np.sin(phase, out=phase)
+        cos, sin = _phases(t, grid.b)
         return scale * (np.einsum("ij,ij->i", cos, re[row]) - np.einsum("ij,ij->i", sin, im[row]))
 
     n = grid.t.size

@@ -10,6 +10,15 @@ Amplitudes are stored once per antipodal pair, so the conjugate symmetry is
 structural rather than checked.  The lexicographic ordering of shell
 coordinates pairs row i with row n-1-i (negation reverses the order), which
 keeps the half-shell bookkeeping index-free.
+
+The restricted wave has one home here, which the zero counter uses too.  The
+frequencies b = <mu, alpha> are computed only by ``half_frequencies``, one
+per pair; ``line_frequencies`` mirrors them onto the whole shell.  One phase
+table, ``_phases``, gives cos and sin of 2 pi b t, and one restriction
+formula, ``_restrict``, sums f = (2/sqrt(N)) * sum (cos Re a - sin Im a)
+over the pairs.  f' needs no formula of its own: differentiating each term
+multiplies a by 2 pi i b, so f' is f of the pair amplitudes 2 pi i b a,
+whose parts are (-2 pi b Im a, 2 pi b Re a) (``_slope_parts``).
 """
 
 import math
@@ -91,7 +100,9 @@ class WaveSample:
         """Build a sample from an explicit {mu: a_mu} mapping.
 
         Pairs not mentioned get amplitude zero.  Setting mu fixes -mu to the
-        conjugate; listing both with inconsistent values is an error.
+        conjugate; listing both with inconsistent values is an error, and so
+        is a coordinate that is no integer (integral floats such as 1.0 are
+        integers).
         """
         n = shell.n
         h = n // 2
@@ -99,7 +110,10 @@ class WaveSample:
         half = np.zeros(h, dtype=np.complex128)
         seen: dict[int, complex] = {}
         for mu, value in dict(values).items():
-            key = tuple(int(c) for c in mu)
+            raw = np.asarray(mu, dtype=np.float64)
+            if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):  # NaN and inf fail, and 0.5
+                raise ValueError(f"{mu} is no lattice point: its coordinates must be integers")
+            key = tuple(int(c) for c in raw)
             if key not in index:
                 raise ValueError(f"{key} is not on the shell m={shell.m}")
             i = index[key]
@@ -133,17 +147,16 @@ def sample_wave(shell: Shell, rng_seed) -> WaveSample:
     (the latter lets callers hand in per-trial substreams).
     """
     _check_nonempty(shell)
-    if isinstance(rng_seed, np.random.Generator):
-        rng = rng_seed
-    else:
-        rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)  # a Generator is returned as it is
     z = rng.standard_normal((shell.n // 2, 2)) * math.sqrt(0.5)
     return WaveSample(shell, z[:, 0] + 1j * z[:, 1])
 
 
 def line_frequencies(shell: Shell, direction: Direction) -> np.ndarray:
-    """Frequencies <mu, alpha> of the restricted process, one per shell row."""
-    return shell.coords.astype(np.float64) @ direction.components
+    """Frequencies <mu, alpha> of the restricted process, one per shell row:
+    those of half_frequencies, then their negatives for the mirrored rows."""
+    h = half_frequencies(shell, direction.components)
+    return np.concatenate((h, -h[::-1]))
 
 
 def half_frequencies(shell: Shell, v) -> np.ndarray:
@@ -160,36 +173,45 @@ def half_frequencies(shell: Shell, v) -> np.ndarray:
     return _antipodal_half(shell.coords, shell.m).astype(np.float64) @ v
 
 
-def _check_t(line: LineSegment, t) -> np.ndarray:
+def _phases(t, b):
+    """cos and sin of 2 pi b t: the axes of t, then one axis over b."""
+    phase = TWO_PI * np.asarray(t)[..., None] * b
+    return np.cos(phase), np.sin(phase, out=phase)  # sin reuses the buffer once cos is taken
+
+
+def _restrict(cos, sin, re, im, scale):
+    """f from a phase table: scale * sum (cos Re a - sin Im a) over the pairs,
+    with re and im the parts of the pair amplitudes a (one row per sample)."""
+    return scale * (cos @ re.T - sin @ im.T)
+
+
+def _slope_parts(w, re, im):
+    """Parts of the pair amplitudes i w a; with w = 2 pi b their f is the f' of a."""
+    return -w * im, w * re
+
+
+def _evaluate(shell: Shell, line: LineSegment, t, re, im):
+    """f at t in [0, L] of the pair amplitudes with parts re and im."""
     t = np.asarray(t, dtype=np.float64)
     # NaN fails both comparisons, so it is rejected with the out-of-range t
     if not np.all((t >= 0.0) & (t <= line.length)):
         raise ValueError(f"t must lie in [0, {line.length}]")
-    return t
+    cos, sin = _phases(np.atleast_1d(t), half_frequencies(shell, line.direction.components))
+    vals = _restrict(cos, sin, re, im, 2.0 / math.sqrt(shell.n))
+    return float(vals[0]) if t.ndim == 0 else vals
 
 
 def evaluate_f(sample: WaveSample, line: LineSegment, t):
     """Restriction f(t) = F(t*alpha); vectorized over t in [0, L]."""
-    t = _check_t(line, t)
-    single = t.ndim == 0
-    b = half_frequencies(sample.shell, line.direction.components)
-    phase = TWO_PI * np.atleast_1d(t)[:, None] * b
     a = sample.half_coefficients
-    vals = 2.0 / math.sqrt(sample.shell.n) * (np.cos(phase) @ a.real - np.sin(phase) @ a.imag)
-    return float(vals[0]) if single else vals
+    return _evaluate(sample.shell, line, t, a.real, a.imag)
 
 
 def evaluate_f_prime(sample: WaveSample, line: LineSegment, t):
-    """Derivative f'(t), term-wise 2 pi <mu, alpha> factors."""
-    t = _check_t(line, t)
-    single = t.ndim == 0
-    b = half_frequencies(sample.shell, line.direction.components)
-    phase = TWO_PI * np.atleast_1d(t)[:, None] * b
+    """Derivative f'(t): f of the pair amplitudes 2 pi i <mu, alpha> a."""
     a = sample.half_coefficients
-    w = TWO_PI * b
-    scale = -2.0 / math.sqrt(sample.shell.n)
-    vals = scale * (np.sin(phase) @ (w * a.real) + np.cos(phase) @ (w * a.imag))
-    return float(vals[0]) if single else vals
+    b = half_frequencies(sample.shell, line.direction.components)
+    return _evaluate(sample.shell, line, t, *_slope_parts(TWO_PI * b, a.real, a.imag))
 
 
 def covariance(shell: Shell, line: LineSegment, t1: float, t2: float) -> CovarianceValues:
@@ -198,14 +220,13 @@ def covariance(shell: Shell, line: LineSegment, t1: float, t2: float) -> Covaria
     r depends on tau = t1 - t2 only; r1 = dr/dt1 = -r2, and r12 is the mixed
     second derivative, positive on the diagonal.
     """
-    _check_nonempty(shell)
     b = line_frequencies(shell, line.direction)
     tau = float(t1) - float(t2)
     if not math.isfinite(tau):
         raise ValueError(f"t1 and t2 must be finite with a finite difference, got {t1}, {t2}")
-    cos_part = np.cos(TWO_PI * tau * b)
+    cos_part, sin_part = _phases(tau, b)
     r = float(np.mean(cos_part))
-    r1 = float(np.mean(-TWO_PI * b * np.sin(TWO_PI * tau * b)))
+    r1 = float(np.mean(-TWO_PI * b * sin_part))
     r12 = float(np.mean((TWO_PI * b) ** 2 * cos_part))
     return CovarianceValues(r=r, r1=r1, r12=r12)
 

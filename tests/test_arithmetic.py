@@ -26,7 +26,14 @@ from nodal_lab.diophantine import Direction, Rationality
 from nodal_lab.geometry import kappa
 from nodal_lab.lattice import ProjectedShell, Shell, enumerate_shell, project_shell
 from nodal_lab.nodal import count_zeros, monte_carlo
-from nodal_lab.randomwave import LineSegment, covariance, half_frequencies, sample_wave
+from nodal_lab.randomwave import (
+    LineSegment,
+    covariance,
+    half_frequencies,
+    line_frequencies,
+    sample_wave,
+    second_moment_ratio,
+)
 
 from helpers_arithmetic import (
     dense_bound,
@@ -117,6 +124,9 @@ class TestIntegralSq:
             integral_sq(1.0, 0.0)
         with pytest.raises(ValueError, match="length"):
             integral_sq(1.0, -2.0)
+        for length in (math.inf, 1e200):  # the square overflows
+            with pytest.raises(ValueError, match="length"):
+                integral_sq(0.3, length)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf,
                                       np.array([0.5, math.nan, 0.0])])
@@ -969,7 +979,10 @@ def test_shell_out_of_antipodal_order_is_rejected():
              lambda: r2_terms(shuffled, line),
              lambda: variance_bound(shuffled, line, BoundMode.IRRATIONAL),
              lambda: count_zeros(sample_wave(shuffled, 0), line),
-             lambda: riesz_energy(project_shell(shuffled), 1.0)]
+             lambda: riesz_energy(project_shell(shuffled), 1.0),
+             lambda: line_frequencies(shuffled, IRR),
+             lambda: covariance(shuffled, line, 0.3, 0.1),
+             lambda: second_moment_ratio(shuffled, IRR)]
     for call in calls:
         with pytest.raises(ValueError, match="antipode"):
             call()

@@ -124,6 +124,25 @@ def test_base_grid_past_its_budget_is_rejected(monkeypatch):
     assert info.value.parameter == "length"
 
 
+def test_huge_amplitudes_are_rejected_before_refinement(monkeypatch):
+    # at amplitudes of 2^520, f * f overflows: near_tol would be inf and every
+    # grid point tiny, so refinement would open every cell at every level; the
+    # depth cap bounds what a scan that refines anyway can allocate
+    monkeypatch.setattr(nodal, "MAX_REFINE_DEPTH", 2)
+    shell = enumerate_shell(5)
+    line = LineSegment(E1, 1.0)
+    sample = sample_wave(shell, np.random.default_rng(3))
+    plain = count_zeros(sample, line)
+    assert plain.count > 0
+    for power in (-30, 480):  # scaling by a power of two is exact
+        scaled = count_zeros(WaveSample(shell, sample.half_coefficients * 2.0**power), line)
+        assert np.array_equal(scaled.roots, plain.roots)
+        assert scaled.flags == plain.flags
+    for power in (520, 1000):
+        with pytest.raises(ValueError, match="overflow"):
+            count_zeros(WaveSample(shell, sample.half_coefficients * 2.0**power), line)
+
+
 def dense_scan_count(sample, line, factor=800.0):
     """Sign changes on a much denser uniform grid; the reference count."""
     b = sample.shell.coords @ line.direction.components

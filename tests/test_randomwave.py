@@ -85,6 +85,12 @@ def test_from_coefficients_mirrors_and_validates():
         WaveSample.from_coefficients(shell, {(1, 1, 0): 1.0})
     with pytest.raises(ValueError, match="finite"):
         WaveSample.from_coefficients(enumerate_shell(5), {(1, 2, 0): math.nan})
+    # integral floats are lattice points; fractional and non-finite coordinates
+    # are not, and must not be truncated onto one
+    assert WaveSample.from_coefficients(shell, {(1.0, 0, 0): 3.0}).half_coefficients.any()
+    for mu in [(1.5, 0, 0), (0.9, 0, 1.2), (math.inf, 0, 0), (math.nan, 0, 0)]:
+        with pytest.raises(ValueError, match="integer"):
+            WaveSample.from_coefficients(shell, {mu: 1.0})
 
 
 def test_sample_wave_deterministic_and_rejects_empty():
