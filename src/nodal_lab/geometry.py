@@ -9,16 +9,21 @@ segment lies in one hemisphere (both planes on one side of the center);
 segment_from builds it from its height h and the height of its top plane.
 
 kappa(shell) is the exact maximal number of shell points on any single
-plane.  The points are ordered by orbit of the 48 signed coordinate
-permutations, largest orbit first, and planes are counted through the first
-point of each orbit against the points of that orbit and the later ones:
-since orbits are invariant, that suffix holds every plane whole once.  Each
-plane through the anchor and a second point q is keyed against the points
-after q by the float64 ratio of two entries of its normal; both entries are
-differences of integer dot products of magnitude at most 2m from one GEMM,
-so they are exact, and the correctly rounded ratios tell planes apart while
-m < 2^24.  The rows of all anchors are swept in order of q and sorted in
-blocks of about 2^16 keys, and every new maximum is recounted in int64.
+plane.  It starts from a planted plane: the densest plane n . x = c over 13
+small normals n (the x = c, x +- y = c and x +- y +- z = c types), counted
+exactly from one (N x 13) int64 product.  On almost every shell that count
+already is kappa, and the sweep below only verifies it.  The points are
+ordered by orbit of the 48 signed coordinate permutations, largest orbit
+first, and planes are counted through the first point of each orbit against
+the points of that orbit and the later ones: since orbits are invariant,
+that suffix holds every plane whole once.  Each plane through the anchor
+and a second point q is keyed against the points after q by the float64
+ratio of two entries of its normal; both entries are sums of integer
+products of magnitude at most 2m from one GEMM, so they are exact, and the
+correctly rounded ratios tell planes apart while m < 2^24.  The rows of all anchors are swept
+in order of q and sorted in blocks of about 2^16 keys; a block is only
+asked whether it holds a plane denser than the best so far, and every such
+plane is recounted in int64.
 
 cone_region and slab_region build the regions around a point B that hold
 the small pairs of the relative and absolute pair splits: a cap, a segment,
@@ -50,6 +55,16 @@ __all__ = [
 KAPPA_M_LIMIT = 2**24
 # kappa sorts its plane keys in blocks of about this many (rows * columns)
 _BLOCK_ENTRIES = 2**16
+# the normals of kappa's planted planes: x, y or z = c, the six x +- y = c
+# type and the four x +- y +- z = c type, one column each
+_PLANTED_NORMALS = np.array([
+    [1, 0, 0], [0, 1, 0], [0, 0, 1],
+    [1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1],
+    [1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1],
+], dtype=np.int64).T
+# e_i x d has the entries _CROSS_SIGN[i] * d[_CROSS_PERM[i]]
+_CROSS_PERM = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+_CROSS_SIGN = np.array([[0, -1, 1], [1, 0, -1], [-1, 1, 0]], dtype=np.int64)
 
 
 def _unit(direction) -> np.ndarray:
@@ -234,6 +249,24 @@ def _orbit_order(pts: np.ndarray):
     return pts[order], starts
 
 
+def _planted_count(pts: np.ndarray) -> int:
+    """The most points on one plane n . x = c, over the 13 normals n of
+    _PLANTED_NORMALS: the longest run of equal int64 heights n . x in any
+    column of the sorted (N x 13) product."""
+    heights = np.sort(pts @ _PLANTED_NORMALS, axis=0).T
+    # each row of edges marks where a run starts, and its end; the rows
+    # joined end to end keep each run between two consecutive marks
+    edges = np.ones((heights.shape[0], heights.shape[1] + 1), dtype=bool)
+    edges[:, 1:-1] = heights[:, 1:] != heights[:, :-1]
+    return int(np.diff(np.flatnonzero(edges)).max())
+
+
+def _axis_crosses(d: np.ndarray) -> np.ndarray:
+    """e_0 x d, e_1 x d and e_2 x d for each vector d on the last axis, on
+    a new axis before it: signed permutations of d's entries."""
+    return _CROSS_SIGN * d[..., _CROSS_PERM]
+
+
 def kappa(shell: Shell) -> int:
     """Exact kappa(sqrt(m)): the maximal number of shell points on one plane.
 
@@ -264,10 +297,14 @@ def kappa(shell: Shell) -> int:
     about _BLOCK_ENTRIES keys that are generated one at a time.  A block's
     rows share the columns r > q of its first row, and their q lie within
     half a row of it, so both parts come from one float64 GEMM against the
-    points, n_i = (e_i x d_q) . r - (e_i x d_q) . p.
-    Each dot product is an integer of magnitude at most |d_q| |r| <= 2m, so
-    every product, sum and difference is exact, and the keys are those of
-    n_i = (e_i x d_q) . d_r.  At m = 101, 1009 and 10001 this keys 23,620,
+    points, n_i = (e_i x d_q) . r - (e_i x d_q) . p, whose anchor term
+    meets a row of ones.  The vector e_i x d_q is a signed permutation of
+    d_q's entries (_axis_crosses), and the anchor term an int64 row dot
+    product.  Both dot products are integers of magnitude at most
+    |d_q| |r| <= 2m, so every product, sum and difference is exact, and the
+    keys are those of n_i = (e_i x d_q) . d_r.  The GEMM writes into one
+    buffer that every block reuses; the keys overwrite the n_i, and their
+    sorted copy the n_j.  At m = 101, 1009 and 10001 this keys 23,620,
     62,538 and 25.4M pairs, where keying every anchor against all (N-1)^2
     pairs took 111,556, 342,726 and 154.7M.
 
@@ -278,12 +315,25 @@ def kappa(shell: Shell) -> int:
     rounding moves each by at most 2^-53 |x| <= 2^-53 * 4m / |b|, so both
     round together only if 1 <= 2^-53 * 4m (|b| + |d|) <= 2^-53 * 32 m^2.
 
+    The best so far starts at a planted count: the most points on one plane
+    n . x = c over the 13 small normals n of _PLANTED_NORMALS, counted
+    exactly as the longest run in each sorted column of one (N x 13) int64
+    product (or 3, if that is more: any three points lie on a plane).  On
+    2,500 of the 2,503 shells with N >= 4 and m <= 3000 this already is kappa;
+    m = 1269, 1502 and 2329 fall 2 short.
+
     Each sorted block is only asked whether it holds a run one longer than
     the best so far, and its first such row is taken.  That row's plane is
     complete: any earlier point of S_i on it would give an earlier row of the
     same anchor a longer run, which this block or an earlier one would have
     taken first.  The run is recounted in int64 as the points x of S_i with
-    n.x == n.p, and a recount that disagrees raises RuntimeError.
+    n.x == n.p, and a recount that disagrees raises RuntimeError.  So the
+    best so far is always the exact count of a real plane, hence at most
+    kappa.  And a plane that still holds more points than the best so far
+    when the row of its first point q of S_i comes up gives that row a run
+    long enough for its block to take, so the sweep ends at kappa.  Both
+    steps hold for any start that is the exact count of a real plane; a
+    start at kappa leaves the sweep nothing to recount.
     """
     _check_nonempty(shell)
     if shell.m >= KAPPA_M_LIMIT:
@@ -294,13 +344,16 @@ def kappa(shell: Shell) -> int:
     if n <= 3:
         return n
     pts, starts = _orbit_order(shell.coords)
-    exact = pts.astype(np.float64)
-    axes = np.eye(3, dtype=np.int64)
+    # the points as columns over a row of ones, which meets the anchor term
+    exact = np.vstack([pts.T, np.ones(n, dtype=np.int64)]).astype(np.float64)
     # the rows of q are (p_0, q), ..., (p_o, q) for q in orbit o, less (q, q)
     row_count = np.searchsorted(starts, np.arange(n), side="right")
     row_count[starts] -= 1
     first_row = np.concatenate([[0], np.cumsum(row_count)])
-    best = 3
+    best = max(3, _planted_count(pts))
+    # every block's n_i and n_j rows in one buffer: a block's rows hold at
+    # most max(width, _BLOCK_ENTRIES) keys
+    buffer = np.empty(2 * max(n, _BLOCK_ENTRIES))
     lo = 0
     while lo < first_row[-1]:
         q_lo = np.searchsorted(first_row, lo, side="right") - 1
@@ -315,14 +368,18 @@ def kappa(shell: Shell) -> int:
         a = starts[rows - first_row[q]]
         d = pts[q] - pts[a]
         k = np.abs(d).argmax(axis=1)
-        u = np.concatenate([np.cross(axes[(k + 1) % 3], d), np.cross(axes[(k + 2) % 3], d)])
-        ij = u.astype(np.float64) @ exact[q_lo + 1:].T
-        ij -= np.einsum("ij,ij->i", u, pts[np.tile(a, 2)])[:, None]
+        crosses, each = _axis_crosses(d), np.arange(len(rows))
+        u = np.concatenate([crosses[each, (k + 1) % 3], crosses[each, (k + 2) % 3]])
+        anchor = (u * pts[np.tile(a, 2)]).sum(axis=1)
+        ij = buffer[:2 * len(rows) * width].reshape(2 * len(rows), width)
+        np.matmul(np.column_stack([u, -anchor]).astype(np.float64), exact[:, q_lo + 1:], out=ij)
+        keys, runs = ij[:len(rows)], ij[len(rows):]
         with np.errstate(divide="ignore", invalid="ignore"):
-            keys = ij[:len(rows)] / ij[len(rows):]
+            np.divide(keys, runs, out=keys)
         keys[keys == -np.inf] = np.inf  # n_j = 0: one plane, whatever the signs
         keys[np.arange(width) < (q - q_lo)[:, None]] = np.nan  # r <= q
-        runs = np.sort(keys, axis=1)
+        runs[...] = keys  # the n_j are spent: sort a copy of the keys in their place
+        runs.sort(axis=1)
         while True:
             c = best - 2  # a run of c + 1 equal keys makes kappa best + 1
             hit = runs[:, c:] == runs[:, :-c]
@@ -331,7 +388,7 @@ def kappa(shell: Shell) -> int:
             row, col = np.unravel_index(hit.argmax(), hit.shape)
             on_plane = keys[row] == runs[row, col]
             p = pts[a[row]]
-            normal = np.cross(d[row], pts[q_lo + 1 + on_plane.argmax()] - p)
+            normal = _axis_crosses(d[row]) @ (pts[q_lo + 1 + on_plane.argmax()] - p)
             count = int((pts[a[row]:] @ normal == p @ normal).sum())
             if count != on_plane.sum() + 2:
                 raise RuntimeError(

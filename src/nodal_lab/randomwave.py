@@ -110,7 +110,10 @@ class WaveSample:
         half = np.zeros(h, dtype=np.complex128)
         seen: dict[int, complex] = {}
         for mu, value in dict(values).items():
-            raw = np.asarray(mu, dtype=np.float64)
+            try:
+                raw = np.asarray(mu, dtype=np.float64)
+            except OverflowError:  # an integer past the float64 range is no shell point
+                raise ValueError(f"{mu} is not on the shell m={shell.m}") from None
             if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):  # NaN and inf fail, and 0.5
                 raise ValueError(f"{mu} is no lattice point: its coordinates must be integers")
             key = tuple(int(c) for c in raw)

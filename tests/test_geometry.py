@@ -182,6 +182,11 @@ def test_kappa_examples():
     assert kappa(enumerate_shell(1009)) == 16
     assert kappa(enumerate_shell(3001)) == 24
     assert kappa(enumerate_shell(10001)) == 48
+    # the shells up to m = 3000 whose planted start falls short, so that the
+    # sweep must climb: each checked once against the every-anchor search
+    assert kappa(enumerate_shell(1269)) == 18
+    assert kappa(enumerate_shell(1502)) == 14
+    assert kappa(enumerate_shell(2329)) == 18
 
 
 def kappa_in_row_blocks(sh):
@@ -267,7 +272,10 @@ def orbit_unions(draw):
 @given(orbit_unions())
 @example(Shell(65, enumerate_shell(65).coords))
 def test_kappa_matches_brute_force_on_orbit_unions(sh):
-    assert kappa(sh) == kappa_brute(sh)
+    want = kappa_brute(sh)
+    assert kappa(sh) == want
+    # the planted start counts a real plane, so it can only fall short
+    assert geometry._planted_count(sh.coords) <= want
 
 
 def test_kappa_rejects_empty():

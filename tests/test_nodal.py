@@ -498,6 +498,23 @@ def test_shifted_sample_values():
         assert shifted_val == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("length", [1.0, 0.37])
+@pytest.mark.parametrize("spec", ["rat:1,0,0", "irr:std", "halfrat:1,1,sqrt2"])
+@pytest.mark.parametrize("m", [5, 101])
+def test_zero_count_is_unchanged_by_reversing_the_segment(m, spec, length):
+    # f(L - t) is f of the pair amplitudes conj(a e^{2 pi i b L})
+    shell = enumerate_shell(m)
+    line = LineSegment(parse_direction(spec), length)
+    turn = np.exp(1j * TWO_PI * length * half_frequencies(shell, line.direction.components))
+    t = np.linspace(0.0, length, 7)
+    for seed in range(8):
+        sample = sample_wave(shell, seed)
+        reversed_sample = WaveSample(shell, np.conj(sample.half_coefficients * turn))
+        assert np.allclose(evaluate_f(reversed_sample, line, t),
+                           evaluate_f(sample, line, length - t), rtol=0, atol=1e-12)
+        assert count_zeros(reversed_sample, line).count == count_zeros(sample, line).count, seed
+
+
 def test_variance_of_normalized_count_decreases():
     # past the smallest shells the normalized count concentrates; m=1 itself
     # sits below the asymptotic regime and is left out of the trend window

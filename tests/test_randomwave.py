@@ -91,6 +91,9 @@ def test_from_coefficients_mirrors_and_validates():
     for mu in [(1.5, 0, 0), (0.9, 0, 1.2), (math.inf, 0, 0), (math.nan, 0, 0)]:
         with pytest.raises(ValueError, match="integer"):
             WaveSample.from_coefficients(shell, {mu: 1.0})
+    # an integer past the float64 range is off the shell, not an overflow
+    with pytest.raises(ValueError, match="not on the shell"):
+        WaveSample.from_coefficients(shell, {(10**400, 0, 0): 1.0})
 
 
 def test_sample_wave_deterministic_and_rejects_empty():
