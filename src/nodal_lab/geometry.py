@@ -20,10 +20,10 @@ that suffix holds every plane whole once.  Each plane through the anchor
 and a second point q is keyed against the points after q by the float64
 ratio of two entries of its normal; both entries are sums of integer
 products of magnitude at most 2m from one GEMM, so they are exact, and the
-correctly rounded ratios tell planes apart while m < 2^24.  The rows of all anchors are swept
-in order of q and sorted in blocks of about 2^16 keys; a block is only
-asked whether it holds a plane denser than the best so far, and every such
-plane is recounted in int64.
+correctly rounded ratios tell planes apart while m < 2^24.  The rows of all
+anchors are swept in order of q and sorted in blocks of about 2^16 keys; a
+block is only asked whether it holds a plane denser than the best so far,
+and every such plane is recounted in int64.
 
 cone_region and slab_region build the regions around a point B that hold
 the small pairs of the relative and absolute pair splits: a cap, a segment,
@@ -373,12 +373,13 @@ def kappa(shell: Shell) -> int:
         anchor = (u * pts[np.tile(a, 2)]).sum(axis=1)
         ij = buffer[:2 * len(rows) * width].reshape(2 * len(rows), width)
         np.matmul(np.column_stack([u, -anchor]).astype(np.float64), exact[:, q_lo + 1:], out=ij)
-        keys, runs = ij[:len(rows)], ij[len(rows):]
+        n_i, n_j = ij[:len(rows)], ij[len(rows):]
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(keys, runs, out=keys)
+            keys = np.divide(n_i, n_j, out=n_i)
         keys[keys == -np.inf] = np.inf  # n_j = 0: one plane, whatever the signs
         keys[np.arange(width) < (q - q_lo)[:, None]] = np.nan  # r <= q
-        runs[...] = keys  # the n_j are spent: sort a copy of the keys in their place
+        runs = n_j  # the n_j are spent: sort a copy of the keys in their place
+        runs[...] = keys
         runs.sort(axis=1)
         while True:
             c = best - 2  # a run of c + 1 equal keys makes kappa best + 1
