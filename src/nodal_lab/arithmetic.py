@@ -72,8 +72,13 @@ sized by the first and largest tile, and fills every tile in views of them
 with out= ufuncs, so a sum faults its pages in once instead of on every
 tile.  The point sweep's classes differ only in the pair key (|beta|, or
 the integer |k| for a rational direction), the zero mask and the split
-rule, all picked before the first tile, and it builds the Gram tile only
-where a split reads |mu - mu'|.  Its tails compact their entries by boolean
+rule, all picked before the first tile.  A half-rational direction's zero
+mask takes as candidates the keys at most _ZERO_KEY_CAP sqrt(m), above the
+rounding bound that every exact zero pair's key obeys, and runs the exact
+int64 test on those alone (_half_rational_zero_pairs).  The sweep builds
+the Gram tile only where a split reads |mu - mu'|, as one product of the
+doubled rows 2 mu_i against mu_j (_signed_dist_sq), which is twice the
+plain Gram bit for bit.  Its tails compact their entries by boolean
 indexing and divide only those: summing a zeroed whole tile instead would
 add in another order and move reported values by an ulp.  _pair_sums reads
 any number of splits from one point sweep, after one class sweep for a
@@ -138,11 +143,18 @@ def integral_sq(beta, length: float):
     b = np.atleast_1d(b)
     if not np.isfinite(b).all():
         raise ValueError("beta must be finite")
+    out = _integral_sq(b, length)
+    return float(out[0]) if scalar else out
+
+
+def _integral_sq(b: np.ndarray, length: float) -> np.ndarray:
+    """integral_sq of a 1-D array b of finite beta, for a length already
+    checked, without integral_sq's checks."""
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sin(math.pi * length * b)
         out = (s * s) / (PI_SQ * b * b)
     out[np.abs(b) <= ZERO_BETA_TOL] = length * length
-    return float(out[0]) if scalar else out
+    return out
 
 
 class BoundOverflowError(ValueError):
@@ -265,16 +277,25 @@ def _pair_differences(x: np.ndarray):
     return tile
 
 
-def _signed_dist_sq(half: np.ndarray, two_r_sq: float, lo: int, hi: int,
-                    out: np.ndarray) -> np.ndarray:
-    """Tile of |x_i -+ x_j|^2 = 2r^2 -+ 2<x_i, x_j> over the signed columns for
-    points of norm r, written into out, of shape (2, rows, cols)."""
-    gram_2 = out[1]
-    np.matmul(half[lo:hi], half[lo:].T, out=gram_2)
-    gram_2 *= 2.0
-    np.subtract(two_r_sq, gram_2, out=out[0])
-    gram_2 += two_r_sq
-    return out
+def _signed_dist_sq(half: np.ndarray, two_r_sq: float):
+    """tile(lo, hi, out): |x_i -+ x_j|^2 = 2r^2 -+ 2<x_i, x_j> for points of
+    norm r, rows i in [lo, hi) and columns j over the signed columns
+    +-H[lo:], written into out, of shape (2, rows, cols).
+
+    2<x_i, x_j> is one product of the doubled rows 2x_i against x_j: scaling
+    by 2 is exact, so every product and partial sum is twice the plain
+    Gram's, bit for bit, with no pass to double it.  The doubled rows are
+    built once per sweep, and each tile slices them."""
+    doubled = 2.0 * half
+
+    def tile(lo, hi, out):
+        gram_2 = out[1]
+        np.matmul(doubled[lo:hi], half[lo:].T, out=gram_2)
+        np.subtract(two_r_sq, gram_2, out=out[0])
+        gram_2 += two_r_sq
+        return out
+
+    return tile
 
 
 # Taylor coefficients of d(x) = (x - sin x) / x = x^2/3! - x^4/5! + ..., whose
@@ -373,7 +394,7 @@ def _integral_sq_tiles(b: np.ndarray, length: float):
         np.less(np.abs(beta, out=den), near_beta, out=near)
         near_at = np.flatnonzero(near)
         near_b = np.take(beta, near_at)
-        np.put(eye, near_at, integral_sq(near_b, length))
+        np.put(eye, near_at, _integral_sq(near_b, length))
         return eye, near_at, near_b
 
     return tile
@@ -529,6 +550,50 @@ def _class_sweep(shell: Shell, direction: Direction, norm_sq: int, limits):
     return _over_half_shell(shell.m, len(keys), tile)
 
 
+# A half-rational zero pair's float key |beta| is below 8.1 * 2^-53 sqrt(m)
+# (see _half_rational_zero_pairs); the keys at most this many sqrt(m) are the
+# candidates that its exact test sees.
+_ZERO_KEY_CAP = 2.0**-40
+
+
+def _half_rational_zero_pairs(half: np.ndarray, uv, m: int):
+    """zero_pairs(lo, key, zero) for a half-rational direction
+    alpha ~ (v, u, zeta v): marks in zero the pairs of the tile of keys
+    |beta| (rows [lo, lo + rows), signed columns +-H[lo:]) with
+    <mu - mu', alpha> = 0 exactly, that is with both int64 key differences
+    of v x + u y and z equal to 0 (zeta is irrational).
+
+    Only the keys at most _ZERO_KEY_CAP sqrt(m) are candidates, and the exact
+    test runs on those alone.  Every exact zero pair is among them.  Let
+    e = 2^-53 be the unit roundoff and gamma_3 = 3e / (1 - 3e), and let
+    d = mu - mu' (or mu + mu' in the -H block) with v d_x + u d_y = 0 and
+    d_z = 0, so |d| <= 2 sqrt(m).  alpha's first two components are the
+    exact integers v and u over one float norm, each rounded once, so in the
+    float alpha, |<d, alpha>| <= e (1 + e) |d| |alpha|.  Each row frequency
+    b = <mu, alpha> of half_frequencies is three exact integer coordinates
+    times alpha, off by at most gamma_3 |mu| |alpha| = gamma_3 sqrt(m) |alpha|
+    in any order of its products and sums.  The difference b_i -+ b_j is
+    rounded once more.  So the key is at most
+    (1 + e) (2 gamma_3 + 2 e (1 + e)) sqrt(m) |alpha| < 8.1 e sqrt(m), with
+    |alpha| within 1e-12 of 1, and _ZERO_KEY_CAP = 1024 e is far above that.
+    The mask is the one the int64 test of every entry gives, so every sum is
+    unchanged.
+    """
+    u, v = uv
+    ints = np.stack((v * half[:, 0] + u * half[:, 1], half[:, 2]), axis=1)
+    cap = _ZERO_KEY_CAP * math.sqrt(m)
+
+    def zero_pairs(lo, key, zero):
+        np.less_equal(key, cap, out=zero)
+        at = np.flatnonzero(zero)
+        block, row, col = np.unravel_index(at, zero.shape)
+        # the column of block 1 is -mu_j: its key differences are sums
+        sign = (1 - 2 * block)[:, None]
+        np.put(zero, at, ~(ints[lo + row] - sign * ints[lo + col]).any(axis=1))
+
+    return zero_pairs
+
+
 def _point_sweep(shell: Shell, direction: Direction, splits):
     """Sums over the half-shell points for splits, a list of
     (rho, mode, counted, dist): s_zero first for a half-rational or
@@ -539,14 +604,15 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
     |k| = |a| |beta| with numerator |a|^2, and inv_sq_sum adds
     numerator/key^2.  The class picks its key, zero mask and split rule once,
     before the tiles.  A half-rational zero pair has both int64 key
-    differences 0 (built in the spare buffer), an irrational one
+    differences 0 (_half_rational_zero_pairs), an irrational one
     |beta| <= IRRATIONAL_ZERO_TOL; zero pairs are small in every split.  A
     rational direction's exact splits, |k| <= _key_limit(rho) and
     _relative_small, hold k = 0 already.  The float64 Gram tile and
     |mu - mu'|^2 = 2m -+ 2<mu, mu'> are integers of at most 4m, so exact;
-    they are built only when a relative split or a 1/|mu - mu'|^2 tail reads
-    them.  Every tail is compacted by boolean indexing, then divided: a whole
-    table's quotients, added in its order, and none at distance 0.
+    _signed_dist_sq and its tiles are built only when a relative split or a
+    1/|mu - mu'|^2 tail reads them.  Every tail is compacted by boolean
+    indexing, then divided: a whole table's quotients, added in its order,
+    and none at distance 0.
     """
     rational = direction.rationality is Rationality.RATIONAL
     if rational:
@@ -556,28 +622,24 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
         norm_sq = 1
         differences = _pair_differences(half_frequencies(shell, direction.components))
     half = _antipodal_half(shell.coords, shell.m)
-    half_f = half.astype(np.float64)
-    two_m = 2.0 * shell.m
     inv_key_sq_sum = _masked_inv_key_sq_sum(float(norm_sq))
 
+    irrational = direction.rationality is Rationality.IRRATIONAL
     zero_pairs = None
     if direction.rationality is Rationality.HALF_RATIONAL:
-        u, v = direction.uv
-        plane = _pair_differences(v * half[:, 0] + u * half[:, 1])
-        height = _pair_differences(half[:, 2])
-
-        def zero_pairs(lo, hi, key, zero, ints, scratch):
-            # beta is 0 exactly where both key differences are 0
-            np.equal(plane(lo, hi, out=ints), 0, out=zero)
-            zero &= np.equal(height(lo, hi, out=ints), 0, out=scratch)
-    elif not rational:
-        def zero_pairs(lo, hi, key, zero, ints, scratch):
+        zero_pairs = _half_rational_zero_pairs(half, direction.uv, shell.m)
+    elif irrational:
+        def zero_pairs(lo, key, zero):
             np.less_equal(key, IRRATIONAL_ZERO_TOL, out=zero)
 
     def small_rule(rho, mode):
         """rule(key, dist_sq, small, near, spare) writes the split's small
-        mask into small, with near and spare as scratch."""
+        mask into small and returns it, with near and spare as scratch; None
+        where that mask is the zero mask, as for an irrational absolute split
+        with rho <= IRRATIONAL_ZERO_TOL."""
         if mode == "absolute":
+            if irrational and rho <= IRRATIONAL_ZERO_TOL:
+                return None
             bound = _key_limit(rho, norm_sq) if rational else rho
             return lambda key, dist_sq, small, near, spare: np.less_equal(key, bound, out=small)
         if rational:
@@ -588,25 +650,29 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
 
     rules = [(small_rule(rho, mode), counted, dist) for rho, mode, counted, dist in splits]
     reads_dist = any(mode == "relative" or dist for _, mode, _, dist in splits)
+    if reads_dist:
+        distances = _signed_dist_sq(half.astype(np.float64), 2.0 * shell.m)
     views = _tile_buffers(np.float64, np.float64, np.float64, bool, bool, bool)
 
     def tile(lo, hi):
         key, dist_sq, spare, zero, small, near = views((2, hi - lo, len(half) - lo))
         np.abs(differences(lo, hi, out=key), out=key)
         if reads_dist:
-            _signed_dist_sq(half_f, two_m, lo, hi, out=dist_sq)
+            distances(lo, hi, out=dist_sq)
         width = hi - lo
         sums = []
         if zero_pairs is not None:
-            zero_pairs(lo, hi, key, zero, spare.view(np.int64), near)
+            zero_pairs(lo, key, zero)
             sums.append(_fold(np.count_nonzero, width, zero))
         for rule, counted, dist in rules:
-            rule(key, dist_sq, small, near, spare)
-            if zero_pairs is not None:
-                small |= zero
+            mask = zero
+            if rule is not None:
+                mask = rule(key, dist_sq, small, near, spare)
+                if zero_pairs is not None:
+                    mask |= zero
             if counted:
-                sums.append(_fold(np.count_nonzero, width, small))
-            tail = np.logical_not(small, out=small)
+                sums.append(_fold(np.count_nonzero, width, mask))
+            tail = np.logical_not(mask, out=small)
             if counted:
                 sums.append(_fold(inv_key_sq_sum, width, key, tail))
             if dist:
@@ -867,10 +933,10 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
     if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-12):
         raise ValueError("unit points must have norm 1 (within 1e-12)")
     half = _antipodal_half(pts, projected.m)
-    views = _tile_buffers(np.float64, bool)
+    distances = _signed_dist_sq(half, 2.0)
+    views = _tile_buffers(np.float64)
 
-    def energy_of(dist_sq, keep):
-        dists = dist_sq[keep]
+    def energy_of(dists):
         np.sqrt(dists, out=dists)
         if np.any(dists == 0.0):
             raise ValueError("coincident points give a divergent energy")
@@ -878,14 +944,19 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
         return np.sum(dists)
 
     def tile(lo, hi):
-        dist_sq, off = views((2, hi - lo, len(half) - lo))
-        _signed_dist_sq(half, 2.0, lo, hi, out=dist_sq)
+        (dist_sq,) = views((2, hi - lo, len(half) - lo))
+        distances(lo, hi, out=dist_sq)
         np.clip(dist_sq, 0.0, None, out=dist_sq)
-        # each point's own pair; the -H block's diagonal holds the antipodal
-        # pairs, at distance 2
-        off.fill(True)
+        # only the diagonal block holds pairs to drop: each point's own pair
+        # (the -H block's diagonal holds the antipodal pairs, at distance 2)
+        width = hi - lo
+        off = np.ones((2, width, width), dtype=bool)
         np.fill_diagonal(off[0], False)
-        return (_fold(energy_of, hi - lo, dist_sq, off),)
+        total = energy_of(dist_sq[..., :width][off])
+        if dist_sq.shape[-1] > width:
+            # every entry is kept: the C-order copy is the compacted sequence
+            total += 2 * energy_of(np.ravel(dist_sq[..., width:]))
+        return (total,)
 
     (energy,) = _over_half_shell(projected.m, len(half), tile)
     return RieszResult(sigma=sigma, energy=float(energy), n=n)

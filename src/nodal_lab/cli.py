@@ -40,7 +40,14 @@ from .arithmetic import (
 )
 from .diophantine import Direction, dirichlet_1d
 from .geometry import KAPPA_M_LIMIT, kappa
-from .lattice import ProjectedShell, classify_m, enumerate_shell, project_shell, scale_check
+from .lattice import (
+    SHELL_M_LIMIT,
+    ProjectedShell,
+    classify_m,
+    enumerate_shell,
+    project_shell,
+    scale_check,
+)
 from .nodal import count_zeros, monte_carlo
 from .randomwave import (
     LineSegment,
@@ -124,6 +131,9 @@ class ExperimentConfig:
                 raise UsageError(
                     "--m", f"bounds needs kappa, which is exact only for m < {KAPPA_M_LIMIT}, "
                     f"got {m}")
+            if m >= SHELL_M_LIMIT:
+                raise UsageError(
+                    "--m", f"shells are enumerated only for m < {SHELL_M_LIMIT}, got {m}")
         if not (math.isfinite(self.length * self.length) and self.length > 0):
             raise UsageError(
                 "--len", f"segment length must be positive with a finite square, "

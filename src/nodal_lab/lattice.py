@@ -4,7 +4,10 @@ The shell E(m) = {mu in Z^3 : |mu|^2 = m} is the frequency support of a
 toral Laplace eigenfunction with eigenvalue 4*pi^2*m, and its cardinality
 N = r_3(m) drives every estimate downstream.  Enumeration is exact integer
 arithmetic with a deterministic (lexicographic) point order so that pair
-sums and random sampling are reproducible run to run.
+sums and random sampling are reproducible run to run.  It searches only the
+nonnegative octant, an (isqrt(m) + 1)^2 grid of (x, y) built a fixed number
+of cells at a time, and reaches the other octants by sign changes; it serves
+m < SHELL_M_LIMIT = 2^24.
 
 Classification follows Legendre's three-square theorem: m is representable
 unless m = 4^l(8k+7), and primitive representations exist exactly when
@@ -25,6 +28,15 @@ __all__ = [
     "scale_check",
     "project_shell",
 ]
+
+# enumerate_shell serves m below this: its octant grid then has at most
+# 4096^2 cells, and every coordinate and key downstream stays small
+SHELL_M_LIMIT = 2**24
+# The octant grid is built this many cells at a time, whatever m is.
+_OCTANT_CHUNK_CELLS = 1 << 16
+# The eight sign patterns (sx, sy, sz), as rows.
+_SIGN_PATTERNS = np.array([(sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)],
+                          dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -95,28 +107,43 @@ def classify_m(m: int) -> MClass:
 def enumerate_shell(m: int) -> Shell:
     """Enumerate E(m) = {(x, y, z) in Z^3 : x^2 + y^2 + z^2 = m}.
 
-    Double loop over (x, y) with an exact integer square-root test for the
-    remaining z^2; an empty shell is a valid result.  Points come back in
-    lexicographic order.
+    The points with nonnegative coordinates come from the octant grid of
+    (x, y) in [0, isqrt(m)]^2, with an exact integer square-root test for the
+    remaining z^2, run over x rows of at most _OCTANT_CHUNK_CELLS cells, so
+    the grid's memory does not grow with m.  Each octant point then takes its
+    sign patterns, a zero coordinate only its + sign, and the points come
+    back in lexicographic order.  An empty shell is a valid result.  Raises
+    ValueError for m >= SHELL_M_LIMIT.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    rx = math.isqrt(m)
-    axis = np.arange(-rx, rx + 1, dtype=np.int64)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    rem = m - gx * gx - gy * gy
-    ok = rem >= 0
-    xs, ys, rem = gx[ok], gy[ok], rem[ok]
-    z = np.rint(np.sqrt(rem.astype(np.float64))).astype(np.int64)
-    sq = z * z == rem  # exact perfect-square test (rem <= m so sqrt is exact)
-    xs, ys, z = xs[sq], ys[sq], z[sq]
-    upper = np.stack([xs, ys, z], axis=1)
-    lower = np.stack([xs, ys, -z], axis=1)[z > 0]
-    pts = np.concatenate([upper, lower], axis=0)
+    if m >= SHELL_M_LIMIT:
+        raise ValueError(f"m must be below 2^24 = {SHELL_M_LIMIT} to enumerate its shell, "
+                         f"got {m}")
+    squares = np.arange(math.isqrt(m) + 1, dtype=np.int64) ** 2
+    step = max(1, _OCTANT_CHUNK_CELLS // len(squares))
+    octant = np.concatenate([_octant_rows(m, squares, lo, lo + step)
+                             for lo in range(0, len(squares), step)])
+    # every sign pattern of every octant point; a pattern that negates a zero
+    # coordinate repeats the + copy and is dropped
+    signed = _SIGN_PATTERNS[:, None, :] * octant
+    repeat = ((_SIGN_PATTERNS[:, None, :] < 0) & (octant == 0)).any(axis=2)
+    pts = signed[~repeat]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     pts = np.ascontiguousarray(pts[order])
     pts.setflags(write=False)
     return Shell(m=m, coords=pts)
+
+
+def _octant_rows(m: int, squares: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The shell points with nonnegative coordinates and x in [lo, hi), as
+    int64 rows (x, y, z); squares holds y^2 for y = 0 .. isqrt(m)."""
+    rem = m - squares[lo:hi, None] - squares
+    x, y = np.nonzero(rem >= 0)
+    rem = rem[x, y]
+    z = np.rint(np.sqrt(rem.astype(np.float64))).astype(np.int64)
+    exact = z * z == rem  # rem < 2^53, so the root of a square is exact
+    return np.stack([lo + x[exact], y[exact], z[exact]], axis=1)
 
 
 def _check_nonempty(shell: Shell) -> None:

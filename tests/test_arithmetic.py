@@ -21,7 +21,7 @@ from nodal_lab.arithmetic import (
     riesz_energy,
     variance_bound,
 )
-from nodal_lab.cli import parse_direction
+from nodal_lab.cli import ZETA_CATALOG, parse_direction
 from nodal_lab.diophantine import Direction, Rationality
 from nodal_lab.geometry import kappa
 from nodal_lab.lattice import ProjectedShell, Shell, enumerate_shell, project_shell
@@ -577,6 +577,8 @@ class TestRieszEnergy:
 
 
 TILE_DIRECTIONS = ["rat:1,0,0", "rat:1,1,1", "irr:std", "halfrat:1,1,sqrt2"]
+# half-rational lines whose zero pairs lie off the swaps (x, y, z) <-> (y, x, z)
+MORE_HALF_RATIONAL = ["halfrat:0,1,sqrt2", "halfrat:2,3,sqrt3"]
 
 
 # (1, -1, 0) . alpha = -2e-4 / |alpha|: pairs with 0 < |beta| < 1e-3
@@ -651,7 +653,7 @@ class TestTiledPairSums:
     """The block-triangular row tiles against the dense N x N oracle."""
 
     @pytest.mark.parametrize("rows", [1, 7])
-    @pytest.mark.parametrize("spec", TILE_DIRECTIONS)
+    @pytest.mark.parametrize("spec", TILE_DIRECTIONS + MORE_HALF_RATIONAL)
     @pytest.mark.parametrize("m", [1, 2, 5, 9, 101])
     def test_small_tiles_match_dense(self, monkeypatch, m, spec, rows):
         shell = enumerate_shell(m)
@@ -749,6 +751,29 @@ class TestTiledPairSums:
         projected = project_shell(shell)
         assert riesz_energy(projected, 1.3).energy == pytest.approx(
             half_riesz_energy(projected.unit_points, 1.3), rel=1e-12)
+
+    @pytest.mark.parametrize("uv_slope", [(1, 1, "sqrt2"), (0, 1, "sqrt2"), (2, 3, "sqrt3"),
+                                          (2**30, 2**30 - 1, "sqrt5")])
+    def test_half_rational_zero_pairs_are_keyed_under_the_cap(self, uv_slope):
+        # every pair whose int64 key differences are both 0 has a float key
+        # |beta| within the rounding bound of _half_rational_zero_pairs, far
+        # under the cap, so the candidate test marks exactly those pairs
+        u, v, slope = uv_slope
+        direction = Direction.half_rational(u, v, ZETA_CATALOG[slope])
+        assert direction.uv == (u, v)
+        for m in [*range(1, 300), 1009, 3001, 10001]:
+            shell = enumerate_shell(m)
+            if shell.n == 0:
+                continue
+            beta, zero = half_pair_tables(shell, direction)[:2]
+            key = np.abs(beta)
+            root_m = math.sqrt(m)
+            assert key[zero].max() < 8.1 * 2.0**-53 * root_m <= arithmetic._ZERO_KEY_CAP * root_m
+            got = np.zeros(key.shape, dtype=bool)
+            zero_pairs = arithmetic._half_rational_zero_pairs(
+                shell.coords[: shell.n // 2], direction.uv, m)
+            zero_pairs(0, key, got)
+            assert np.array_equal(got, zero), m
 
     @pytest.mark.parametrize("rows", [1, 7, 1000])
     def test_near_zero_warning_fires_once_with_dense_count(self, monkeypatch, caplog, rows):

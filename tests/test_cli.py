@@ -3,8 +3,11 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -22,9 +25,10 @@ from nodal_lab.cli import (
     run,
 )
 from nodal_lab.diophantine import Rationality
-from nodal_lab.lattice import enumerate_shell
+from nodal_lab.lattice import SHELL_M_LIMIT, enumerate_shell
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv(path):
@@ -388,6 +392,40 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: --len: the base grid at m=5 needs 33 ")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_m_past_the_shell_limit_is_usage_error(self, capsys, monkeypatch, command):
+        # 10^12 once died in enumerate_shell, asking numpy for a 29 TiB grid
+        def refuse(m):
+            raise AssertionError(f"enumerated m={m}")
+
+        monkeypatch.setattr(cli, "enumerate_shell", refuse)
+        for m in (SHELL_M_LIMIT, 10**12):
+            assert main([command, "--m", str(m)]) == 2
+            captured = capsys.readouterr()
+            if command == "bounds":
+                want = "usage error: --m: bounds needs kappa"
+            else:
+                want = f"usage error: --m: shells are enumerated only for m < {SHELL_M_LIMIT}"
+            assert captured.err.startswith(want)
+            assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_reports_leave_numpy_ma_unimported():
+    # importing numpy.ma takes 13-17 ms in a fresh interpreter (np.unique
+    # without a return_* flag does it in numpy 2.4): a cost no report needs
+    code = """
+import contextlib, io, sys
+from nodal_lab.cli import main
+argvs = [["bounds", "--m", "101", "--dir", spec]
+         for spec in ("rat:1,0,0", "irr:std", "halfrat:1,1,sqrt2")]
+argvs += [["simulate", "--m", "101", "--trials", "4"], ["riesz", "--m", "101,1009"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    print([main(argv) for argv in argvs], "numpy.ma" in sys.modules, file=sys.stderr)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0] False", done.stderr
 
 
 def readme_examples():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from nodal_lab import lattice
 from nodal_lab.lattice import (
+    SHELL_M_LIMIT,
     Shell,
     classify_m,
     enumerate_shell,
@@ -25,6 +27,61 @@ def brute_shell(m):
                 if x * x + y * y + z * z == m:
                     pts.append((x, y, z))
     return sorted(pts)
+
+
+def dense_grid_shell(m):
+    """The whole (2 isqrt(m) + 1)^2 grid of (x, y) with an exact square-root
+    test on m - x^2 - y^2, both signs of z, sorted lexicographically: the
+    enumerator the octant search replaced, kept as its oracle."""
+    rx = math.isqrt(m)
+    axis = np.arange(-rx, rx + 1, dtype=np.int64)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    rem = m - gx * gx - gy * gy
+    ok = rem >= 0
+    xs, ys, rem = gx[ok], gy[ok], rem[ok]
+    z = np.rint(np.sqrt(rem.astype(np.float64))).astype(np.int64)
+    sq = z * z == rem
+    xs, ys, z = xs[sq], ys[sq], z[sq]
+    pts = np.concatenate([np.stack([xs, ys, z], axis=1),
+                          np.stack([xs, ys, -z], axis=1)[z > 0]])
+    return pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+
+
+def assert_matches_dense_grid(m):
+    coords = enumerate_shell(m).coords
+    assert coords.dtype == np.int64 and coords.flags.c_contiguous
+    assert not coords.flags.writeable
+    want = dense_grid_shell(m)
+    assert coords.shape == want.shape and np.array_equal(coords, want), m
+
+
+def test_octant_enumeration_matches_dense_grid():
+    # rows, order, dtype and the read-only flag, for every m <= 3000 (the
+    # empty shells 7, 28 and 60 and the shells with zero coordinates, squares
+    # and m = 2 among them) and two larger shells, whose octant grid at
+    # m = 100001 runs as two chunks
+    assert dense_grid_shell(7).shape == dense_grid_shell(28).shape == (0, 3)
+    assert dense_grid_shell(60).shape == (0, 3)
+    assert (dense_grid_shell(2) == 0).any() and (dense_grid_shell(2500) == 0).any()
+    for m in [*range(1, 3001), 10001, 100001]:
+        assert_matches_dense_grid(m)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 60])
+def test_octant_chunks_change_no_row(monkeypatch, cells):
+    # one x row per chunk (cells 1 and 7 are below every row's length), or
+    # ragged chunks of several rows
+    monkeypatch.setattr(lattice, "_OCTANT_CHUNK_CELLS", cells)
+    for m in [*range(1, 120), 2500, 3001]:
+        assert_matches_dense_grid(m)
+
+
+def test_enumeration_stops_at_the_shell_limit():
+    # m = 10^12 once asked numpy for a 29 TiB grid
+    assert SHELL_M_LIMIT == 2**24
+    for m in (SHELL_M_LIMIT, SHELL_M_LIMIT + 1, 10**12):
+        with pytest.raises(ValueError, match="below 2\\^24"):
+            enumerate_shell(m)
 
 
 def r3_counts(limit):
