@@ -267,12 +267,20 @@ def _signed(cols: np.ndarray, parity: int = -1) -> np.ndarray:
 def _pair_differences(x: np.ndarray):
     """tile(lo, hi, out): x_i - x_j for an odd quantity x of the half rows,
     rows i in [lo, hi) and columns j over the signed columns +-H[lo:], written
-    into out, of shape (2, rows, cols).  The signed column stack is built
-    once per sweep, and each tile slices it."""
-    cols = _signed(x)[:, None, :]
+    into out, of shape (2, rows, cols).
+
+    Each signed block is one (rows x 2) @ (2 x cols) product of the rows
+    (x_i, 1) against the columns (1, -+x_j): both products are exact, so each
+    entry is x_i -+ x_j rounded once, the float the subtraction gives, in a
+    third of the time numpy takes to broadcast the subtraction.  The row and
+    signed column stacks are built once per sweep, and each tile slices
+    them."""
+    ones = np.ones_like(x)
+    rows = np.stack((x, ones), axis=1)
+    cols = np.stack((np.stack((ones, -x)), np.stack((ones, x))))
 
     def tile(lo, hi, out):
-        return np.subtract(x[lo:hi, None], cols[:, :, lo:], out=out)
+        return np.matmul(rows[lo:hi], cols[:, :, lo:], out=out)
 
     return tile
 
@@ -520,6 +528,27 @@ def _relative_small(key, dist_sq, rho: float, norm_sq: int, small, near, spare):
     return small
 
 
+def _float_relative_small(rho: float, m: int):
+    """rule(key, dist_sq, small, near, spare) of _point_sweep for a relative
+    split of a half-rational or irrational direction: the small mask
+    |beta| <= rho sqrt(d^2), d^2 = |mu - mu'|^2, into small.
+
+    The float64 threshold rho * sqrt(d^2) is evaluated only on the entries
+    with |beta| <= rho * sqrt(4m), a few hundredths of a tile at the default
+    rho.  Since d^2 <= 4m, and a rounded square root and product are
+    monotone, no entry above that bound passes the threshold, so the mask is
+    the whole tile's, bit for bit.
+    """
+    bound = rho * math.sqrt(4.0 * m)
+
+    def rule(key, dist_sq, small, near, spare):
+        at = np.flatnonzero(np.less_equal(key, bound, out=small))
+        np.put(small, at, np.take(key, at) <= rho * np.sqrt(np.take(dist_sq, at)))
+        return small
+
+    return rule
+
+
 def _class_sweep(shell: Shell, direction: Direction, norm_sq: int, limits):
     """s_zero, then s_small and inv_sq_sum of each absolute split with key
     limit K in limits, over the frequency classes, each pair of classes
@@ -645,8 +674,7 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
         if rational:
             return lambda key, dist_sq, small, near, spare: _relative_small(
                 key, dist_sq, rho, norm_sq, small, near, spare)
-        return lambda key, dist_sq, small, near, spare: np.less_equal(
-            key, np.multiply(rho, np.sqrt(dist_sq, out=spare), out=spare), out=small)
+        return _float_relative_small(rho, shell.m)
 
     rules = [(small_rule(rho, mode), counted, dist) for rho, mode, counted, dist in splits]
     reads_dist = any(mode == "relative" or dist for _, mode, _, dist in splits)

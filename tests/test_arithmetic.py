@@ -752,6 +752,37 @@ class TestTiledPairSums:
         assert riesz_energy(projected, 1.3).energy == pytest.approx(
             half_riesz_energy(projected.unit_points, 1.3), rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e8, 2.0**51, 1e300])
+    def test_pair_differences_are_the_subtraction_bit_for_bit(self, scale):
+        # each entry of the (x_i, 1) @ (1, -+x_j) product is x_i -+ x_j
+        # rounded once, sign of zero and overflow to inf included
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            x = rng.standard_normal(301) * scale
+            if scale == 2.0**51:
+                x = np.rint(x)  # the exact integer keys of a rational direction
+            x[:3] = 0.0
+            out = np.empty((2, 43, 284))
+            with np.errstate(over="ignore"):
+                arithmetic._pair_differences(x)(17, 60, out)
+                want = x[17:60, None] - np.stack((x, -x))[:, None, 17:]
+            assert np.array_equal(out, want)
+            assert np.array_equal(np.signbit(out), np.signbit(want))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.019, 0.3, 2.0, 1e300])
+    @pytest.mark.parametrize("direction", [IRR, HALF])
+    def test_relative_split_candidates_give_the_whole_tile_mask(self, direction, rho):
+        # the float64 threshold runs only on the keys at most rho sqrt(4m)
+        shell = enumerate_shell(1009)
+        half = shell.coords[: shell.n // 2]
+        b = half_frequencies(shell, direction.components)
+        key = np.abs(b[:, None] - np.stack((b, -b))[:, None, :])
+        gram = (half @ half.T).astype(np.float64)
+        dist_sq = np.stack((2.0 * shell.m - 2.0 * gram, 2.0 * shell.m + 2.0 * gram))
+        small = np.empty(key.shape, dtype=bool)
+        arithmetic._float_relative_small(rho, shell.m)(key, dist_sq, small, None, None)
+        assert np.array_equal(small, key <= rho * np.sqrt(dist_sq))
+
     @pytest.mark.parametrize("uv_slope", [(1, 1, "sqrt2"), (0, 1, "sqrt2"), (2, 3, "sqrt3"),
                                           (2**30, 2**30 - 1, "sqrt5")])
     def test_half_rational_zero_pairs_are_keyed_under_the_cap(self, uv_slope):
