@@ -70,18 +70,22 @@ _point_sweep for the split sums over points of every direction class, and
 the distance tile of riesz_energy.  A builder allocates its buffers once,
 sized by the first and largest tile, and fills every tile in views of them
 with out= ufuncs, so a sum faults its pages in once instead of on every
-tile.  The point sweep's classes differ only in the pair key (|beta|, or
-the integer |k| for a rational direction), the zero mask and the split
-rule, all picked before the first tile.  A half-rational direction's zero
-mask takes as candidates the keys at most _ZERO_KEY_CAP sqrt(m), above the
-rounding bound that every exact zero pair's key obeys, and runs the exact
-int64 test on those alone (_half_rational_zero_pairs).  The sweep builds
-the Gram tile only where a split reads |mu - mu'|, as one product of the
-doubled rows 2 mu_i against mu_j (_signed_dist_sq), which is twice the
-plain Gram bit for bit.  Its tails compact their entries by boolean
-indexing and divide only those: summing a zeroed whole tile instead would
-add in another order and move reported values by an ulp.  _pair_sums reads
-any number of splits from one point sweep, after one class sweep for a
+tile.  The other builders take their pair differences x_i -+ x_j from a
+two-column product whose entries are the subtraction's floats
+(_pair_differences).  The point sweep's classes differ only in the pair key
+(|beta|, or the integer |k| for a rational direction), the zero mask and the
+split rule, all picked before the first tile.  A half-rational direction's
+zero mask takes as candidates the keys at most _ZERO_KEY_CAP sqrt(m), above
+the rounding bound that every exact zero pair's key obeys, and runs the
+exact int64 test on those alone (_half_rational_zero_pairs); a relative
+split of such a direction, or of an irrational one, evaluates its float64
+threshold only on the keys that can pass it (_float_relative_small).  The
+sweep builds the Gram tile only where a split reads |mu - mu'|, as one
+product of the doubled rows 2 mu_i against mu_j (_signed_dist_sq), which is
+twice the plain Gram bit for bit.  Its tails compact their entries by
+boolean indexing and divide only those: summing a zeroed whole tile instead
+would add in another order and move reported values by an ulp.  _pair_sums
+reads any number of splits from one point sweep, after one class sweep for a
 rational direction.
 
 The bound evaluation reports two numbers per mode: the exact intermediate

@@ -14,6 +14,7 @@ unless m = 4^l(8k+7), and primitive representations exist exactly when
 m is not congruent to 0, 4 or 7 mod 8 (the "admissible" m).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -34,9 +35,11 @@ __all__ = [
 SHELL_M_LIMIT = 2**24
 # The octant grid is built this many cells at a time, whatever m is.
 _OCTANT_CHUNK_CELLS = 1 << 16
-# The eight sign patterns (sx, sy, sz), as rows.
-_SIGN_PATTERNS = np.array([(sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)],
-                          dtype=np.int64)
+# The eight sign patterns (sx, sy, sz) as rows, and the axes each one
+# negates as the bits 4, 2 and 1 of a mask.
+_SIGN_PATTERNS = np.array(list(itertools.product((1, -1), repeat=3)), dtype=np.int64)
+_AXIS_BITS = np.array([4, 2, 1])
+_NEGATED_AXES = (_SIGN_PATTERNS < 0) @ _AXIS_BITS
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,8 @@ def enumerate_shell(m: int) -> Shell:
                              for lo in range(0, len(squares), step)])
     # every sign pattern of every octant point; a pattern that negates a zero
     # coordinate repeats the + copy and is dropped
-    signed = _SIGN_PATTERNS[:, None, :] * octant
-    repeat = ((_SIGN_PATTERNS[:, None, :] < 0) & (octant == 0)).any(axis=2)
-    pts = signed[~repeat]
+    keep = (_NEGATED_AXES[:, None] & ((octant == 0) @ _AXIS_BITS)) == 0
+    pts = (_SIGN_PATTERNS[:, None, :] * octant)[keep]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     pts = np.ascontiguousarray(pts[order])
     pts.setflags(write=False)
@@ -139,11 +141,12 @@ def _octant_rows(m: int, squares: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The shell points with nonnegative coordinates and x in [lo, hi), as
     int64 rows (x, y, z); squares holds y^2 for y = 0 .. isqrt(m)."""
     rem = m - squares[lo:hi, None] - squares
-    x, y = np.nonzero(rem >= 0)
-    rem = rem[x, y]
-    z = np.rint(np.sqrt(rem.astype(np.float64))).astype(np.int64)
-    exact = z * z == rem  # rem < 2^53, so the root of a square is exact
-    return np.stack([lo + x[exact], y[exact], z[exact]], axis=1)
+    # rem < 2^53, so the root of a square is exact; -1 where rem < 0, which
+    # no integer squares to
+    root = np.sqrt(rem, where=rem >= 0, out=np.full(rem.shape, -1.0))
+    z = np.rint(root).astype(np.int64)
+    x, y = np.nonzero(z * z == rem)
+    return np.stack([lo + x, y, z[x, y]], axis=1)
 
 
 def _check_nonempty(shell: Shell) -> None:
