@@ -70,8 +70,8 @@ _point_sweep for the split sums over points of every direction class, and
 the distance tile of riesz_energy.  A builder allocates its buffers once,
 sized by the first and largest tile, and fills every tile in views of them
 with out= ufuncs, so a sum faults its pages in once instead of on every
-tile.  The other builders take their pair differences x_i -+ x_j from a
-two-column product whose entries are the subtraction's floats
+tile.  _integral_sq_tiles and both sweeps take each difference x_i -+ x_j
+from a two-column product that rounds it as the subtraction does
 (_pair_differences).  The point sweep's classes differ only in the pair key
 (|beta|, or the integer |k| for a rational direction), the zero mask and the
 split rule, all picked before the first tile.  A half-rational direction's
