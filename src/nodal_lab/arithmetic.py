@@ -78,8 +78,10 @@ split rule, all picked before the first tile.  A half-rational direction's
 zero mask takes as candidates the keys at most _ZERO_KEY_CAP sqrt(m), above
 the rounding bound that every exact zero pair's key obeys, and runs the
 exact int64 test on those alone (_half_rational_zero_pairs); a relative
-split of such a direction, or of an irrational one, evaluates its float64
-threshold only on the keys that can pass it (_float_relative_small).  The
+split of any direction evaluates its float64 threshold only on the keys
+that can pass it (_float_relative_small, and _relative_small, which also
+decides a rational direction's close calls exactly).  Every split rule
+takes the key and distance tiles and writes into one mask tile.  The
 sweep builds the Gram tile only where a split reads |mu - mu'|, as one
 product of the doubled rows 2 mu_i against mu_j (_signed_dist_sq), which is
 twice the plain Gram bit for bit.  Its tails compact their entries by
@@ -510,31 +512,42 @@ def _key_limit(rho: float, norm_sq: int) -> int:
 _THRESHOLD_MARGIN = 8 * np.finfo(np.float64).eps
 
 
-def _relative_small(key, dist_sq, rho: float, norm_sq: int, small, near, spare):
-    """The small mask |k| <= rho |a| |mu - mu'| of a relative split, exactly,
+def _relative_small(rho: float, norm_sq: int, m: int):
+    """rule(key, dist_sq, small) of _point_sweep for a relative split of a
+    rational direction a: the small mask |k| <= rho |a| |mu - mu'|, exactly,
     from tiles of the integers |k| and d^2 = |mu - mu'|^2, into small.
 
-    |k| at or below the float64 threshold shrunk by _THRESHOLD_MARGIN is
-    small, and |k| above it grown by the margin is not.  The entries between,
-    where the threshold may fall on the integer |k| itself, are decided as
-    k^2 <= rho^2 |a|^2 d^2 in exact rational arithmetic; near marks them.
-    The slope is capped past every |k|, so a huge rho gives no inf * 0.
+    Only the keys at most slope * sqrt(4m) are candidates, slope being
+    rho |a| grown by _THRESHOLD_MARGIN: since d^2 <= 4m, and a rounded square
+    root and product are monotone, no other key passes even the grown
+    threshold.  On the candidates, |k| at or below the float64 threshold
+    shrunk by the margin is small, and |k| above it grown by the margin is
+    not.  The candidates between, where the threshold may fall on the
+    integer |k| itself, are decided as k^2 <= rho^2 |a|^2 d^2 in exact
+    rational arithmetic.  The slope is capped past every |k|, so a huge rho
+    gives no inf * 0.
     """
     slope = min(rho * math.sqrt(norm_sq) * (1.0 + _THRESHOLD_MARGIN), 2.0**64)
-    threshold = np.multiply(slope, np.sqrt(dist_sq, out=spare), out=spare)
-    np.less_equal(key, threshold, out=near)
-    threshold *= (1.0 - _THRESHOLD_MARGIN) / (1.0 + _THRESHOLD_MARGIN)
-    np.less_equal(key, threshold, out=small)
-    near ^= small
+    shrink = (1.0 - _THRESHOLD_MARGIN) / (1.0 + _THRESHOLD_MARGIN)
+    bound = slope * math.sqrt(4.0 * m)
     limit = Fraction(rho) ** 2 * norm_sq
-    for at in np.flatnonzero(near):
-        small.flat[at] = int(key.flat[at]) ** 2 <= limit * int(dist_sq.flat[at])
-    return small
+
+    def rule(key, dist_sq, small):
+        at = np.flatnonzero(np.less_equal(key, bound, out=small))
+        keys = np.take(key, at)
+        grown = slope * np.sqrt(np.take(dist_sq, at))
+        passed = keys <= grown * shrink
+        for i in np.flatnonzero((keys <= grown) & ~passed):
+            passed[i] = int(keys[i]) ** 2 <= limit * int(dist_sq.flat[at[i]])
+        np.put(small, at, passed)
+        return small
+
+    return rule
 
 
 def _float_relative_small(rho: float, m: int):
-    """rule(key, dist_sq, small, near, spare) of _point_sweep for a relative
-    split of a half-rational or irrational direction: the small mask
+    """rule(key, dist_sq, small) of _point_sweep for a relative split of a
+    half-rational or irrational direction: the small mask
     |beta| <= rho sqrt(d^2), d^2 = |mu - mu'|^2, into small.
 
     The float64 threshold rho * sqrt(d^2) is evaluated only on the entries
@@ -545,7 +558,7 @@ def _float_relative_small(rho: float, m: int):
     """
     bound = rho * math.sqrt(4.0 * m)
 
-    def rule(key, dist_sq, small, near, spare):
+    def rule(key, dist_sq, small):
         at = np.flatnonzero(np.less_equal(key, bound, out=small))
         np.put(small, at, np.take(key, at) <= rho * np.sqrt(np.take(dist_sq, at)))
         return small
@@ -666,28 +679,26 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
             np.less_equal(key, IRRATIONAL_ZERO_TOL, out=zero)
 
     def small_rule(rho, mode):
-        """rule(key, dist_sq, small, near, spare) writes the split's small
-        mask into small and returns it, with near and spare as scratch; None
-        where that mask is the zero mask, as for an irrational absolute split
-        with rho <= IRRATIONAL_ZERO_TOL."""
+        """rule(key, dist_sq, small) writes the split's small mask into small
+        and returns it; None where that mask is the zero mask, as for an
+        irrational absolute split with rho <= IRRATIONAL_ZERO_TOL."""
         if mode == "absolute":
             if irrational and rho <= IRRATIONAL_ZERO_TOL:
                 return None
             bound = _key_limit(rho, norm_sq) if rational else rho
-            return lambda key, dist_sq, small, near, spare: np.less_equal(key, bound, out=small)
+            return lambda key, dist_sq, small: np.less_equal(key, bound, out=small)
         if rational:
-            return lambda key, dist_sq, small, near, spare: _relative_small(
-                key, dist_sq, rho, norm_sq, small, near, spare)
+            return _relative_small(rho, norm_sq, shell.m)
         return _float_relative_small(rho, shell.m)
 
     rules = [(small_rule(rho, mode), counted, dist) for rho, mode, counted, dist in splits]
     reads_dist = any(mode == "relative" or dist for _, mode, _, dist in splits)
     if reads_dist:
         distances = _signed_dist_sq(half.astype(np.float64), 2.0 * shell.m)
-    views = _tile_buffers(np.float64, np.float64, np.float64, bool, bool, bool)
+    views = _tile_buffers(np.float64, np.float64, bool, bool)
 
     def tile(lo, hi):
-        key, dist_sq, spare, zero, small, near = views((2, hi - lo, len(half) - lo))
+        key, dist_sq, zero, small = views((2, hi - lo, len(half) - lo))
         np.abs(differences(lo, hi, out=key), out=key)
         if reads_dist:
             distances(lo, hi, out=dist_sq)
@@ -699,7 +710,7 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
         for rule, counted, dist in rules:
             mask = zero
             if rule is not None:
-                mask = rule(key, dist_sq, small, near, spare)
+                mask = rule(key, dist_sq, small)
                 if zero_pairs is not None:
                     mask |= zero
             if counted:

@@ -512,8 +512,11 @@ def run(config: ExperimentConfig) -> int:
         raise UsageError(flag, str(exc)) from None
     text = _to_csv(rows) if config.format == "csv" else _to_json(config.command, rows)
     if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError("--out", str(exc)) from None
     else:
         sys.stdout.write(text)
     if config.command == "verify":

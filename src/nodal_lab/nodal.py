@@ -27,7 +27,8 @@ amplitudes 2 pi i b a, so both products are randomwave's one restriction
 formula over the base grid's phase table.  Deeper levels keep the curvature
 test alone, and need no f': too few windows get there for a tighter test to
 pay.  Touch-without-crossing configurations are flagged and counted as zero
-crossings are not.
+crossings are not; so is a numerically zero grid point between two sign
+changes, a double root that rounding split in two.
 
 The rule has one home, ``_scan``, which runs it over a block of samples one
 depth level at a time: the two restriction products give every sample's
@@ -36,12 +37,16 @@ segments of the block at once.  Off the base grid f has one evaluator,
 ``f_at``, which ``_scan`` builds for its block: f of any block row at any
 point, with no loop over samples.  Each refinement level evaluates its
 sub-grid points with it.
-``_scan`` returns the sign-change brackets of every level, the flags and
-``f_at``.  ``count_zeros`` bisects all the brackets in one call to
-``_bisect`` and returns the roots.  ``monte_carlo`` only counts them: each
-bracket holds one root, and two roots can merge only where brackets share an
-end point at which f is numerically zero, or where a sample has exact grid
-zeros; only those brackets are bisected, in one call per block.
+``_scan`` returns the brackets of every level, the flags and ``f_at``.  A
+bracket is a sign-change cell, or the width-0 bracket [r, r] of a run of
+exact grid zeros that counts as a root, r being the run's midpoint, with
+f = 0 at its lower end; ``_bisect`` returns r for it as it is.
+``count_zeros`` bisects all the brackets in one call to ``_bisect`` and
+returns the roots.  ``monte_carlo`` only counts them: each bracket holds one
+root, and two roots can merge only where brackets lie within 2 * BISECT_TOL
+of each other, in practice where they share an end point at which f is
+numerically zero or sit beside a width-0 bracket; only those brackets are
+bisected, in one call per block.
 
 Monte-Carlo trials draw independent substreams from one seed sequence and
 are scanned BLOCK_TRIALS at a time.  The per trial results are integers and
@@ -181,33 +186,30 @@ def _base_grid(shell: Shell, line: LineSegment) -> _BaseGrid:
     return _BaseGrid(t, *_phases(t, b), b)
 
 
-def _zero_runs(t: np.ndarray, fv: np.ndarray):
-    """Handle grid points where f is exactly zero.
+def _zero_runs(t: np.ndarray, fv: np.ndarray, seg: np.ndarray):
+    """Runs of exact zeros over concatenated segments, as roots and touches.
 
-    A run of exact zeros counts as one root when the flanking signs differ
-    (or the run touches the domain boundary); same flanking signs mean a
-    touch, which counts nothing but raises the tangency flag.
+    ``seg`` names each point's segment, and a run ends where its segment
+    does.  A run counts as one root, at its midpoint, when its flanking
+    values differ in sign or it reaches an end of its segment; same-sign
+    flanks mean a touch, which counts nothing but raises the tangency flag.
+    Returns the roots, the segment of each root and the segment of each
+    touch.  Only the zero points and their flanks are indexed.
     """
-    roots = []
-    tangency = False
-    zero = fv == 0.0
-    i = 0
-    n = fv.size
-    while i < n:
-        if not zero[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and zero[j + 1]:
-            j += 1
-        left = fv[i - 1] if i > 0 else None
-        right = fv[j + 1] if j + 1 < n else None
-        if left is None or right is None or left * right < 0:
-            roots.append(float(0.5 * (t[i] + t[j])))
-        else:
-            tangency = True
-        i = j + 1
-    return roots, tangency
+    zero = np.flatnonzero(fv == 0.0)
+    if zero.size == 0:  # the common case; skips a dozen numpy calls per level
+        return t[zero], zero, zero
+    first = np.ones(zero.size, dtype=bool)  # zero points that start a run
+    first[1:] = (zero[1:] - zero[:-1] > 1) | (seg[zero[1:]] != seg[zero[:-1]])
+    last = np.ones(zero.size, dtype=bool)
+    last[:-1] = first[1:]
+    lo, hi = zero[first], zero[last]
+    run_seg = seg[lo]
+    left, right = lo - 1, np.minimum(hi + 1, fv.size - 1)
+    crossing = ((lo == 0) | (hi + 1 == fv.size) | (seg[left] != run_seg)
+                | (seg[right] != run_seg) | (fv[left] * fv[right] < 0))
+    roots = 0.5 * (t[lo] + t[hi])
+    return roots[crossing], run_seg[crossing], run_seg[~crossing]
 
 
 def _bisect(f_at, row, lo, hi, f_lo):
@@ -215,7 +217,8 @@ def _bisect(f_at, row, lo, hi, f_lo):
 
     Bracket i belongs to block row ``row[i]`` of the evaluator ``f_at``.
     Brackets of any widths are bisected together; one narrower than the
-    others may get a few extra halvings, which keep its midpoint inside it.
+    others may get a few extra halvings, which keep its midpoint inside it,
+    and a width-0 bracket [r, r] returns r.
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
@@ -361,9 +364,10 @@ def _sub_grids(t, lo, hi):
 class _Scan:
     """The refinement rule's findings over a block of samples.
 
-    One entry per sign-change bracket [lo, hi], at any depth level: the
-    block row of its sample and f at lo.  Per sample: the roots at exact grid
-    zeros, the two flags, the near-zero tolerance and the |f''| bound M2.
+    One entry per bracket [lo, hi], at any depth level: the block row of its
+    sample and f at lo.  A bracket is a sign-change cell, or [r, r] with
+    f_lo = 0 for a root at a run of exact zeros (_zero_runs).  Per sample:
+    the two flags, the near-zero tolerance and the |f''| bound M2.
     ``f_at(row, t)`` is f of block row row[i] at t[i], for any points of the
     segment.
     """
@@ -372,7 +376,6 @@ class _Scan:
     lo: np.ndarray
     hi: np.ndarray
     f_lo: np.ndarray
-    zero_roots: list[list[float]]
     tangency: np.ndarray
     depth_hit: np.ndarray
     near_tol: np.ndarray
@@ -390,7 +393,9 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     curvature (M2) and Hermite (M4, f'); each refinement level concatenates
     the windows of all samples into segments, evaluates f at their sub-grid
     points with f_at and applies the masks of _level with the curvature test
-    alone.
+    alone.  Every level also adds the width-0 brackets of its runs of exact
+    zeros, and raises the tangency flag for their touches and for a
+    numerically zero point shared by two sign-change cells.
 
     Raises ValueError before any refinement if f * f, M2 or M4 overflows,
     as amplitudes near the top of the float64 range make them: near_tol
@@ -427,7 +432,6 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     fv = fv.ravel()
     starts = np.arange(k) * n  # first point of each segment
     owner = np.arange(k)  # block row of each segment
-    zero_roots: list[list[float]] = [[] for _ in range(k)]
     tangency = np.zeros(k, dtype=bool)
     depth_hit = np.zeros(k, dtype=bool)
     found = []
@@ -437,13 +441,16 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
         seg = np.repeat(np.arange(starts.size), ends - starts)
         w = t[starts + 1] - t[starts]
         hermite = (slope, m4 * w**4 / 384.0) if depth == 1 else (None, None)
-        cells, win_lo, win_hi = _level(t, fv, seg, near_tol[owner],
-                                       m2[owner] * w * w / 8.0, *hermite)
+        tol = near_tol[owner]
+        cells, win_lo, win_hi = _level(t, fv, seg, tol, m2[owner] * w * w / 8.0, *hermite)
+        # a numerically zero point between two sign changes: a split double root
+        shared = cells[1:][cells[1:] - cells[:-1] == 1]
+        split = shared[np.abs(fv[shared]) <= tol[seg[shared]]]
+        tangency[owner[seg[split]]] = True
+        roots, root_seg, touch_seg = _zero_runs(t, fv, seg)
+        tangency[owner[touch_seg]] = True
         found.append((owner[seg[cells]], t[cells], t[cells + 1], fv[cells]))
-        for s in sorted(set(seg[fv == 0.0].tolist())):
-            roots, touch = _zero_runs(t[starts[s]:ends[s]], fv[starts[s]:ends[s]])
-            zero_roots[owner[s]].extend(roots)
-            tangency[owner[s]] |= touch
+        found.append((owner[root_seg], roots, roots, np.zeros(roots.size)))
         if win_lo.size == 0:
             break
         owner = owner[seg[win_lo]]
@@ -456,13 +463,13 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
         depth += 1
 
     row, lo, hi, f_lo = (np.concatenate(parts) for parts in zip(*found))
-    return _Scan(row, lo, hi, f_lo, zero_roots, tangency, depth_hit, near_tol, m2, f_at)
+    return _Scan(row, lo, hi, f_lo, tangency, depth_hit, near_tol, m2, f_at)
 
 
-def _merge_roots(roots: list[float]) -> np.ndarray:
+def _merge_roots(roots: np.ndarray) -> np.ndarray:
     """Sorted roots, dropping each within 2*BISECT_TOL of the last one kept."""
     merged: list[float] = []
-    for r in sorted(roots):
+    for r in sorted(roots.tolist()):
         if merged and r - merged[-1] <= 2 * BISECT_TOL:
             continue
         merged.append(r)
@@ -478,11 +485,12 @@ def _counts(scan: _Scan) -> np.ndarray:
     two roots within 2*BISECT_TOL of each other around e give
     |f(e)| <= noise + 2 * M2 * BISECT_TOL^2 (linear interpolation between
     them, with the evaluation noise bounded by near_tol), so a larger
-    |f(e)| keeps them apart.  Only the remaining close brackets are
-    bisected, all in one call, plus every bracket of a sample with exact grid
-    zeros, whose roots lie outside any bracket.
+    |f(e)| keeps them apart.  A root at an exact grid zero r is the width-0
+    bracket [r, r] with f_lo = 0, which never passes that exemption: every
+    bracket within 2*BISECT_TOL of r counts as close to it.  Only the close
+    brackets are bisected, all in one call.
     """
-    counts = np.bincount(scan.row, minlength=len(scan.zero_roots))
+    counts = np.bincount(scan.row, minlength=scan.tangency.size)
     order = np.lexsort((scan.lo, scan.row))
     row, lo, hi, f_lo = (a[order] for a in (scan.row, scan.lo, scan.hi, scan.f_lo))
     touching = (row[1:] == row[:-1]) & (lo[1:] - hi[:-1] <= 2 * BISECT_TOL)
@@ -491,16 +499,11 @@ def _counts(scan: _Scan) -> np.ndarray:
     close = np.zeros(row.size, dtype=bool)
     close[order[:-1][touching]] = True
     close[order[1:][touching]] = True
-    redo = set(scan.row[close].tolist())
-    for i, roots in enumerate(scan.zero_roots):
-        if roots:
-            close |= scan.row == i
-            redo.add(i)
     owner = scan.row[close]
     roots = _bisect(scan.f_at, owner, scan.lo[close], scan.hi[close], scan.f_lo[close])
-    for i in redo:
+    for i in set(owner.tolist()):
         mine = roots[owner == i]
-        counts[i] += _merge_roots(scan.zero_roots[i] + mine.tolist()).size - mine.size
+        counts[i] += _merge_roots(mine).size - mine.size
     return counts
 
 
@@ -511,8 +514,7 @@ def count_zeros(sample: WaveSample, line: LineSegment) -> ZeroCount:
     where f_max = max |<mu, alpha>| is the top frequency of f.
     """
     scan = _scan([sample], _base_grid(sample.shell, line))
-    roots = _merge_roots(
-        scan.zero_roots[0] + _bisect(scan.f_at, scan.row, scan.lo, scan.hi, scan.f_lo).tolist())
+    roots = _merge_roots(_bisect(scan.f_at, scan.row, scan.lo, scan.hi, scan.f_lo))
     flags = ZeroFlags(refinement_depth_hit=bool(scan.depth_hit[0]),
                       near_tangency=bool(scan.tangency[0]))
     return ZeroCount(roots=roots, flags=flags)

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -769,19 +770,35 @@ class TestTiledPairSums:
             assert np.array_equal(out, want)
             assert np.array_equal(np.signbit(out), np.signbit(want))
 
-    @pytest.mark.parametrize("rho", [0.0, 0.019, 0.3, 2.0, 1e300])
-    @pytest.mark.parametrize("direction", [IRR, HALF])
+    @pytest.mark.parametrize("rho", [0.0, 0.019, 0.3, 2.0, 1e300, 1.0, 1.0 - 2.0**-50])
+    @pytest.mark.parametrize("direction", [IRR, HALF, AXIS,
+                                           parse_direction("rat:1,1000,2147483647")])
     def test_relative_split_candidates_give_the_whole_tile_mask(self, direction, rho):
-        # the float64 threshold runs only on the keys at most rho sqrt(4m)
-        shell = enumerate_shell(1009)
+        # the float64 threshold runs only on the keys that can pass it; a
+        # rational direction's integer keys |k| are decided exactly, as
+        # k^2 <= rho^2 |a|^2 d^2 (along AXIS, k = d for the pairs that differ
+        # in x alone: at rho = 1 and just below it the float64 threshold
+        # cannot tell whether they pass)
+        rational = direction.rationality is Rationality.RATIONAL
+        shell = enumerate_shell(101 if rational else 1009)
         half = shell.coords[: shell.n // 2]
-        b = half_frequencies(shell, direction.components)
+        if rational:
+            b = (half @ np.array(direction.ints)).astype(np.float64)
+        else:
+            b = half_frequencies(shell, direction.components)
         key = np.abs(b[:, None] - np.stack((b, -b))[:, None, :])
         gram = (half @ half.T).astype(np.float64)
         dist_sq = np.stack((2.0 * shell.m - 2.0 * gram, 2.0 * shell.m + 2.0 * gram))
         small = np.empty(key.shape, dtype=bool)
-        arithmetic._float_relative_small(rho, shell.m)(key, dist_sq, small, None, None)
-        assert np.array_equal(small, key <= rho * np.sqrt(dist_sq))
+        if rational:
+            norm_sq = sum(c * c for c in direction.ints)
+            arithmetic._relative_small(rho, norm_sq, shell.m)(key, dist_sq, small)
+            limit = Fraction(rho) ** 2 * norm_sq
+            want = [int(k) ** 2 <= limit * int(d) for k, d in zip(key.flat, dist_sq.flat)]
+            assert small.ravel().tolist() == want
+        else:
+            arithmetic._float_relative_small(rho, shell.m)(key, dist_sq, small)
+            assert np.array_equal(small, key <= rho * np.sqrt(dist_sq))
 
     @pytest.mark.parametrize("uv_slope", [(1, 1, "sqrt2"), (0, 1, "sqrt2"), (2, 3, "sqrt3"),
                                           (2**30, 2**30 - 1, "sqrt5")])

@@ -376,6 +376,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert "usage error" in err and "--trials" in err
 
+    @pytest.mark.parametrize("target", ["no/such/dir/r.csv", "."])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, target):
+        # a missing directory, or a directory itself
+        assert main(["shell", "--m", "5", "--out", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --out: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_bad_direction_reported(self, capsys):
         assert main(["simulate", "--m", "1", "--dir", "rat:x,y,z"]) == 2
         assert "--dir" in capsys.readouterr().err

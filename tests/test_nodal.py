@@ -241,7 +241,8 @@ def test_monte_carlo_matches_count_zeros_per_trial(m, spec):
 
 
 EDGE_SAMPLES = {
-    # f is exactly 0.0 at the grid point t = 5/16: a zero run, not a bracket
+    # f is exactly 0.0 at the grid point t = 5/16: a zero run, whose root is
+    # the width-0 bracket [5/16, 5/16]
     "exact_grid_zero": (dict(extra=-float(np.cos(TWO_PI * 0.3125))), 2),
     # two roots 0.0045 apart inside the base cell (1/2, 9/16): only the
     # refinement window of that cell brackets them
@@ -252,21 +253,121 @@ EDGE_SAMPLES = {
 }
 
 
+def monte_carlo_over(monkeypatch, samples, line, block):
+    """monte_carlo drawing the given samples in order, block trials at a time."""
+    draws = iter(samples)
+    monkeypatch.setattr(nodal, "sample_wave", lambda shell, rng: next(draws))
+    monkeypatch.setattr(nodal, "BLOCK_TRIALS", block)
+    return monte_carlo(samples[0].shell, line, trials=len(samples), seed=0)
+
+
 def test_monte_carlo_matches_count_zeros_on_edge_samples(monkeypatch):
     samples = [cosine_sample(**kwargs) for kwargs, _ in EDGE_SAMPLES.values()]
     line = LineSegment(E1, 1.0)
     zeros = [count_zeros(s, line) for s in samples]
     assert [z.count for z in zeros] == [count for _, count in EDGE_SAMPLES.values()]
     for block in (1, 2, 32):
-        draws = iter(samples * 3)
-        monkeypatch.setattr(nodal, "sample_wave", lambda shell, rng: next(draws))
-        monkeypatch.setattr(nodal, "BLOCK_TRIALS", block)
-        report = monte_carlo(enumerate_shell(1), line, trials=3 * len(samples), seed=0)
+        report = monte_carlo_over(monkeypatch, samples * 3, line, block)
         expected = Counter(z.count for z in zeros * 3)
         assert report.histogram == dict(sorted(expected.items()))
         assert report.near_tangency_trials == 3 * sum(z.flags.near_tangency for z in zeros)
         assert report.depth_hit_trials == 3 * sum(
             z.flags.refinement_depth_hit for z in zeros)
+
+
+def test_split_double_root_is_flagged(monkeypatch):
+    # a double root at the base point 15/16, where the base-grid product
+    # gives f = +2.3e-17: two sign-change cells share that point, and their
+    # roots lie 1.9e-9 apart
+    sample = cosine_sample(extra=-1.0, shift=3 / 16 - 1 / 4)
+    line = LineSegment(E1, 1.0)
+    assert nodal._base_grid(sample.shell, line).t[15] == 15 / 16
+    result = count_zeros(sample, line)
+    assert result.count == 2
+    assert np.allclose(result.roots, 15 / 16, atol=1e-8)
+    assert result.flags.near_tangency
+    for block in (1, 2):
+        report = monte_carlo_over(monkeypatch, [sample, sample], line, block)
+        assert report.near_tangency_trials == 2
+
+
+def zero_runs_per_segment(t, fv, seg):
+    """The run rule of nodal._zero_runs, one segment and one point at a time."""
+    roots, root_seg, touch_seg = [], [], []
+    for s in np.unique(seg):
+        ts, fs = t[seg == s], fv[seg == s]
+        i = 0
+        while i < fs.size:
+            if fs[i] != 0.0:
+                i += 1
+                continue
+            j = i
+            while j + 1 < fs.size and fs[j + 1] == 0.0:
+                j += 1
+            if i == 0 or j + 1 == fs.size or fs[i - 1] * fs[j + 1] < 0:
+                roots.append(0.5 * (ts[i] + ts[j]))
+                root_seg.append(s)
+            else:
+                touch_seg.append(s)
+            i = j + 1
+    return roots, root_seg, touch_seg
+
+
+ZERO_RUN_CASES = {
+    # (segments of f values, roots as (segment, first, last point), touch segments)
+    "zero after a segment ending in zero": ([[1.0, -2.0, 0.0], [0.0, 3.0, -1.0]],
+                                            [(0, 2, 2), (1, 0, 0)], []),
+    "two-point run, opposite flanks": ([[1.0, 0.0, 0.0, -1.0, 2.0]], [(0, 1, 2)], []),
+    "same-sign flanks": ([[-1.0, 0.0, 0.0, -3.0], [2.0, 0.0, 1.0]], [], [0, 1]),
+    "run at a segment's last point": ([[2.0, -1.0, 0.0, 0.0], [-1.0, 1.0]], [(0, 2, 3)], []),
+    "no zeros": ([[1.0, -1.0], [2.0, 3.0]], [], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_RUN_CASES))
+def test_zero_runs_across_segment_boundaries(case):
+    values, runs, touches = ZERO_RUN_CASES[case]
+    fv = np.concatenate(values)
+    seg = np.repeat(np.arange(len(values)), [len(v) for v in values])
+    starts = np.cumsum([0] + [len(v) for v in values])
+    t = np.concatenate([s + np.linspace(0.0, 1.0, len(v)) for s, v in enumerate(values)])
+    roots, root_seg, touch_seg = nodal._zero_runs(t, fv, seg)
+    assert roots.tolist() == [0.5 * (t[starts[s] + i] + t[starts[s] + j]) for s, i, j in runs]
+    assert root_seg.tolist() == [s for s, _, _ in runs]
+    assert touch_seg.tolist() == touches
+    assert (roots.tolist(), root_seg.tolist(), touch_seg.tolist()) == zero_runs_per_segment(
+        t, fv, seg)
+
+
+def test_zero_runs_match_the_per_segment_rule_on_random_runs():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        fv = rng.choice([-1.0, 0.0, 0.0, 2.0], size=n)
+        seg = np.cumsum(rng.random(n) < 0.2)
+        t = np.cumsum(rng.random(n))
+        roots, root_seg, touch_seg = nodal._zero_runs(t, fv, seg)
+        assert (roots.tolist(), root_seg.tolist(), touch_seg.tolist()) == zero_runs_per_segment(
+            t, fv, seg)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+def test_planted_exact_grid_zeros_count_alike(monkeypatch, c):
+    # c cos(2 pi t) - c cos(2 pi t_k) is exactly 0.0 at each base point t_k:
+    # a crossing there, except at t = 0, 1/2 and 1, where it touches
+    line = LineSegment(E1, 1.0)
+    grid_t = nodal._base_grid(enumerate_shell(1), line).t
+    samples = [WaveSample.from_coefficients(
+        enumerate_shell(1), {(1, 0, 0): c, (0, 1, 0): -c * float(np.cos(TWO_PI * t_k))})
+        for t_k in grid_t]
+    zeros = [count_zeros(s, line) for s in samples]
+    for k, (t_k, z) in enumerate(zip(grid_t, zeros)):
+        assert evaluate_f(samples[k], line, t_k) == 0.0
+        if k not in (0, 8, 16):
+            assert np.min(np.abs(z.roots - t_k)) <= 1e-12, k
+    expected = dict(sorted(Counter(z.count for z in zeros).items()))
+    for block in (1, 2, 16, 64):
+        assert monte_carlo_over(monkeypatch, samples, line, block).histogram == expected
 
 
 def test_hidden_pair_is_found_by_refinement():
