@@ -34,23 +34,26 @@ match a dense table to rounding.
 A rational direction a needs fewer rows.  Its pair frequencies are k/|a|,
 k = <mu - mu', a> an integer, so a sum that reads beta alone depends only on
 how H falls into the planes <mu, a> = k: on its frequency classes, the
-distinct keys k over H, each with the number h of points on its plane
-(_frequency_classes).  q_sum, r2_terms, and pair_sums's s_zero and the
-absolute split's s_small and inv_sq_sum take the classes as rows and their
-signed keys as columns, each class pair weighted by h_i h_j, through the
-same tile driver and builders.  At m = 10001 the 960 points of H fall into
-67, 124 and 343 classes for a = (1,0,0), (1,1,1) and (1,2,3); when every key
-is distinct a class is a point and the sweep costs what the point sweep
-does.  The keys, their differences and the counts' products are integers
-that float64 holds exactly (_EXACT_KEYS), so the counts are exact, and the
-absolute split |k| <= rho |a| is decided exactly, as an integer bound on
-|k|.  The sums that read |mu - mu'| cannot be grouped by key:
-inv_dist_sq_sum and the whole relative split stay on the point sweep, which
-for a rational direction keys each pair by its integer |k|, not by the
-float beta, and decides the relative split exactly too.  The class sums
-evaluate each summand at the class frequency k/|a|, rounded once, and add
-the summands in another order, so they match the point sums to rounding
-(an ulp in the bounds reports).
+distinct keys k over H, each with the number h of points on its plane.
+The keys and the classes live in randomwave, beside the frequencies:
+_half_keys gives every direction class its pair keys, and
+_frequency_classes groups a rational direction's keys into classes.
+q_sum, r2_terms, and pair_sums's s_zero and the absolute split's s_small
+and inv_sq_sum take the classes as rows and their signed keys as columns,
+each class pair weighted by h_i h_j, through the same tile loop and
+builders.  At m = 10001 the 960 points of H fall into 67, 124 and 343
+classes for a = (1,0,0), (1,1,1) and (1,2,3); when every key is distinct a
+class is a point and the sweep costs what the point sweep does.  The keys,
+their differences and the counts' products are integers that float64 holds
+exactly (randomwave._EXACT_KEYS), so the counts are exact, and the absolute
+split |k| <= rho |a| is decided exactly, as an integer bound on |k|.  The
+sums that read |mu - mu'| cannot be grouped by key: inv_dist_sq_sum and the
+whole relative split stay on the point sweep, which for a rational
+direction keys each pair by its integer |k|, not by the float beta, and
+decides the relative split exactly too.  The class sums evaluate each
+summand at the class frequency k/|a|, rounded once, and add the summands in
+another order, so they match the point sums to rounding (an ulp in the
+bounds reports).
 
 The rows of H then run over block-triangular tiles: rows [lo, hi) against
 the signed columns +-H[lo:], a (2, rows, cols) table of about TILE_ENTRIES
@@ -108,8 +111,8 @@ import numpy as np
 
 from .diophantine import Direction, Rationality
 from .geometry import kappa
-from .lattice import ProjectedShell, Shell, _antipodal_half, _check_nonempty
-from .randomwave import LineSegment, half_frequencies
+from .lattice import ProjectedShell, Shell, _antipodal_half
+from .randomwave import LineSegment, _frequency_classes, _half_keys
 
 __all__ = [
     "PairSums",
@@ -334,41 +337,17 @@ def _integral_sq_deficit(x: np.ndarray, length_sq: float) -> np.ndarray:
     return length_sq * d * (2.0 - d)
 
 
-# Keys <mu, a> stay below this in magnitude, so float64 holds them and their
-# pairwise sums and differences exactly.
-_EXACT_KEYS = 2.0**52
-
-
-def _half_keys(shell: Shell, direction: Direction) -> np.ndarray:
-    """The integer keys k = <mu, a> of the half shell for a rational
-    direction a, as exact float64 integers.  Raises ValueError if a key
-    reaches _EXACT_KEYS (m past about 1.4e12 for the largest legal a)."""
-    _check_nonempty(shell)
-    keys = _antipodal_half(shell.coords, shell.m) @ np.array(direction.ints, dtype=np.int64)
-    if np.abs(keys).max() >= _EXACT_KEYS:
-        raise ValueError(f"the keys <mu, a> of m={shell.m} reach 2^52, past exact float64 "
-                         f"pair differences")
-    return keys.astype(np.float64)
-
-
-def _frequency_classes(shell: Shell, direction: Direction):
-    """The frequency classes of a rational direction a over the half shell:
-    the distinct keys k = <mu, a>, ascending, and the number h of half-shell
-    points on each plane <mu, a> = k, both as exact float64 integers."""
-    keys, counts = np.unique(_half_keys(shell, direction), return_counts=True)
-    return keys, counts.astype(np.float64)
-
-
 def _frequency_rows(shell: Shell, direction: Direction):
     """The rows (b, h) of the integral_sq sums: for a rational direction a the
     class frequencies b = k/|a| of _frequency_classes with their counts h as
-    row weights, otherwise the half-shell frequencies with unit weights
-    (h None).  Every pair frequency of a rational direction is a difference
-    of keys over |a|, so its sums need one row per class, not per point."""
+    row weights, otherwise the half-shell frequencies (_half_keys) with unit
+    weights (h None).  Every pair frequency of a rational direction is a
+    difference of keys over |a|, so its sums need one row per class, not per
+    point."""
     if direction.rationality is not Rationality.RATIONAL:
-        return half_frequencies(shell, direction.components), None
-    keys, counts = _frequency_classes(shell, direction)
-    return keys / math.sqrt(sum(c * c for c in direction.ints)), counts
+        return _half_keys(shell, direction)[0], None
+    keys, counts, norm_sq = _frequency_classes(shell, direction)
+    return keys / math.sqrt(norm_sq), counts
 
 
 def _integral_sq_tiles(b: np.ndarray, length: float):
@@ -566,14 +545,15 @@ def _float_relative_small(rho: float, m: int):
     return rule
 
 
-def _class_sweep(shell: Shell, direction: Direction, norm_sq: int, limits):
-    """s_zero, then s_small and inv_sq_sum of each absolute split with key
-    limit K in limits, over the frequency classes, each pair of classes
-    weighted by h_i h_j: k = 0 for s_zero, |k| <= K for s_small, and
+def _class_sweep(shell: Shell, direction: Direction, rhos):
+    """s_zero, then s_small and inv_sq_sum of the absolute split at each rho
+    in rhos, over the frequency classes, each pair of classes weighted by
+    h_i h_j: k = 0 for s_zero, |k| <= K = _key_limit(rho) for s_small, and
     |a|^2/k^2 summed over |k| > K.  The counts are sums of integers below
     N^2 and so exact in float64."""
+    keys, counts, norm_sq = _frequency_classes(shell, direction)
+    limits = [_key_limit(rho, norm_sq) for rho in rhos]
     numerator = float(norm_sq)
-    keys, counts = _frequency_classes(shell, direction)
     differences = _pair_differences(keys)
     weighted = _pair_weights(counts)
     views = _tile_buffers(np.float64, bool, np.float64, np.float64)
@@ -647,7 +627,7 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
     counted, and inv_dist_sq_sum over its tail if dist.
 
     A pair's key is |beta|, or for a rational direction a the exact integer
-    |k| = |a| |beta| with numerator |a|^2, and inv_sq_sum adds
+    |k| = |a| |beta| with numerator |a|^2 (_half_keys), and inv_sq_sum adds
     numerator/key^2.  The class picks its key, zero mask and split rule once,
     before the tiles.  A half-rational zero pair has both int64 key
     differences 0 (_half_rational_zero_pairs), an irrational one
@@ -660,13 +640,9 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
     indexing, then divided: a whole table's quotients, added in its order,
     and none at distance 0.
     """
+    keys, norm_sq = _half_keys(shell, direction)
+    differences = _pair_differences(keys)
     rational = direction.rationality is Rationality.RATIONAL
-    if rational:
-        norm_sq = sum(c * c for c in direction.ints)
-        differences = _pair_differences(_half_keys(shell, direction))
-    else:
-        norm_sq = 1
-        differences = _pair_differences(half_frequencies(shell, direction.components))
     half = _antipodal_half(shell.coords, shell.m)
     inv_key_sq_sum = _masked_inv_key_sq_sum(float(norm_sq))
 
@@ -748,9 +724,8 @@ def _pair_sums(shell: Shell, direction: Direction, splits,
     classed = [rational and mode == "absolute" for _, mode in splits]
     class_sums = iter(())
     if rational:
-        norm_sq = sum(c * c for c in direction.ints)
-        limits = [_key_limit(rho, norm_sq) for (rho, _), c in zip(splits, classed) if c]
-        class_sums = iter(_class_sweep(shell, direction, norm_sq, limits))
+        rhos = [rho for (rho, _), c in zip(splits, classed) if c]
+        class_sums = iter(_class_sweep(shell, direction, rhos))
     swept = [(rho, mode, not c, dist)
              for (rho, mode), c, dist in zip(splits, classed, dists) if dist or not c]
     point_sums = iter(_point_sweep(shell, direction, swept) if swept else ())
@@ -810,8 +785,9 @@ def check_mode(mode: BoundMode, direction: Direction) -> None:
     the Rationality they need; the conditional mode takes any direction.
     """
     if mode is not BoundMode.CONDITIONAL and mode.value != direction.rationality.value:
+        article = "an" if mode.value[0] in "aeiou" else "a"
         raise ValueError(
-            f"mode {mode.value} needs a {mode.value} direction, "
+            f"mode {mode.value} needs {article} {mode.value} direction, "
             f"got {direction.rationality.value}"
         )
 

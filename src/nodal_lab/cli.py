@@ -43,6 +43,7 @@ from .geometry import KAPPA_M_LIMIT, kappa
 from .lattice import (
     SHELL_M_LIMIT,
     ProjectedShell,
+    Shell,
     classify_m,
     enumerate_shell,
     project_shell,
@@ -151,7 +152,15 @@ class ExperimentConfig:
         if self.rho is not None and not 0 <= self.rho < math.inf:
             raise UsageError("--rho", f"rho must be nonnegative and finite, got {self.rho}")
         if self.command in ("wave", "simulate", "bounds"):
-            parse_direction(self.direction)
+            direction = parse_direction(self.direction)
+            if self.command == "bounds":
+                mode = _bound_mode(self, direction)
+                for flag, check, value in (("--mode", check_mode, direction),
+                                           ("--rho", check_rho, self.rho)):
+                    try:
+                        check(mode, value)
+                    except ValueError as exc:
+                        raise UsageError(flag, str(exc)) from None
 
 
 def parse_direction(spec: str) -> Direction:
@@ -219,105 +228,84 @@ def _run_shell(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _run_wave(config: ExperimentConfig) -> list[dict]:
-    direction = parse_direction(config.direction)
-    line = LineSegment(direction, config.length)
-    rows = []
-    for m, shell in _admissible_shells(config):
-        row_seed = _row_seed(config.seed, m)
-        sample = sample_wave(shell, np.random.default_rng(np.random.SeedSequence(row_seed)))
-        grid = np.linspace(0.0, config.length, 257)
-        values = evaluate_f(sample, line, grid)
-        rows.append({
-            "m": m,
-            "n": shell.n,
-            "direction": config.direction,
-            "length": config.length,
-            "seed": row_seed,
-            "f_start": float(values[0]),
-            "f_rms": float(np.sqrt(np.mean(values**2))),
-            "f_max_abs": float(np.max(np.abs(values))),
-            "zero_count": count_zeros(sample, line).count,
-            "second_moment_ratio": second_moment_ratio(shell, direction),
-        })
-    return rows
+def _bound_mode(config: ExperimentConfig, direction: Direction) -> BoundMode:
+    """The bound mode --mode names, or else the direction's own."""
+    return BoundMode(config.mode or direction.rationality.value)
 
 
-def _run_simulate(config: ExperimentConfig) -> list[dict]:
-    direction = parse_direction(config.direction)
-    line = LineSegment(direction, config.length)
-    rows = []
-    for m, shell in _admissible_shells(config):
-        report = monte_carlo(shell, line, config.trials, _row_seed(config.seed, m))
-        rows.append({
-            "m": m,
-            "n": shell.n,
-            "direction": config.direction,
-            "length": config.length,
-            "trials": report.trials,
-            "seed": report.seed,
-            "mean": report.mean,
-            "variance": report.variance,
-            "stderr": report.stderr,
-            "expected_mean": MEAN_FACTOR * config.length * math.sqrt(m),
-            "histogram": report.histogram,
-            "near_tangency_trials": report.near_tangency_trials,
-            "depth_hit_trials": report.depth_hit_trials,
-        })
-    return rows
+def _wave_columns(config: ExperimentConfig, line: LineSegment, m: int, shell: Shell) -> dict:
+    row_seed = _row_seed(config.seed, m)
+    sample = sample_wave(shell, np.random.default_rng(np.random.SeedSequence(row_seed)))
+    values = evaluate_f(sample, line, np.linspace(0.0, config.length, 257))
+    return {
+        "seed": row_seed,
+        "f_start": float(values[0]),
+        "f_rms": float(np.sqrt(np.mean(values**2))),
+        "f_max_abs": float(np.max(np.abs(values))),
+        "zero_count": count_zeros(sample, line).count,
+        "second_moment_ratio": second_moment_ratio(shell, line.direction),
+    }
 
 
-def _resolve_mode(config: ExperimentConfig, direction: Direction) -> BoundMode:
-    mode = BoundMode(config.mode or direction.rationality.value)
-    try:
-        check_mode(mode, direction)
-    except ValueError as exc:
-        raise UsageError("--mode", str(exc)) from None
-    try:
-        check_rho(mode, config.rho)
-    except ValueError as exc:
-        raise UsageError("--rho", str(exc)) from None
-    return mode
+def _simulate_columns(config: ExperimentConfig, line: LineSegment, m: int, shell: Shell) -> dict:
+    report = monte_carlo(shell, line, config.trials, _row_seed(config.seed, m))
+    return {
+        "trials": report.trials,
+        "seed": report.seed,
+        "mean": report.mean,
+        "variance": report.variance,
+        "stderr": report.stderr,
+        "expected_mean": MEAN_FACTOR * config.length * math.sqrt(m),
+        "histogram": report.histogram,
+        "near_tangency_trials": report.near_tangency_trials,
+        "depth_hit_trials": report.depth_hit_trials,
+    }
 
 
-def _run_bounds(config: ExperimentConfig) -> list[dict]:
-    direction = parse_direction(config.direction)
-    mode = _resolve_mode(config, direction)
-    line = LineSegment(direction, config.length)
-    rows = []
-    for m, shell in _admissible_shells(config):
-        report = variance_bound(shell, line, mode, rho=config.rho)
-        rows.append({
-            "m": m,
-            "n": shell.n,
-            "direction": config.direction,
-            "length": config.length,
-            "mode": mode.value,
-            "rho": report.rho,
-            "kappa": report.kappa,
-            "s_zero": report.s_zero,
-            "inv_sq_sum": report.inv_sq_sum,
-            "q_value": report.q_value,
-            "bound_value": report.bound_value,
-            "envelope": report.envelope,
-            "conjecture_assumed": report.conjecture_assumed,
-        })
-    return rows
+def _bounds_columns(config: ExperimentConfig, line: LineSegment, m: int, shell: Shell) -> dict:
+    report = variance_bound(shell, line, _bound_mode(config, line.direction), rho=config.rho)
+    return {
+        "mode": report.mode.value,
+        "rho": report.rho,
+        "kappa": report.kappa,
+        "s_zero": report.s_zero,
+        "inv_sq_sum": report.inv_sq_sum,
+        "q_value": report.q_value,
+        "bound_value": report.bound_value,
+        "envelope": report.envelope,
+        "conjecture_assumed": report.conjecture_assumed,
+    }
 
 
-def _run_riesz(config: ExperimentConfig) -> list[dict]:
-    rows = []
-    for m, shell in _admissible_shells(config):
-        result = riesz_energy(project_shell(shell), config.sigma)
-        rows.append({
-            "m": m,
-            "n": result.n,
-            "sigma": result.sigma,
-            "energy": result.energy,
-            "limit_i": result.limit_i,
-            "normalized_gap": result.normalized_gap,
-        })
-    return rows
+def _riesz_columns(config: ExperimentConfig, line: None, m: int, shell: Shell) -> dict:
+    result = riesz_energy(project_shell(shell), config.sigma)
+    return {
+        "sigma": result.sigma,
+        "energy": result.energy,
+        "limit_i": result.limit_i,
+        "normalized_gap": result.normalized_gap,
+    }
+
+
+_COLUMNS = {
+    "wave": _wave_columns,
+    "simulate": _simulate_columns,
+    "bounds": _bounds_columns,
+    "riesz": _riesz_columns,
+}
+
+
+def _shell_rows(config: ExperimentConfig) -> list[dict]:
+    """One row per admissible shell: m and n; the segment's direction and
+    length for every command but riesz, which takes no segment; then the
+    command's own columns."""
+    line, segment = None, {}
+    if config.command != "riesz":
+        line = LineSegment(parse_direction(config.direction), config.length)
+        segment = {"direction": config.direction, "length": config.length}
+    columns = _COLUMNS[config.command]
+    return [{"m": m, "n": shell.n, **segment, **columns(config, line, m, shell)}
+            for m, shell in _admissible_shells(config)]
 
 
 def _verify_checks(config: ExperimentConfig):
@@ -429,14 +417,7 @@ def _run_verify(config: ExperimentConfig) -> list[dict]:
             for name, passed, detail in _verify_checks(config)]
 
 
-_RUNNERS = {
-    "shell": _run_shell,
-    "wave": _run_wave,
-    "simulate": _run_simulate,
-    "bounds": _run_bounds,
-    "riesz": _run_riesz,
-    "verify": _run_verify,
-}
+_RUNNERS = {"shell": _run_shell, **dict.fromkeys(_COLUMNS, _shell_rows), "verify": _run_verify}
 
 
 def _csv_cell(value) -> str:

@@ -7,10 +7,13 @@ constructor recipe (integer triple, integer ratio plus an irrational seed,
 or symbolic irrational seeds) rather than inferred.
 
 Dirichlet's theorem supplies denominators q <= H (simultaneous: q <= H^2)
-with |zeta - p/q| < 1/(qH); the searches here are exhaustive scans with
-exact rational comparisons, which is both simpler and fully verifiable at
-desk scale.  From those, integer vectors a approximating alpha are built
-with the classical bounds |a| <= 3H^2 (both ratios irrational) and
+with |zeta - p/q| < 1/(qH).  dirichlet_1d scans every q with exact rational
+comparisons.  dirichlet_simultaneous first prefilters all H^2 denominators
+in float64, with a slack of 1e-9 on the bound, and then confirms the
+candidates in order with the same exact comparisons: an exact scan of
+every q took 311 ms against 3.8 ms for 50 random pairs at H = 50 (one core
+of a 2-core x86 box).  From those, integer vectors a approximating alpha
+are built with the classical bounds |a| <= 3H^2 (both ratios irrational) and
 |a| < sqrt(3)*tau^2*H (one rational ratio, tau = max(|u|, v, 1/alpha1) + 1).
 """
 

@@ -28,7 +28,8 @@ formula over the base grid's phase table.  Deeper levels keep the curvature
 test alone, and need no f': too few windows get there for a tighter test to
 pay.  Touch-without-crossing configurations are flagged and counted as zero
 crossings are not; so is a numerically zero grid point between two sign
-changes, a double root that rounding split in two.
+changes, a double root that rounding split in two, unless on the base grid
+f' there is large enough to fix the signs of f a refinement step away.
 
 The rule has one home, ``_scan``, which runs it over a block of samples one
 depth level at a time: the two restriction products give every sample's
@@ -395,7 +396,26 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     points with f_at and applies the masks of _level with the curvature test
     alone.  Every level also adds the width-0 brackets of its runs of exact
     zeros, and raises the tangency flag for their touches and for a
-    numerically zero point shared by two sign-change cells.
+    numerically zero point shared by two sign-change cells, a double root
+    that rounding may have split in two.
+
+    On the base level that flag is dropped where f' shows two simple roots
+    whose count no rounding of f(p) can change.  Let p be the shared point,
+    w the cell width and h = w / REFINE_RATIO = w / 8 the step of the
+    refinement grid a window around p gets.  The computed |f(p)| is at most
+    near_tol, so the true one is at most 2 near_tol.  Taylor's theorem gives
+    f(p +- h) = f(p) +- h f'(p) + R with |R| <= M2 h^2 / 2, and the computed
+    f' is off by at most 2 pi f_max near_tol (_level), h times which is at
+    most (pi / 64) near_tol < near_tol since w <= 1 / (16 f_max).  So where
+    h |f'(p)| > 4 near_tol + M2 h^2 / 2 as computed, the true f at p - h and
+    p + h exceeds near_tol with opposite signs, and the values computed there
+    keep those signs.  One root then lies within h of p, and another between
+    whichever of p +- h has the sign opposite to the cells' far ends and its
+    far end.  Had f(p) rounded to the other sign, neither cell would change
+    sign, though each holds a root; the exclusion tests drop only cells on
+    which f keeps one sign, so both would be refined on a sub-grid that
+    holds p +- h, and give the same two roots.  Deeper levels have no f' and
+    keep the flag.
 
     Raises ValueError before any refinement if f * f, M2 or M4 overflows,
     as amplitudes near the top of the float64 range make them: near_tol
@@ -446,6 +466,12 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
         # a numerically zero point between two sign changes: a split double root
         shared = cells[1:][cells[1:] - cells[:-1] == 1]
         split = shared[np.abs(fv[shared]) <= tol[seg[shared]]]
+        if depth == 1:
+            # only where f' cannot fix the signs of f a refinement step away
+            # (derived in the docstring)
+            h = w[seg[split]] / REFINE_RATIO
+            bound = 4.0 * tol[seg[split]] + m2[owner[seg[split]]] * h * h / 2.0
+            split = split[np.abs(slope[split]) * h <= bound]
         tangency[owner[seg[split]]] = True
         roots, root_seg, touch_seg = _zero_runs(t, fv, seg)
         tangency[owner[touch_seg]] = True

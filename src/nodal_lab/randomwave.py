@@ -11,14 +11,24 @@ structural rather than checked.  The lexicographic ordering of shell
 coordinates pairs row i with row n-1-i (negation reverses the order), which
 keeps the half-shell bookkeeping index-free.
 
-The restricted wave has one home here, which the zero counter uses too.  The
-frequencies b = <mu, alpha> are computed only by ``half_frequencies``, one
-per pair; ``line_frequencies`` mirrors them onto the whole shell.  One phase
-table, ``_phases``, gives cos and sin of 2 pi b t, and one restriction
-formula, ``_restrict``, sums f = (2/sqrt(N)) * sum (cos Re a - sin Im a)
-over the pairs.  f' needs no formula of its own: differentiating each term
-multiplies a by 2 pi i b, so f' is f of the pair amplitudes 2 pi i b a,
-whose parts are (-2 pi b Im a, 2 pi b Re a) (``_slope_parts``).
+The restricted wave has one home here.  The frequencies b = <mu, alpha> are
+computed only by ``half_frequencies``, one per pair; ``line_frequencies``
+mirrors them onto the whole shell.  One phase table, ``_phases``, gives cos
+and sin of 2 pi b t, and one restriction formula, ``_restrict``, sums
+f = (2/sqrt(N)) * sum (cos Re a - sin Im a) over the pairs.  The zero
+counter's base grid uses both; off the grid its evaluator applies its own
+per-point sum to the same phase table.  f' needs no formula of its own:
+differentiating each term multiplies a by 2 pi i b, so f' is f of the pair
+amplitudes 2 pi i b a, whose parts are (-2 pi b Im a, 2 pi b Re a)
+(``_slope_parts``).
+
+The pair keys of arithmetic's sums live here too, beside the frequencies.
+``_half_keys`` gives every direction class its key per half-shell point and
+the numerator of its inverse-square tail: for a rational direction a the
+integers <mu, a>, exact in float64 below ``_EXACT_KEYS``, with |a|^2; for
+the others the frequencies with 1.  ``_frequency_classes`` groups a rational
+direction's keys into its frequency classes, the planes <mu, a> = k, each
+with the number of half-shell points on it.
 """
 
 import math
@@ -26,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diophantine import Direction
+from .diophantine import Direction, Rationality
 from .lattice import Shell, _antipodal_half, _check_nonempty
 
 __all__ = [
@@ -174,6 +184,39 @@ def half_frequencies(shell: Shell, v) -> np.ndarray:
     """
     _check_nonempty(shell)
     return _antipodal_half(shell.coords, shell.m).astype(np.float64) @ v
+
+
+# Keys <mu, a> stay below this in magnitude, so float64 holds them and their
+# pairwise sums and differences exactly.
+_EXACT_KEYS = 2.0**52
+
+
+def _half_keys(shell: Shell, direction: Direction):
+    """The pair keys of the half shell and their numerator: for a rational
+    direction a the integer keys k = <mu, a>, as exact float64 integers, with
+    |a|^2; for any other direction the frequencies of half_frequencies with
+    1.  A pair's key difference is |a| beta or beta, and the numerator over
+    its square is |a|^2 / k^2 = 1 / beta^2 either way.  Raises ValueError if a
+    rational key reaches _EXACT_KEYS (m past about 1.4e12 for the largest
+    legal a)."""
+    if direction.rationality is not Rationality.RATIONAL:
+        return half_frequencies(shell, direction.components), 1
+    _check_nonempty(shell)
+    keys = _antipodal_half(shell.coords, shell.m) @ np.array(direction.ints, dtype=np.int64)
+    if np.abs(keys).max() >= _EXACT_KEYS:
+        raise ValueError(f"the keys <mu, a> of m={shell.m} reach 2^52, past exact float64 "
+                         f"pair differences")
+    return keys.astype(np.float64), sum(c * c for c in direction.ints)
+
+
+def _frequency_classes(shell: Shell, direction: Direction):
+    """The frequency classes of a rational direction a over the half shell:
+    the distinct keys k = <mu, a>, ascending, and the number h of half-shell
+    points on each plane <mu, a> = k, both as exact float64 integers; then
+    |a|^2."""
+    keys, norm_sq = _half_keys(shell, direction)
+    keys, counts = np.unique(keys, return_counts=True)
+    return keys, counts.astype(np.float64), norm_sq
 
 
 def _phases(t, b):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nodal_lab import arithmetic
+from nodal_lab import arithmetic, randomwave
 from nodal_lab.arithmetic import (
     BoundMode,
     BoundOverflowError,
@@ -472,6 +472,18 @@ class TestVarianceBound:
             with pytest.raises(ValueError, match="overflows"):
                 variance_bound(shell, LineSegment(direction, 1.0), mode, rho=1e-154)
 
+    @pytest.mark.parametrize("mode", [BoundMode.IRRATIONAL, BoundMode.CONDITIONAL])
+    def test_overflowing_small_pairs_raise(self, mode):
+        # q_sum's L^2 terms are the zero pairs alone and stay finite at
+        # L = 1e153, but L^2 s_small of the split does not
+        shell = enumerate_shell(5)
+        line = LineSegment(IRR, 1e153)
+        assert math.isfinite(q_sum(shell, line))
+        with pytest.raises(BoundOverflowError, match=(
+                f"the {mode.value} bound overflows at m=5 for length=1e\\+153")) as err:
+            variance_bound(shell, line, mode)
+        assert err.value.parameter == "length"
+
     @pytest.mark.parametrize("spec", ["irr:std", "halfrat:1,1,sqrt2"])
     def test_absolute_splits_build_no_distance_tile(self, monkeypatch, spec):
         # the conditional bound reads no |mu - mu'|: both of its splits are
@@ -635,7 +647,7 @@ def assert_classes_hold_every_dense_key_difference(shell, direction):
     times, is the multiset of the N x N table's key differences: the class
     sums add every dense summand, each exactly as often as the dense sum."""
     ints = np.array(direction.ints, dtype=np.int64)
-    keys, counts = arithmetic._frequency_classes(shell, direction)
+    keys, counts, _ = randomwave._frequency_classes(shell, direction)
     keys, counts = keys.astype(np.int64), counts.astype(np.int64)
     assert np.array_equal(np.sort(np.repeat(keys, counts)),
                           np.sort(shell.coords[: shell.n // 2] @ ints))
@@ -914,7 +926,7 @@ class TestFrequencyClasses:
         pytest.importorskip("mpmath")
         shell = enumerate_shell(m)
         direction = parse_direction(spec)
-        n_classes = len(arithmetic._frequency_classes(shell, direction)[0])
+        n_classes = len(randomwave._frequency_classes(shell, direction)[0])
         tables = dense_pair_tables(shell, direction)
         splits = [(rho, split) for rho in (0.0, 0.05, 0.3, 2.0)
                   for split in ("relative", "absolute")]
@@ -944,9 +956,9 @@ class TestFrequencyClasses:
     def test_distinct_keys_give_one_class_per_point(self):
         shell = enumerate_shell(3001)
         distinct = parse_direction("rat:1,1000,2147483647")
-        keys, counts = arithmetic._frequency_classes(shell, distinct)
+        keys, counts, _ = randomwave._frequency_classes(shell, distinct)
         assert len(keys) == shell.n // 2 and np.all(counts == 1)
-        keys, counts = arithmetic._frequency_classes(shell, parse_direction("rat:1,1,1"))
+        keys, counts, _ = randomwave._frequency_classes(shell, parse_direction("rat:1,1,1"))
         assert len(keys) < shell.n // 4 and counts.sum() == shell.n // 2
 
     @pytest.mark.parametrize("spec,m,rho,split,exact,float_beta", [

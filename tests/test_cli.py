@@ -60,6 +60,8 @@ class TestConfig:
         (dict(command="wave", direction="rat:one,0,0"), "--dir"),
         (dict(length=math.inf), "--len"),
         (dict(length=1e200), "--len"),
+        (dict(command="bounds", m_list=(5,), rho=0.3), "--rho"),
+        (dict(command="bounds", mode="irrational"), "--mode"),
     ])
     def test_validate_names_offending_field(self, overrides, field):
         config = make_config(**overrides)
@@ -89,7 +91,7 @@ class TestDirectionSpecs:
 
     @pytest.mark.parametrize("spec", [
         "rat:1,0", "rat:a,b,c", "rat:0,0,0", "halfrat:1,1", "halfrat:1,1,pi",
-        "halfrat:1,0,sqrt2", "irr:pi", "spiral:1,2,3", "rat",
+        "halfrat:1,0,sqrt2", "irr:pi", "spiral:1,2,3", "rat", "halfrat:1.5,1,sqrt2",
     ])
     def test_bad_specs_name_the_flag(self, spec):
         with pytest.raises(UsageError) as info:
@@ -218,7 +220,7 @@ class TestJsonReports:
         text = out.read_text()
         command, rows = parse_report(text)
         assert command == "simulate"
-        assert rows == cli._run_simulate(config)
+        assert rows == cli._shell_rows(config)
         assert json.loads(text)["schema_version"] == 3
         assert all(isinstance(row["near_tangency_trials"], int) for row in rows)
 
@@ -228,7 +230,7 @@ class TestJsonReports:
                              format="json", out=str(out))
         run(config)
         _, rows = parse_report(out.read_text())
-        assert rows == cli._run_bounds(config)
+        assert rows == cli._shell_rows(config)
         assert set(rows[0]["envelope"]) == {0.01, 0.05}
 
     def test_rejects_unknown_schema(self):
@@ -258,7 +260,7 @@ class TestBoundsCommand:
     def test_mode_mismatch_is_usage_error(self):
         config = make_config(command="bounds", m_list=(5,), direction="rat:1,0,0",
                              mode="irrational")
-        with pytest.raises(UsageError, match="--mode"):
+        with pytest.raises(UsageError, match="--mode: mode irrational needs an irrational "):
             run(config)
 
     def test_rho_in_rational_mode_is_usage_error(self, tmp_path, capsys):
@@ -288,9 +290,11 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert "--rho" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("flag,value", [("--rho", "1e-154"), ("--len", "1e154")])
+    @pytest.mark.parametrize("flag,value", [("--rho", "1e-154"), ("--len", "1e154"),
+                                            ("--len", "1e153")])
     def test_overflowing_bound_is_usage_error(self, capsys, flag, value):
-        # 1/(pi^2 rho^2) and L^2 are finite here, but the bound's sums are not
+        # 1/(pi^2 rho^2) and L^2 are finite here, but the bound's sums are not;
+        # at L = 1e153 q_sum is finite too, and only L^2 s_small overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["bounds", "--m", "5", "--dir", "irr:std", flag, value]) == 2
@@ -375,6 +379,8 @@ class TestMain:
         assert main(["simulate", "--m", "1", "--trials", "1"]) == 2
         err = capsys.readouterr().err
         assert "usage error" in err and "--trials" in err
+        assert main(["shell", "--m", "5,x"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: --m: ")
 
     @pytest.mark.parametrize("target", ["no/such/dir/r.csv", "."])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, target):

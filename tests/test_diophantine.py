@@ -109,6 +109,10 @@ def test_dirichlet_rejects_bad_input():
         dirichlet_1d(math.inf, 5)
     with pytest.raises(ValueError):
         dirichlet_simultaneous(0.1, 0.2, 0)
+    with pytest.raises(ValueError, match="finite"):
+        dirichlet_simultaneous(math.inf, 0.2, 3)
+    with pytest.raises(ValueError, match="H must be"):
+        approx_direction(Direction.irrational(1.0, math.sqrt(2), math.sqrt(3)), 0)
 
 
 def test_approx_direction_irrational_example():

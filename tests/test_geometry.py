@@ -69,6 +69,8 @@ def test_cap_constructor_rejects_out_of_range():
         cap_from(1.0)
     with pytest.raises(ValueError):
         cap_from(1.0, h=0.1, s=0.2)
+    with pytest.raises(ValueError, match="3-vector"):
+        cap_from(2.0, h=1.0, direction=(1.0, 0.0))
 
 
 def test_cap_beyond_hemisphere_keeps_identities():
@@ -120,6 +122,8 @@ def test_segment_theta_from_height_difference():
 def test_segment_straddle_rejected():
     with pytest.raises(ValueError, match="split"):
         segment_from(1.0, (0, 0, 1), h=0.8, offset=0.4)
+    with pytest.raises(ValueError, match="below the sphere"):
+        segment_from(2.0, (0, 0, 1), h=1.0, offset=-1.5)
 
 
 def inside(shell, region):
@@ -388,6 +392,8 @@ def test_cone_region_pole_is_small_cap():
     assert isinstance(reg, CapSpec)
     assert reg.s <= 4 * 0.05 * 2.0  # cap radius within 4*c*R
     assert reg.theta <= 8 * 0.05 * (1 + 0.05**2)
+    with pytest.raises(ValueError, match="c out of range"):
+        cone_region((0.0, 0.0, 2.0), (0.0, 0.0, 1.0), 1.0)
 
 
 def test_cone_region_limit_theta_to_zero():

@@ -291,6 +291,71 @@ def test_split_double_root_is_flagged(monkeypatch):
         assert report.near_tangency_trials == 2
 
 
+def test_split_flag_spares_two_simple_roots():
+    # roots 0.495 (base point 8 of 17) and 0.505: the base-grid product gives
+    # |f| = 1.8e-16 at 0.495, below near_tol, and both cells beside it change
+    # sign, but w |f'| = 0.030 there fixes the signs of f a refinement step
+    # away, so no rounding of f(0.495) can change the count
+    sample = WaveSample.from_coefficients(enumerate_shell(1), {
+        (1, 0, 0): 3.0, (0, 1, 0): -3.0 * math.cos(TWO_PI * 0.495)})
+    line = LineSegment(E1, 0.99)
+    assert nodal._base_grid(sample.shell, line).t[8] == 0.495
+    result = count_zeros(sample, line)
+    assert np.allclose(result.roots, [0.495, 0.505], rtol=0, atol=1e-9)
+    assert not result.flags.near_tangency
+
+
+@pytest.mark.parametrize("gap,count", [(1e-12, 1), (3e-12, 2)])
+def test_roots_within_twice_the_bisection_tolerance_merge(gap, count):
+    # two width-0 brackets, as exact grid zeros give: one root when they lie
+    # within 2 * BISECT_TOL of each other, two beyond it
+    def no_evaluation(row, t):
+        raise AssertionError("a width-0 bracket needs no evaluation of f")
+
+    at = np.array([0.25, 0.25 + gap])
+    scan = nodal._Scan(row=np.zeros(2, dtype=int), lo=at, hi=at, f_lo=np.zeros(2),
+                       tangency=np.zeros(1, dtype=bool), depth_hit=np.zeros(1, dtype=bool),
+                       near_tol=np.array([1e-10]), m2=np.array([1.0]), f_at=no_evaluation)
+    assert nodal._counts(scan).tolist() == [count]
+    roots = nodal._bisect(scan.f_at, scan.row, scan.lo, scan.hi, scan.f_lo)
+    assert nodal._merge_roots(roots).size == count
+
+
+def exact_root_count(sample, line):
+    """Zeros of f on [0, L] for a rational direction a, from the roots of a
+    polynomial, without the package's frequencies, keys or zero counter.
+
+    With z = e^{2 pi i t / |a|}, f = z^-K P(z) / sqrt(N), where P's
+    coefficient of z^(k + K) is C_k, the sum of a_mu over the whole shell
+    with <mu, a> = k, and K = max |k|.  Counts the roots of P within 1e-6 of
+    the unit circle whose argument lies in [0, 2 pi L / |a|]; L < |a|, so
+    that the arc does not wrap.
+    """
+    a = np.array(line.direction.ints)
+    norm = math.sqrt(a @ a)
+    assert line.length < norm
+    k = sample.shell.coords @ a
+    big_k = int(np.abs(k).max())
+    coeffs = np.zeros(2 * big_k + 1, dtype=np.complex128)
+    np.add.at(coeffs, k + big_k, sample.coefficients)
+    z = np.roots(coeffs[::-1])  # highest power first
+    on_arc = np.mod(np.angle(z), TWO_PI) <= TWO_PI * line.length / norm
+    return int(np.count_nonzero((np.abs(np.abs(z) - 1.0) < 1e-6) & on_arc))
+
+
+@pytest.mark.parametrize("m,spec", [
+    (5, "rat:1,0,0"), (101, "rat:1,0,0"), (1009, "rat:1,0,0"), (5, "rat:1,1,1"),
+    (101, "rat:1,1,1"), (5, "rat:1,2,3"), (101, "rat:1,2,3")])
+def test_count_zeros_matches_exact_polynomial_roots(m, spec):
+    # rat:1,2,3 stays at m <= 101: at m = 1009 P has degree 236, and the
+    # oracle takes about 28 s for 200 samples on one core
+    shell = enumerate_shell(m)
+    line = LineSegment(parse_direction(spec), 0.37)
+    for stream in np.random.SeedSequence(7).spawn(200):
+        sample = sample_wave(shell, np.random.default_rng(stream))
+        assert count_zeros(sample, line).count == exact_root_count(sample, line)
+
+
 def zero_runs_per_segment(t, fv, seg):
     """The run rule of nodal._zero_runs, one segment and one point at a time."""
     roots, root_seg, touch_seg = [], [], []
