@@ -112,7 +112,7 @@ import numpy as np
 from .diophantine import Direction, Rationality
 from .geometry import kappa
 from .lattice import ProjectedShell, Shell, _antipodal_half
-from .randomwave import LineSegment, _frequency_classes, _half_keys
+from .randomwave import LineSegment, _frequency_classes, _half_keys, check_length
 
 __all__ = [
     "PairSums",
@@ -140,13 +140,11 @@ TILE_ENTRIES = 1 << 16
 def integral_sq(beta, length: float):
     """Squared modulus of the segment integral of e^{2 pi i t beta}.
 
-    Vectorized over beta, which must be finite; length must be positive with
-    a finite square, as a LineSegment's.  The value is continuous at beta = 0
-    where it equals length^2.
+    Vectorized over beta, which must be finite; length must pass
+    randomwave.check_length, as a LineSegment's.  The value is continuous at
+    beta = 0 where it equals length^2.
     """
-    length = float(length)
-    if not (math.isfinite(length * length) and length > 0):
-        raise ValueError(f"length must be positive with a finite square, got {length}")
+    length = check_length(length)
     b = np.asarray(beta, dtype=np.float64)
     scalar = b.ndim == 0
     b = np.atleast_1d(b)
@@ -778,18 +776,20 @@ _SPLIT_THEOREMS = {
 }
 
 
-def check_mode(mode: BoundMode, direction: Direction) -> None:
-    """Raise ValueError unless mode's theorem covers the direction's class.
+def bound_mode(direction: Direction, mode: BoundMode | str | None = None) -> BoundMode:
+    """The bound mode named by mode, a BoundMode or its value; with no mode,
+    the direction's own.
 
     The rational, irrational and half-rational modes share their value with
     the Rationality they need; the conditional mode takes any direction.
+    Raises ValueError unless the mode's theorem covers the direction's class.
     """
-    if mode is not BoundMode.CONDITIONAL and mode.value != direction.rationality.value:
+    own = direction.rationality.value
+    mode = BoundMode(own if mode is None else mode)
+    if mode is not BoundMode.CONDITIONAL and mode.value != own:
         article = "an" if mode.value[0] in "aeiou" else "a"
-        raise ValueError(
-            f"mode {mode.value} needs {article} {mode.value} direction, "
-            f"got {direction.rationality.value}"
-        )
+        raise ValueError(f"mode {mode.value} needs {article} {mode.value} direction, got {own}")
+    return mode
 
 
 def check_rho(mode: BoundMode, rho: float | None) -> None:
@@ -864,7 +864,7 @@ def variance_bound(
     L^2 * s_small, and "rho" for an overflowing tail.
     """
     direction = line.direction
-    check_mode(mode, direction)
+    mode = bound_mode(direction, mode)
     check_rho(mode, rho)
     theorem = _SPLIT_THEOREMS.get(mode)
     rho_used = rho if rho is not None else _default_rho(mode, shell.m)

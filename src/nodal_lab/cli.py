@@ -30,7 +30,7 @@ import numpy as np
 from .arithmetic import (
     BoundMode,
     BoundOverflowError,
-    check_mode,
+    bound_mode,
     check_rho,
     integral_sq,
     pair_sums,
@@ -53,6 +53,7 @@ from .nodal import count_zeros, monte_carlo
 from .randomwave import (
     LineSegment,
     WaveSample,
+    check_length,
     evaluate_f,
     sample_wave,
     second_moment_ratio,
@@ -135,10 +136,10 @@ class ExperimentConfig:
             if m >= SHELL_M_LIMIT:
                 raise UsageError(
                     "--m", f"shells are enumerated only for m < {SHELL_M_LIMIT}, got {m}")
-        if not (math.isfinite(self.length * self.length) and self.length > 0):
-            raise UsageError(
-                "--len", f"segment length must be positive with a finite square, "
-                f"got {self.length}")
+        try:
+            check_length(self.length)
+        except ValueError as exc:
+            raise UsageError("--len", str(exc)) from None
         if self.seed < 0:
             raise UsageError("--seed", f"seed must be a nonnegative integer, got {self.seed}")
         if self.command == "simulate" and self.trials < 2:
@@ -154,13 +155,14 @@ class ExperimentConfig:
         if self.command in ("wave", "simulate", "bounds"):
             direction = parse_direction(self.direction)
             if self.command == "bounds":
-                mode = _bound_mode(self, direction)
-                for flag, check, value in (("--mode", check_mode, direction),
-                                           ("--rho", check_rho, self.rho)):
-                    try:
-                        check(mode, value)
-                    except ValueError as exc:
-                        raise UsageError(flag, str(exc)) from None
+                try:
+                    mode = bound_mode(direction, self.mode)
+                except ValueError as exc:
+                    raise UsageError("--mode", str(exc)) from None
+                try:
+                    check_rho(mode, self.rho)
+                except ValueError as exc:
+                    raise UsageError("--rho", str(exc)) from None
 
 
 def parse_direction(spec: str) -> Direction:
@@ -228,11 +230,6 @@ def _run_shell(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _bound_mode(config: ExperimentConfig, direction: Direction) -> BoundMode:
-    """The bound mode --mode names, or else the direction's own."""
-    return BoundMode(config.mode or direction.rationality.value)
-
-
 def _wave_columns(config: ExperimentConfig, line: LineSegment, m: int, shell: Shell) -> dict:
     row_seed = _row_seed(config.seed, m)
     sample = sample_wave(shell, np.random.default_rng(np.random.SeedSequence(row_seed)))
@@ -263,7 +260,7 @@ def _simulate_columns(config: ExperimentConfig, line: LineSegment, m: int, shell
 
 
 def _bounds_columns(config: ExperimentConfig, line: LineSegment, m: int, shell: Shell) -> dict:
-    report = variance_bound(shell, line, _bound_mode(config, line.direction), rho=config.rho)
+    report = variance_bound(shell, line, bound_mode(line.direction, config.mode), rho=config.rho)
     return {
         "mode": report.mode.value,
         "rho": report.rho,
@@ -317,14 +314,8 @@ def _verify_checks(config: ExperimentConfig):
     bad = [m for m in range(1, 61) if not scale_check(m)]
     yield "shell_scaling", not bad, f"E(4m)=2E(m) checked for m<=60; failures: {bad}"
 
-    wrong = []
-    for m in range(1, 501):
-        reduced = m
-        while reduced % 4 == 0:
-            reduced //= 4
-        empty = reduced % 8 == 7
-        if (enumerate_shell(m).n == 0) != empty:
-            wrong.append(m)
+    wrong = [m for m in range(1, 501)
+             if (enumerate_shell(m).n == 0) == classify_m(m).representable]
     yield "empty_shells", not wrong, f"r3(m)=0 exactly on 4^l(8k+7), m<=500; failures: {wrong}"
 
     shell1 = enumerate_shell(1)

@@ -36,8 +36,10 @@ depth level at a time: the two restriction products give every sample's
 base-grid values of f and f', and the masks of ``_level`` run over all
 segments of the block at once.  Off the base grid f has one evaluator,
 ``f_at``, which ``_scan`` builds for its block: f of any block row at any
-point, with no loop over samples.  Each refinement level evaluates its
-sub-grid points with it.
+point, with no loop over samples.  It too goes through ``_restrict``: one
+product of the points' phase table against every sample of the block, of
+which each point keeps its own sample's column.  Each refinement level
+evaluates its sub-grid points with it, and ``_bisect`` its midpoints.
 ``_scan`` returns the brackets of every level, the flags and ``f_at``.  A
 bracket is a sign-change cell, or the width-0 bracket [r, r] of a run of
 exact grid zeros that counts as a root, r being the run's midpoint, with
@@ -52,8 +54,10 @@ bisected, in one call per block.
 Monte-Carlo trials draw independent substreams from one seed sequence and
 are scanned BLOCK_TRIALS at a time.  The per trial results are integers and
 the reduction is exact integer arithmetic, so reports are reproducible bit
-for bit.  The block size can move only the last bit of the base-grid
-product, which changes no count in the test matrix.
+for bit.  The block size can move only the last bits of the restriction
+products, those of refinement and bisection included, which changes no
+count in the test matrices; a sample with an exact or near-exact zero at a
+grid point can still count differently in another block.
 """
 
 import math
@@ -443,9 +447,8 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
         raise ValueError("f overflows: the pair amplitudes are too large to scan")
 
     def f_at(row, t):
-        # scale * sum (cos(2 pi b t) Re a - sin(2 pi b t) Im a), a of row[i] at t[i]
-        cos, sin = _phases(t, grid.b)
-        return scale * (np.einsum("ij,ij->i", cos, re[row]) - np.einsum("ij,ij->i", sin, im[row]))
+        # one restriction product over the block; point i takes its sample's column
+        return _restrict(*_phases(t, grid.b), re, im, scale)[np.arange(t.size), row]
 
     n = grid.t.size
     t = np.tile(grid.t, k)

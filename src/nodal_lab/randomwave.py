@@ -16,10 +16,9 @@ computed only by ``half_frequencies``, one per pair; ``line_frequencies``
 mirrors them onto the whole shell.  One phase table, ``_phases``, gives cos
 and sin of 2 pi b t, and one restriction formula, ``_restrict``, sums
 f = (2/sqrt(N)) * sum (cos Re a - sin Im a) over the pairs.  The zero
-counter's base grid uses both; off the grid its evaluator applies its own
-per-point sum to the same phase table.  f' needs no formula of its own:
-differentiating each term multiplies a by 2 pi i b, so f' is f of the pair
-amplitudes 2 pi i b a, whose parts are (-2 pi b Im a, 2 pi b Re a)
+counter uses both, on its base grid and off it.  f' needs no formula of its
+own: differentiating each term multiplies a by 2 pi i b, so f' is f of the
+pair amplitudes 2 pi i b a, whose parts are (-2 pi b Im a, 2 pi b Re a)
 (``_slope_parts``).
 
 The pair keys of arithmetic's sums live here too, beside the frequencies.
@@ -54,19 +53,30 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
+def check_length(length) -> float:
+    """length as a float, if it is a segment length: positive, with a square
+    that is finite and normal, so L lies between about 1.5e-154 and 1.3e154.
+    A subnormal L^2 would carry fewer digits than the reports print, and an
+    L^2 of 0 would give zero pair sums.  Raises ValueError otherwise."""
+    value = float(length)
+    if not (math.isfinite(value * value) and value > 0):
+        raise ValueError(f"segment length must be positive with a finite square, got {length}")
+    if value * value < np.finfo(float).tiny:
+        raise ValueError(f"segment length must have a normal square, L^2 >= "
+                         f"{np.finfo(float).tiny}, got {length}")
+    return value
+
+
 @dataclass(frozen=True)
 class LineSegment:
-    """Straight segment gamma(t) = t*alpha for t in [0, length]."""
+    """Straight segment gamma(t) = t*alpha for t in [0, length]; check_length
+    holds the rule for length."""
 
     direction: Direction
     length: float
 
     def __post_init__(self):
-        length = float(self.length)
-        if not (math.isfinite(length * length) and length > 0):
-            raise ValueError(
-                f"segment length must be positive with a finite square, got {self.length}")
-        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "length", check_length(self.length))
 
     def point(self, t):
         """Map parameter values to points t*alpha (vectorized over t)."""

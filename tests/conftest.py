@@ -2,9 +2,15 @@
 runs every hypothesis test from a fixed seed so that the suite stays
 deterministic."""
 
+import os
 import sys
 
 from hypothesis import settings
+
+# no __pycache__ in src/, from this process or the ones a test starts: a
+# checkout holding bytecode starts faster than a fresh one
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None,
                           max_examples=60)

@@ -23,6 +23,7 @@ from nodal_lab import cli, nodal
 from nodal_lab.arithmetic import (
     BoundMode,
     _default_rho,
+    bound_mode,
     integral_sq,
     pair_sums,
     q_sum,
@@ -342,7 +343,7 @@ def test_criterion_4_exact_inequalities():
         shell = enumerate_shell(m)
         for label in ("irr:std", "halfrat:1,1,sqrt2"):
             direction = parse_direction(label)
-            rho = _default_rho(BoundMode(direction.rationality.value), m)
+            rho = _default_rho(bound_mode(direction), m)
             small = pair_sums(shell, direction, rho, "relative").s_small
             covered = sum(count_in(shell, cone_region(b, direction.components, rho))
                           for b in shell.coords)
@@ -446,8 +447,7 @@ def test_criterion_8_variance_decay_and_bounds(variance_matrix):
         p_values[direction_spec] = negative_trend_p(normalized)
 
         direction = parse_direction(direction_spec)
-        mode = (BoundMode.RATIONAL if direction_spec.startswith("rat")
-                else BoundMode.IRRATIONAL)
+        mode = bound_mode(direction)
         line = LineSegment(direction, 1.0)
         for row in rows:
             m = int(row["m"])

@@ -14,6 +14,7 @@ from nodal_lab import arithmetic, randomwave
 from nodal_lab.arithmetic import (
     BoundMode,
     BoundOverflowError,
+    bound_mode,
     check_rho,
     integral_sq,
     pair_sums,
@@ -377,6 +378,26 @@ class TestVarianceBound:
         with pytest.raises(ValueError, match="irrational"):
             variance_bound(shell, LineSegment(HALF, 1.0), BoundMode.IRRATIONAL)
 
+    @pytest.mark.parametrize("direction,own", [(AXIS, BoundMode.RATIONAL),
+                                               (IRR, BoundMode.IRRATIONAL),
+                                               (HALF, BoundMode.HALF_RATIONAL)])
+    @pytest.mark.parametrize("by_value", [False, True])
+    def test_bound_mode_maps_each_class(self, direction, own, by_value):
+        assert bound_mode(direction) is own
+        # callers that pass BoundMode(direction.rationality.value) get the same mode
+        assert bound_mode(direction) is BoundMode(direction.rationality.value)
+        article = {BoundMode.RATIONAL: "a", BoundMode.IRRATIONAL: "an",
+                   BoundMode.HALF_RATIONAL: "a"}
+        for mode in BoundMode:
+            given = mode.value if by_value else mode
+            if mode in (own, BoundMode.CONDITIONAL):
+                assert bound_mode(direction, given) is mode
+                continue
+            with pytest.raises(ValueError) as info:
+                bound_mode(direction, given)
+            assert str(info.value) == (f"mode {mode.value} needs {article[mode]} {mode.value} "
+                                       f"direction, got {own.value}")
+
     def test_custom_rho_and_extras_pass_through(self):
         shell = enumerate_shell(5)
         report = variance_bound(shell, LineSegment(IRR, 1.0), BoundMode.IRRATIONAL,
@@ -600,7 +621,7 @@ ORACLE_DIRECTIONS = [parse_direction(spec) for spec in TILE_DIRECTIONS] + [NEAR_
 
 
 def modes_for(direction):
-    return [BoundMode(direction.rationality.value), BoundMode.CONDITIONAL]
+    return [bound_mode(direction), BoundMode.CONDITIONAL]
 
 
 def assert_pair_sums_match(got, want):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from nodal_lab import cli, nodal
+from nodal_lab.arithmetic import integral_sq
 from nodal_lab.cli import (
     ExperimentConfig,
     UsageError,
@@ -24,8 +25,9 @@ from nodal_lab.cli import (
     parse_report,
     run,
 )
-from nodal_lab.diophantine import Rationality
+from nodal_lab.diophantine import Direction, Rationality
 from nodal_lab.lattice import SHELL_M_LIMIT, enumerate_shell
+from nodal_lab.randomwave import LineSegment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,6 +70,26 @@ class TestConfig:
         with pytest.raises(UsageError) as info:
             config.validate()
         assert info.value.field == field
+
+    # 1e-155 and 1e-300 have squares below the smallest normal float, 0 for 1e-300
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, 1e155, 1e-155, 1e-300])
+    def test_length_rule_has_one_message(self, capsys, length):
+        with pytest.raises(ValueError) as segment:
+            LineSegment(Direction.rational(1, 0, 0), length)
+        with pytest.raises(ValueError) as integral:
+            integral_sq(0.3, length)
+        assert str(integral.value) == str(segment.value)
+        for command in ("bounds", "simulate", "wave"):
+            assert main([command, "--m", "5", "--dir", "irr:std", "--len", repr(length)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"usage error: --len: {segment.value}\n"
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("length", [1.5e-154, 1.3e154])
+    def test_length_rule_accepts_normal_finite_squares(self, length):
+        assert LineSegment(Direction.rational(1, 0, 0), length).length == length
+        assert integral_sq(0.0, length) == length * length
+        make_config(command="bounds", length=length).validate()
 
 
 class TestDirectionSpecs:
