@@ -67,13 +67,14 @@ count twice, for the mirror pairs no tile holds; counts stay exact
 integers.  The sums add the dense table's summands in another order and
 match a dense evaluation to rounding.
 
-Each family of sums has one buffered tile builder: _integral_sq_tiles for
-q_sum and r2_terms, _class_sweep for a rational direction's class sums,
-_point_sweep for the split sums over points of every direction class, and
-the distance tile of riesz_energy.  A builder allocates its buffers once,
-sized by the first and largest tile, and fills every tile in views of them
-with out= ufuncs, so a sum faults its pages in once instead of on every
-tile.  _integral_sq_tiles and both sweeps take each difference x_i -+ x_j
+Each family of sums has one tile builder: _integral_sq_tiles for q_sum and
+r2_terms, _class_sweep for a rational direction's class sums, _point_sweep
+for the split sums over points of every direction class, and the distance
+tile of riesz_energy.  The tile loop owns the memory: it allocates one flat
+buffer per dtype a builder names, sized by the first and largest tile, and
+hands each tile views of them, which the builder fills with out= ufuncs, so
+a sum faults its pages in once instead of on every tile.
+_integral_sq_tiles and both sweeps take each difference x_i -+ x_j
 from a two-column product that rounds it as the subtraction does
 (_pair_differences).  The point sweep's classes differ only in the pair key
 (|beta|, or the integer |k| for a rational direction), the zero mask and the
@@ -174,20 +175,32 @@ class BoundOverflowError(ValueError):
         self.parameter = parameter
 
 
-def _over_half_shell(m: int, half: int, tile_sums):
+def _over_half_shell(m: int, half: int, dtypes, tile_sums):
     """Sums over all ordered pairs of the shell E(m) from row tiles of its half.
 
     The half rows are the points of the half shell H or, for a rational
-    direction, its frequency classes.  tile_sums(lo, hi), a sequence of
-    folded sums, runs the rows [lo, hi), TILE_ENTRIES // (2 half) at a time,
-    against the signed columns +-H[lo:].  Each antipodal class
+    direction, its frequency classes.  tile_sums(lo, hi, *views), a sequence
+    of folded sums, runs the rows [lo, hi), TILE_ENTRIES // (2 half) at a
+    time, against the signed columns +-H[lo:].  Each antipodal class
     {(mu, mu'), (-mu, -mu')} is evaluated once, so every total is twice what
     the tiles add up to.  A total past the float64 range raises
     BoundOverflowError("length"): only integral_sq terms (<= L^2) get there.
+
+    The tile memory is allocated here, once per call: one flat buffer per
+    entry of dtypes, sized by the first and largest tile.  Each tile gets
+    views of them of its shape (2, hi - lo, half - lo), which overwrite the
+    previous tile's: fresh tile-sized temporaries would have their pages
+    faulted in again on every tile.
     """
     rows = max(1, TILE_ENTRIES // (2 * half))
+    flat = [np.empty(2 * min(rows, half) * half, dtype) for dtype in dtypes]
+
+    def tile(lo, hi):
+        shape = (2, hi - lo, half - lo)
+        return tile_sums(lo, hi, *(buf[:math.prod(shape)].reshape(shape) for buf in flat))
+
     with np.errstate(over="ignore"):
-        parts = [tile_sums(lo, min(lo + rows, half)) for lo in range(0, half, rows)]
+        parts = [tile(lo, min(lo + rows, half)) for lo in range(0, half, rows)]
         totals = tuple(2 * sum(column) for column in zip(*parts))
     if not all(np.isfinite(total) for total in totals):
         raise BoundOverflowError("length", f"a pair sum at m={m} overflows for this length")
@@ -201,12 +214,10 @@ def _fold(reduce, width: int, *tables):
     over the columns from lo on of either signed half-shell block.  The
     first width columns are the diagonal block and count once; the columns
     from hi on count twice, for the mirror pairs below the diagonal that no
-    tile holds.
+    tile holds.  On the last tile they are empty, and every reducer gives 0.
     """
-    total = reduce(*(t[..., :width] for t in tables))
-    if tables[0].shape[-1] > width:
-        total += 2 * reduce(*(t[..., width:] for t in tables))
-    return total
+    return (reduce(*(t[..., :width] for t in tables))
+            + 2 * reduce(*(t[..., width:] for t in tables)))
 
 
 def _masked_inv_sum(values, keep):
@@ -236,39 +247,13 @@ def _pair_weights(weights, parity: int = 1):
     The signed column stack is built once, and each tile slices it."""
     if weights is None:
         return lambda lo, hi, table: _fold(np.sum, hi - lo, table)
-    cols = _signed(weights, parity)
+    cols = np.stack((weights, parity * weights))
 
     def fold(lo, hi, table):
         rows = weights[lo:hi]
         return _fold(lambda t, c: np.vdot(rows @ t, c), hi - lo, table, cols[:, lo:])
 
     return fold
-
-
-def _tile_buffers(*dtypes):
-    """views(shape) gives one array of that shape per dtype, carved from flat
-    buffers that every tile reuses.
-
-    The buffers are allocated by the first call, whose tile is the largest,
-    and each call overwrites what the one before it returned: fresh
-    tile-sized temporaries would have their pages faulted in again on every
-    tile.
-    """
-    flat = []
-
-    def views(shape):
-        size = math.prod(shape)
-        if not flat or flat[0].size < size:
-            flat[:] = [np.empty(size, dtype) for dtype in dtypes]
-        return [buf[:size].reshape(shape) for buf in flat]
-
-    return views
-
-
-def _signed(cols: np.ndarray, parity: int = -1) -> np.ndarray:
-    """A column quantity of H[lo:] stacked with its value on -H[lo:]: negated
-    for an odd quantity (parity -1), repeated for an even one (parity 1)."""
-    return np.stack((cols, parity * cols))
 
 
 def _pair_differences(x: np.ndarray):
@@ -348,12 +333,16 @@ def _frequency_rows(shell: Shell, direction: Direction):
     return keys / math.sqrt(norm_sq), counts
 
 
+# dtypes of the views beta, eye, den and near that _integral_sq_tiles' tile fills
+_INTEGRAL_SQ_DTYPES = (np.float64, np.float64, np.float64, bool)
+
+
 def _integral_sq_tiles(b: np.ndarray, length: float):
-    """Tile builder over the row frequencies b: tile(lo, hi) gives integral_sq
-    over the signed tile of pair frequencies beta = b_i -+ b_j, shape
-    (2, rows, cols), with no sine per pair, in a buffer the next call
-    overwrites; then the flat indices of the entries with |pi L beta| < 1
-    and their beta.
+    """Tile builder over the row frequencies b: tile(lo, hi, *views), given
+    _over_half_shell's views of _INTEGRAL_SQ_DTYPES, gives integral_sq over
+    the signed tile of pair frequencies beta = b_i -+ b_j, with no sine per
+    pair, in the view eye; then the flat indices of the entries with
+    |pi L beta| < 1 and their beta.
 
     With x = pi L b, s = sin(x) and c = cos(x) are taken once per row, and
     sin(x_i -+ x_j) = s_i c_j -+ c_i s_j is one (rows x 2) @ (2 x cols)
@@ -371,10 +360,8 @@ def _integral_sq_tiles(b: np.ndarray, length: float):
     cols_cs = np.stack((np.stack((c, -s)), np.stack((c, s))))
     near_beta = 1.0 / (math.pi * length)
     differences = _pair_differences(b)
-    views = _tile_buffers(np.float64, np.float64, np.float64, bool)
 
-    def tile(lo, hi):
-        beta, eye, den, near = views((2, hi - lo, len(b) - lo))
+    def tile(lo, hi, beta, eye, den, near):
         differences(lo, hi, out=beta)
         np.matmul(rows_sc[lo:hi], cols_cs[:, :, lo:], out=eye)
         np.multiply(PI_SQ, beta, out=den)
@@ -397,10 +384,10 @@ def q_sum(shell: Shell, line: LineSegment) -> float:
     eye_tile = _integral_sq_tiles(b, line.length)
     weighted = _pair_weights(h)
 
-    def tile(lo, hi):
-        return (weighted(lo, hi, eye_tile(lo, hi)[0]),)
+    def tile(lo, hi, *views):
+        return (weighted(lo, hi, eye_tile(lo, hi, *views)[0]),)
 
-    (total,) = _over_half_shell(shell.m, len(b), tile)
+    (total,) = _over_half_shell(shell.m, len(b), _INTEGRAL_SQ_DTYPES, tile)
     return float(total / (shell.n * shell.n))
 
 
@@ -428,6 +415,9 @@ def r2_terms(shell: Shell, line: LineSegment) -> SquaredCovarianceTerms:
 
     r1r1 sums w_i w_j (integral_sq - L^2): the L^2 part would add
     L^2 (sum w)^2 = 0 and, at small L, cancel most of the sum's digits.
+    So r1r1 is O(L^4), and it underflows where rr and r12r12, O(L^2), keep
+    full precision: it goes subnormal below L of about 1e-77 and is 0.0 at
+    L = 1e-100, though check_length accepts L down to about 1.5e-154.
     """
     b, h = _frequency_rows(shell, line.direction)
     eye_tile = _integral_sq_tiles(b, line.length)
@@ -439,15 +429,15 @@ def r2_terms(shell: Shell, line: LineSegment) -> SquaredCovarianceTerms:
     weighted_r1r1 = _pair_weights(w if h is None else h * w, -1)
     weighted_r12r12 = _pair_weights(w_sq if h is None else h * w_sq)
 
-    def tile(lo, hi):
-        eye, near_at, near_b = eye_tile(lo, hi)
+    def tile(lo, hi, *views):
+        eye, near_at, near_b = eye_tile(lo, hi, *views)
         rr = weighted_rr(lo, hi, eye)
         r12r12 = weighted_r12r12(lo, hi, eye)
         eye -= length_sq
         np.put(eye, near_at, -_integral_sq_deficit(math.pi * length * near_b, length_sq))
         return rr, weighted_r1r1(lo, hi, eye), r12r12
 
-    rr, r1r1, r12r12 = _over_half_shell(shell.m, len(b), tile)
+    rr, r1r1, r12r12 = _over_half_shell(shell.m, len(b), _INTEGRAL_SQ_DTYPES, tile)
     n_sq = shell.n * shell.n
     return SquaredCovarianceTerms(rr=float(rr) / n_sq, r1r1=float(r1r1) / n_sq,
                                   r12r12=float(r12r12) / n_sq)
@@ -554,10 +544,8 @@ def _class_sweep(shell: Shell, direction: Direction, rhos):
     numerator = float(norm_sq)
     differences = _pair_differences(keys)
     weighted = _pair_weights(counts)
-    views = _tile_buffers(np.float64, bool, np.float64, np.float64)
 
-    def tile(lo, hi):
-        key, mask, inv_key_sq, tail_inv = views((2, hi - lo, len(keys) - lo))
+    def tile(lo, hi, key, mask, inv_key_sq, tail_inv):
         np.abs(differences(lo, hi, out=key), out=key)
         zero = np.equal(key, 0.0, out=mask)
         sums = [weighted(lo, hi, zero)]
@@ -571,7 +559,8 @@ def _class_sweep(shell: Shell, direction: Direction, rhos):
             sums.append(weighted(lo, hi, np.multiply(inv_key_sq, tail, out=tail_inv)))
         return sums
 
-    return _over_half_shell(shell.m, len(keys), tile)
+    return _over_half_shell(shell.m, len(keys), (np.float64, bool, np.float64, np.float64),
+                            tile)
 
 
 # A half-rational zero pair's float key |beta| is below 8.1 * 2^-53 sqrt(m)
@@ -669,10 +658,8 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
     reads_dist = any(mode == "relative" or dist for _, mode, _, dist in splits)
     if reads_dist:
         distances = _signed_dist_sq(half.astype(np.float64), 2.0 * shell.m)
-    views = _tile_buffers(np.float64, np.float64, bool, bool)
 
-    def tile(lo, hi):
-        key, dist_sq, zero, small = views((2, hi - lo, len(half) - lo))
+    def tile(lo, hi, key, dist_sq, zero, small):
         np.abs(differences(lo, hi, out=key), out=key)
         if reads_dist:
             distances(lo, hi, out=dist_sq)
@@ -696,7 +683,7 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
                 sums.append(_fold(_masked_inv_sum, width, dist_sq, tail))
         return sums
 
-    return _over_half_shell(shell.m, len(half), tile)
+    return _over_half_shell(shell.m, len(half), (np.float64, np.float64, bool, bool), tile)
 
 
 def _pair_sums(shell: Shell, direction: Direction, splits,
@@ -953,7 +940,6 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
         raise ValueError("unit points must have norm 1 (within 1e-12)")
     half = _antipodal_half(pts, projected.m)
     distances = _signed_dist_sq(half, 2.0)
-    views = _tile_buffers(np.float64)
 
     def energy_of(dists):
         np.sqrt(dists, out=dists)
@@ -962,8 +948,7 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
         dists **= -sigma
         return np.sum(dists)
 
-    def tile(lo, hi):
-        (dist_sq,) = views((2, hi - lo, len(half) - lo))
+    def tile(lo, hi, dist_sq):
         distances(lo, hi, out=dist_sq)
         np.clip(dist_sq, 0.0, None, out=dist_sq)
         # only the diagonal block holds pairs to drop: each point's own pair
@@ -971,11 +956,10 @@ def riesz_energy(projected: ProjectedShell, sigma: float) -> RieszResult:
         width = hi - lo
         off = np.ones((2, width, width), dtype=bool)
         np.fill_diagonal(off[0], False)
-        total = energy_of(dist_sq[..., :width][off])
-        if dist_sq.shape[-1] > width:
-            # every entry is kept: the C-order copy is the compacted sequence
-            total += 2 * energy_of(np.ravel(dist_sq[..., width:]))
-        return (total,)
+        # right of it every entry is kept (none on the last tile): the C-order
+        # copy is the compacted sequence
+        return (energy_of(dist_sq[..., :width][off])
+                + 2 * energy_of(np.ravel(dist_sq[..., width:])),)
 
-    (energy,) = _over_half_shell(projected.m, len(half), tile)
+    (energy,) = _over_half_shell(projected.m, len(half), (np.float64,), tile)
     return RieszResult(sigma=sigma, energy=float(energy), n=n)

@@ -104,6 +104,15 @@ class UsageError(ValueError):
         self.field = field
 
 
+def _checked(flag: str, check, *args, **kwargs):
+    """check(*args, **kwargs), a library check of the value that flag gives;
+    its ValueError becomes a UsageError naming flag, with the same message."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(flag, str(exc)) from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One CLI invocation: command, inputs and output routing.  The field
@@ -136,10 +145,7 @@ class ExperimentConfig:
             if m >= SHELL_M_LIMIT:
                 raise UsageError(
                     "--m", f"shells are enumerated only for m < {SHELL_M_LIMIT}, got {m}")
-        try:
-            check_length(self.length)
-        except ValueError as exc:
-            raise UsageError("--len", str(exc)) from None
+        _checked("--len", check_length, self.length)
         if self.seed < 0:
             raise UsageError("--seed", f"seed must be a nonnegative integer, got {self.seed}")
         if self.command == "simulate" and self.trials < 2:
@@ -155,14 +161,8 @@ class ExperimentConfig:
         if self.command in ("wave", "simulate", "bounds"):
             direction = parse_direction(self.direction)
             if self.command == "bounds":
-                try:
-                    mode = bound_mode(direction, self.mode)
-                except ValueError as exc:
-                    raise UsageError("--mode", str(exc)) from None
-                try:
-                    check_rho(mode, self.rho)
-                except ValueError as exc:
-                    raise UsageError("--rho", str(exc)) from None
+                mode = _checked("--mode", bound_mode, direction, self.mode)
+                _checked("--rho", check_rho, mode, self.rho)
 
 
 def parse_direction(spec: str) -> Direction:
@@ -173,10 +173,7 @@ def parse_direction(spec: str) -> Direction:
             a, b, c = (int(tok) for tok in rest.split(","))
         except ValueError:
             raise UsageError("--dir", f"expected rat:a,b,c with integers, got {spec!r}") from None
-        try:
-            return Direction.rational(a, b, c)
-        except ValueError as exc:
-            raise UsageError("--dir", str(exc)) from None
+        return _checked("--dir", Direction.rational, a, b, c)
     if kind == "halfrat":
         tokens = rest.split(",")
         if len(tokens) != 3:
@@ -189,10 +186,7 @@ def parse_direction(spec: str) -> Direction:
         if zeta is None:
             raise UsageError(
                 "--dir", f"unknown slope {tokens[2]!r}; choose from {sorted(ZETA_CATALOG)}")
-        try:
-            return Direction.half_rational(u, v, zeta, label=spec)
-        except ValueError as exc:
-            raise UsageError("--dir", str(exc)) from None
+        return _checked("--dir", Direction.half_rational, u, v, zeta, label=spec)
     if kind == "irr":
         triple = IRRATIONAL_CATALOG.get(rest)
         if triple is None:

@@ -421,10 +421,16 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     holds p +- h, and give the same two roots.  Deeper levels have no f' and
     keep the flag.
 
-    Raises ValueError before any refinement if f * f, M2 or M4 overflows,
-    as amplitudes near the top of the float64 range make them: near_tol
-    would be inf, every grid point tiny, and the windows would grow eightfold
-    per level.
+    Raises ValueError before any refinement if f * f, M0, M2 or M4
+    overflows, as amplitudes near the top of the float64 range make them:
+    near_tol would be inf, every grid point tiny, and the windows would grow
+    eightfold per level.  A sample is degenerate, and raises
+    DegenerateSampleError, where max |f| on the grid is at most
+    DEGENERATE_TOL M0, M0 = scale sum |a| being the bound on |f|: a verdict
+    that scaling the amplitudes does not change, and that catches an f which
+    is exactly zero and computed as rounding noise of order eps M0.  Past
+    that, a mean f^2 below the smallest normal float64 raises ValueError:
+    the products f_i f_{i+1} of the sign tests would underflow to +-0.
     """
     k = len(samples)
     half = np.array([s.half_coefficients for s in samples])
@@ -432,19 +438,23 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     scale = 2.0 / math.sqrt(samples[0].shell.n)
     with np.errstate(over="ignore"):
         fv = np.ascontiguousarray(_restrict(grid.cos_phase, grid.sin_phase, re, im, scale).T)
-        near_tol = NEAR_ZERO_FACTOR * np.sqrt(np.mean(fv * fv, axis=1))
+        mean_sq = np.mean(fv * fv, axis=1)
+        near_tol = NEAR_ZERO_FACTOR * np.sqrt(mean_sq)
         omega = TWO_PI * grid.b
+        m0 = scale * np.sum(np.abs(half), axis=1)
         m2 = scale * np.sum(omega**2 * np.abs(half), axis=1)
         m4 = scale * np.sum(omega**4 * np.abs(half), axis=1)
         # f' on the base grid, one run per sample as fv below
         parts = _slope_parts(omega, re, im)
         slope = _restrict(grid.cos_phase, grid.sin_phase, *parts, scale).T.ravel()
-    dead = np.flatnonzero(np.all(np.abs(fv) < DEGENERATE_TOL, axis=1))
+    if not np.isfinite([near_tol, m0, m2, m4]).all():
+        raise ValueError("f overflows: the pair amplitudes are too large to scan")
+    dead = np.flatnonzero(np.max(np.abs(fv), axis=1) <= DEGENERATE_TOL * m0)
     if dead.size:
         raise DegenerateSampleError(
             "degenerate sample: f vanishes on the whole grid", row=int(dead[0]))
-    if not np.isfinite([near_tol, m2, m4]).all():
-        raise ValueError("f overflows: the pair amplitudes are too large to scan")
+    if np.any(mean_sq < np.finfo(np.float64).tiny):
+        raise ValueError("f underflows: the pair amplitudes are too small to scan")
 
     def f_at(row, t):
         # one restriction product over the block; point i takes its sample's column

@@ -232,6 +232,14 @@ class TestR2Terms:
         assert 16.0 * math.pi**4 * m * m * terms.r12r12 == pytest.approx(
             quad_r12, rel=1e-8)
 
+    @pytest.mark.parametrize("length", [1e-20, 1e-50])
+    def test_r1r1_keeps_its_digits_at_tiny_lengths(self, length):
+        # as L -> 0, integral_sq - L^2 -> -(pi L beta)^2 L^2 / 3, and with
+        # sum w = 0 and sum b^2 = N m / 3 over the shell, r1r1 / L^4 tends to
+        # 2 pi^2 m / 27 (3.6554 on E(5)); r1r1 goes subnormal below L ~ 1e-77
+        terms = r2_terms(enumerate_shell(5), LineSegment(IRR, length))
+        assert terms.r1r1 / length**4 == pytest.approx(2 * math.pi**2 * 5 / 27, rel=1e-12)
+
 
 class TestPairSums:
     def test_unit_shell_axis_split(self):
@@ -786,6 +794,28 @@ class TestTiledPairSums:
         assert riesz_energy(projected, 1.3).energy == pytest.approx(
             half_riesz_energy(projected.unit_points, 1.3), rel=1e-12)
 
+    def test_tiles_are_views_of_one_buffer_per_dtype(self):
+        # m = 10001: 960 half rows, 34 per tile, in 29 tiles; the first and
+        # largest tile spans each flat buffer whole
+        half = enumerate_shell(10001).n // 2
+        dtypes = (np.float64, bool)
+        tiles = []
+
+        def tile_sums(lo, hi, *views):
+            assert [(v.shape, v.dtype) for v in views] == [
+                ((2, hi - lo, half - lo), np.dtype(dtype)) for dtype in dtypes]
+            tiles.append(views)
+            return (hi - lo,)
+
+        assert arithmetic._over_half_shell(10001, half, dtypes, tile_sums) == (2 * half,)
+        assert len(tiles) == 29
+        bases = [view.base for view in tiles[0]]
+        for view, base in zip(tiles[0], bases):
+            assert base.ndim == 1 and view.size == base.size
+            assert view.ctypes.data == base.ctypes.data
+        for views in tiles:
+            assert all(view.base is base for view, base in zip(views, bases))
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e8, 2.0**51, 1e300])
     def test_pair_differences_are_the_subtraction_bit_for_bit(self, scale):
         # each entry of the (x_i, 1) @ (1, -+x_j) product is x_i -+ x_j
@@ -923,7 +953,9 @@ class TestPhaseTiles:
         # integral_sq's own values bit for bit
         shell = enumerate_shell(101)
         b = half_frequencies(shell, direction.components)
-        eye, _, _ = arithmetic._integral_sq_tiles(b, length)(0, shell.n // 2)
+        half = shell.n // 2
+        views = [np.empty((2, half, half), dtype) for dtype in arithmetic._INTEGRAL_SQ_DTYPES]
+        eye, _, _ = arithmetic._integral_sq_tiles(b, length)(0, half, *views)
         beta = half_pair_tables(shell, direction)[0]
         near = np.abs(math.pi * length * beta) < 1
         assert np.count_nonzero(near) >= shell.n // 2

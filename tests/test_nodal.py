@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers_stats import negative_trend_p
 from nodal_lab import nodal
@@ -141,6 +143,43 @@ def test_huge_amplitudes_are_rejected_before_refinement(monkeypatch):
     for power in (520, 1000):
         with pytest.raises(ValueError, match="overflow"):
             count_zeros(WaveSample(shell, sample.half_coefficients * 2.0**power), line)
+    # at 2^-520 the mean of f^2 is no normal float64, and the products
+    # f_i f_{i+1} of the sign tests would underflow to +-0
+    for power in (-520, -1000):
+        with pytest.raises(ValueError, match="underflow"):
+            count_zeros(WaveSample(shell, sample.half_coefficients * 2.0**power), line)
+
+
+@given(m=st.sampled_from([5, 101]), spec=st.sampled_from(["rat:1,0,0", "irr:std"]),
+       seed=st.integers(0, 2**32 - 1), power=st.integers(-508, 300))
+def test_count_is_unchanged_by_power_of_two_scaling(m, spec, seed, power):
+    # f -> 2^power f is exact, so no verdict may read the amplitudes' scale:
+    # an absolute degenerate threshold called f = 2^-45 g dead
+    shell = enumerate_shell(m)
+    line = LineSegment(parse_direction(spec), 1.0)
+    sample = sample_wave(shell, seed)
+    scaled = WaveSample(shell, sample.half_coefficients * 2.0**power)
+    plain, got = count_zeros(sample, line), count_zeros(scaled, line)
+    assert (got.count, got.flags) == (plain.count, plain.flags)
+
+
+def test_scale_free_degenerate_verdict():
+    # two points of E(5) with distinct frequencies along E1: two zeros at any scale
+    line = LineSegment(E1, 1.0)
+    for factor in (1.0, 2.0**-45):
+        sample = WaveSample.from_coefficients(
+            enumerate_shell(5), {(1, 0, 2): factor, (0, 1, 2): 0.3 * factor})
+        assert count_zeros(sample, line).count == 2
+    # (-3,1,1) and (-1,3,-1) share the key 2 along (1,2,3), and opposite
+    # amplitudes make f exactly zero; its computed values are rounding noise,
+    # which an absolute threshold let into refinement at |a| >= 1e3
+    shell = enumerate_shell(11)
+    line = LineSegment(parse_direction("rat:1,2,3"), 1.0)
+    for scale in (1.0, 1e3, 1e100):
+        a = scale * (0.6 + 0.8j)
+        sample = WaveSample.from_coefficients(shell, {(-3, 1, 1): a, (-1, 3, -1): -a})
+        with pytest.raises(DegenerateSampleError):
+            count_zeros(sample, line)
 
 
 def dense_scan_count(sample, line, factor=800.0):
