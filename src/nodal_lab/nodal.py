@@ -32,18 +32,21 @@ changes, a double root that rounding split in two, unless on the base grid
 f' there is large enough to fix the signs of f a refinement step away.
 
 The rule has one home, ``_scan``, which runs it over a block of samples one
-depth level at a time: the two restriction products give every sample's
-base-grid values of f and f', and the masks of ``_level`` run over all
-segments of the block at once.  Off the base grid f has one evaluator,
-``f_at``, which ``_scan`` builds for its block: f of any block row at any
-point, with no loop over samples.  It too goes through ``_restrict``: one
-product of the points' phase table against every sample of the block, of
-which each point keeps its own sample's column.  Each refinement level
-evaluates its sub-grid points with it, and ``_bisect`` its midpoints.
-``_scan`` returns the brackets of every level, the flags and ``f_at``.  A
-bracket is a sign-change cell, or the width-0 bracket [r, r] of a run of
-exact grid zeros that counts as a root, r being the run's midpoint, with
-f = 0 at its lower end; ``_bisect`` returns r for it as it is.
+depth level at a time.  The block comes in as its amplitudes, a k x N/2
+matrix with one row of pair amplitudes per sample, beside the base grid and
+its frequencies; ``_scan`` reads no sample object and no shell.  The two
+restriction products give every sample's base-grid values of f and f', and
+the masks of ``_level`` run over all segments of the block at once.  Off the
+base grid f has one evaluator, ``f_at``, which ``_scan`` builds for its
+block: f of any block row at any point, with no loop over samples.  It too
+goes through ``_restrict``: one product of the points' phase table against
+every sample of the block, of which each point keeps its own sample's
+column.  Each refinement level evaluates its sub-grid points with it, and
+``_bisect`` its midpoints.  ``_scan`` returns the brackets of every level,
+the flags and ``f_at``.  A bracket is a sign-change cell, or the width-0
+bracket [r, r] of a run of exact grid zeros that counts as a root, r being
+the run's midpoint, with f = 0 at its lower end; ``_bisect`` returns r for
+it as it is.
 ``count_zeros`` bisects all the brackets in one call to ``_bisect`` and
 returns the roots.  ``monte_carlo`` only counts them: each bracket holds one
 root, and two roots can merge only where brackets lie within 2 * BISECT_TOL
@@ -101,8 +104,9 @@ MAX_REFINE_DEPTH = 8
 # memory: at m = 1009 a block of 16 adds about 0.3 MB to a simulate process
 # and a block of 32 about 0.8 MB, for about 10% less time per trial.
 BLOCK_TRIALS = 16
-# Entries of each base-grid design matrix (points x N/2): cos and sin take at
-# most 512 MB.  m = 100001 at L = 1 needs 14.0M.
+# Entries of each design matrix (points x N/2), of the base grid or of a
+# refinement level: cos and sin take at most 512 MB.  m = 100001 at L = 1
+# needs 14.0M on the base grid.
 GRID_ENTRIES = 1 << 25
 
 
@@ -191,6 +195,16 @@ def _base_grid(shell: Shell, line: LineSegment) -> _BaseGrid:
     return _BaseGrid(t, *_phases(t, b), b)
 
 
+def _run_ends(breaks: np.ndarray, n: int):
+    """Masks of the first and of the last element of each run among n, where
+    breaks[i] says that elements i and i + 1 lie in different runs."""
+    first = np.ones(n, dtype=bool)
+    first[1:] = breaks
+    last = np.ones(n, dtype=bool)
+    last[:-1] = breaks
+    return first, last
+
+
 def _zero_runs(t: np.ndarray, fv: np.ndarray, seg: np.ndarray):
     """Runs of exact zeros over concatenated segments, as roots and touches.
 
@@ -204,10 +218,8 @@ def _zero_runs(t: np.ndarray, fv: np.ndarray, seg: np.ndarray):
     zero = np.flatnonzero(fv == 0.0)
     if zero.size == 0:  # the common case; skips a dozen numpy calls per level
         return t[zero], zero, zero
-    first = np.ones(zero.size, dtype=bool)  # zero points that start a run
-    first[1:] = (zero[1:] - zero[:-1] > 1) | (seg[zero[1:]] != seg[zero[:-1]])
-    last = np.ones(zero.size, dtype=bool)
-    last[:-1] = first[1:]
+    first, last = _run_ends((zero[1:] - zero[:-1] > 1) | (seg[zero[1:]] != seg[zero[:-1]]),
+                            zero.size)
     lo, hi = zero[first], zero[last]
     run_seg = seg[lo]
     left, right = lo - 1, np.minimum(hi + 1, fv.size - 1)
@@ -246,10 +258,7 @@ def _merge_windows(lo: np.ndarray, hi: np.ndarray):
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     reach = np.maximum.accumulate(hi)
-    opens = np.ones(lo.size, dtype=bool)
-    opens[1:] = lo[1:] > reach[:-1]
-    closes = np.ones(lo.size, dtype=bool)
-    closes[:-1] = opens[1:]
+    opens, closes = _run_ends(lo[1:] > reach[:-1], lo.size)
     return lo[opens], reach[closes]
 
 
@@ -341,10 +350,7 @@ def _level(t, fv, seg, near_tol, dip_tol, slope=None, remainder=None):
         risky = risky[_hermite_min(f0, f1, d0, d1) <= margin]
     suspects = np.flatnonzero(tiny & ~beside_change & ~beside_zero)
 
-    first = np.ones(n, dtype=bool)
-    first[1:] = ~inner
-    last = np.ones(n, dtype=bool)
-    last[:-1] = ~inner
+    first, last = _run_ends(~inner, n)
     lo = np.concatenate([risky, np.where(first[suspects], suspects, suspects - 1)])
     hi = np.concatenate([risky + 1, np.where(last[suspects], suspects, suspects + 1)])
     return np.flatnonzero(sign_change), *_merge_windows(lo, hi)
@@ -354,7 +360,8 @@ def _sub_grids(t, lo, hi):
     """Concatenated np.linspace(t[lo], t[hi], (hi - lo) * REFINE_RATIO + 1).
 
     Returns the points, the index of each sub-grid's first point and the
-    sub-grid sizes.
+    window [lo, hi] each point belongs to, as an index into lo: the segment
+    map of the next level.
     """
     num = (hi - lo) * REFINE_RATIO + 1
     starts = np.cumsum(num) - num
@@ -362,7 +369,7 @@ def _sub_grids(t, lo, hi):
     step = (t[hi] - t[lo]) / (num - 1)
     sub_t = (np.arange(owner.size) - starts[owner]) * step[owner] + t[lo][owner]
     sub_t[starts + num - 1] = t[hi]
-    return sub_t, starts, num
+    return sub_t, starts, owner
 
 
 @dataclass(frozen=True)
@@ -388,17 +395,21 @@ class _Scan:
     f_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
+def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     """Brackets and flags of every sample in a block, one level at a time.
 
-    Every sample's base-grid values of f come from one restriction product
-    over the grid's phase table, as in evaluate_f, and those of f' from one
-    more: f' is f of the pair amplitudes 2 pi i b a, as in evaluate_f_prime.
-    The base level applies the masks of _level with both exclusion tests,
-    curvature (M2) and Hermite (M4, f'); each refinement level concatenates
-    the windows of all samples into segments, evaluates f at their sub-grid
-    points with f_at and applies the masks of _level with the curvature test
-    alone.  Every level also adds the width-0 brackets of its runs of exact
+    The block comes in as its amplitudes: row i of ``half`` holds the N/2
+    pair amplitudes of sample i, one per frequency of ``grid.b``, so the
+    scan needs no shell and no sample object.  Every sample's base-grid
+    values of f come from one restriction product over the grid's phase
+    table, as in evaluate_f, and those of f' from one more: f' is f of the
+    pair amplitudes 2 pi i b a, as in evaluate_f_prime.  The base level
+    applies the masks of _level with both exclusion tests, curvature (M2)
+    and Hermite (M4, f'); each refinement level concatenates the windows of
+    all samples into segments, evaluates f at their sub-grid points with
+    f_at and applies the masks of _level with the curvature test alone.  The
+    segment map (seg, the segment of each point) of a level is the window
+    map _sub_grids returns for it.  Every level also adds the width-0 brackets of its runs of exact
     zeros, and raises the tangency flag for their touches and for a
     numerically zero point shared by two sign-change cells, a double root
     that rounding may have split in two.
@@ -431,19 +442,20 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     is exactly zero and computed as rounding noise of order eps M0.  Past
     that, a mean f^2 below the smallest normal float64 raises ValueError:
     the products f_i f_{i+1} of the sign tests would underflow to +-0.
+    A refinement level whose sub-grid would need more than GRID_ENTRIES
+    design entries raises BoundOverflowError("length") before it is built,
+    as an f that is exactly zero but computed as noise above that test can
+    make the windows grow eightfold per level on a long segment.
     """
-    k = len(samples)
-    half = np.array([s.half_coefficients for s in samples])
+    k = len(half)
     re, im = np.ascontiguousarray(half.real), np.ascontiguousarray(half.imag)
-    scale = 2.0 / math.sqrt(samples[0].shell.n)
+    scale = 2.0 / math.sqrt(2 * len(grid.b))  # 2 / sqrt(N)
     with np.errstate(over="ignore"):
         fv = np.ascontiguousarray(_restrict(grid.cos_phase, grid.sin_phase, re, im, scale).T)
         mean_sq = np.mean(fv * fv, axis=1)
         near_tol = NEAR_ZERO_FACTOR * np.sqrt(mean_sq)
         omega = TWO_PI * grid.b
-        m0 = scale * np.sum(np.abs(half), axis=1)
-        m2 = scale * np.sum(omega**2 * np.abs(half), axis=1)
-        m4 = scale * np.sum(omega**4 * np.abs(half), axis=1)
+        m0, m2, m4 = (scale * np.sum(omega**p * np.abs(half), axis=1) for p in (0, 2, 4))
         # f' on the base grid, one run per sample as fv below
         parts = _slope_parts(omega, re, im)
         slope = _restrict(grid.cos_phase, grid.sin_phase, *parts, scale).T.ravel()
@@ -464,14 +476,13 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
     t = np.tile(grid.t, k)
     fv = fv.ravel()
     starts = np.arange(k) * n  # first point of each segment
+    seg = np.repeat(np.arange(k), n)  # segment of each point
     owner = np.arange(k)  # block row of each segment
     tangency = np.zeros(k, dtype=bool)
     depth_hit = np.zeros(k, dtype=bool)
     found = []
     depth = 1
     while True:
-        ends = np.append(starts[1:], t.size)
-        seg = np.repeat(np.arange(starts.size), ends - starts)
         w = t[starts + 1] - t[starts]
         hermite = (slope, m4 * w**4 / 384.0) if depth == 1 else (None, None)
         tol = near_tol[owner]
@@ -497,8 +508,13 @@ def _scan(samples: list[WaveSample], grid: _BaseGrid) -> _Scan:
             depth_hit[owner] = True
             tangency[owner] = True
             break
-        t, starts, num = _sub_grids(t, win_lo, win_hi)
-        fv = f_at(np.repeat(owner, num), t)
+        points = int(np.sum(win_hi - win_lo)) * REFINE_RATIO + win_lo.size
+        if points * grid.b.size > GRID_ENTRIES:
+            raise BoundOverflowError(
+                "length", f"refinement level {depth} needs {points} points x {grid.b.size} "
+                f"frequencies, over {GRID_ENTRIES} entries, for length={grid.t[-1]}")
+        t, starts, seg = _sub_grids(t, win_lo, win_hi)
+        fv = f_at(owner[seg], t)
         depth += 1
 
     row, lo, hi, f_lo = (np.concatenate(parts) for parts in zip(*found))
@@ -552,7 +568,7 @@ def count_zeros(sample: WaveSample, line: LineSegment) -> ZeroCount:
     The base grid has ceil(GRID_FACTOR * 2 * f_max * L) + 1 uniform points
     where f_max = max |<mu, alpha>| is the top frequency of f.
     """
-    scan = _scan([sample], _base_grid(sample.shell, line))
+    scan = _scan(sample.half_coefficients[None], _base_grid(sample.shell, line))
     roots = _merge_roots(_bisect(scan.f_at, scan.row, scan.lo, scan.hi, scan.f_lo))
     flags = ZeroFlags(refinement_depth_hit=bool(scan.depth_hit[0]),
                       near_tangency=bool(scan.tangency[0]))
@@ -580,10 +596,10 @@ def monte_carlo(
     counts: Counter[int] = Counter()
     near_tangency = depth_hit = 0
     for start in range(0, trials, BLOCK_TRIALS):
-        samples = [sample_wave(shell, np.random.default_rng(stream))
-                   for stream in root.spawn(min(BLOCK_TRIALS, trials - start))]
+        half = np.array([sample_wave(shell, np.random.default_rng(stream)).half_coefficients
+                         for stream in root.spawn(min(BLOCK_TRIALS, trials - start))])
         try:
-            scan = _scan(samples, grid)
+            scan = _scan(half, grid)
         except DegenerateSampleError as exc:
             raise DegenerateSampleError(f"trial {start + exc.row}: {exc}") from exc
         counts.update(_counts(scan).tolist())

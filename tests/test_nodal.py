@@ -126,6 +126,20 @@ def test_base_grid_past_its_budget_is_rejected(monkeypatch):
     assert info.value.parameter == "length"
 
 
+def test_refinement_past_the_grid_budget_is_rejected(monkeypatch):
+    # opposite amplitudes on (-3,1,1) and (-1,3,-1), which share the key 2
+    # along (1,2,3), make f exactly zero; at L = 500 its computed rounding
+    # noise passes the degenerate test, and the windows grow eightfold per
+    # level.  The base grid, 25,659 points x 12, fits 2^21 entries; the first
+    # refinement level, 200,399 points, does not, and is never built
+    monkeypatch.setattr(nodal, "GRID_ENTRIES", 1 << 21)
+    a = 0.6 + 0.8j
+    sample = WaveSample.from_coefficients(enumerate_shell(11), {(-3, 1, 1): a, (-1, 3, -1): -a})
+    with pytest.raises(BoundOverflowError, match="refinement level 1 needs 200399 points") as info:
+        count_zeros(sample, LineSegment(parse_direction("rat:1,2,3"), 500.0))
+    assert info.value.parameter == "length"
+
+
 def test_huge_amplitudes_are_rejected_before_refinement(monkeypatch):
     # at amplitudes of 2^520, f * f overflows: near_tol would be inf and every
     # grid point tiny, so refinement would open every cell at every level; the
@@ -344,6 +358,20 @@ def test_split_flag_spares_two_simple_roots():
     assert not result.flags.near_tangency
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "an exact grid zero with same-sign flanks is taken as a touch, and the cells "
+    "beside it are never refined"))
+def test_exact_grid_zero_beside_a_second_root_counts_both():
+    # the amplitudes of test_split_flag_spares_two_simple_roots divided by 3:
+    # the base-grid product is now exactly 0.0 at 0.495, its flanks share a
+    # sign, and the second root, 0.505, lies in the cell after it
+    sample = WaveSample.from_coefficients(enumerate_shell(1), {
+        (1, 0, 0): 1.0, (0, 1, 0): -math.cos(TWO_PI * 0.495)})
+    result = count_zeros(sample, LineSegment(E1, 0.99))
+    assert result.count == 2
+    assert np.allclose(result.roots, [0.495, 0.505], rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("gap,count", [(1e-12, 1), (3e-12, 2)])
 def test_roots_within_twice_the_bisection_tolerance_merge(gap, count):
     # two width-0 brackets, as exact grid zeros give: one root when they lie
@@ -478,7 +506,7 @@ def test_hidden_pair_is_found_by_refinement():
     sample = cosine_sample(**EDGE_SAMPLES["hidden_pair"][0])
     line = LineSegment(E1, 1.0)
     grid = nodal._base_grid(sample.shell, line)
-    scan = nodal._scan([sample], grid)
+    scan = nodal._scan(sample.half_coefficients[None], grid)
     # both brackets are cells of the first refinement level
     assert np.allclose(scan.hi - scan.lo, [grid.t[1] / nodal.REFINE_RATIO] * 2, rtol=1e-12, atol=0)
     assert not scan.tangency[0] and not scan.depth_hit[0]
@@ -515,6 +543,11 @@ def test_monte_carlo_memory_does_not_grow_with_trials():
     assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
 
 
+def amplitudes(samples):
+    """The amplitude block of a list of samples, one row each."""
+    return np.array([s.half_coefficients for s in samples])
+
+
 def test_f_at_matches_evaluate_f():
     shell = enumerate_shell(1009)
     line = LineSegment(IRR, 1.0)
@@ -522,9 +555,10 @@ def test_f_at_matches_evaluate_f():
     grid = nodal._base_grid(shell, line)
     lo = np.array([0, 17, 40, 400])
     hi = np.array([1, 20, 41, 402])
-    t, starts, sizes = nodal._sub_grids(grid.t, lo, hi)
+    t, starts, seg = nodal._sub_grids(grid.t, lo, hi)
+    sizes = np.bincount(seg)
     owner = np.array([0, 0, 1, 1])
-    values = nodal._scan(samples, grid).f_at(np.repeat(owner, sizes), t)
+    values = nodal._scan(amplitudes(samples), grid).f_at(owner[seg], t)
     direct = np.concatenate([
         evaluate_f(samples[i], line, t[a:a + size])
         for i, a, size in zip(owner, starts, sizes)])
@@ -546,7 +580,7 @@ def test_bisect_mixes_bracket_widths_and_samples():
     line = LineSegment(IRR, 1.0)
     grid = nodal._base_grid(shell, line)
     samples = [sample_wave(shell, seed) for seed in (5, 6)]
-    scan = nodal._scan(samples, grid)
+    scan = nodal._scan(amplitudes(samples), grid)
     base = np.isclose(scan.hi - scan.lo, grid.t[1], rtol=1e-9)
     assert set(scan.row[base].tolist()) == {0, 1}
     groups = [narrowed(scan.f_at, scan.row[base], scan.lo[base], scan.hi[base], parts)
@@ -606,7 +640,7 @@ def scan_base_level(monkeypatch, samples, line):
         return level(*args)
 
     monkeypatch.setattr(nodal, "_level", spy)
-    nodal._scan(samples, nodal._base_grid(samples[0].shell, line))
+    nodal._scan(amplitudes(samples), nodal._base_grid(samples[0].shell, line))
     monkeypatch.undo()
     return calls[0]
 
