@@ -74,17 +74,18 @@ tile of riesz_energy.  The tile loop owns the memory: it allocates one flat
 buffer per dtype a builder names, sized by the first and largest tile, and
 hands each tile views of them, which the builder fills with out= ufuncs, so
 a sum faults its pages in once instead of on every tile.
-_integral_sq_tiles and both sweeps take each difference x_i -+ x_j
-from a two-column product that rounds it as the subtraction does
-(_pair_differences).  The point sweep's classes differ only in the pair key
+Every pair table of two row quantities is one two-column product,
+u_i v_j -+ v_i u_j (_pair_cross): the key differences x_i -+ x_j that
+_integral_sq_tiles and both sweeps read (v = 1, rounded as the subtraction
+rounds them), and the sine numerators of _integral_sq_tiles (u = sin,
+v = cos).  The point sweep's classes differ only in the pair key
 (|beta|, or the integer |k| for a rational direction), the zero mask and the
 split rule, all picked before the first tile.  A half-rational direction's
 zero mask takes as candidates the keys at most _ZERO_KEY_CAP sqrt(m), above
 the rounding bound that every exact zero pair's key obeys, and runs the
 exact int64 test on those alone (_half_rational_zero_pairs); a relative
-split of any direction evaluates its float64 threshold only on the keys
-that can pass it (_float_relative_small, and _relative_small, which also
-decides a rational direction's close calls exactly).  Every split rule
+split decides only the keys that can pass it (_candidate_rule), in float64
+or, for a rational direction's close calls, exactly.  Every split rule
 takes the key and distance tiles and writes into one mask tile.  The
 sweep builds the Gram tile only where a split reads |mu - mu'|, as one
 product of the doubled rows 2 mu_i against mu_j (_signed_dist_sq), which is
@@ -256,20 +257,20 @@ def _pair_weights(weights, parity: int = 1):
     return fold
 
 
-def _pair_differences(x: np.ndarray):
-    """tile(lo, hi, out): x_i - x_j for an odd quantity x of the half rows,
-    rows i in [lo, hi) and columns j over the signed columns +-H[lo:], written
-    into out, of shape (2, rows, cols).
+def _pair_cross(u: np.ndarray, v: np.ndarray):
+    """tile(lo, hi, out): u_i v_j -+ v_i u_j for an odd quantity u and an
+    even one v of the half rows, rows i in [lo, hi) and columns j over the
+    signed columns +-H[lo:], written into out, of shape (2, rows, cols).
 
     Each signed block is one (rows x 2) @ (2 x cols) product of the rows
-    (x_i, 1) against the columns (1, -+x_j): both products are exact, so each
-    entry is x_i -+ x_j rounded once, the float the subtraction gives, in a
-    third of the time numpy takes to broadcast the subtraction.  The row and
-    signed column stacks are built once per sweep, and each tile slices
-    them."""
-    ones = np.ones_like(x)
-    rows = np.stack((x, ones), axis=1)
-    cols = np.stack((np.stack((ones, -x)), np.stack((ones, x))))
+    (u_i, v_i) against the columns (v_j, -+u_j).  With v = 1 both products
+    are exact, so each entry is the key difference u_i -+ u_j rounded once,
+    the float the subtraction gives, in a third of the time numpy takes to
+    broadcast the subtraction.  With u = sin x and v = cos x it is
+    sin(x_i -+ x_j) by angle subtraction.  The row and signed column stacks
+    are built once per sweep, and each tile slices them."""
+    rows = np.stack((u, v), axis=1)
+    cols = np.stack((np.stack((v, -u)), np.stack((v, u))))
 
     def tile(lo, hi, out):
         return np.matmul(rows[lo:hi], cols[:, :, lo:], out=out)
@@ -312,11 +313,7 @@ def _integral_sq_deficit(x: np.ndarray, length_sq: float) -> np.ndarray:
     L^2 - integral_sq would cancel near beta = 0.
     """
     x_sq = x * x
-    d = np.full_like(x_sq, _DEFICIT_TAYLOR[0])
-    for coeff in _DEFICIT_TAYLOR[1:]:
-        d *= x_sq
-        d += coeff
-    d *= x_sq
+    d = np.polyval(_DEFICIT_TAYLOR, x_sq) * x_sq
     return length_sq * d * (2.0 - d)
 
 
@@ -345,8 +342,8 @@ def _integral_sq_tiles(b: np.ndarray, length: float):
     |pi L beta| < 1 and their beta.
 
     With x = pi L b, s = sin(x) and c = cos(x) are taken once per row, and
-    sin(x_i -+ x_j) = s_i c_j -+ c_i s_j is one (rows x 2) @ (2 x cols)
-    product per signed column block.  That numerator carries an absolute
+    sin(x_i -+ x_j) = s_i c_j -+ c_i s_j is one _pair_cross product per
+    signed column block, as is beta.  That numerator carries an absolute
     error of order eps (|x_i| + |x_j|), the error that rounding b already
     puts into pi L beta, so it serves wherever |pi L beta| >= 1.  Below 1 the
     summand is well conditioned (its relative condition number 2|1 - x cot x|
@@ -354,16 +351,13 @@ def _integral_sq_tiles(b: np.ndarray, length: float):
     from integral_sq itself.
     """
     x = math.pi * length * b
-    s, c = np.sin(x), np.cos(x)
-    rows_sc = np.stack((s, c), axis=1)
-    # the +H block's columns give sin(x_i - x_j), the -H block's sin(x_i + x_j)
-    cols_cs = np.stack((np.stack((c, -s)), np.stack((c, s))))
+    sines = _pair_cross(np.sin(x), np.cos(x))
     near_beta = 1.0 / (math.pi * length)
-    differences = _pair_differences(b)
+    differences = _pair_cross(b, np.ones_like(b))
 
     def tile(lo, hi, beta, eye, den, near):
         differences(lo, hi, out=beta)
-        np.matmul(rows_sc[lo:hi], cols_cs[:, :, lo:], out=eye)
+        sines(lo, hi, out=eye)
         np.multiply(PI_SQ, beta, out=den)
         den *= beta
         eye *= eye
@@ -479,58 +473,58 @@ def _key_limit(rho: float, norm_sq: int) -> int:
 _THRESHOLD_MARGIN = 8 * np.finfo(np.float64).eps
 
 
-def _relative_small(rho: float, norm_sq: int, m: int):
-    """rule(key, dist_sq, small) of _point_sweep for a relative split of a
-    rational direction a: the small mask |k| <= rho |a| |mu - mu'|, exactly,
-    from tiles of the integers |k| and d^2 = |mu - mu'|^2, into small.
+def _candidate_rule(bound: float, decide):
+    """rule(key, dist_sq, small) of _point_sweep for a relative split: the
+    small mask, into small, that decide(keys, dist_sq) gives on the entries
+    with key <= bound alone, False elsewhere.
 
-    Only the keys at most slope * sqrt(4m) are candidates, slope being
-    rho |a| grown by _THRESHOLD_MARGIN: since d^2 <= 4m, and a rounded square
-    root and product are monotone, no other key passes even the grown
-    threshold.  On the candidates, |k| at or below the float64 threshold
-    shrunk by the margin is small, and |k| above it grown by the margin is
-    not.  The candidates between, where the threshold may fall on the
-    integer |k| itself, are decided as k^2 <= rho^2 |a|^2 d^2 in exact
-    rational arithmetic.  The slope is capped past every |k|, so a huge rho
-    gives no inf * 0.
+    The split reads key <= slope * sqrt(d^2), d^2 = |mu - mu'|^2, and bound
+    is slope * sqrt(4m), a few hundredths of a tile's keys at the default
+    rho.  Since d^2 <= 4m, and a rounded square root and product are
+    monotone, no key above the bound passes the threshold, so the mask is
+    the whole tile's, bit for bit.
+    """
+
+    def rule(key, dist_sq, small):
+        at = np.flatnonzero(np.less_equal(key, bound, out=small))
+        np.put(small, at, decide(np.take(key, at), np.take(dist_sq, at)))
+        return small
+
+    return rule
+
+
+def _relative_small(rho: float, norm_sq: int, m: int):
+    """_candidate_rule of a relative split of a rational direction a: the
+    small mask |k| <= rho |a| |mu - mu'|, exactly, from tiles of the integers
+    |k| and d^2 = |mu - mu'|^2.
+
+    Its slope is rho |a| grown by _THRESHOLD_MARGIN.  On the candidates, |k|
+    at or below the float64 threshold shrunk by the margin is small, and |k|
+    above it grown by the margin is not.  The candidates between, where the
+    threshold may fall on the integer |k| itself, are decided as
+    k^2 <= rho^2 |a|^2 d^2 in exact rational arithmetic.  The slope is capped
+    past every |k|, so a huge rho gives no inf * 0.
     """
     slope = min(rho * math.sqrt(norm_sq) * (1.0 + _THRESHOLD_MARGIN), 2.0**64)
     shrink = (1.0 - _THRESHOLD_MARGIN) / (1.0 + _THRESHOLD_MARGIN)
-    bound = slope * math.sqrt(4.0 * m)
     limit = Fraction(rho) ** 2 * norm_sq
 
-    def rule(key, dist_sq, small):
-        at = np.flatnonzero(np.less_equal(key, bound, out=small))
-        keys = np.take(key, at)
-        grown = slope * np.sqrt(np.take(dist_sq, at))
+    def decide(keys, dist_sq):
+        grown = slope * np.sqrt(dist_sq)
         passed = keys <= grown * shrink
         for i in np.flatnonzero((keys <= grown) & ~passed):
-            passed[i] = int(keys[i]) ** 2 <= limit * int(dist_sq.flat[at[i]])
-        np.put(small, at, passed)
-        return small
+            passed[i] = int(keys[i]) ** 2 <= limit * int(dist_sq[i])
+        return passed
 
-    return rule
+    return _candidate_rule(slope * math.sqrt(4.0 * m), decide)
 
 
 def _float_relative_small(rho: float, m: int):
-    """rule(key, dist_sq, small) of _point_sweep for a relative split of a
-    half-rational or irrational direction: the small mask
-    |beta| <= rho sqrt(d^2), d^2 = |mu - mu'|^2, into small.
-
-    The float64 threshold rho * sqrt(d^2) is evaluated only on the entries
-    with |beta| <= rho * sqrt(4m), a few hundredths of a tile at the default
-    rho.  Since d^2 <= 4m, and a rounded square root and product are
-    monotone, no entry above that bound passes the threshold, so the mask is
-    the whole tile's, bit for bit.
-    """
-    bound = rho * math.sqrt(4.0 * m)
-
-    def rule(key, dist_sq, small):
-        at = np.flatnonzero(np.less_equal(key, bound, out=small))
-        np.put(small, at, np.take(key, at) <= rho * np.sqrt(np.take(dist_sq, at)))
-        return small
-
-    return rule
+    """_candidate_rule of a relative split of a half-rational or irrational
+    direction: the small mask |beta| <= rho sqrt(d^2), d^2 = |mu - mu'|^2, by
+    the float64 threshold itself."""
+    return _candidate_rule(rho * math.sqrt(4.0 * m),
+                           lambda keys, dist_sq: keys <= rho * np.sqrt(dist_sq))
 
 
 def _class_sweep(shell: Shell, direction: Direction, rhos):
@@ -542,7 +536,7 @@ def _class_sweep(shell: Shell, direction: Direction, rhos):
     keys, counts, norm_sq = _frequency_classes(shell, direction)
     limits = [_key_limit(rho, norm_sq) for rho in rhos]
     numerator = float(norm_sq)
-    differences = _pair_differences(keys)
+    differences = _pair_cross(keys, np.ones_like(keys))
     weighted = _pair_weights(counts)
 
     def tile(lo, hi, key, mask, inv_key_sq, tail_inv):
@@ -613,11 +607,13 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
     irrational direction, then for each split s_small and inv_sq_sum if
     counted, and inv_dist_sq_sum over its tail if dist.
 
-    A pair's key is |beta|, or for a rational direction a the exact integer
-    |k| = |a| |beta| with numerator |a|^2 (_half_keys), and inv_sq_sum adds
+    A pair's key is the _pair_cross difference of two half keys
+    (_half_keys), taken absolutely: |beta|, or for a rational direction a the
+    exact integer |k| = |a| |beta| with numerator |a|^2, and inv_sq_sum adds
     numerator/key^2.  The class picks its key, zero mask and split rule once,
-    before the tiles.  A half-rational zero pair has both int64 key
-    differences 0 (_half_rational_zero_pairs), an irrational one
+    before the tiles; a relative split's rule is a _candidate_rule.  A
+    half-rational zero pair has both int64 key differences 0
+    (_half_rational_zero_pairs), an irrational one
     |beta| <= IRRATIONAL_ZERO_TOL; zero pairs are small in every split.  A
     rational direction's exact splits, |k| <= _key_limit(rho) and
     _relative_small, hold k = 0 already.  The float64 Gram tile and
@@ -628,7 +624,7 @@ def _point_sweep(shell: Shell, direction: Direction, splits):
     and none at distance 0.
     """
     keys, norm_sq = _half_keys(shell, direction)
-    differences = _pair_differences(keys)
+    differences = _pair_cross(keys, np.ones_like(keys))
     rational = direction.rationality is Rationality.RATIONAL
     half = _antipodal_half(shell.coords, shell.m)
     inv_key_sq_sum = _masked_inv_key_sq_sum(float(norm_sq))

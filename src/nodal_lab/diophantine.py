@@ -212,10 +212,9 @@ def approx_direction(direction: Direction, h_param: int) -> RationalApprox:
     approximate (alpha_2/alpha_1, alpha_3/alpha_1) simultaneously by (p1/q,
     p2/q), and take a = (q, p1, p2) carried back through the permutation.
     One rational ratio u/v: approximate zeta = alpha_3/alpha_1 by p/q and
-    take a = (q*v, q*u, p*v).
+    take a = (q*v, q*u, p*v).  dirichlet_simultaneous and dirichlet_1d
+    reject H < 1.
     """
-    if h_param < 1:
-        raise ValueError(f"H must be >= 1, got {h_param}")
     if direction.rationality is Rationality.RATIONAL:
         raise ValueError("use exact integer direction")
     comps = direction.components

@@ -156,7 +156,8 @@ def cap_from(r_sphere: float, *, s=None, h=None, k=None, theta=None,
     name, val = given[0]
     val = float(val)
     r = float(r_sphere)
-    tol = 1e-12 * max(1.0, r)
+    # s, h and k are lengths, theta an angle, whose tolerance is absolute
+    tol = 1e-12 * (1.0 if name == "theta" else max(1.0, r))
     if name == "h":
         if not -tol <= val <= 2.0 * r + tol:
             raise ValueError(f"h out of range [0, 2R]: h={val}, R={r}")
@@ -453,6 +454,17 @@ def _band_region(r: float, beta: np.ndarray, z_lo: float, z_hi: float):
     )
 
 
+def _sphere_height(B, beta):
+    """(R, beta, z) for a nonzero finite point B, R = |B|, the direction beta
+    made a unit vector, and B's height z = <B, beta>/R clamped to [-1, 1]."""
+    B = np.asarray(B, dtype=np.float64)
+    r = float(np.linalg.norm(B))
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"B must be a nonzero finite point, got {B.tolist()}")
+    beta = _unit(beta)
+    return r, beta, min(1.0, max(-1.0, float(B @ beta) / r))
+
+
 def cone_region(B, beta, c: float):
     """Smallest polar band certain to contain every sphere point B' with
     |<B - B', beta>| <= c * |B - B'|.
@@ -466,12 +478,7 @@ def cone_region(B, beta, c: float):
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"c out of range (0, 1): {c}")
-    B = np.asarray(B, dtype=np.float64)
-    r = float(np.linalg.norm(B))
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"B must be a nonzero finite point, got {B.tolist()}")
-    beta = _unit(beta)
-    z = min(1.0, max(-1.0, float(B @ beta) / r))
+    r, beta, z = _sphere_height(B, beta)
     phi = math.acos(z)
     delta = 2.0 * math.asin(c)
     z_lo = math.cos(min(phi + delta, math.pi))
@@ -489,10 +496,5 @@ def slab_region(B, beta, c: float):
     """
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
-    B = np.asarray(B, dtype=np.float64)
-    r = float(np.linalg.norm(B))
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"B must be a nonzero finite point, got {B.tolist()}")
-    beta = _unit(beta)
-    z0 = min(1.0, max(-1.0, float(B @ beta) / r))
+    r, beta, z0 = _sphere_height(B, beta)
     return _band_region(r, beta, z0 - c / r, z0 + c / r)

@@ -181,16 +181,22 @@ class _BaseGrid:
     b: np.ndarray  # <mu, alpha> per antipodal pair
 
 
+def _check_grid(grid: str, points: int, freqs: int, length: float) -> None:
+    """Raise BoundOverflowError("length") before a grid of points x freqs
+    design entries past GRID_ENTRIES is built; grid names it in the message."""
+    if points * freqs > GRID_ENTRIES:
+        raise BoundOverflowError(
+            "length", f"{grid} needs {points} points x {freqs} "
+            f"frequencies, over {GRID_ENTRIES} entries, for length={length}")
+
+
 def _base_grid(shell: Shell, line: LineSegment) -> _BaseGrid:
     """Base grid of ceil(GRID_FACTOR * 2 * f_max * L) + 1 uniform points; raises
     BoundOverflowError("length") for more than GRID_ENTRIES design entries."""
     b = half_frequencies(shell, line.direction.components)
     f_max = float(np.max(np.abs(b)))  # the mirrored rows carry -b
     n_pts = max(int(math.ceil(GRID_FACTOR * 2.0 * f_max * line.length)) + 1, 2)
-    if n_pts * len(b) > GRID_ENTRIES:
-        raise BoundOverflowError(
-            "length", f"the base grid at m={shell.m} needs {n_pts} points x {len(b)} "
-            f"frequencies, over {GRID_ENTRIES} entries, for length={line.length}")
+    _check_grid(f"the base grid at m={shell.m}", n_pts, len(b), line.length)
     t = np.linspace(0.0, line.length, n_pts)
     return _BaseGrid(t, *_phases(t, b), b)
 
@@ -509,10 +515,7 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
             tangency[owner] = True
             break
         points = int(np.sum(win_hi - win_lo)) * REFINE_RATIO + win_lo.size
-        if points * grid.b.size > GRID_ENTRIES:
-            raise BoundOverflowError(
-                "length", f"refinement level {depth} needs {points} points x {grid.b.size} "
-                f"frequencies, over {GRID_ENTRIES} entries, for length={grid.t[-1]}")
+        _check_grid(f"refinement level {depth}", points, grid.b.size, grid.t[-1])
         t, starts, seg = _sub_grids(t, win_lo, win_hi)
         fv = f_at(owner[seg], t)
         depth += 1

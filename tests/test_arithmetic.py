@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from nodal_lab import arithmetic, randomwave
@@ -26,7 +28,7 @@ from nodal_lab.arithmetic import (
 from nodal_lab.cli import ZETA_CATALOG, parse_direction
 from nodal_lab.diophantine import Direction, Rationality
 from nodal_lab.geometry import kappa
-from nodal_lab.lattice import ProjectedShell, Shell, enumerate_shell, project_shell
+from nodal_lab.lattice import ProjectedShell, Shell, classify_m, enumerate_shell, project_shell
 from nodal_lab.nodal import count_zeros, monte_carlo
 from nodal_lab.randomwave import (
     LineSegment,
@@ -350,6 +352,19 @@ class TestVarianceBound:
             line = LineSegment(direction, float(rng.uniform(0.3, 1.5)))
             report = variance_bound(shell, line, mode)
             assert report.q_value <= report.bound_value * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("spec", ["rat:1,0,0", "rat:1,1,1", "halfrat:1,1,sqrt2", "irr:std"])
+    @pytest.mark.parametrize("own", [True, False], ids=["own", "conditional"])
+    @given(m=st.sampled_from([m for m in range(1, 301) if classify_m(m).primitive]),
+           log_length=st.floats(-3.0, 3.0))
+    def test_bound_dominates_q_sum_property(self, spec, own, m, log_length):
+        # at every admissible m <= 300 and L log-uniform in [1e-3, 1e3], in
+        # the direction's own mode and in the conditional one
+        direction = parse_direction(spec)
+        mode = bound_mode(direction) if own else BoundMode.CONDITIONAL
+        line = LineSegment(direction, 10.0 ** log_length)
+        report = variance_bound(enumerate_shell(m), line, mode)
+        assert report.q_value <= report.bound_value * (1.0 + 1e-12)
 
     def test_default_rho_values(self):
         shell = enumerate_shell(5)
@@ -828,7 +843,7 @@ class TestTiledPairSums:
             x[:3] = 0.0
             out = np.empty((2, 43, 284))
             with np.errstate(over="ignore"):
-                arithmetic._pair_differences(x)(17, 60, out)
+                arithmetic._pair_cross(x, np.ones_like(x))(17, 60, out)
                 want = x[17:60, None] - np.stack((x, -x))[:, None, 17:]
             assert np.array_equal(out, want)
             assert np.array_equal(np.signbit(out), np.signbit(want))

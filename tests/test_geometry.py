@@ -73,6 +73,18 @@ def test_cap_constructor_rejects_out_of_range():
         cap_from(2.0, h=1.0, direction=(1.0, 0.0))
 
 
+@pytest.mark.parametrize("r", [1.0, 1e6])
+def test_cap_theta_tolerance_does_not_grow_with_the_radius(r):
+    # theta is an angle: the same theta past 2 pi is rejected at every radius,
+    # and one within rounding of 2 pi is the whole sphere at every radius
+    with pytest.raises(ValueError, match="theta out of range"):
+        cap_from(r, theta=2.0 * math.pi + 1e-7)
+    with pytest.raises(ValueError, match="theta out of range"):
+        cap_from(r, theta=-1e-7)
+    whole = cap_from(r, theta=2.0 * math.pi + 1e-13)
+    assert whole.theta == 2.0 * math.pi and whole.h == 2.0 * r
+
+
 def test_cap_beyond_hemisphere_keeps_identities():
     cap = cap_from(1.0, s=1.9)
     assert max(quadruple_residuals(cap)) < 1e-9

@@ -19,18 +19,25 @@ prints nothing.  The entries:
   - wave, verify, shell and riesz reports;
   - bounds at BOUNDS_MS in each direction's own mode and the conditional
     one, as csv and as json;
-  - library: float.hex of q_sum, r2_terms, pair_sums (three splits) and
-    riesz_energy (sigma 1 and 1/2) at LIBRARY_MS, one line per value;
+  - library: float.hex of q_sum and r2_terms at each of LENGTHS,
+    pair_sums (three splits) and riesz_energy (sigma 1 and 1/2) at
+    LIBRARY_MS, one line per value;
   - roots: float.hex of count_zeros' roots and its flags for 20 samples at
-    each of ROOT_MS and DIRECTIONS (240 lines).
-The whole set takes about 20 s (2-core x86 host, Python 3.11, numpy 2.4).
+    each of ROOT_MS and DIRECTIONS (240 lines);
+  - regions: the cone_region and slab_region around a few fixed points of
+    each shell of REGION_MS, their parameters as float.hex and their
+    count_in, and approx_direction of APPROX_DIRECTIONS at APPROX_HS.
+The whole set takes about 25 s (2-core x86 host, Python 3.11, numpy 2.4).
 """
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 DIRECTIONS = ("rat:1,0,0", "irr:std", "rat:1,1,1", "halfrat:1,1,sqrt2")
@@ -39,6 +46,16 @@ BOUNDS_MS = "1,2,3,5,6,9,21,50,101,1009"
 LIBRARY_MS = (101, 1009, 10001)
 ROOT_MS = (5, 101, 1009)
 ROOT_SEEDS = range(20)
+# L = 1e-3 reaches r2_terms' deficit series on every pair, L = 7.3 the sine
+# numerators of most
+LENGTHS = (1.0, 1e-3, 7.3)
+REGION_MS = (5, 101, 1009)
+# the c of cone_region (in (0, 1)) and of slab_region (any c > 0; 100 holds
+# the whole sphere of every shell of REGION_MS)
+CONE_CS = (0.05, 0.3, 0.9)
+SLAB_CS = (0.5, 3.0, 100.0)
+APPROX_DIRECTIONS = ("irr:std", "halfrat:1,1,sqrt2")
+APPROX_HS = (3, 10, 50)
 
 
 def _slug(spec: str) -> str:
@@ -82,11 +99,12 @@ def library() -> None:
             print(m, "riesz", sigma, float.hex(riesz_energy(project_shell(shell), sigma).energy))
         for spec in DIRECTIONS:
             direction = parse_direction(spec)
-            line = LineSegment(direction, 1.0)
-            print(m, spec, "q_sum", float.hex(q_sum(shell, line)))
-            terms = r2_terms(shell, line)
-            print(m, spec, "r2_terms", *(float.hex(getattr(terms, f))
-                                         for f in ("rr", "r1r1", "r12r12")))
+            for length in LENGTHS:
+                line = LineSegment(direction, length)
+                print(m, spec, length, "q_sum", float.hex(q_sum(shell, line)))
+                terms = r2_terms(shell, line)
+                print(m, spec, length, "r2_terms", *(float.hex(getattr(terms, f))
+                                                     for f in ("rr", "r1r1", "r12r12")))
             root_m = math.sqrt(m)
             for rho, mode in ((0.0, "absolute"), (root_m ** (-6 / 7), "relative"),
                               (root_m ** (3 / 8), "absolute")):
@@ -113,6 +131,44 @@ def roots() -> None:
                       int(zeros.flags.near_tangency), *map(float.hex, zeros.roots.tolist()))
 
 
+def _region_hex(region) -> list[str]:
+    """The class and float.hex parameters of a region's parts, direction
+    included."""
+    words = []
+    for part in region if isinstance(region, tuple) else (region,):
+        words.append(type(part).__name__)
+        for f in dataclasses.fields(part):
+            value = getattr(part, f.name)
+            words.extend(map(float.hex, np.ravel(value).tolist()))
+    return words
+
+
+def regions() -> None:
+    """Print the regions around a few points of each shell, with their
+    counts, and the Dirichlet approximations of APPROX_DIRECTIONS."""
+    from nodal_lab.cli import parse_direction
+    from nodal_lab.diophantine import approx_direction
+    from nodal_lab.geometry import cone_region, count_in, slab_region
+    from nodal_lab.lattice import enumerate_shell
+
+    for m in REGION_MS:
+        shell = enumerate_shell(m)
+        for spec in DIRECTIONS:
+            beta = parse_direction(spec).components
+            for point in shell.coords[::max(1, shell.n // 4)]:
+                for name, build, cs in (("cone", cone_region, CONE_CS),
+                                        ("slab", slab_region, SLAB_CS)):
+                    for c in cs:
+                        region = build(point, beta, c)
+                        print(m, spec, *point.tolist(), name, c, count_in(shell, region),
+                              *_region_hex(region))
+    for spec in APPROX_DIRECTIONS:
+        for h_param in APPROX_HS:
+            ap = approx_direction(parse_direction(spec), h_param)
+            tau = ap.tau if ap.tau is None else float.hex(ap.tau)
+            print(spec, h_param, *ap.a, float.hex(ap.angle_err), tau)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -123,7 +179,7 @@ def main(argv: list[str]) -> int:
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]))
     cli = "import sys; from nodal_lab.cli import main; sys.exit(main(sys.argv[1:]))"
     entries = {name: ["-c", cli, *args] for name, args in reports().items()}
-    for name in ("library", "roots"):
+    for name in ("library", "roots", "regions"):
         entries[name] = ["-c", f"import report_matrix; report_matrix.{name}()"]
     for name, args in entries.items():
         done = subprocess.run([sys.executable, *args], env=env, cwd=out,
