@@ -12,18 +12,17 @@ kappa(shell) is the exact maximal number of shell points on any single
 plane.  It starts from a planted plane: the densest plane n . x = c over 13
 small normals n (the x = c, x +- y = c and x +- y +- z = c types), counted
 exactly from one (N x 13) int64 product.  On almost every shell that count
-already is kappa, and the sweep below only verifies it.  The points are
-ordered by orbit of the 48 signed coordinate permutations, largest orbit
-first, and planes are counted through the first point of each orbit against
-the points of that orbit and the later ones: since orbits are invariant,
-that suffix holds every plane whole once.  Each plane through the anchor
-and a second point q is keyed against the points after q by the float64
-ratio of two entries of its normal; both entries are sums of integer
-products of magnitude at most 2m from one GEMM, so they are exact, and the
-correctly rounded ratios tell planes apart while m < 2^24.  The rows of all
-anchors are swept in order of q and sorted in blocks of about 2^16 keys; a
-block is only asked whether it holds a plane denser than the best so far,
-and every such plane is recounted in int64.
+already is kappa, and the sweep below only verifies it.  A plane holding
+more points than the best so far has two neighbours on its circle within a
+short chord, and a signed coordinate permutation moves one of them to the
+first point p of its orbit.  So only the close pairs (p, q) are swept,
+shortest chord first: each keys the planes through p, q and every point r
+by the float64 ratio of two entries of its normal, exact integers from one
+GEMM, so that the correctly rounded ratios tell planes apart while
+m < 2^24.  The rows are sorted in blocks of about 2^16 keys; a block is only
+asked whether it holds a plane denser than the best so far, every such
+plane is recounted in int64, and each new best shortens the chord the
+sweep stops at.
 
 cone_region and slab_region build the regions around a point B that hold
 the small pairs of the relative and absolute pair splits: a cap, a segment,
@@ -268,53 +267,19 @@ def _axis_crosses(d: np.ndarray) -> np.ndarray:
     return _CROSS_SIGN * d[..., _CROSS_PERM]
 
 
+def _chord_bound(m: int, best: int) -> int:
+    """An integer at least 4m sin^2(pi/(best+1)), the squared chord that some
+    two neighbours on a plane of more than best points stay within."""
+    return math.floor(4 * m * math.sin(math.pi / (best + 1)) ** 2 * (1 + 2**-40))
+
+
 def kappa(shell: Shell) -> int:
     """Exact kappa(sqrt(m)): the maximal number of shell points on one plane.
 
-    The 48 signed coordinate permutations G map the shell onto itself and
-    planes onto planes holding as many points.  The points are ordered by
-    orbit (rows of equal sorted |mu|), largest orbit first, and the anchor
-    p_i is the first point of orbit i; only the points of its suffix S_i,
-    orbits i, i+1, ..., are keyed against it.  That sees every plane whole
-    once: for a plane P let j be the earliest orbit with a point x = g(p_j)
-    on P.  Then g^-1(P) passes through p_j, and since orbits are
-    G-invariant, all its points lie in orbits j, j+1, ....  So kappa is the
-    most points of S_i on one plane through p_i, over all anchors i.  Any
-    order of the orbits would do; largest first keys the fewest pairs.
-
-    Planes through p and a second point q are keyed by one ratio each.  With
-    d_r = r - p, the plane through p, q, r has normal n = d_q x d_r, which is
-    orthogonal to d_q.  Let k be the axis of d_q's largest entry and i, j the
-    other two: since d_q[k] != 0, n . d_q = 0 gives n_k from (n_i, n_j), and
-    (n_i, n_j) is (0, 0) only for r = q (three sphere points are never
-    collinear).  So the key
-    n_i / n_j, with n_j = 0 mapped to +inf, names the plane.  A plane is
-    complete in the row of its first point q of S_i, so a row keys only the
-    points r > q of S_i, and the other entries of its block are NaN, which
-    equals nothing.  A run of c equal keys in the row of q is a plane holding
-    p, q and c more points, so kappa is the longest run plus 2.
-
-    The rows (p, q) of all anchors are swept in order of q, in blocks of
-    about _BLOCK_ENTRIES keys that are generated one at a time.  A block's
-    rows share the columns r > q of its first row, and their q lie within
-    half a row of it, so both parts come from one float64 GEMM against the
-    points, n_i = (e_i x d_q) . r - (e_i x d_q) . p, whose anchor term
-    meets a row of ones.  The vector e_i x d_q is a signed permutation of
-    d_q's entries (_axis_crosses), and the anchor term an int64 row dot
-    product.  Both dot products are integers of magnitude at most
-    |d_q| |r| <= 2m, so every product, sum and difference is exact, and the
-    keys are those of n_i = (e_i x d_q) . d_r.  The GEMM writes into one
-    buffer that every block reuses; the keys overwrite the n_i, and their
-    sorted copy the n_j.  At m = 101, 1009 and 10001 this keys 23,620,
-    62,538 and 25.4M pairs, where keying every anchor against all (N-1)^2
-    pairs took 111,556, 342,726 and 154.7M.
-
-    Equal planes have proportional normals, hence the same rational ratio and
-    the same correctly rounded key.  Distinct planes keep distinct keys while
-    m < 2^24 (KAPPA_M_LIMIT): if x = a/b != y = c/d with |a|, |c| <= 4m and
-    1 <= |b|, |d| <= 4m, then |x - y| = |ad - bc| / |bd| >= 1 / |bd|, while
-    rounding moves each by at most 2^-53 |x| <= 2^-53 * 4m / |b|, so both
-    round together only if 1 <= 2^-53 * 4m (|b| + |d|) <= 2^-53 * 32 m^2.
+    The domain is a set of points on the sphere |x|^2 = m that is a union of
+    orbits of the 48 signed coordinate permutations G, as enumerate_shell
+    returns it; the row order is free.  G maps such a set onto itself and
+    planes onto planes holding as many points.
 
     The best so far starts at a planted count: the most points on one plane
     n . x = c over the 13 small normals n of _PLANTED_NORMALS, counted
@@ -323,18 +288,65 @@ def kappa(shell: Shell) -> int:
     2,500 of the 2,503 shells with N >= 4 and m <= 3000 this already is kappa;
     m = 1269, 1502 and 2329 fall 2 short.
 
+    Only planes through close pairs can beat it.  A plane P holding k >=
+    best + 1 points meets the sphere in a circle of radius at most sqrt(m).
+    The k arcs between neighbours on that circle sum to 2 pi, so some two
+    neighbours q, q' lie on an arc of at most 2 pi / k, and their chord is
+    at most delta = 2 sqrt(m) sin(pi / (best + 1)) (pi / k <= pi / 4, where
+    sine grows).  Some g in G maps q to the first point p of its orbit
+    (_orbit_order); then g(P) holds k points of the set, among them p and
+    g(q') with |g(q') - p| <= delta.  On the sphere, |q - p|^2 = 2m - 2 p.q
+    is an exact integer, so kappa lists for each orbit's p every point q
+    with 0 < |q - p|^2 <= D, where D = _chord_bound(m, best) is the floor of
+    4m sin^2(pi / (best + 1)) raised by a relative 2^-40.  The float
+    4m sin^2 carries a relative error of a few 2^-53, and can fall below an
+    exact integer chord: 4 * 2 * sin^2(pi / 6) is 1.9999999999999996, whose
+    floor would drop the hexagon of E(2) with chord^2 = 2.  The margin is far
+    above that error and only admits more pairs.  The pairs are listed a
+    block of orbits at a time, never as an orbits x N table, and sorted by
+    |q - p|^2.
+
+    A pair (p, q) keys the plane through p, q and r for every point r, by
+    one ratio.  With d_r = r - p, that plane has normal n = d_q x d_r, which
+    is orthogonal to d_q.  Let k be the axis of d_q's largest entry and i, j
+    the other two: since d_q[k] != 0, n . d_q = 0 gives n_k from (n_i, n_j),
+    and (n_i, n_j) is (0, 0) only for r = p or r = q (three sphere points are
+    never collinear), whose key 0/0 is NaN and equals nothing.  So the key
+    n_i / n_j, with n_j = 0 mapped to +inf, names the plane, and a run of c
+    equal keys in the row of (p, q) is a plane holding p, q and c more
+    points: kappa is the longest run plus 2.
+
+    The rows are keyed in blocks of about _BLOCK_ENTRIES keys, each from one
+    float64 GEMM against the points, n_i = (e_i x d_q) . r - (e_i x d_q) . p,
+    whose anchor term meets a row of ones.  The vector e_i x d_q is a
+    signed permutation of d_q's entries (_axis_crosses), and the anchor term
+    an int64 row dot product.  Both dot products are integers of magnitude
+    at most |d_q| |r| <= 2m, so every product, sum and difference is exact,
+    and the keys are those of n_i = (e_i x d_q) . d_r.  The GEMM writes into
+    one buffer that every block reuses; the keys overwrite the n_i, and
+    their sorted copy the n_j.  At m = 101, 1009, 10001 and 100001 the
+    sweep keys 12, 43, 324 and 2,544 close pairs against all N points:
+    2,016, 10,320, 0.62M and 14.0M keys.
+
+    Equal planes have proportional normals, hence the same rational ratio and
+    the same correctly rounded key.  Distinct planes keep distinct keys while
+    m < 2^24 (KAPPA_M_LIMIT): if x = a/b != y = c/d with |a|, |c| <= 4m and
+    1 <= |b|, |d| <= 4m, then |x - y| = |ad - bc| / |bd| >= 1 / |bd|, while
+    rounding moves each by at most 2^-53 |x| <= 2^-53 * 4m / |b|, so both
+    round together only if 1 <= 2^-53 * 4m (|b| + |d|) <= 2^-53 * 32 m^2.
+
     Each sorted block is only asked whether it holds a run one longer than
-    the best so far, and its first such row is taken.  That row's plane is
-    complete: any earlier point of S_i on it would give an earlier row of the
-    same anchor a longer run, which this block or an earlier one would have
-    taken first.  The run is recounted in int64 as the points x of S_i with
-    n.x == n.p, and a recount that disagrees raises RuntimeError.  So the
-    best so far is always the exact count of a real plane, hence at most
-    kappa.  And a plane that still holds more points than the best so far
-    when the row of its first point q of S_i comes up gives that row a run
-    long enough for its block to take, so the sweep ends at kappa.  Both
-    steps hold for any start that is the exact count of a real plane; a
-    start at kappa leaves the sweep nothing to recount.
+    the best so far, and its first such row is taken.  The run is recounted
+    in int64 as the points x with n.x == n.p, and a recount that disagrees
+    raises RuntimeError.  So the best so far is always the exact count of a
+    real plane, hence at most kappa.  Each new best shrinks D, and the sweep
+    stops at the first block that starts past D.  Were there a plane P with
+    more points than the final best, its pair (p, g(q')) would lie within
+    every D the sweep used, so its row came up, and its run, longer than the
+    best so far, kept its block taking rows until the best reached P's
+    count.  So the sweep ends at kappa.  This holds for any start that is
+    the exact count of a real plane; a start at kappa leaves the sweep
+    nothing to recount.
     """
     _check_nonempty(shell)
     if shell.m >= KAPPA_M_LIMIT:
@@ -347,38 +359,34 @@ def kappa(shell: Shell) -> int:
     pts, starts = _orbit_order(shell.coords)
     # the points as columns over a row of ones, which meets the anchor term
     exact = np.vstack([pts.T, np.ones(n, dtype=np.int64)]).astype(np.float64)
-    # the rows of q are (p_0, q), ..., (p_o, q) for q in orbit o, less (q, q)
-    row_count = np.searchsorted(starts, np.arange(n), side="right")
-    row_count[starts] -= 1
-    first_row = np.concatenate([[0], np.cumsum(row_count)])
     best = max(3, _planted_count(pts))
-    # every block's n_i and n_j rows in one buffer: a block's rows hold at
-    # most max(width, _BLOCK_ENTRIES) keys
-    buffer = np.empty(2 * max(n, _BLOCK_ENTRIES))
-    lo = 0
-    while lo < first_row[-1]:
-        q_lo = np.searchsorted(first_row, lo, side="right") - 1
-        width = n - 1 - q_lo
-        if width < best - 1:  # no later row has keys enough to beat best
-            break
-        # a block ends within width/2 points of its first q, so NaN padding
-        # fills less than half of any row
-        rows = np.arange(lo, min(lo + max(1, _BLOCK_ENTRIES // width),
-                                 first_row[q_lo + 1 + width // 2]))
-        q = np.searchsorted(first_row, rows, side="right") - 1
-        a = starts[rows - first_row[q]]
-        d = pts[q] - pts[a]
+    step = max(1, _BLOCK_ENTRIES // n)
+    # the close pairs (p, q) as rows of |q - p|^2 and the indices of p and q,
+    # found for a block of orbits at a time
+    close = []
+    for lo in range(0, len(starts), step):
+        chord = 2 * (shell.m - pts[starts[lo:lo + step]] @ pts.T)
+        orbit, q = np.nonzero((chord > 0) & (chord <= _chord_bound(shell.m, best)))
+        close.append([chord[orbit, q], starts[lo + orbit], q])
+    close = np.concatenate(close, axis=1)
+    chord, p_index, q_index = close[:, close[0].argsort(kind="stable")]
+    # every block's n_i and n_j rows in one buffer
+    buffer = np.empty(2 * step * n)
+    for lo in range(0, len(chord), step):
+        if chord[lo] > _chord_bound(shell.m, best):
+            break  # no plane denser than best has a pair this far apart
+        a = p_index[lo:lo + step]
+        d = pts[q_index[lo:lo + step]] - pts[a]
         k = np.abs(d).argmax(axis=1)
-        crosses, each = _axis_crosses(d), np.arange(len(rows))
+        crosses, each = _axis_crosses(d), np.arange(len(a))
         u = np.concatenate([crosses[each, (k + 1) % 3], crosses[each, (k + 2) % 3]])
         anchor = (u * pts[np.tile(a, 2)]).sum(axis=1)
-        ij = buffer[:2 * len(rows) * width].reshape(2 * len(rows), width)
-        np.matmul(np.column_stack([u, -anchor]).astype(np.float64), exact[:, q_lo + 1:], out=ij)
-        n_i, n_j = ij[:len(rows)], ij[len(rows):]
+        ij = buffer[:2 * len(a) * n].reshape(2 * len(a), n)
+        np.matmul(np.column_stack([u, -anchor]).astype(np.float64), exact, out=ij)
+        n_i, n_j = ij[:len(a)], ij[len(a):]
         with np.errstate(divide="ignore", invalid="ignore"):
             keys = np.divide(n_i, n_j, out=n_i)
         keys[keys == -np.inf] = np.inf  # n_j = 0: one plane, whatever the signs
-        keys[np.arange(width) < (q - q_lo)[:, None]] = np.nan  # r <= q
         runs = n_j  # the n_j are spent: sort a copy of the keys in their place
         runs[...] = keys
         runs.sort(axis=1)
@@ -390,14 +398,13 @@ def kappa(shell: Shell) -> int:
             row, col = np.unravel_index(hit.argmax(), hit.shape)
             on_plane = keys[row] == runs[row, col]
             p = pts[a[row]]
-            normal = _axis_crosses(d[row]) @ (pts[q_lo + 1 + on_plane.argmax()] - p)
-            count = int((pts[a[row]:] @ normal == p @ normal).sum())
+            normal = _axis_crosses(d[row]) @ (pts[on_plane.argmax()] - p)
+            count = int((pts @ normal == p @ normal).sum())
             if count != on_plane.sum() + 2:
                 raise RuntimeError(
                     f"kappa: {on_plane.sum()} keys share one plane through two "
                     f"points, but it holds {count} shell points (m={shell.m})")
             best = count
-        lo = rows[-1] + 1
     return best
 
 

@@ -292,6 +292,20 @@ def test_kappa_matches_brute_force_on_orbit_unions(sh):
     assert kappa(sh) == want
     # the planted start counts a real plane, so it can only fall short
     assert geometry._planted_count(sh.coords) <= want
+    # a planted start of 3 widens the chord bound to its most, 2m, so that
+    # the sweep itself must find every denser plane
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_planted_count", lambda pts: 3)
+        assert kappa(sh) == want
+
+
+@pytest.mark.parametrize("m, planted, want", [(2, 5, 6), (1, 3, 4)])
+def test_kappa_chord_bound_keeps_exact_chords(monkeypatch, m, planted, want):
+    # as floats, 4 * 2 * sin^2(pi/6) and 4 * 1 * sin^2(pi/4) are both
+    # 1.9999999999999996, just below the chord^2 = 2 of the hexagon of E(2)
+    # in x + y + z = 0 and of the square of E(1) in z = 0
+    monkeypatch.setattr(geometry, "_planted_count", lambda pts: planted)
+    assert kappa(enumerate_shell(m)) == want
 
 
 def test_kappa_rejects_empty():

@@ -26,8 +26,10 @@ prints nothing.  The entries:
     each of ROOT_MS and DIRECTIONS (240 lines);
   - regions: the cone_region and slab_region around a few fixed points of
     each shell of REGION_MS, their parameters as float.hex and their
-    count_in, and approx_direction of APPROX_DIRECTIONS at APPROX_HS.
-The whole set takes about 25 s (2-core x86 host, Python 3.11, numpy 2.4).
+    count_in, and approx_direction of APPROX_DIRECTIONS at APPROX_HS;
+  - kappas: m, N and kappa of every shell with N >= 4 and m <= KAPPA_M_MAX,
+    and of KAPPA_MS.
+The whole set takes about 20 s (2-core x86 host, Python 3.11, numpy 2.4).
 """
 
 import dataclasses
@@ -56,6 +58,8 @@ CONE_CS = (0.05, 0.3, 0.9)
 SLAB_CS = (0.5, 3.0, 100.0)
 APPROX_DIRECTIONS = ("irr:std", "halfrat:1,1,sqrt2")
 APPROX_HS = (3, 10, 50)
+KAPPA_M_MAX = 3000
+KAPPA_MS = (10001, 100001)
 
 
 def _slug(spec: str) -> str:
@@ -169,6 +173,18 @@ def regions() -> None:
             print(spec, h_param, *ap.a, float.hex(ap.angle_err), tau)
 
 
+def kappas() -> None:
+    """Print m, N and kappa of each shell of four or more points up to
+    KAPPA_M_MAX, then of KAPPA_MS."""
+    from nodal_lab.geometry import kappa
+    from nodal_lab.lattice import enumerate_shell
+
+    for m in (*range(1, KAPPA_M_MAX + 1), *KAPPA_MS):
+        shell = enumerate_shell(m)
+        if shell.n >= 4:
+            print(m, shell.n, kappa(shell))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -179,7 +195,7 @@ def main(argv: list[str]) -> int:
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]))
     cli = "import sys; from nodal_lab.cli import main; sys.exit(main(sys.argv[1:]))"
     entries = {name: ["-c", cli, *args] for name, args in reports().items()}
-    for name in ("library", "roots", "regions"):
+    for name in ("library", "roots", "regions", "kappas"):
         entries[name] = ["-c", f"import report_matrix; report_matrix.{name}()"]
     for name, args in entries.items():
         done = subprocess.run([sys.executable, *args], env=env, cwd=out,
