@@ -9,20 +9,20 @@ segment lies in one hemisphere (both planes on one side of the center);
 segment_from builds it from its height h and the height of its top plane.
 
 kappa(shell) is the exact maximal number of shell points on any single
-plane.  It starts from a planted plane: the densest plane n . x = c over 13
-small normals n (the x = c, x +- y = c and x +- y +- z = c types), counted
-exactly from one (N x 13) int64 product.  On almost every shell that count
-already is kappa, and the sweep below only verifies it.  A plane holding
-more points than the best so far has two neighbours on its circle within a
-short chord, and a signed coordinate permutation moves one of them to the
-first point p of its orbit.  So only the close pairs (p, q) are swept,
-shortest chord first: each keys the planes through p, q and every point r
-by the float64 ratio of two entries of its normal, exact integers from one
-GEMM, so that the correctly rounded ratios tell planes apart while
-m < 2^24.  The rows are sorted in blocks of about 2^16 keys; a block is only
-asked whether it holds a plane denser than the best so far, every such
-plane is recounted in int64, and each new best shortens the chord the
-sweep stops at.
+plane.  It starts from a planted plane: the densest plane n . x = c of the
+x = c, x +- y = c and x +- y +- z = c types, counted exactly from one
+(N x 3) int64 product, one normal per type.  On almost every shell that
+count already is kappa, and the sweep below only verifies it.  A plane
+holding more points than the best so far has two neighbours on its circle
+within a short chord, and a signed coordinate permutation moves one of them
+to the canonical point p of its orbit, the one with x >= y >= z >= 0.  So
+only the close pairs (p, q) are swept, shortest chord first: each keys the
+planes through p, q and every point r by the float64 ratio of two entries
+of its normal, exact integers from one GEMM, so that the correctly rounded
+ratios tell planes apart while m < 2^24.  The rows are sorted in blocks of
+about 2^16 keys; a block is only asked whether it holds a plane denser than
+the best so far, every such plane is recounted in int64, and each new best
+shortens the chord the sweep stops at.
 
 cone_region and slab_region build the regions around a point B that hold
 the small pairs of the relative and absolute pair splits: a cap, a segment,
@@ -54,13 +54,9 @@ __all__ = [
 KAPPA_M_LIMIT = 2**24
 # kappa sorts its plane keys in blocks of about this many (rows * columns)
 _BLOCK_ENTRIES = 2**16
-# the normals of kappa's planted planes: x, y or z = c, the six x +- y = c
-# type and the four x +- y +- z = c type, one column each
-_PLANTED_NORMALS = np.array([
-    [1, 0, 0], [0, 1, 0], [0, 0, 1],
-    [1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1],
-    [1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1],
-], dtype=np.int64).T
+# the normals of kappa's planted planes, one column per orbit of normals
+# under the signed coordinate permutations: x = c, x + y = c, x + y + z = c
+_PLANTED_NORMALS = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]], dtype=np.int64).T
 # e_i x d has the entries _CROSS_SIGN[i] * d[_CROSS_PERM[i]]
 _CROSS_PERM = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 _CROSS_SIGN = np.array([[0, -1, 1], [1, 0, -1], [-1, 1, 0]], dtype=np.int64)
@@ -235,24 +231,21 @@ def count_in(shell: Shell, region) -> int:
     return int(inside.sum())
 
 
-def _orbit_order(pts: np.ndarray):
-    """The points grouped by orbit of the 48 signed coordinate permutations
-    (rows of equal sorted |mu|, compared as exact int64), largest orbit
-    first, and the index of each orbit's first point in that order."""
-    _, label, size = np.unique(np.sort(np.abs(pts), axis=1), axis=0,
-                               return_inverse=True, return_counts=True)
-    by_size = np.argsort(-size, kind="stable")
-    rank = np.empty_like(by_size)
-    rank[by_size] = np.arange(len(by_size))
-    order = np.argsort(rank[label.ravel()], kind="stable")
-    starts = np.cumsum(size[by_size]) - size[by_size]
-    return pts[order], starts
+def _anchors(pts: np.ndarray) -> np.ndarray:
+    """The indices of the rows with x >= y >= z >= 0.  An orbit of the 48
+    signed coordinate permutations holds exactly one such point, its sorted
+    |mu| largest first; the int64 comparisons are exact for any entries."""
+    x, y, z = pts.T
+    return np.flatnonzero((x >= y) & (y >= z) & (z >= 0))
 
 
 def _planted_count(pts: np.ndarray) -> int:
-    """The most points on one plane n . x = c, over the 13 normals n of
+    """The most points on one plane n . x = c, over the normals n of
     _PLANTED_NORMALS: the longest run of equal int64 heights n . x in any
-    column of the sorted (N x 13) product."""
+    column of the sorted (N x 3) product.  On a union of orbits of the
+    signed coordinate permutations, some permutation maps each plane of the
+    x = c, x +- y = c or x +- y +- z = c type onto a plane of one of these
+    normals that holds as many points."""
     heights = np.sort(pts @ _PLANTED_NORMALS, axis=0).T
     # each row of edges marks where a run starts, and its end; the rows
     # joined end to end keep each run between two consecutive marks
@@ -282,29 +275,33 @@ def kappa(shell: Shell) -> int:
     planes onto planes holding as many points.
 
     The best so far starts at a planted count: the most points on one plane
-    n . x = c over the 13 small normals n of _PLANTED_NORMALS, counted
-    exactly as the longest run in each sorted column of one (N x 13) int64
-    product (or 3, if that is more: any three points lie on a plane).  On
-    2,500 of the 2,503 shells with N >= 4 and m <= 3000 this already is kappa;
-    m = 1269, 1502 and 2329 fall 2 short.
+    n . x = c over the normals (1, 0, 0), (1, 1, 0) and (1, 1, 1) of
+    _PLANTED_NORMALS, counted exactly as the longest run in each sorted
+    column of one (N x 3) int64 product (or 3, if that is more: any three
+    points lie on a plane).  G maps the set onto itself and each plane
+    n . x = c to g(n) . x = c, so these three stand for all 13 normals of
+    the x = c, x +- y = c and x +- y +- z = c types.  On 2,500 of the 2,503
+    shells with N >= 4 and m <= 3000 this already is kappa; m = 1269, 1502
+    and 2329 fall 2 short.
 
     Only planes through close pairs can beat it.  A plane P holding k >=
     best + 1 points meets the sphere in a circle of radius at most sqrt(m).
     The k arcs between neighbours on that circle sum to 2 pi, so some two
     neighbours q, q' lie on an arc of at most 2 pi / k, and their chord is
     at most delta = 2 sqrt(m) sin(pi / (best + 1)) (pi / k <= pi / 4, where
-    sine grows).  Some g in G maps q to the first point p of its orbit
-    (_orbit_order); then g(P) holds k points of the set, among them p and
-    g(q') with |g(q') - p| <= delta.  On the sphere, |q - p|^2 = 2m - 2 p.q
-    is an exact integer, so kappa lists for each orbit's p every point q
-    with 0 < |q - p|^2 <= D, where D = _chord_bound(m, best) is the floor of
-    4m sin^2(pi / (best + 1)) raised by a relative 2^-40.  The float
-    4m sin^2 carries a relative error of a few 2^-53, and can fall below an
-    exact integer chord: 4 * 2 * sin^2(pi / 6) is 1.9999999999999996, whose
-    floor would drop the hexagon of E(2) with chord^2 = 2.  The margin is far
-    above that error and only admits more pairs.  The pairs are listed a
-    block of orbits at a time, never as an orbits x N table, and sorted by
-    |q - p|^2.
+    sine grows).  Some g in G maps q to the canonical point p of its orbit,
+    the one with x >= y >= z >= 0 (its sorted |mu|, largest first), which
+    the set holds since it is a union of orbits (_anchors).  Then g(P) holds
+    k points of the set, among them p and g(q') with |g(q') - p| <= delta.
+    On the sphere, |q - p|^2 = 2m - 2 p.q is an exact integer, so kappa
+    lists for each canonical p every point q with 0 < |q - p|^2 <= D, where
+    D = _chord_bound(m, best) is the floor of 4m sin^2(pi / (best + 1))
+    raised by a relative 2^-40.  The float 4m sin^2 carries a relative error
+    of a few 2^-53, and can fall below an exact integer chord:
+    4 * 2 * sin^2(pi / 6) is 1.9999999999999996, whose floor would drop the
+    hexagon of E(2) with chord^2 = 2.  The margin is far above that error
+    and only admits more pairs.  The pairs are listed a block of canonical
+    points at a time, never as an orbits x N table, and sorted by |q - p|^2.
 
     A pair (p, q) keys the plane through p, q and r for every point r, by
     one ratio.  With d_r = r - p, that plane has normal n = d_q x d_r, which
@@ -356,18 +353,20 @@ def kappa(shell: Shell) -> int:
     n = shell.n
     if n <= 3:
         return n
-    pts, starts = _orbit_order(shell.coords)
+    pts = shell.coords
+    anchors = _anchors(pts)
     # the points as columns over a row of ones, which meets the anchor term
     exact = np.vstack([pts.T, np.ones(n, dtype=np.int64)]).astype(np.float64)
     best = max(3, _planted_count(pts))
     step = max(1, _BLOCK_ENTRIES // n)
     # the close pairs (p, q) as rows of |q - p|^2 and the indices of p and q,
-    # found for a block of orbits at a time
+    # found for a block of canonical points p at a time
     close = []
-    for lo in range(0, len(starts), step):
-        chord = 2 * (shell.m - pts[starts[lo:lo + step]] @ pts.T)
-        orbit, q = np.nonzero((chord > 0) & (chord <= _chord_bound(shell.m, best)))
-        close.append([chord[orbit, q], starts[lo + orbit], q])
+    for lo in range(0, len(anchors), step):
+        a = anchors[lo:lo + step]
+        chord = 2 * (shell.m - pts[a] @ pts.T)
+        row, q = np.nonzero((chord > 0) & (chord <= _chord_bound(shell.m, best)))
+        close.append([chord[row, q], a[row], q])
     close = np.concatenate(close, axis=1)
     chord, p_index, q_index = close[:, close[0].argsort(kind="stable")]
     # every block's n_i and n_j rows in one buffer
@@ -438,8 +437,8 @@ def slicing_bound(shell: Shell, b, h: float) -> int:
     return math.floor(kappa(shell) * (1.0 + float(np.linalg.norm(b)) * h))
 
 
-def _snap(x: float, tol: float = 1e-12) -> float:
-    return 0.0 if abs(x) < tol else x
+def _snap(x: float) -> float:
+    return 0.0 if abs(x) < 1e-12 else x
 
 
 def _band_region(r: float, beta: np.ndarray, z_lo: float, z_hi: float):

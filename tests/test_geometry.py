@@ -1,5 +1,6 @@
 """Cap/segment parameterizations, exact plane counts, and count bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -246,16 +247,32 @@ def test_kappa_of_at_most_three_points(coords):
     assert kappa(sh) == kappa_brute(sh) == len(coords)
 
 
-def test_orbit_order_is_exact_for_any_int64_coords():
-    # (0, 2^54, 2^54 + 1) and (0, 2^54, 2^54) round to one float64 row
+def signed_permutations(point):
+    """The orbit of a point under the 48 signed coordinate permutations."""
+    return {tuple(sign * point[axis] for sign, axis in zip(signs, perm))
+            for perm in itertools.permutations(range(3))
+            for signs in itertools.product((1, -1), repeat=3)}
+
+
+def assert_one_anchor_per_orbit(pts):
+    # each orbit present anchors exactly its sorted |mu|, largest first
+    want = {tuple(sorted(map(abs, point), reverse=True)) for point in pts.tolist()}
+    anchored = pts[geometry._anchors(pts)].tolist()
+    assert sorted(map(tuple, anchored)) == sorted(want)
+
+
+def test_anchors_are_exact_for_any_int64_coords():
+    # (2^54 + 1, 2^54, 0) and (2^54, 2^54 + 1, 0) round to one float64 row,
+    # so compared as floats, both would pass x >= y >= z >= 0
     big = 2**54
-    pts = np.array([[0, big, big], [big + 1, 0, big], [1, 0, 0], [0, big, big + 1],
-                    [0, 0, -1], [big, -big, 0], [0, -1, 0]], dtype=np.int64)
-    ordered, starts = geometry._orbit_order(pts)
-    assert starts.tolist() == [0, 3, 5]
-    assert sorted(map(tuple, ordered.tolist())) == sorted(map(tuple, pts.tolist()))
-    assert {tuple(x) for x in ordered[:3].tolist()} == {(1, 0, 0), (0, 0, -1), (0, -1, 0)}
-    assert {tuple(x) for x in ordered[3:5].tolist()} == {(0, big, big), (big, -big, 0)}
+    orbits = set().union(*map(signed_permutations,
+                              [(0, big, big), (0, big, big + 1), (0, 0, 1)]))
+    assert len(orbits) == 12 + 24 + 6
+    rng = np.random.default_rng(33)
+    pts = np.array(sorted(orbits), dtype=np.int64)
+    assert_one_anchor_per_orbit(pts[rng.permutation(len(pts))])
+    coords = enumerate_shell(3001).coords
+    assert_one_anchor_per_orbit(coords[rng.permutation(len(coords))])
 
 
 def _orbits(m):
@@ -283,6 +300,11 @@ def orbit_unions(draw):
     points = [point for orbit in chosen for point in orbit]
     m = sum(x * x for x in points[0])
     return Shell(m, np.array(draw(st.permutations(points)), dtype=np.int64))
+
+
+@given(orbit_unions())
+def test_anchors_take_one_point_per_orbit(sh):
+    assert_one_anchor_per_orbit(sh.coords)
 
 
 @given(orbit_unions())
@@ -323,12 +345,24 @@ def test_kappa_rejects_shells_past_exact_ratio_keys():
         kappa(sh)
 
 
-def test_kappa_keys_a_plane_once_whatever_the_signs():
+def test_kappa_keys_a_plane_once_whatever_the_signs(monkeypatch):
     # a flat point set: in the row of (0, 1, 0) every key is n_z / n_x with
     # n_x = 0, and n_z changes sign from one side of the y axis to the other
     coords = np.array([[0, 0, 0], [0, 1, 0], [-2, 1, 0], [-1, -1, 0], [1, -1, 0], [1, 0, 0]])
     sh = Shell(1, coords)
     assert kappa(sh) == kappa_brute(sh) == 6
+    # the planted start already counts all six and leaves the sweep no row;
+    # from a start of 3 the sweep keys the row of (0, 1, 0)
+    keyed, axis_crosses = [], geometry._axis_crosses
+
+    def spy(d):
+        keyed.extend(np.reshape(d, (-1, 3)).tolist())
+        return axis_crosses(d)
+
+    monkeypatch.setattr(geometry, "_planted_count", lambda pts: 3)
+    monkeypatch.setattr(geometry, "_axis_crosses", spy)
+    assert kappa(sh) == 6
+    assert [0, 1, 0] in keyed
 
 
 def test_kappa_recount_catches_colliding_keys():
