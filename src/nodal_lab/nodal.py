@@ -24,24 +24,31 @@ tighter: at m = 1009 it keeps about one in three hundred of the base cells
 the curvature test would refine.  It needs f' at the end points, which on
 the base grid costs one more matrix product per block: f' is f of the pair
 amplitudes 2 pi i b a, so both products are randomwave's one restriction
-formula over the base grid's phase table.  Deeper levels keep the curvature
-test alone, and need no f': too few windows get there for a tighter test to
-pay.  Touch-without-crossing configurations are flagged and counted as zero
-crossings are not; so is a numerically zero grid point between two sign
-changes, a double root that rounding split in two, unless on the base grid
-f' there is large enough to fix the signs of f a refinement step away.
+formula.  Deeper levels keep the curvature test alone, and need no f': too
+few windows get there for a tighter test to pay.  Touch-without-crossing
+configurations are flagged and counted as zero crossings are not; so is a
+numerically zero grid point between two sign changes, a double root that
+rounding split in two, unless on the base grid f' there is large enough to
+fix the signs of f a refinement step away.
 
 The rule has one home, ``_scan``, which runs it over a block of samples one
 depth level at a time.  The block comes in as its amplitudes, a k x N/2
 matrix with one row of pair amplitudes per sample, beside the base grid and
-its frequencies; ``_scan`` reads no sample object and no shell.  The two
-restriction products give every sample's base-grid values of f and f', and
-the masks of ``_level`` run over all segments of the block at once.  Off the
-base grid f has one evaluator, ``f_at``, which ``_scan`` builds for its
-block: f of any block row at any point, with no loop over samples.  It too
-goes through ``_restrict``: one product of the points' phase table against
-every sample of the block, of which each point keeps its own sample's
-column.  Each refinement level evaluates its sub-grid points with it, and
+its frequencies; ``_scan`` reads no sample object and no shell.  The base
+grid keeps no points x N/2 phase table.  Its points come in chunks, each an
+anchor t_c plus the offsets t_j of the first chunk, and e^{2 pi i b t} is
+e^{2 pi i b t_c} e^{2 pi i b t_j}, so the grid holds cos and sin of 2 pi b t
+at the anchors and at the offsets alone.  ``_base_values`` rotates the
+block's amplitudes to every anchor and makes one restriction product of the
+offset table against all the rotated rows, and one more for f'; they give
+every sample's base-grid values of f and f' with the multiply-adds of two
+products of the whole table, and the masks of ``_level`` run over all
+segments of the block at once.  Off the base grid f has one evaluator,
+``f_at``, which ``_scan`` builds for its block: f of any block row at any
+point, with no loop over samples.  It too goes through ``_restrict``: one
+product of the points' phase table against every sample of the block, of
+which each point keeps its own sample's column.  Each refinement level
+evaluates its sub-grid points with it, and
 ``_bisect`` its midpoints.  ``_scan`` returns the brackets of every level,
 the flags and ``f_at``.  A bracket is a sign-change cell, or the width-0
 bracket [r, r] of a run of exact grid zeros that counts as a root, r being
@@ -104,9 +111,11 @@ MAX_REFINE_DEPTH = 8
 # memory: at m = 1009 a block of 16 adds about 0.3 MB to a simulate process
 # and a block of 32 about 0.8 MB, for about 10% less time per trial.
 BLOCK_TRIALS = 16
-# Entries of each design matrix (points x N/2), of the base grid or of a
-# refinement level: cos and sin take at most 512 MB.  m = 100001 at L = 1
-# needs 14.0M on the base grid.
+# Points x N/2 of the base grid or of a refinement level.  A refinement
+# level's cos and sin tables take at most 512 MB.  The base grid builds no
+# such table: there the budget bounds the work of its two restriction
+# products per sample, of f and of f'.  m = 100001 at L = 1 needs 14.0M on
+# the base grid.
 GRID_ENTRIES = 1 << 25
 
 
@@ -173,17 +182,24 @@ class MonteCarloReport:
 
 @dataclass(frozen=True)
 class _BaseGrid:
-    """The uniform base grid on [0, L] and its half-shell design matrices."""
+    """The uniform base grid on [0, L] and its two phase tables.
+
+    The grid's points come in chunks of C: point cC + j is the anchor
+    t[cC] plus the offset t[j], so e^{2 pi i b t} is the product of an
+    anchor's phase and an offset's.  ``anchors`` holds cos and sin of
+    2 pi b t at t[::C] and ``offsets`` at t[:C], each with one row per
+    anchor or offset and one column per frequency of ``b``.
+    """
 
     t: np.ndarray
-    cos_phase: np.ndarray
-    sin_phase: np.ndarray
+    anchors: tuple[np.ndarray, np.ndarray]
+    offsets: tuple[np.ndarray, np.ndarray]
     b: np.ndarray  # <mu, alpha> per antipodal pair
 
 
 def _check_grid(grid: str, points: int, freqs: int, length: float) -> None:
     """Raise BoundOverflowError("length") before a grid of points x freqs
-    design entries past GRID_ENTRIES is built; grid names it in the message."""
+    entries past GRID_ENTRIES is evaluated; grid names it in the message."""
     if points * freqs > GRID_ENTRIES:
         raise BoundOverflowError(
             "length", f"{grid} needs {points} points x {freqs} "
@@ -192,13 +208,20 @@ def _check_grid(grid: str, points: int, freqs: int, length: float) -> None:
 
 def _base_grid(shell: Shell, line: LineSegment) -> _BaseGrid:
     """Base grid of ceil(GRID_FACTOR * 2 * f_max * L) + 1 uniform points; raises
-    BoundOverflowError("length") for more than GRID_ENTRIES design entries."""
+    BoundOverflowError("length") for more than GRID_ENTRIES points x N/2.
+
+    The chunk length C = isqrt(BLOCK_TRIALS * n_pts) balances the offset
+    table (C rows) against the amplitudes _scan rotates to every anchor
+    (n_pts / C anchors for each of BLOCK_TRIALS samples), so both hold about
+    sqrt(BLOCK_TRIALS * n_pts) rows of N/2 entries.
+    """
     b = half_frequencies(shell, line.direction.components)
     f_max = float(np.max(np.abs(b)))  # the mirrored rows carry -b
     n_pts = max(int(math.ceil(GRID_FACTOR * 2.0 * f_max * line.length)) + 1, 2)
     _check_grid(f"the base grid at m={shell.m}", n_pts, len(b), line.length)
     t = np.linspace(0.0, line.length, n_pts)
-    return _BaseGrid(t, *_phases(t, b), b)
+    chunk = min(math.isqrt(BLOCK_TRIALS * n_pts), n_pts)
+    return _BaseGrid(t, _phases(t[::chunk], b), _phases(t[:chunk], b), b)
 
 
 def _run_ends(breaks: np.ndarray, n: int):
@@ -212,18 +235,20 @@ def _run_ends(breaks: np.ndarray, n: int):
 
 
 def _zero_runs(t: np.ndarray, fv: np.ndarray, seg: np.ndarray):
-    """Runs of exact zeros over concatenated segments, as roots and touches.
+    """Runs of exact zeros over concatenated segments, as roots and windows.
 
     ``seg`` names each point's segment, and a run ends where its segment
     does.  A run counts as one root, at its midpoint, when its flanking
-    values differ in sign or it reaches an end of its segment; same-sign
-    flanks mean a touch, which counts nothing but raises the tangency flag.
-    Returns the roots, the segment of each root and the segment of each
-    touch.  Only the zero points and their flanks are indexed.
+    values differ in sign or it reaches an end of its segment.  Same-sign
+    flanks count nothing here: f may touch zero at the run, or cross it
+    there and once more in a cell beside it, so the run and its two flanks
+    make a window [left, right] for refinement.  Returns the roots, the
+    segment of each root and the windows' end points.  Only the zero points
+    and their flanks are indexed.
     """
     zero = np.flatnonzero(fv == 0.0)
     if zero.size == 0:  # the common case; skips a dozen numpy calls per level
-        return t[zero], zero, zero
+        return t[zero], zero, zero, zero
     first, last = _run_ends((zero[1:] - zero[:-1] > 1) | (seg[zero[1:]] != seg[zero[:-1]]),
                             zero.size)
     lo, hi = zero[first], zero[last]
@@ -232,7 +257,7 @@ def _zero_runs(t: np.ndarray, fv: np.ndarray, seg: np.ndarray):
     crossing = ((lo == 0) | (hi + 1 == fv.size) | (seg[left] != run_seg)
                 | (seg[right] != run_seg) | (fv[left] * fv[right] < 0))
     roots = 0.5 * (t[lo] + t[hi])
-    return roots[crossing], run_seg[crossing], run_seg[~crossing]
+    return roots[crossing], run_seg[crossing], left[~crossing], right[~crossing]
 
 
 def _bisect(f_at, row, lo, hi, f_lo):
@@ -299,11 +324,16 @@ def _level(t, fv, seg, near_tol, dip_tol, slope=None, remainder=None):
 
     ``seg`` names each point's segment; ``near_tol`` and ``dip_tol`` (the
     M2 * w^2 / 8 curvature test) hold one value per segment.  Returns the
-    sign-change cells (index of their left point) and the merged refinement
-    windows [lo, hi].  Cells whose endpoints share a sign are refined when
-    the curvature bound says f could reach zero inside; tiny endpoint values
-    that sit next to a sign change are exempt, being the skirt of an already
-    bracketed root.
+    sign-change cells (index of their left point), the roots at runs of
+    exact zeros with the segment of each (_zero_runs) and the merged
+    refinement windows [lo, hi].  Cells whose endpoints share a sign are
+    refined when the curvature bound says f could reach zero inside; tiny
+    endpoint values that sit next to a sign change are exempt, being the
+    skirt of an already bracketed root.  A run of exact zeros whose flanks
+    share a sign is refined with the two cells beside it, which may hold a
+    second root.  So a true double root at an exact grid zero, where the
+    sub-grids keep meeting an exact or tiny f, refines down to
+    MAX_REFINE_DEPTH and raises both the depth-hit and the tangency flags.
 
     Given ``slope`` (f' at every point) and ``remainder`` (M4 * w^4 / 384,
     one value per segment), a cell that passes the curvature test is refined
@@ -357,9 +387,10 @@ def _level(t, fv, seg, near_tol, dip_tol, slope=None, remainder=None):
     suspects = np.flatnonzero(tiny & ~beside_change & ~beside_zero)
 
     first, last = _run_ends(~inner, n)
-    lo = np.concatenate([risky, np.where(first[suspects], suspects, suspects - 1)])
-    hi = np.concatenate([risky + 1, np.where(last[suspects], suspects, suspects + 1)])
-    return np.flatnonzero(sign_change), *_merge_windows(lo, hi)
+    roots, root_seg, run_lo, run_hi = _zero_runs(t, fv, seg)
+    lo = np.concatenate([risky, np.where(first[suspects], suspects, suspects - 1), run_lo])
+    hi = np.concatenate([risky + 1, np.where(last[suspects], suspects, suspects + 1), run_hi])
+    return np.flatnonzero(sign_change), roots, root_seg, *_merge_windows(lo, hi)
 
 
 def _sub_grids(t, lo, hi):
@@ -401,24 +432,56 @@ class _Scan:
     f_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _base_values(re, im, grid: _BaseGrid, scale):
+    """f and f' of every block row at every base-grid point, k x n_pts each.
+
+    re and im are the parts of the k x N/2 amplitude block.  The amplitudes
+    are first rotated to every anchor t_c, a e^{2 pi i b t_c}.  Then f at
+    t_c + t_j comes from one restriction product of the offset table
+    against all the rotated rows, and f' from one more, of the rotated
+    amplitudes i omega a e^{2 pi i b t_c} (omega = 2 pi b).  Each product
+    does the multiply-adds of a product of the whole n_pts x N/2 phase
+    table, and no such table is built.
+    """
+    k, h = re.shape
+    (anchor_cos, anchor_sin), (offset_cos, offset_sin) = grid.anchors, grid.offsets
+    rot_re = anchor_cos[:, None] * re - anchor_sin[:, None] * im  # anchors x k x N/2
+    rot_im = anchor_sin[:, None] * re + anchor_cos[:, None] * im
+
+    def on_grid(part_re, part_im):
+        # entry (j, (c, i)) of the product is point c C + j of row i
+        out = _restrict(offset_cos, offset_sin, part_re.reshape(-1, h), part_im.reshape(-1, h),
+                        scale)
+        out = out.reshape(len(offset_cos), -1, k).transpose(2, 1, 0)  # k x anchors x chunk
+        return out.reshape(k, -1)[:, :grid.t.size]
+
+    fv = on_grid(rot_re, rot_im)
+    # f' is f of the amplitudes i omega a; rebinding drops the rotated a
+    # before the second product
+    rot_re, rot_im = _slope_parts(TWO_PI * grid.b, rot_re, rot_im)
+    return fv, on_grid(rot_re, rot_im)
+
+
 def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     """Brackets and flags of every sample in a block, one level at a time.
 
     The block comes in as its amplitudes: row i of ``half`` holds the N/2
     pair amplitudes of sample i, one per frequency of ``grid.b``, so the
     scan needs no shell and no sample object.  Every sample's base-grid
-    values of f come from one restriction product over the grid's phase
-    table, as in evaluate_f, and those of f' from one more: f' is f of the
-    pair amplitudes 2 pi i b a, as in evaluate_f_prime.  The base level
-    applies the masks of _level with both exclusion tests, curvature (M2)
-    and Hermite (M4, f'); each refinement level concatenates the windows of
-    all samples into segments, evaluates f at their sub-grid points with
-    f_at and applies the masks of _level with the curvature test alone.  The
-    segment map (seg, the segment of each point) of a level is the window
-    map _sub_grids returns for it.  Every level also adds the width-0 brackets of its runs of exact
-    zeros, and raises the tangency flag for their touches and for a
-    numerically zero point shared by two sign-change cells, a double root
-    that rounding may have split in two.
+    values of f and f' come from _base_values: the amplitudes rotated to
+    each anchor of the grid, then one restriction product of the offset
+    table against them, the formula of evaluate_f, and one more for f',
+    which is f of the pair amplitudes 2 pi i b a, as in evaluate_f_prime.
+    The base level applies the masks of _level with both exclusion tests,
+    curvature (M2) and Hermite (M4, f'); each refinement level concatenates
+    the windows of all samples into segments, evaluates f at their sub-grid
+    points with f_at and applies the masks of _level with the curvature
+    test alone.  The segment map (seg, the segment of each point) of a
+    level is the window map _sub_grids returns for it.  Every level also adds the width-0
+    brackets of its runs of exact zeros, refines the runs whose flanks
+    share a sign (_level), and raises the tangency flag for a numerically
+    zero point shared by two sign-change cells, a double root that rounding
+    may have split in two.
 
     On the base level that flag is dropped where f' shows two simple roots
     whose count no rounding of f(p) can change.  Let p be the shared point,
@@ -449,7 +512,7 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     that, a mean f^2 below the smallest normal float64 raises ValueError:
     the products f_i f_{i+1} of the sign tests would underflow to +-0.
     A refinement level whose sub-grid would need more than GRID_ENTRIES
-    design entries raises BoundOverflowError("length") before it is built,
+    points x N/2 raises BoundOverflowError("length") before it is built,
     as an f that is exactly zero but computed as noise above that test can
     make the windows grow eightfold per level on a long segment.
     """
@@ -457,14 +520,12 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     re, im = np.ascontiguousarray(half.real), np.ascontiguousarray(half.imag)
     scale = 2.0 / math.sqrt(2 * len(grid.b))  # 2 / sqrt(N)
     with np.errstate(over="ignore"):
-        fv = np.ascontiguousarray(_restrict(grid.cos_phase, grid.sin_phase, re, im, scale).T)
+        fv, slope = _base_values(re, im, grid, scale)
+        slope = slope.ravel()  # one run per sample, as fv below
         mean_sq = np.mean(fv * fv, axis=1)
         near_tol = NEAR_ZERO_FACTOR * np.sqrt(mean_sq)
         omega = TWO_PI * grid.b
         m0, m2, m4 = (scale * np.sum(omega**p * np.abs(half), axis=1) for p in (0, 2, 4))
-        # f' on the base grid, one run per sample as fv below
-        parts = _slope_parts(omega, re, im)
-        slope = _restrict(grid.cos_phase, grid.sin_phase, *parts, scale).T.ravel()
     if not np.isfinite([near_tol, m0, m2, m4]).all():
         raise ValueError("f overflows: the pair amplitudes are too large to scan")
     dead = np.flatnonzero(np.max(np.abs(fv), axis=1) <= DEGENERATE_TOL * m0)
@@ -492,7 +553,8 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
         w = t[starts + 1] - t[starts]
         hermite = (slope, m4 * w**4 / 384.0) if depth == 1 else (None, None)
         tol = near_tol[owner]
-        cells, win_lo, win_hi = _level(t, fv, seg, tol, m2[owner] * w * w / 8.0, *hermite)
+        dip_tol = m2[owner] * w * w / 8.0
+        cells, roots, root_seg, win_lo, win_hi = _level(t, fv, seg, tol, dip_tol, *hermite)
         # a numerically zero point between two sign changes: a split double root
         shared = cells[1:][cells[1:] - cells[:-1] == 1]
         split = shared[np.abs(fv[shared]) <= tol[seg[shared]]]
@@ -503,8 +565,6 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
             bound = 4.0 * tol[seg[split]] + m2[owner[seg[split]]] * h * h / 2.0
             split = split[np.abs(slope[split]) * h <= bound]
         tangency[owner[seg[split]]] = True
-        roots, root_seg, touch_seg = _zero_runs(t, fv, seg)
-        tangency[owner[touch_seg]] = True
         found.append((owner[seg[cells]], t[cells], t[cells + 1], fv[cells]))
         found.append((owner[root_seg], roots, roots, np.zeros(roots.size)))
         if win_lo.size == 0:

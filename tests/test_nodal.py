@@ -74,11 +74,13 @@ def test_single_mode_short_segment_no_roots():
 
 
 def test_touch_without_crossing_counts_zero():
-    # f(t) proportional to cos(2 pi t) + 1: a double root at t = 0.5
+    # f(t) proportional to cos(2 pi t) + 1: a double root at t = 0.5, an
+    # exact zero of the base grid and of every dyadic sub-grid, so the cells
+    # beside it refine down to the depth limit
     result = count_zeros(cosine_sample(extra=1.0), LineSegment(E1, 1.0))
     assert result.count == 0
     assert result.flags.near_tangency
-    assert not result.flags.refinement_depth_hit
+    assert result.flags.refinement_depth_hit
 
 
 def test_lifted_touch_exhausts_refinement():
@@ -117,7 +119,8 @@ def test_base_grid_past_its_budget_is_rejected(monkeypatch):
     shell = enumerate_shell(5)
     sample = sample_wave(shell, np.random.default_rng(0))
     line = LineSegment(E1, 1.0)
-    entries = nodal._base_grid(shell, line).cos_phase.size
+    grid = nodal._base_grid(shell, line)
+    entries = len(grid.t) * len(grid.b)
     monkeypatch.setattr(nodal, "GRID_ENTRIES", entries)
     count_zeros(sample, line)
     monkeypatch.setattr(nodal, "GRID_ENTRIES", entries - 1)
@@ -131,11 +134,11 @@ def test_refinement_past_the_grid_budget_is_rejected(monkeypatch):
     # along (1,2,3), make f exactly zero; at L = 500 its computed rounding
     # noise passes the degenerate test, and the windows grow eightfold per
     # level.  The base grid, 25,659 points x 12, fits 2^21 entries; the first
-    # refinement level, 200,399 points, does not, and is never built
+    # refinement level, 201,449 points, does not, and is never built
     monkeypatch.setattr(nodal, "GRID_ENTRIES", 1 << 21)
     a = 0.6 + 0.8j
     sample = WaveSample.from_coefficients(enumerate_shell(11), {(-3, 1, 1): a, (-1, 3, -1): -a})
-    with pytest.raises(BoundOverflowError, match="refinement level 1 needs 200399 points") as info:
+    with pytest.raises(BoundOverflowError, match="refinement level 1 needs 201449 points") as info:
         count_zeros(sample, LineSegment(parse_direction("rat:1,2,3"), 500.0))
     assert info.value.parameter == "length"
 
@@ -328,48 +331,67 @@ def test_monte_carlo_matches_count_zeros_on_edge_samples(monkeypatch):
             z.flags.refinement_depth_hit for z in zeros)
 
 
+def base_values(sample, line):
+    """The base grid of one sample and f on it, as _scan computes them."""
+    half = sample.half_coefficients[None]
+    grid = nodal._base_grid(sample.shell, line)
+    fv, _ = nodal._base_values(half.real, half.imag, grid, 2.0 / math.sqrt(sample.shell.n))
+    return grid.t, fv[0]
+
+
 def test_split_double_root_is_flagged(monkeypatch):
-    # a double root at the base point 15/16, where the base-grid product
-    # gives f = +2.3e-17: two sign-change cells share that point, and their
-    # roots lie 1.9e-9 apart
-    sample = cosine_sample(extra=-1.0, shift=3 / 16 - 1 / 4)
+    # a double root at the base point 7/16, where the base-grid product
+    # gives f = +4.5e-17 between two negative flanks: two sign-change cells
+    # share that point, and their roots lie within 1e-8 of it
+    sample = cosine_sample(extra=-1.0, shift=7 / 16)
     line = LineSegment(E1, 1.0)
-    assert nodal._base_grid(sample.shell, line).t[15] == 15 / 16
+    t, fv = base_values(sample, line)
+    assert t[7] == 7 / 16
+    assert fv[7] > 0.0 > max(fv[6], fv[8])
     result = count_zeros(sample, line)
     assert result.count == 2
-    assert np.allclose(result.roots, 15 / 16, atol=1e-8)
+    assert np.allclose(result.roots, 7 / 16, atol=1e-8)
     assert result.flags.near_tangency
     for block in (1, 2):
         report = monte_carlo_over(monkeypatch, [sample, sample], line, block)
         assert report.near_tangency_trials == 2
 
 
+def two_roots_sample(c, level=1.0):
+    """c (cos(2 pi t) - level cos(2 pi 0.495)) on E1: with level 1 its roots
+    are 0.495, base point 8 of the 17 at L = 0.99, and 0.505."""
+    return WaveSample.from_coefficients(enumerate_shell(1), {
+        (1, 0, 0): c, (0, 1, 0): -c * level * math.cos(TWO_PI * 0.495)})
+
+
 def test_split_flag_spares_two_simple_roots():
-    # roots 0.495 (base point 8 of 17) and 0.505: the base-grid product gives
-    # |f| = 1.8e-16 at 0.495, below near_tol, and both cells beside it change
-    # sign, but w |f'| = 0.030 there fixes the signs of f a refinement step
-    # away, so no rounding of f(0.495) can change the count
-    sample = WaveSample.from_coefficients(enumerate_shell(1), {
-        (1, 0, 0): 3.0, (0, 1, 0): -3.0 * math.cos(TWO_PI * 0.495)})
+    # roots 0.495 and 0.505, both moved out by about 1e-15: the base-grid
+    # product gives f = -3.6e-16 at 0.495, below near_tol, and both cells
+    # beside it change sign, but w |f'| = 0.030 there fixes the signs of f a
+    # refinement step away, so no rounding of f(0.495) can change the count
+    sample = two_roots_sample(3.0, level=1.0 - 2.0**-52)
     line = LineSegment(E1, 0.99)
-    assert nodal._base_grid(sample.shell, line).t[8] == 0.495
+    t, fv = base_values(sample, line)
+    assert t[8] == 0.495
+    assert min(fv[7], fv[9]) > 0.0 > fv[8] > -1e-15
     result = count_zeros(sample, line)
     assert np.allclose(result.roots, [0.495, 0.505], rtol=0, atol=1e-9)
     assert not result.flags.near_tangency
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "an exact grid zero with same-sign flanks is taken as a touch, and the cells "
-    "beside it are never refined"))
 def test_exact_grid_zero_beside_a_second_root_counts_both():
-    # the amplitudes of test_split_flag_spares_two_simple_roots divided by 3:
-    # the base-grid product is now exactly 0.0 at 0.495, its flanks share a
-    # sign, and the second root, 0.505, lies in the cell after it
-    sample = WaveSample.from_coefficients(enumerate_shell(1), {
-        (1, 0, 0): 1.0, (0, 1, 0): -math.cos(TWO_PI * 0.495)})
-    result = count_zeros(sample, LineSegment(E1, 0.99))
-    assert result.count == 2
-    assert np.allclose(result.roots, [0.495, 0.505], rtol=0, atol=1e-9)
+    # the base-grid product is exactly 0.0 at 0.495, its flanks share a
+    # sign, and the second root, 0.505, lies in the cell after it: the run
+    # and its flanks are refined, and both roots found without a flag
+    line = LineSegment(E1, 0.99)
+    for c in (1.0, 3.0):
+        sample = two_roots_sample(c)
+        _, fv = base_values(sample, line)
+        assert fv[8] == 0.0 and min(fv[7], fv[9]) > 0.0, c
+        result = count_zeros(sample, line)
+        assert result.count == 2, c
+        assert np.allclose(result.roots, [0.495, 0.505], rtol=0, atol=1e-9), c
+        assert result.flags == ZeroFlags(), c
 
 
 @pytest.mark.parametrize("gap,count", [(1e-12, 1), (3e-12, 2)])
@@ -425,9 +447,10 @@ def test_count_zeros_matches_exact_polynomial_roots(m, spec):
 
 def zero_runs_per_segment(t, fv, seg):
     """The run rule of nodal._zero_runs, one segment and one point at a time."""
-    roots, root_seg, touch_seg = [], [], []
+    roots, root_seg, windows = [], [], []
     for s in np.unique(seg):
         ts, fs = t[seg == s], fv[seg == s]
+        start = int(np.flatnonzero(seg == s)[0])
         i = 0
         while i < fs.size:
             if fs[i] != 0.0:
@@ -440,17 +463,18 @@ def zero_runs_per_segment(t, fv, seg):
                 roots.append(0.5 * (ts[i] + ts[j]))
                 root_seg.append(s)
             else:
-                touch_seg.append(s)
+                windows.append((start + i - 1, start + j + 1))
             i = j + 1
-    return roots, root_seg, touch_seg
+    return roots, root_seg, windows
 
 
 ZERO_RUN_CASES = {
-    # (segments of f values, roots as (segment, first, last point), touch segments)
+    # (segments of f values, roots as (segment, first, last point), windows
+    # of same-sign runs as (segment, left flank, right flank))
     "zero after a segment ending in zero": ([[1.0, -2.0, 0.0], [0.0, 3.0, -1.0]],
                                             [(0, 2, 2), (1, 0, 0)], []),
     "two-point run, opposite flanks": ([[1.0, 0.0, 0.0, -1.0, 2.0]], [(0, 1, 2)], []),
-    "same-sign flanks": ([[-1.0, 0.0, 0.0, -3.0], [2.0, 0.0, 1.0]], [], [0, 1]),
+    "same-sign flanks": ([[-1.0, 0.0, 0.0, -3.0], [2.0, 0.0, 1.0]], [], [(0, 0, 3), (1, 0, 2)]),
     "run at a segment's last point": ([[2.0, -1.0, 0.0, 0.0], [-1.0, 1.0]], [(0, 2, 3)], []),
     "no zeros": ([[1.0, -1.0], [2.0, 3.0]], [], []),
 }
@@ -458,17 +482,17 @@ ZERO_RUN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ZERO_RUN_CASES))
 def test_zero_runs_across_segment_boundaries(case):
-    values, runs, touches = ZERO_RUN_CASES[case]
+    values, runs, windows = ZERO_RUN_CASES[case]
     fv = np.concatenate(values)
     seg = np.repeat(np.arange(len(values)), [len(v) for v in values])
     starts = np.cumsum([0] + [len(v) for v in values])
     t = np.concatenate([s + np.linspace(0.0, 1.0, len(v)) for s, v in enumerate(values)])
-    roots, root_seg, touch_seg = nodal._zero_runs(t, fv, seg)
+    roots, root_seg, run_lo, run_hi = nodal._zero_runs(t, fv, seg)
     assert roots.tolist() == [0.5 * (t[starts[s] + i] + t[starts[s] + j]) for s, i, j in runs]
     assert root_seg.tolist() == [s for s, _, _ in runs]
-    assert touch_seg.tolist() == touches
-    assert (roots.tolist(), root_seg.tolist(), touch_seg.tolist()) == zero_runs_per_segment(
-        t, fv, seg)
+    found = list(zip(run_lo.tolist(), run_hi.tolist()))
+    assert found == [(starts[s] + i, starts[s] + j) for s, i, j in windows]
+    assert (roots.tolist(), root_seg.tolist(), found) == zero_runs_per_segment(t, fv, seg)
 
 
 def test_zero_runs_match_the_per_segment_rule_on_random_runs():
@@ -478,9 +502,9 @@ def test_zero_runs_match_the_per_segment_rule_on_random_runs():
         fv = rng.choice([-1.0, 0.0, 0.0, 2.0], size=n)
         seg = np.cumsum(rng.random(n) < 0.2)
         t = np.cumsum(rng.random(n))
-        roots, root_seg, touch_seg = nodal._zero_runs(t, fv, seg)
-        assert (roots.tolist(), root_seg.tolist(), touch_seg.tolist()) == zero_runs_per_segment(
-            t, fv, seg)
+        roots, root_seg, run_lo, run_hi = nodal._zero_runs(t, fv, seg)
+        found = list(zip(run_lo.tolist(), run_hi.tolist()))
+        assert (roots.tolist(), root_seg.tolist(), found) == zero_runs_per_segment(t, fv, seg)
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
@@ -656,9 +680,76 @@ def test_base_grid_slope_matches_evaluate_f_prime(monkeypatch):
         assert np.max(np.abs(slope - direct)) < 1e-12 * np.max(np.abs(direct)), (m, spec)
 
 
+def assert_base_values_match(samples, line, grid):
+    """_base_values of a block against evaluate_f and evaluate_f_prime at
+    every grid point, within 0.05 near_tol for f and 0.05 * 2 pi f_max *
+    near_tol for f', the noise bounds _level allows them."""
+    half = amplitudes(samples)
+    fv, slope = nodal._base_values(half.real, half.imag, grid,
+                                   2.0 / math.sqrt(samples[0].shell.n))
+    assert fv.shape == slope.shape == (len(samples), grid.t.size)
+    f_max = np.max(np.abs(grid.b))
+    for i, sample in enumerate(samples):
+        near_tol = nodal.NEAR_ZERO_FACTOR * math.sqrt(np.mean(fv[i] ** 2))
+        for part in np.array_split(np.arange(grid.t.size), grid.t.size // 2048 + 1):
+            t = grid.t[part]
+            assert np.max(np.abs(fv[i, part] - evaluate_f(sample, line, t))) < 0.05 * near_tol
+            assert np.max(np.abs(slope[i, part] - evaluate_f_prime(sample, line, t))) < (
+                0.05 * TWO_PI * f_max * near_tol)
+
+
+@pytest.mark.parametrize("length", [1.0, 30.0])
+@pytest.mark.parametrize("spec", ["rat:1,0,0", "halfrat:1,1,sqrt2", "irr:std"])
+@pytest.mark.parametrize("m", [5, 101, 1009])
+def test_base_values_match_evaluate_f(m, spec, length):
+    # at L = 30 the anchors reach t = 30, where the phases 2 pi b t carry
+    # the largest rounding (m = 1009: 0.02 near_tol at most)
+    shell = enumerate_shell(m)
+    line = LineSegment(parse_direction(spec), length)
+    samples = [sample_wave(shell, seed) for seed in (11, 12)]
+    assert_base_values_match(samples, line, nodal._base_grid(shell, line))
+
+
+@pytest.mark.parametrize("width", [1, nodal.BLOCK_TRIALS])
+def test_base_values_at_the_chunk_edges(width):
+    # grids whose last chunk lacks one point, is full, or holds only its anchor
+    shell = enumerate_shell(101)
+    samples = [sample_wave(shell, seed) for seed in range(width)]
+    f_max = np.max(np.abs(half_frequencies(shell, IRR.components)))
+    edges = {}
+    for n_pts in range(150, 400):
+        line = LineSegment(IRR, (n_pts - 1.5) / (2 * nodal.GRID_FACTOR * f_max))
+        grid = nodal._base_grid(shell, line)
+        assert grid.t.size == n_pts
+        chunk = len(grid.offsets[0])
+        assert len(grid.anchors[0]) == -(-n_pts // chunk)
+        # (n_pts + 1) % chunk: 0 one point short of full chunks, 1 full, 2 one past
+        edges.setdefault((n_pts + 1) % chunk, (line, grid))
+    for rest in (0, 1, 2):
+        assert_base_values_match(samples, *edges[rest])
+
+
+def test_base_grid_scan_peaks_below_the_phase_table():
+    # at m = 10009 the n_pts x N/2 cos and sin tables took 16 n_pts N/2
+    # bytes; the grid and a scan of a full block now peak below that
+    shell = enumerate_shell(10009)
+    line = LineSegment(IRR, 1.0)
+    half = amplitudes([sample_wave(shell, seed) for seed in range(nodal.BLOCK_TRIALS)])
+    nodal._scan(half, nodal._base_grid(shell, line))  # first-call allocations
+    tracemalloc.start()
+    try:
+        grid = nodal._base_grid(shell, line)
+        nodal._scan(half, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 16 * grid.t.size * grid.b.size
+    assert peak < table, (peak, table)
+
+
 def refined_cells(t, fv, seg, *args):
     """Base cells (index of their left point) inside a refinement window of _level."""
-    _, lo, hi = nodal._level(t, fv, seg, *args)
+    *_, lo, hi = nodal._level(t, fv, seg, *args)
     return set(np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)]).tolist())
 
 

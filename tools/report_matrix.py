@@ -23,7 +23,8 @@ prints nothing.  The entries:
     pair_sums (three splits) and riesz_energy (sigma 1 and 1/2) at
     LIBRARY_MS, one line per value;
   - roots: float.hex of count_zeros' roots and its flags for 20 samples at
-    each of ROOT_MS and DIRECTIONS (240 lines);
+    each of ROOT_MS and DIRECTIONS (240 lines), then at each segment of
+    ROOT_FAR for BENCH_DIRECTIONS (80 lines, which also print the length);
   - regions: the cone_region and slab_region around a few fixed points of
     each shell of REGION_MS, their parameters as float.hex and their
     count_in, and approx_direction of APPROX_DIRECTIONS at APPROX_HS;
@@ -48,6 +49,9 @@ BOUNDS_MS = "1,2,3,5,6,9,21,50,101,1009"
 LIBRARY_MS = (101, 1009, 10001)
 ROOT_MS = (5, 101, 1009)
 ROOT_SEEDS = range(20)
+# (m, L) of a long segment and of a grid of many chunks: base-grid anchors
+# far from t = 0
+ROOT_FAR = ((1009, 30.0), (10009, 1.0))
 # L = 1e-3 reaches r2_terms' deficit series on every pair, L = 7.3 the sine
 # numerators of most
 LENGTHS = (1.0, 1e-3, 7.3)
@@ -125,14 +129,15 @@ def roots() -> None:
     from nodal_lab.nodal import count_zeros
     from nodal_lab.randomwave import LineSegment, sample_wave
 
-    for m in ROOT_MS:
+    runs = [(m, spec, 1.0, ()) for m in ROOT_MS for spec in DIRECTIONS]
+    runs += [(m, spec, length, (length,)) for m, length in ROOT_FAR for spec in BENCH_DIRECTIONS]
+    for m, spec, length, shown in runs:
         shell = enumerate_shell(m)
-        for spec in DIRECTIONS:
-            line = LineSegment(parse_direction(spec), 1.0)
-            for seed in ROOT_SEEDS:
-                zeros = count_zeros(sample_wave(shell, seed), line)
-                print(m, spec, seed, zeros.count, int(zeros.flags.refinement_depth_hit),
-                      int(zeros.flags.near_tangency), *map(float.hex, zeros.roots.tolist()))
+        line = LineSegment(parse_direction(spec), length)
+        for seed in ROOT_SEEDS:
+            zeros = count_zeros(sample_wave(shell, seed), line)
+            print(m, spec, *shown, seed, zeros.count, int(zeros.flags.refinement_depth_hit),
+                  int(zeros.flags.near_tangency), *map(float.hex, zeros.roots.tolist()))
 
 
 def _region_hex(region) -> list[str]:
