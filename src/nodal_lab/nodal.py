@@ -6,14 +6,14 @@ top frequency (GRID_FACTOR = 8 times) brackets almost every zero between two
 sign changes.  A pair of roots can still hide inside a cell whose endpoints
 share a sign.  Such cells, and grid points where f is suspiciously small
 without an adjacent sign change, get a local refinement pass at eight times
-the density.  A cell is refined only when neither of two exclusion tests
-rules out a zero inside it:
+the density.  At every depth level the same rule applies: a cell is
+refined only when neither of two exclusion tests rules out a zero inside
+it, w being the cell width at that level:
   - the curvature test: the smaller endpoint |f| exceeds M2 * w^2 / 8, where
-    w is the cell width and M2 = scale * sum (2 pi b)^2 |a| bounds |f''| by
-    the triangle inequality;
-  - on the base grid only, the Hermite test: the exact minimum over the cell
-    of sign(f0) * H, with H the cubic Hermite interpolant of f and f' at the
-    cell's end points, exceeds M4 * w^4 / 384 plus a floating-point margin.
+    M2 = scale * sum (2 pi b)^2 |a| bounds |f''| by the triangle inequality;
+  - the Hermite test: the exact minimum over the cell of sign(f0) * H, with
+    H the cubic Hermite interpolant of f and f' at the cell's end points,
+    exceeds M4 * w^4 / 384 plus a floating-point margin.
     M4 = scale * sum (2 pi b)^4 |a| bounds |f^(4)|, so M4 * w^4 / 384 bounds
     |f - H| (the classical Hermite remainder), and the margin,
     2 * near_tol + 64 * eps * S, covers the noise in the computed f and f'
@@ -21,15 +21,13 @@ rules out a zero inside it:
 Either test rules a cell out only where f provably keeps one sign, so the
 counts are those of the curvature test alone.  The Hermite test is much
 tighter: at m = 1009 it keeps about one in three hundred of the base cells
-the curvature test would refine.  It needs f' at the end points, which on
-the base grid costs one more matrix product per block: f' is f of the pair
+the curvature test would refine.  It needs f' at the end points, which
+costs one more matrix product per block and level: f' is f of the pair
 amplitudes 2 pi i b a, so both products are randomwave's one restriction
-formula.  Deeper levels keep the curvature test alone, and need no f': too
-few windows get there for a tighter test to pay.  Touch-without-crossing
-configurations are flagged and counted as zero crossings are not; so is a
-numerically zero grid point between two sign changes, a double root that
-rounding split in two, unless on the base grid f' there is large enough to
-fix the signs of f a refinement step away.
+formula.  Touch-without-crossing configurations are flagged and counted as
+zero crossings are not; so is a numerically zero grid point between two
+sign changes, a double root that rounding split in two, unless f' there is
+large enough to fix the signs of f a refinement step away.
 
 The rule has one home, ``_scan``, which runs it over a block of samples one
 depth level at a time.  The block comes in as its amplitudes, a k x N/2
@@ -43,13 +41,14 @@ block's amplitudes to every anchor and makes one restriction product of the
 offset table against all the rotated rows, and one more for f'; they give
 every sample's base-grid values of f and f' with the multiply-adds of two
 products of the whole table, and the masks of ``_level`` run over all
-segments of the block at once.  Off the base grid f has one evaluator,
-``f_at``, which ``_scan`` builds for its block: f of any block row at any
-point, with no loop over samples.  It too goes through ``_restrict``: one
+segments of the block at once.  Off the base grid ``_scan`` evaluates its
+block with no loop over samples, and it too goes through ``_restrict``: one
 product of the points' phase table against every sample of the block, of
 which each point keeps its own sample's column.  Each refinement level
-evaluates its sub-grid points with it, and
-``_bisect`` its midpoints.  ``_scan`` returns the brackets of every level,
+builds one phase table for its sub-grid points and makes that product for
+f and one more for f'.  ``f_at``, f of any block row at any point, makes
+the first alone, and ``_bisect`` evaluates its midpoints with it.
+``_scan`` returns the brackets of every level,
 the flags and ``f_at``.  A bracket is a sign-change cell, or the width-0
 bracket [r, r] of a run of exact grid zeros that counts as a root, r being
 the run's midpoint, with f = 0 at its lower end; ``_bisect`` returns r for
@@ -112,10 +111,10 @@ MAX_REFINE_DEPTH = 8
 # and a block of 32 about 0.8 MB, for about 10% less time per trial.
 BLOCK_TRIALS = 16
 # Points x N/2 of the base grid or of a refinement level.  A refinement
-# level's cos and sin tables take at most 512 MB.  The base grid builds no
-# such table: there the budget bounds the work of its two restriction
-# products per sample, of f and of f'.  m = 100001 at L = 1 needs 14.0M on
-# the base grid.
+# level builds one cos and one sin table, 512 MB at most.  The base grid
+# builds no such table: there the budget bounds the work of its two
+# restriction products per sample, of f and of f'.  m = 100001 at L = 1
+# needs 14.0M on the base grid.
 GRID_ENTRIES = 1 << 25
 
 
@@ -319,7 +318,7 @@ def _hermite_min(f0, f1, d0, d1):
     return np.minimum(np.minimum(s * f0, s * f1), np.min(s * h, axis=0))
 
 
-def _level(t, fv, seg, near_tol, dip_tol, slope=None, remainder=None):
+def _level(t, fv, seg, near_tol, dip_tol, slope, remainder):
     """One depth level over concatenated segments: brackets and windows.
 
     ``seg`` names each point's segment; ``near_tol`` and ``dip_tol`` (the
@@ -335,8 +334,8 @@ def _level(t, fv, seg, near_tol, dip_tol, slope=None, remainder=None):
     sub-grids keep meeting an exact or tiny f, refines down to
     MAX_REFINE_DEPTH and raises both the depth-hit and the tangency flags.
 
-    Given ``slope`` (f' at every point) and ``remainder`` (M4 * w^4 / 384,
-    one value per segment), a cell that passes the curvature test is refined
+    ``slope`` holds f' at every point and ``remainder`` M4 * w^4 / 384, one
+    value per segment.  A cell that passes the curvature test is refined
     only if also
 
         min over the cell of sign(f0) * H  <=  remainder + 2 near_tol + 64 eps S
@@ -355,7 +354,8 @@ def _level(t, fv, seg, near_tol, dip_tol, slope=None, remainder=None):
         and w f1' through weights whose absolute values sum to
         u (1 - u) <= 1/4.  So the noise moves H by at most
         (1 + 2 pi f_max w / 4) near_tol <= (1 + pi / 32) near_tol, since
-        w <= 1 / (2 GRID_FACTOR f_max) = 1 / (16 f_max); 2 near_tol covers it;
+        w <= 1 / (2 GRID_FACTOR f_max) = 1 / (16 f_max), on the base grid
+        and, narrower still, on every sub-grid; 2 near_tol covers it;
       - 64 eps S covers the rounding of the cubic's coefficients, of Horner's
         rule and of its critical points, where an error moves H only to
         second order.
@@ -377,13 +377,12 @@ def _level(t, fv, seg, near_tol, dip_tol, slope=None, remainder=None):
     zero_edge = zero[:-1] | zero[1:]
     dip_possible = np.minimum(masked[:-1], masked[1:]) <= dip_tol[seg[:-1]]
     risky = np.flatnonzero(inner & ~sign_change & ~zero_edge & dip_possible)
-    if slope is not None:
-        f0, f1 = fv[risky], fv[risky + 1]
-        w = t[risky + 1] - t[risky]
-        d0, d1 = w * slope[risky], w * slope[risky + 1]
-        rounding = 64.0 * np.finfo(float).eps * (np.abs(f0) + np.abs(f1) + np.abs(d0) + np.abs(d1))
-        margin = remainder[seg[risky]] + 2.0 * near_tol[seg[risky]] + rounding
-        risky = risky[_hermite_min(f0, f1, d0, d1) <= margin]
+    f0, f1 = fv[risky], fv[risky + 1]
+    w = t[risky + 1] - t[risky]
+    d0, d1 = w * slope[risky], w * slope[risky + 1]
+    rounding = 64.0 * np.finfo(float).eps * (np.abs(f0) + np.abs(f1) + np.abs(d0) + np.abs(d1))
+    margin = remainder[seg[risky]] + 2.0 * near_tol[seg[risky]] + rounding
+    risky = risky[_hermite_min(f0, f1, d0, d1) <= margin]
     suspects = np.flatnonzero(tiny & ~beside_change & ~beside_zero)
 
     first, last = _run_ends(~inner, n)
@@ -472,34 +471,35 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     each anchor of the grid, then one restriction product of the offset
     table against them, the formula of evaluate_f, and one more for f',
     which is f of the pair amplitudes 2 pi i b a, as in evaluate_f_prime.
-    The base level applies the masks of _level with both exclusion tests,
-    curvature (M2) and Hermite (M4, f'); each refinement level concatenates
-    the windows of all samples into segments, evaluates f at their sub-grid
-    points with f_at and applies the masks of _level with the curvature
-    test alone.  The segment map (seg, the segment of each point) of a
-    level is the window map _sub_grids returns for it.  Every level also adds the width-0
-    brackets of its runs of exact zeros, refines the runs whose flanks
-    share a sign (_level), and raises the tangency flag for a numerically
-    zero point shared by two sign-change cells, a double root that rounding
-    may have split in two.
+    Each refinement level concatenates the windows of all samples into
+    segments and evaluates f and f' at their sub-grid points from one phase
+    table, with the same two restriction products.  Every level applies the
+    masks of _level with both exclusion tests, curvature (M2) and Hermite
+    (M4, f'), at its own cell width.  The segment map (seg, the segment of
+    each point) of a level is the window map _sub_grids returns for it.
+    Every level also adds the width-0 brackets of its runs of exact zeros,
+    refines the runs whose flanks share a sign (_level), and raises the
+    tangency flag for a numerically zero point shared by two sign-change
+    cells, a double root that rounding may have split in two.
 
-    On the base level that flag is dropped where f' shows two simple roots
-    whose count no rounding of f(p) can change.  Let p be the shared point,
-    w the cell width and h = w / REFINE_RATIO = w / 8 the step of the
-    refinement grid a window around p gets.  The computed |f(p)| is at most
+    That flag is dropped where f' shows two simple roots whose count no
+    rounding of f(p) can change.  Let p be the shared point, w the cell
+    width at its level and h = w / REFINE_RATIO = w / 8 the step of the
+    sub-grid a window around p gets.  The computed |f(p)| is at most
     near_tol, so the true one is at most 2 near_tol.  Taylor's theorem gives
     f(p +- h) = f(p) +- h f'(p) + R with |R| <= M2 h^2 / 2, and the computed
     f' is off by at most 2 pi f_max near_tol (_level), h times which is at
-    most (pi / 64) near_tol < near_tol since w <= 1 / (16 f_max).  So where
-    h |f'(p)| > 4 near_tol + M2 h^2 / 2 as computed, the true f at p - h and
-    p + h exceeds near_tol with opposite signs, and the values computed there
-    keep those signs.  One root then lies within h of p, and another between
-    whichever of p +- h has the sign opposite to the cells' far ends and its
-    far end.  Had f(p) rounded to the other sign, neither cell would change
-    sign, though each holds a root; the exclusion tests drop only cells on
-    which f keeps one sign, so both would be refined on a sub-grid that
-    holds p +- h, and give the same two roots.  Deeper levels have no f' and
-    keep the flag.
+    most (pi / 64) near_tol < near_tol since w <= 1 / (16 f_max) at every
+    level.  So where h |f'(p)| > 4 near_tol + M2 h^2 / 2 as computed, the
+    true f at p - h and p + h exceeds near_tol with opposite signs, and the
+    values computed there keep those signs.  One root then lies within h of
+    p, and another between whichever of p +- h has the sign opposite to the
+    cells' far ends and its far end.  Had f(p) rounded to the other sign,
+    neither cell would change sign, though each holds a root; the exclusion
+    tests drop only cells on which f keeps one sign, so both would be
+    refined on a sub-grid that holds p +- h, and give the same two roots
+    (at MAX_REFINE_DEPTH they would raise the depth-hit flag in place of
+    that refinement).
 
     Raises ValueError before any refinement if f * f, M0, M2 or M4
     overflows, as amplitudes near the top of the float64 range make them:
@@ -535,9 +535,14 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     if np.any(mean_sq < np.finfo(np.float64).tiny):
         raise ValueError("f underflows: the pair amplitudes are too small to scan")
 
+    def values(row, t, *parts):
+        # one phase table and one restriction product over the block per pair
+        # of amplitude parts; point i takes its sample's column
+        cos, sin = _phases(t, grid.b)
+        return [_restrict(cos, sin, *p, scale)[np.arange(t.size), row] for p in parts]
+
     def f_at(row, t):
-        # one restriction product over the block; point i takes its sample's column
-        return _restrict(*_phases(t, grid.b), re, im, scale)[np.arange(t.size), row]
+        return values(row, t, (re, im))[0]
 
     n = grid.t.size
     t = np.tile(grid.t, k)
@@ -551,20 +556,18 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     depth = 1
     while True:
         w = t[starts + 1] - t[starts]
-        hermite = (slope, m4 * w**4 / 384.0) if depth == 1 else (None, None)
         tol = near_tol[owner]
         dip_tol = m2[owner] * w * w / 8.0
-        cells, roots, root_seg, win_lo, win_hi = _level(t, fv, seg, tol, dip_tol, *hermite)
-        # a numerically zero point between two sign changes: a split double root
+        cells, roots, root_seg, win_lo, win_hi = _level(t, fv, seg, tol, dip_tol, slope,
+                                                        m4[owner] * w**4 / 384.0)
+        # a numerically zero point between two sign changes: a split double
+        # root, unless f' fixes the signs of f a refinement step away (derived
+        # in the docstring)
         shared = cells[1:][cells[1:] - cells[:-1] == 1]
         split = shared[np.abs(fv[shared]) <= tol[seg[shared]]]
-        if depth == 1:
-            # only where f' cannot fix the signs of f a refinement step away
-            # (derived in the docstring)
-            h = w[seg[split]] / REFINE_RATIO
-            bound = 4.0 * tol[seg[split]] + m2[owner[seg[split]]] * h * h / 2.0
-            split = split[np.abs(slope[split]) * h <= bound]
-        tangency[owner[seg[split]]] = True
+        h = w[seg[split]] / REFINE_RATIO
+        bound = 4.0 * tol[seg[split]] + m2[owner[seg[split]]] * h * h / 2.0
+        tangency[owner[seg[split[np.abs(slope[split]) * h <= bound]]]] = True
         found.append((owner[seg[cells]], t[cells], t[cells + 1], fv[cells]))
         found.append((owner[root_seg], roots, roots, np.zeros(roots.size)))
         if win_lo.size == 0:
@@ -577,7 +580,7 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
         points = int(np.sum(win_hi - win_lo)) * REFINE_RATIO + win_lo.size
         _check_grid(f"refinement level {depth}", points, grid.b.size, grid.t[-1])
         t, starts, seg = _sub_grids(t, win_lo, win_hi)
-        fv = f_at(owner[seg], t)
+        fv, slope = values(owner[seg], t, (re, im), _slope_parts(omega, re, im))
         depth += 1
 
     row, lo, hi, f_lo = (np.concatenate(parts) for parts in zip(*found))

@@ -654,8 +654,9 @@ def test_hermite_min_matches_dense_sampling():
         assert np.all(dense - closed <= curvature * 1.25e-9 + rounding), name
 
 
-def scan_base_level(monkeypatch, samples, line):
-    """_scan over a block, returning the arguments of its base-level _level call."""
+def scan_levels(monkeypatch, samples, line):
+    """_scan over a block, returning the arguments of its _level calls, one
+    per depth level, the base level first."""
     calls = []
     level = nodal._level
 
@@ -666,7 +667,26 @@ def scan_base_level(monkeypatch, samples, line):
     monkeypatch.setattr(nodal, "_level", spy)
     nodal._scan(amplitudes(samples), nodal._base_grid(samples[0].shell, line))
     monkeypatch.undo()
-    return calls[0]
+    return calls
+
+
+def segment_rows(base_call, call):
+    """Block row of each segment of a _level call.  Each segment carries its
+    sample's near_tol, which the base level holds once per row, so the map
+    holds where the samples' near_tol differ."""
+    row_of = {tol: i for i, tol in enumerate(base_call[3].tolist())}
+    assert len(row_of) == base_call[3].size
+    return np.array([row_of[tol] for tol in call[3].tolist()], dtype=int)
+
+
+def at_rows(evaluate, samples, line, rows, t):
+    """evaluate (evaluate_f or evaluate_f_prime) of samples[rows[i]] at t[i]."""
+    out = np.empty(t.size)
+    for i in set(rows.tolist()):
+        mine = np.flatnonzero(rows == i)
+        for part in np.array_split(mine, mine.size // 2048 + 1):  # phase tables of 2048 rows
+            out[part] = evaluate(samples[i], line, t[part])
+    return out
 
 
 def test_base_grid_slope_matches_evaluate_f_prime(monkeypatch):
@@ -674,10 +694,26 @@ def test_base_grid_slope_matches_evaluate_f_prime(monkeypatch):
         shell = enumerate_shell(m)
         line = LineSegment(parse_direction(spec), 1.0)
         samples = [sample_wave(shell, seed) for seed in range(3)]
-        t, fv, seg, _, _, slope, _ = scan_base_level(monkeypatch, samples, line)
+        t, fv, seg, _, _, slope, _ = scan_levels(monkeypatch, samples, line)[0]
         direct = np.concatenate([evaluate_f_prime(s, line, t[seg == i])
                                  for i, s in enumerate(samples)])
         assert np.max(np.abs(slope - direct)) < 1e-12 * np.max(np.abs(direct)), (m, spec)
+
+
+@pytest.mark.parametrize("spec", ["rat:1,0,0", "halfrat:1,1,sqrt2", "irr:std"])
+@pytest.mark.parametrize("m", [1009, 10009])
+def test_refinement_slope_matches_evaluate_f_prime(monkeypatch, m, spec):
+    shell = enumerate_shell(m)
+    line = LineSegment(parse_direction(spec), 1.0)
+    samples = [sample_wave(shell, seed) for seed in range(64)]
+    calls = scan_levels(monkeypatch, samples, line)
+    assert len(calls) >= 2  # the block reaches a refinement level
+    t, fv, seg, _, _, slope, _ = calls[1]
+    rows = segment_rows(calls[0], calls[1])[seg]
+    direct = at_rows(evaluate_f_prime, samples, line, rows, t)
+    assert np.max(np.abs(slope - direct)) < 1e-12 * np.max(np.abs(direct)), (m, spec)
+    values = at_rows(evaluate_f, samples, line, rows, t)
+    assert np.max(np.abs(fv - values)) < 1e-12 * np.max(np.abs(values)), (m, spec)
 
 
 def assert_base_values_match(samples, line, grid):
@@ -748,26 +784,38 @@ def test_base_grid_scan_peaks_below_the_phase_table():
 
 
 def refined_cells(t, fv, seg, *args):
-    """Base cells (index of their left point) inside a refinement window of _level."""
+    """Cells (index of their left point) inside a refinement window of _level."""
     *_, lo, hi = nodal._level(t, fv, seg, *args)
-    return set(np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)]).tolist())
+    return {cell for a, b in zip(lo.tolist(), hi.tolist()) for cell in range(a, b)}
 
 
 @pytest.mark.parametrize("spec", ["rat:1,0,0", "irr:std"])
-@pytest.mark.parametrize("m", [101, 1009])
+@pytest.mark.parametrize("m", [101, 1009, 10009])
 def test_hermite_test_drops_only_cells_without_zeros(monkeypatch, m, spec):
     shell = enumerate_shell(m)
     line = LineSegment(parse_direction(spec), 1.0)
-    samples = [sample_wave(shell, 7000 + seed) for seed in range(200)]
-    t, fv, seg, near_tol, dip_tol, slope, remainder = scan_base_level(monkeypatch, samples, line)
-    both = refined_cells(t, fv, seg, near_tol, dip_tol, slope, remainder)
-    dropped = sorted(refined_cells(t, fv, seg, near_tol, dip_tol) - both)
-    assert len(dropped) > 5 * len(samples)  # the curvature test alone opens many more
-    for cell in dropped:
-        i = seg[cell]
-        sub = np.linspace(t[cell], t[cell + 1], 64)
-        values = np.sign(fv[cell]) * evaluate_f(samples[i], line, sub)
-        assert np.min(values) > 2.0 * near_tol[i], (i, t[cell])
+    # at m = 10009 a few samples hold many cells and reach depth 2
+    samples = [sample_wave(shell, 7000 + seed) for seed in range(8 if m == 10009 else 200)]
+    calls = scan_levels(monkeypatch, samples, line)
+    deep = 0  # cells dropped below the base level
+    for depth, call in enumerate(calls, 1):
+        t, fv, seg, near_tol, dip_tol, slope, remainder = call
+        both = refined_cells(*call)
+        # the curvature test alone: no cell lies above an infinite margin
+        no_margin = np.full_like(remainder, np.inf)
+        alone = refined_cells(t, fv, seg, near_tol, dip_tol, slope, no_margin)
+        dropped = np.array(sorted(alone - both), dtype=int)
+        if depth == 1:  # the curvature test alone opens many more
+            assert len(dropped) > 5 * len(samples)
+        else:
+            deep += len(dropped)
+        rows = np.repeat(segment_rows(calls[0], call)[seg[dropped]], 64)
+        sub = np.linspace(t[dropped], t[dropped + 1], 64, axis=1)  # 64 points per cell
+        values = at_rows(evaluate_f, samples, line, rows, sub.ravel()).reshape(sub.shape)
+        lowest = np.min(np.sign(fv[dropped])[:, None] * values, axis=1)
+        low = lowest <= 2.0 * near_tol[seg[dropped]]
+        assert not np.any(low), (depth, rows[::64][low], t[dropped][low])
+    assert deep > 0
 
 
 def test_hermite_test_leaves_few_windows(monkeypatch):
@@ -786,6 +834,24 @@ def test_hermite_test_leaves_few_windows(monkeypatch):
     monkeypatch.setattr(nodal, "_sub_grids", spy)
     monte_carlo(shell, line, trials=200, seed=2024)
     assert sum(cells) < 200
+
+
+def test_refinement_points_stay_few(monkeypatch):
+    """Fewer than ten sub-grid points per trial at m=10009, over every depth:
+    the Hermite test runs on the refinement levels as on the base grid."""
+    shell = enumerate_shell(10009)
+    line = LineSegment(IRR, 1.0)
+    points = []
+    sub_grids = nodal._sub_grids
+
+    def spy(t, lo, hi):
+        sub = sub_grids(t, lo, hi)
+        points.append(sub[0].size)
+        return sub
+
+    monkeypatch.setattr(nodal, "_sub_grids", spy)
+    monte_carlo(shell, line, trials=200, seed=3)
+    assert sum(points) < 10 * 200, sum(points)
 
 
 def shifted_sample(sample: WaveSample, base_point) -> WaveSample:

@@ -16,6 +16,10 @@ prints nothing.  The entries:
   - simulate: the acceptance suite's mean and variance matrices (2000
     trials, seeds 101 and 202) and the benchmark's 100-trial runs at seed
     1611, for every direction of DIRECTIONS (the benchmark's two only);
+  - refine: 32-trial simulate runs at REFINE_MS for each of
+    REFINE_DIRECTIONS, where refinement evaluates tens of sub-grid points
+    per trial (about 36 at m = 100001, irr:std), against a few at
+    m = 1009;
   - wave, verify, shell and riesz reports;
   - bounds at BOUNDS_MS in each direction's own mode and the conditional
     one, as csv and as json;
@@ -30,7 +34,7 @@ prints nothing.  The entries:
     count_in, and approx_direction of APPROX_DIRECTIONS at APPROX_HS;
   - kappas: m, N and kappa of every shell with N >= 4 and m <= KAPPA_M_MAX,
     and of KAPPA_MS.
-The whole set takes about 20 s (2-core x86 host, Python 3.11, numpy 2.4).
+The whole set takes about 22 s (2-core x86 host, Python 3.11, numpy 2.4).
 """
 
 import dataclasses
@@ -45,6 +49,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 DIRECTIONS = ("rat:1,0,0", "irr:std", "rat:1,1,1", "halfrat:1,1,sqrt2")
 BENCH_DIRECTIONS = ("rat:1,0,0", "irr:std")
+REFINE_MS = "10009,100001"
+REFINE_DIRECTIONS = ("irr:std", "rat:1,1,1", "halfrat:1,1,sqrt2")
 BOUNDS_MS = "1,2,3,5,6,9,21,50,101,1009"
 LIBRARY_MS = (101, 1009, 10001)
 ROOT_MS = (5, 101, 1009)
@@ -87,6 +93,9 @@ def reports() -> dict[str, list[str]]:
     for spec in BENCH_DIRECTIONS:
         runs[f"simulate_bench_{_slug(spec)}"] = ["simulate", "--m", "101,1009", "--dir", spec,
                                                  "--trials", "100", "--seed", "1611"]
+    for spec in REFINE_DIRECTIONS:
+        runs[f"refine_{_slug(spec)}"] = ["simulate", "--m", REFINE_MS, "--dir", spec,
+                                         "--trials", "32"]
     runs["wave"] = ["wave", "--m", "1,5,101,1009,10009", "--seed", "3"]
     runs["verify"] = ["verify"]
     runs["shell"] = ["shell", "--m", BOUNDS_MS]
