@@ -36,18 +36,23 @@ its frequencies; ``_scan`` reads no sample object and no shell.  The base
 grid keeps no points x N/2 phase table.  Its points come in chunks, each an
 anchor t_c plus the offsets t_j of the first chunk, and e^{2 pi i b t} is
 e^{2 pi i b t_c} e^{2 pi i b t_j}, so the grid holds cos and sin of 2 pi b t
-at the anchors and at the offsets alone.  ``_base_values`` rotates the
-block's amplitudes to every anchor and makes one restriction product of the
-offset table against all the rotated rows, and one more for f'; they give
-every sample's base-grid values of f and f' with the multiply-adds of two
-products of the whole table, and the masks of ``_level`` run over all
-segments of the block at once.  Off the base grid ``_scan`` evaluates its
-block with no loop over samples, and it too goes through ``_restrict``: one
-product of the points' phase table against every sample of the block, of
-which each point keeps its own sample's column.  Each refinement level
-builds one phase table for its sub-grid points and makes that product for
-f and one more for f'.  ``f_at``, f of any block row at any point, makes
-the first alone, and ``_bisect`` evaluates its midpoints with it.
+at the anchors and at the offsets alone.  A refinement level's sub-grid
+splits the same way: every REFINE_RATIO-th point of each window, its last
+one included, is an anchor, and the points between are an anchor plus j
+sub-grid steps, j < REFINE_RATIO, so one offset table of REFINE_RATIO rows
+serves the whole level.  ``_anchored_values`` is the one evaluator of f and
+f' on every level: it rotates amplitudes to the anchors and makes one
+restriction product of the offset table against all the rotated rows, and
+one more for f'.  On the base grid (``_base_values``) every sample of the
+block is rotated to every anchor; below it each anchor carries the
+amplitudes of its own window's sample alone.  Either way the products do
+the multiply-adds of a product of a phase table with one row per point, no
+such table is built, and the masks of ``_level`` run over all segments of
+the block at once.  ``f_at``, f of any block row at scattered points, is
+the one evaluator that builds a phase table with a row per point, and makes
+one ``_restrict`` product of it against every sample of the block, of
+which each point keeps its own sample's column; ``_bisect`` evaluates its
+midpoints with it.
 ``_scan`` returns the brackets of every level,
 the flags and ``f_at``.  A bracket is a sign-change cell, or the width-0
 bracket [r, r] of a run of exact grid zeros that counts as a root, r being
@@ -110,11 +115,11 @@ MAX_REFINE_DEPTH = 8
 # memory: at m = 1009 a block of 16 adds about 0.3 MB to a simulate process
 # and a block of 32 about 0.8 MB, for about 10% less time per trial.
 BLOCK_TRIALS = 16
-# Points x N/2 of the base grid or of a refinement level.  A refinement
-# level builds one cos and one sin table, 512 MB at most.  The base grid
-# builds no such table: there the budget bounds the work of its two
-# restriction products per sample, of f and of f'.  m = 100001 at L = 1
-# needs 14.0M on the base grid.
+# Points x N/2 of the base grid or of a refinement level.  No level builds a
+# table of that size: the budget bounds the work of its two restriction
+# products, of f and of f', whose multiply-adds are those of such a table,
+# per sample on the base grid and for the whole level below it.
+# m = 100001 at L = 1 needs 14.0M on the base grid.
 GRID_ENTRIES = 1 << 25
 
 
@@ -186,8 +191,8 @@ class _BaseGrid:
     The grid's points come in chunks of C: point cC + j is the anchor
     t[cC] plus the offset t[j], so e^{2 pi i b t} is the product of an
     anchor's phase and an offset's.  ``anchors`` holds cos and sin of
-    2 pi b t at t[::C] and ``offsets`` at t[:C], each with one row per
-    anchor or offset and one column per frequency of ``b``.
+    2 pi b t at t[::C], anchors x 1 x N/2, so that they broadcast against a
+    block of amplitudes, and ``offsets`` at t[:C], offsets x N/2.
     """
 
     t: np.ndarray
@@ -220,7 +225,7 @@ def _base_grid(shell: Shell, line: LineSegment) -> _BaseGrid:
     _check_grid(f"the base grid at m={shell.m}", n_pts, len(b), line.length)
     t = np.linspace(0.0, line.length, n_pts)
     chunk = min(math.isqrt(BLOCK_TRIALS * n_pts), n_pts)
-    return _BaseGrid(t, _phases(t[::chunk], b), _phases(t[:chunk], b), b)
+    return _BaseGrid(t, _phases(t[::chunk, None], b), _phases(t[:chunk], b), b)
 
 
 def _run_ends(breaks: np.ndarray, n: int):
@@ -431,34 +436,43 @@ class _Scan:
     f_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _anchored_values(anchor_cos, anchor_sin, offsets, re, im, omega, scale):
+    """f and f' at every anchor t_c plus every offset t_j, from one product each.
+
+    anchor_cos and anchor_sin hold cos and sin of 2 pi b t_c, and re and im
+    the parts of the amplitudes, in shapes that broadcast against them: one
+    amplitude row per anchor, or a whole block beside every anchor.  The
+    amplitudes are first rotated to their anchors, a e^{2 pi i b t_c}, since
+    e^{2 pi i b (t_c + t_j)} = e^{2 pi i b t_c} e^{2 pi i b t_j}.  Then f comes
+    from one restriction product of the offset table (cos and sin of
+    2 pi b t_j) against all the rotated rows, and f' from one more, of the
+    rotated amplitudes i omega a e^{2 pi i b t_c} (omega = 2 pi b).  Entry
+    (j, r) of each is offset j of rotated row r, the rows in C order.  The
+    products do the multiply-adds of a product of a phase table with one row
+    per point, and no such table is built.
+    """
+    h = re.shape[-1]
+    rot_re = (anchor_cos * re - anchor_sin * im).reshape(-1, h)
+    rot_im = (anchor_sin * re + anchor_cos * im).reshape(-1, h)
+    fv = _restrict(*offsets, rot_re, rot_im, scale)
+    # f' is f of the amplitudes i omega a; rebinding drops the rotated a
+    # before the second product
+    rot_re, rot_im = _slope_parts(omega, rot_re, rot_im)
+    return fv, _restrict(*offsets, rot_re, rot_im, scale)
+
+
 def _base_values(re, im, grid: _BaseGrid, scale):
     """f and f' of every block row at every base-grid point, k x n_pts each.
 
-    re and im are the parts of the k x N/2 amplitude block.  The amplitudes
-    are first rotated to every anchor t_c, a e^{2 pi i b t_c}.  Then f at
-    t_c + t_j comes from one restriction product of the offset table
-    against all the rotated rows, and f' from one more, of the rotated
-    amplitudes i omega a e^{2 pi i b t_c} (omega = 2 pi b).  Each product
-    does the multiply-adds of a product of the whole n_pts x N/2 phase
-    table, and no such table is built.
+    re and im are the parts of the k x N/2 amplitude block, which
+    _anchored_values rotates to every anchor t[cC]: entry (j, (c, i)) of its
+    products is point cC + j of row i.
     """
-    k, h = re.shape
-    (anchor_cos, anchor_sin), (offset_cos, offset_sin) = grid.anchors, grid.offsets
-    rot_re = anchor_cos[:, None] * re - anchor_sin[:, None] * im  # anchors x k x N/2
-    rot_im = anchor_sin[:, None] * re + anchor_cos[:, None] * im
-
-    def on_grid(part_re, part_im):
-        # entry (j, (c, i)) of the product is point c C + j of row i
-        out = _restrict(offset_cos, offset_sin, part_re.reshape(-1, h), part_im.reshape(-1, h),
-                        scale)
-        out = out.reshape(len(offset_cos), -1, k).transpose(2, 1, 0)  # k x anchors x chunk
-        return out.reshape(k, -1)[:, :grid.t.size]
-
-    fv = on_grid(rot_re, rot_im)
-    # f' is f of the amplitudes i omega a; rebinding drops the rotated a
-    # before the second product
-    rot_re, rot_im = _slope_parts(TWO_PI * grid.b, rot_re, rot_im)
-    return fv, on_grid(rot_re, rot_im)
+    k = len(re)
+    values = _anchored_values(*grid.anchors, grid.offsets, re, im, TWO_PI * grid.b, scale)
+    # k x anchors x chunk, then the points past the grid's end dropped
+    return [out.reshape(len(out), -1, k).transpose(2, 1, 0).reshape(k, -1)[:, :grid.t.size]
+            for out in values]
 
 
 def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
@@ -472,8 +486,14 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     table against them, the formula of evaluate_f, and one more for f',
     which is f of the pair amplitudes 2 pi i b a, as in evaluate_f_prime.
     Each refinement level concatenates the windows of all samples into
-    segments and evaluates f and f' at their sub-grid points from one phase
-    table, with the same two restriction products.  Every level applies the
+    segments and evaluates f and f' at their sub-grid points with the same
+    two products (_anchored_values): the anchors are every REFINE_RATIO-th
+    point of each window and its last, each rotating its own sample's
+    amplitudes, and the offsets are j steps of t[1] / REFINE_RATIO^(d - 1)
+    at level d (the base grid being level 1), j < REFINE_RATIO.  That step
+    is the windows' sub-grid step up to rounding, so each value is f at a
+    point within a few eps L of its sub-grid point, an error of the size of
+    the rounding of the phases 2 pi b t there.  Every level applies the
     masks of _level with both exclusion tests, curvature (M2) and Hermite
     (M4, f'), at its own cell width.  The segment map (seg, the segment of
     each point) of a level is the window map _sub_grids returns for it.
@@ -521,7 +541,6 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     scale = 2.0 / math.sqrt(2 * len(grid.b))  # 2 / sqrt(N)
     with np.errstate(over="ignore"):
         fv, slope = _base_values(re, im, grid, scale)
-        slope = slope.ravel()  # one run per sample, as fv below
         mean_sq = np.mean(fv * fv, axis=1)
         near_tol = NEAR_ZERO_FACTOR * np.sqrt(mean_sq)
         omega = TWO_PI * grid.b
@@ -535,18 +554,14 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     if np.any(mean_sq < np.finfo(np.float64).tiny):
         raise ValueError("f underflows: the pair amplitudes are too small to scan")
 
-    def values(row, t, *parts):
-        # one phase table and one restriction product over the block per pair
-        # of amplitude parts; point i takes its sample's column
-        cos, sin = _phases(t, grid.b)
-        return [_restrict(cos, sin, *p, scale)[np.arange(t.size), row] for p in parts]
-
     def f_at(row, t):
-        return values(row, t, (re, im))[0]
+        # one phase table and one restriction product over the block; point i
+        # takes its sample's column
+        return _restrict(*_phases(t, grid.b), re, im, scale)[np.arange(t.size), row]
 
     n = grid.t.size
     t = np.tile(grid.t, k)
-    fv = fv.ravel()
+    fv, slope = fv.ravel(), slope.ravel()  # one run per sample
     starts = np.arange(k) * n  # first point of each segment
     seg = np.repeat(np.arange(k), n)  # segment of each point
     owner = np.arange(k)  # block row of each segment
@@ -580,7 +595,14 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
         points = int(np.sum(win_hi - win_lo)) * REFINE_RATIO + win_lo.size
         _check_grid(f"refinement level {depth}", points, grid.b.size, grid.t[-1])
         t, starts, seg = _sub_grids(t, win_lo, win_hi)
-        fv, slope = values(owner[seg], t, (re, im), _slope_parts(omega, re, im))
+        # point p is anchor a(p), every REFINE_RATIO-th point of its window,
+        # plus j(p) sub-grid steps
+        j = (np.arange(t.size) - starts[seg]) % REFINE_RATIO
+        anchor = np.flatnonzero(j == 0)
+        row = owner[seg[anchor]]
+        offsets = _phases(np.arange(REFINE_RATIO) * grid.t[1] / REFINE_RATIO**depth, grid.b)
+        fv, slope = (out[j, np.cumsum(j == 0) - 1] for out in _anchored_values(
+            *_phases(t[anchor], grid.b), offsets, re[row], im[row], omega, scale))
         depth += 1
 
     row, lo, hi, f_lo = (np.concatenate(parts) for parts in zip(*found))

@@ -701,19 +701,23 @@ def test_base_grid_slope_matches_evaluate_f_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", ["rat:1,0,0", "halfrat:1,1,sqrt2", "irr:std"])
-@pytest.mark.parametrize("m", [1009, 10009])
-def test_refinement_slope_matches_evaluate_f_prime(monkeypatch, m, spec):
+@pytest.mark.parametrize("m,length", [(1009, 1.0), (10009, 1.0), (1009, 30.0)])
+def test_refinement_slope_matches_evaluate_f_prime(monkeypatch, m, length, spec):
+    # every refinement level, within the base grid's own bounds
+    # (assert_base_values_match); at L = 30 the anchors reach t = 30
     shell = enumerate_shell(m)
-    line = LineSegment(parse_direction(spec), 1.0)
+    line = LineSegment(parse_direction(spec), length)
     samples = [sample_wave(shell, seed) for seed in range(64)]
     calls = scan_levels(monkeypatch, samples, line)
     assert len(calls) >= 2  # the block reaches a refinement level
-    t, fv, seg, _, _, slope, _ = calls[1]
-    rows = segment_rows(calls[0], calls[1])[seg]
-    direct = at_rows(evaluate_f_prime, samples, line, rows, t)
-    assert np.max(np.abs(slope - direct)) < 1e-12 * np.max(np.abs(direct)), (m, spec)
-    values = at_rows(evaluate_f, samples, line, rows, t)
-    assert np.max(np.abs(fv - values)) < 1e-12 * np.max(np.abs(values)), (m, spec)
+    f_max = np.max(np.abs(half_frequencies(shell, line.direction.components)))
+    for depth, call in enumerate(calls[1:], 2):
+        t, fv, seg, near_tol, _, slope, _ = call
+        rows = segment_rows(calls[0], call)[seg]
+        error = np.abs(fv - at_rows(evaluate_f, samples, line, rows, t))
+        assert np.all(error < 0.05 * near_tol[seg]), (depth, np.max(error / near_tol[seg]))
+        error = np.abs(slope - at_rows(evaluate_f_prime, samples, line, rows, t))
+        assert np.all(error < 0.05 * TWO_PI * f_max * near_tol[seg]), depth
 
 
 def assert_base_values_match(samples, line, grid):
@@ -852,6 +856,45 @@ def test_refinement_points_stay_few(monkeypatch):
     monkeypatch.setattr(nodal, "_sub_grids", spy)
     monte_carlo(shell, line, trials=200, seed=3)
     assert sum(points) < 10 * 200, sum(points)
+
+
+def test_refinement_builds_no_phase_row_per_point(monkeypatch):
+    """A refinement level builds cos and sin rows at its anchors, every
+    REFINE_RATIO-th sub-grid point of each window and its last, and at
+    REFINE_RATIO offsets: no row of its own for each sub-grid point."""
+    shell = enumerate_shell(10009)
+    line = LineSegment(IRR, 1.0)
+    levels = []  # points, windows and the rows of each phase table, per level
+    scanning = []
+    scan, sub_grids, phases = nodal._scan, nodal._sub_grids, nodal._phases
+
+    def scan_spy(*args):
+        scanning.append(True)
+        try:
+            return scan(*args)
+        finally:
+            scanning.pop()
+
+    def sub_grids_spy(t, lo, hi):
+        sub = sub_grids(t, lo, hi)
+        levels.append((sub[0].size, lo.size, []))
+        return sub
+
+    def phases_spy(t, b):
+        # the base grid's tables come before any scan, f_at's after it
+        if scanning:
+            levels[-1][2].append(np.size(t))
+        return phases(t, b)
+
+    monkeypatch.setattr(nodal, "_scan", scan_spy)
+    monkeypatch.setattr(nodal, "_sub_grids", sub_grids_spy)
+    monkeypatch.setattr(nodal, "_phases", phases_spy)
+    monte_carlo(shell, line, trials=200, seed=3)
+    assert levels
+    for points, windows, rows in levels:
+        assert len(rows) == 2 and nodal.REFINE_RATIO in rows, (points, windows, rows)
+        assert sum(rows) - nodal.REFINE_RATIO <= points / nodal.REFINE_RATIO + windows, (
+            points, windows, rows)
 
 
 def shifted_sample(sample: WaveSample, base_point) -> WaveSample:

@@ -19,7 +19,8 @@ prints nothing.  The entries:
   - refine: 32-trial simulate runs at REFINE_MS for each of
     REFINE_DIRECTIONS, where refinement evaluates tens of sub-grid points
     per trial (about 36 at m = 100001, irr:std), against a few at
-    m = 1009;
+    m = 1009, then at (m, L) = REFINE_LONG for each of
+    REFINE_LONG_DIRECTIONS, whose refinement anchors lie far from t = 0;
   - wave, verify, shell and riesz reports;
   - bounds at BOUNDS_MS in each direction's own mode and the conditional
     one, as csv and as json;
@@ -51,6 +52,8 @@ DIRECTIONS = ("rat:1,0,0", "irr:std", "rat:1,1,1", "halfrat:1,1,sqrt2")
 BENCH_DIRECTIONS = ("rat:1,0,0", "irr:std")
 REFINE_MS = "10009,100001"
 REFINE_DIRECTIONS = ("irr:std", "rat:1,1,1", "halfrat:1,1,sqrt2")
+REFINE_LONG = ("1009", "30")
+REFINE_LONG_DIRECTIONS = ("irr:std", "halfrat:1,1,sqrt2")
 BOUNDS_MS = "1,2,3,5,6,9,21,50,101,1009"
 LIBRARY_MS = (101, 1009, 10001)
 ROOT_MS = (5, 101, 1009)
@@ -96,6 +99,9 @@ def reports() -> dict[str, list[str]]:
     for spec in REFINE_DIRECTIONS:
         runs[f"refine_{_slug(spec)}"] = ["simulate", "--m", REFINE_MS, "--dir", spec,
                                          "--trials", "32"]
+    for spec in REFINE_LONG_DIRECTIONS:
+        runs[f"refine_long_{_slug(spec)}"] = ["simulate", "--m", REFINE_LONG[0], "--len",
+                                              REFINE_LONG[1], "--dir", spec, "--trials", "32"]
     runs["wave"] = ["wave", "--m", "1,5,101,1009,10009", "--seed", "3"]
     runs["verify"] = ["verify"]
     runs["shell"] = ["shell", "--m", BOUNDS_MS]
