@@ -144,7 +144,10 @@ def integral_sq(beta, length: float):
 
     Vectorized over beta, which must be finite; length must pass
     randomwave.check_length, as a LineSegment's.  The value is continuous at
-    beta = 0 where it equals length^2.
+    beta = 0 where it equals length^2.  Where pi L beta or pi^2 beta^2
+    overflows, it is 0.0, without a warning: the true value is at most
+    1 / (pi beta)^2, which is then below 1 / DBL_MAX (L^2 being at most
+    DBL_MAX), under the smallest normal float64.
     """
     length = check_length(length)
     b = np.asarray(beta, dtype=np.float64)
@@ -152,7 +155,9 @@ def integral_sq(beta, length: float):
     b = np.atleast_1d(b)
     if not np.isfinite(b).all():
         raise ValueError("beta must be finite")
-    out = _integral_sq(b, length)
+    with np.errstate(over="ignore"):
+        out = _integral_sq(b, length)
+    out[np.isnan(out)] = 0.0  # the sine of an overflowed phase pi L beta
     return float(out[0]) if scalar else out
 
 

@@ -41,35 +41,42 @@ splits the same way: every REFINE_RATIO-th point of each window, its last
 one included, is an anchor, and the points between are an anchor plus j
 sub-grid steps, j < REFINE_RATIO, so one offset table of REFINE_RATIO rows
 serves the whole level.  ``_anchored_values`` is the one evaluator of f and
-f' on every level: it rotates amplitudes to the anchors and makes one
-restriction product of the offset table against all the rotated rows, and
-one more for f'.  On the base grid (``_base_values``) every sample of the
-block is rotated to every anchor; below it each anchor carries the
-amplitudes of its own window's sample alone.  Either way the products do
-the multiply-adds of a product of a phase table with one row per point, no
-such table is built, and the masks of ``_level`` run over all segments of
-the block at once.  ``f_at``, f of any block row at scattered points, is
-the one evaluator that builds a phase table with a row per point, and makes
-one ``_restrict`` product of it against every sample of the block, of
-which each point keeps its own sample's column; ``_bisect`` evaluates its
-midpoints with it.
-``_scan`` returns the brackets of every level,
-the flags and ``f_at``.  A bracket is a sign-change cell, or the width-0
-bracket [r, r] of a run of exact grid zeros that counts as a root, r being
-the run's midpoint, with f = 0 at its lower end; ``_bisect`` returns r for
-it as it is.
-``count_zeros`` bisects all the brackets in one call to ``_bisect`` and
-returns the roots.  ``monte_carlo`` only counts them: each bracket holds one
-root, and two roots can merge only where brackets lie within 2 * BISECT_TOL
-of each other, in practice where they share an end point at which f is
-numerically zero or sit beside a width-0 bracket; only those brackets are
-bisected, in one call per block.
+f' on every level, and of f in root finding: it rotates amplitudes to the
+anchors and makes one restriction product of the offset table against all
+the rotated rows, and one more for f' when the caller takes it.  On the
+base grid (``_base_values``) every sample of the block is rotated to every
+anchor; below it each anchor carries the amplitudes of its own window's
+sample alone.  Either way the products do the multiply-adds of a product of
+a phase table with one row per point, no such table is built, and the masks
+of ``_level`` run over all segments of the block at once.
+
+Roots come from the same split.  ``_scan`` returns the brackets of every
+level, the flags and ``locate``, a closure over the block.  A bracket of
+level d is a sign-change cell t[1] / REFINE_RATIO^(d - 1) wide, the base
+grid being level 1; a run of exact grid zeros that counts as a root gives
+the width-0 bracket [r, r], r being the run's midpoint, with f = 0 at its
+lower end and level 0.  Pass d of ``locate`` splits every bracket of level
+d into REFINE_RATIO sub-cells, with f at lo plus j steps of
+t[1] / REFINE_RATIO^d, 0 < j < REFINE_RATIO, from one anchor row per
+bracket and one offset table for the pass.  The first sub-cell whose right
+end has the sign opposite to f(lo), or is exactly 0, becomes a bracket of
+level d + 1, and the last one, which ends at hi, where no other does; an
+exact zero becomes a width-0 bracket, which no pass visits.  After
+ceil(log_REFINE_RATIO(t[1] / (2 BISECT_TOL))) passes every bracket is at
+most 2 * BISECT_TOL wide, and its midpoint is its root.  A pass with no
+bracket of its level makes no product.
+``count_zeros`` locates all the brackets in one call and returns the roots.
+``monte_carlo`` only counts them: each bracket holds one root, and two roots
+can merge only where brackets lie within 2 * BISECT_TOL of each other, in
+practice where they share an end point at which f is numerically zero or
+sit beside a width-0 bracket; only those brackets are located, in one call
+per block.
 
 Monte-Carlo trials draw independent substreams from one seed sequence and
 are scanned BLOCK_TRIALS at a time.  The per trial results are integers and
 the reduction is exact integer arithmetic, so reports are reproducible bit
 for bit.  The block size can move only the last bits of the restriction
-products, those of refinement and bisection included, which changes no
+products, those of refinement and root location included, which changes no
 count in the test matrices; a sample with an exact or near-exact zero at a
 grid point can still count differently in another block.
 """
@@ -264,30 +271,6 @@ def _zero_runs(t: np.ndarray, fv: np.ndarray, seg: np.ndarray):
     return roots[crossing], run_seg[crossing], left[~crossing], right[~crossing]
 
 
-def _bisect(f_at, row, lo, hi, f_lo):
-    """Vectorized bisection on cells with a sign change; returns midpoints.
-
-    Bracket i belongs to block row ``row[i]`` of the evaluator ``f_at``.
-    Brackets of any widths are bisected together; one narrower than the
-    others may get a few extra halvings, which keep its midpoint inside it,
-    and a width-0 bracket [r, r] returns r.
-    """
-    lo = np.array(lo, dtype=np.float64)
-    hi = np.array(hi, dtype=np.float64)
-    f_lo = np.array(f_lo, dtype=np.float64)
-    for _ in range(80):
-        if np.all(hi - lo <= 2 * BISECT_TOL):
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f_at(row, mid)
-        exact = fm == 0.0
-        lower = f_lo * fm < 0
-        hi = np.where(exact | lower, mid, hi)
-        lo = np.where(exact | ~lower, mid, lo)
-        f_lo = np.where(~exact & ~lower, fm, f_lo)
-    return 0.5 * (lo + hi)
-
-
 def _merge_windows(lo: np.ndarray, hi: np.ndarray):
     """Merge index windows [lo, hi] that overlap or share an end point."""
     order = np.argsort(lo, kind="stable")
@@ -418,26 +401,28 @@ class _Scan:
     """The refinement rule's findings over a block of samples.
 
     One entry per bracket [lo, hi], at any depth level: the block row of its
-    sample and f at lo.  A bracket is a sign-change cell, or [r, r] with
-    f_lo = 0 for a root at a run of exact zeros (_zero_runs).  Per sample:
-    the two flags, the near-zero tolerance and the |f''| bound M2.
-    ``f_at(row, t)`` is f of block row row[i] at t[i], for any points of the
-    segment.
+    sample, f at lo and the level.  A bracket is a sign-change cell of level
+    d >= 1, or [r, r] with f_lo = 0 and level 0 for a root at a run of exact
+    zeros (_zero_runs).  Per sample: the two flags, the near-zero tolerance
+    and the |f''| bound M2.  ``locate(row, lo, hi, f_lo, level)`` gives the
+    root of each of any such brackets of the block's samples.
     """
 
     row: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     f_lo: np.ndarray
+    level: np.ndarray
     tangency: np.ndarray
     depth_hit: np.ndarray
     near_tol: np.ndarray
     m2: np.ndarray
-    f_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    locate: Callable[..., np.ndarray]
 
 
 def _anchored_values(anchor_cos, anchor_sin, offsets, re, im, omega, scale):
-    """f and f' at every anchor t_c plus every offset t_j, from one product each.
+    """Yield f, then f', at every anchor t_c plus every offset t_j, from one
+    product each; a caller that takes f alone makes no second product.
 
     anchor_cos and anchor_sin hold cos and sin of 2 pi b t_c, and re and im
     the parts of the amplitudes, in shapes that broadcast against them: one
@@ -454,11 +439,11 @@ def _anchored_values(anchor_cos, anchor_sin, offsets, re, im, omega, scale):
     h = re.shape[-1]
     rot_re = (anchor_cos * re - anchor_sin * im).reshape(-1, h)
     rot_im = (anchor_sin * re + anchor_cos * im).reshape(-1, h)
-    fv = _restrict(*offsets, rot_re, rot_im, scale)
+    yield _restrict(*offsets, rot_re, rot_im, scale)
     # f' is f of the amplitudes i omega a; rebinding drops the rotated a
     # before the second product
     rot_re, rot_im = _slope_parts(omega, rot_re, rot_im)
-    return fv, _restrict(*offsets, rot_re, rot_im, scale)
+    yield _restrict(*offsets, rot_re, rot_im, scale)
 
 
 def _base_values(re, im, grid: _BaseGrid, scale):
@@ -469,7 +454,9 @@ def _base_values(re, im, grid: _BaseGrid, scale):
     products is point cC + j of row i.
     """
     k = len(re)
-    values = _anchored_values(*grid.anchors, grid.offsets, re, im, TWO_PI * grid.b, scale)
+    # both products before either reshape, so the rotated block is freed
+    # first: reshaping f between them made this a third slower at m = 1009
+    values = tuple(_anchored_values(*grid.anchors, grid.offsets, re, im, TWO_PI * grid.b, scale))
     # k x anchors x chunk, then the points past the grid's end dropped
     return [out.reshape(len(out), -1, k).transpose(2, 1, 0).reshape(k, -1)[:, :grid.t.size]
             for out in values]
@@ -554,19 +541,12 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     if np.any(mean_sq < np.finfo(np.float64).tiny):
         raise ValueError("f underflows: the pair amplitudes are too small to scan")
 
-    def f_at(row, t):
-        # one phase table and one restriction product over the block; point i
-        # takes its sample's column
-        return _restrict(*_phases(t, grid.b), re, im, scale)[np.arange(t.size), row]
-
-    n = grid.t.size
     t = np.tile(grid.t, k)
     fv, slope = fv.ravel(), slope.ravel()  # one run per sample
-    starts = np.arange(k) * n  # first point of each segment
-    seg = np.repeat(np.arange(k), n)  # segment of each point
+    starts = np.arange(k) * grid.t.size  # first point of each segment
+    seg = np.repeat(np.arange(k), grid.t.size)  # segment of each point
     owner = np.arange(k)  # block row of each segment
-    tangency = np.zeros(k, dtype=bool)
-    depth_hit = np.zeros(k, dtype=bool)
+    tangency, depth_hit = np.zeros((2, k), dtype=bool)
     found = []
     depth = 1
     while True:
@@ -583,8 +563,9 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
         h = w[seg[split]] / REFINE_RATIO
         bound = 4.0 * tol[seg[split]] + m2[owner[seg[split]]] * h * h / 2.0
         tangency[owner[seg[split[np.abs(slope[split]) * h <= bound]]]] = True
-        found.append((owner[seg[cells]], t[cells], t[cells + 1], fv[cells]))
-        found.append((owner[root_seg], roots, roots, np.zeros(roots.size)))
+        found.append((owner[seg[cells]], t[cells], t[cells + 1], fv[cells],
+                      np.full(cells.size, depth)))
+        found.append((owner[root_seg], roots, roots, np.zeros_like(roots), np.zeros_like(root_seg)))
         if win_lo.size == 0:
             break
         owner = owner[seg[win_lo]]
@@ -605,24 +586,50 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
             *_phases(t[anchor], grid.b), offsets, re[row], im[row], omega, scale))
         depth += 1
 
-    row, lo, hi, f_lo = (np.concatenate(parts) for parts in zip(*found))
-    return _Scan(row, lo, hi, f_lo, tangency, depth_hit, near_tol, m2, f_at)
+    def locate(row, lo, hi, f_lo, level):
+        """Roots of brackets of the block's rows row: their midpoints once
+        the passes (module docstring) have narrowed them.  Each pass takes f
+        alone from _anchored_values, each bracket's anchor rotating its own
+        sample's amplitudes to lo.  As on a refinement level, the step
+        t[1] / REFINE_RATIO^d is the bracket's split up to a few eps L."""
+        lo, hi, f_lo, level = (np.array(a) for a in (lo, hi, f_lo, level))
+        passes = math.ceil(math.log(grid.t[1] / (2 * BISECT_TOL), REFINE_RATIO))
+        for depth in range(1, passes + 1):
+            on = np.flatnonzero(level == depth)
+            if on.size == 0:  # an empty pass builds no table
+                continue
+            step = grid.t[1] / REFINE_RATIO**depth
+            # f at lo + j step for j <= REFINE_RATIO, -f_lo standing in for
+            # f(hi): sub-cell j is the first whose right end has the sign
+            # opposite to f_lo's or is exactly 0, the last one ending at hi
+            f = np.vstack([f_lo[on], next(_anchored_values(
+                *_phases(lo[on], grid.b), _phases(np.arange(1, REFINE_RATIO) * step, grid.b),
+                re[row[on]], im[row[on]], omega, scale)), -f_lo[on]])
+            j = np.argmax(np.sign(f[0]) * f[1:] <= 0.0, axis=0)
+            f_lo[on], f_hi = np.take_along_axis(f, np.stack([j, j + 1]), axis=0)
+            exact = f_hi == 0.0
+            hi[on] = np.where(j + 1 < REFINE_RATIO, lo[on] + (j + 1) * step, hi[on])
+            lo[on] = np.where(exact, hi[on], lo[on] + j * step)
+            level[on] = np.where(exact, 0, depth + 1)
+        return 0.5 * (lo + hi)
+
+    row, lo, hi, f_lo, level = (np.concatenate(parts) for parts in zip(*found))
+    return _Scan(row, lo, hi, f_lo, level, tangency, depth_hit, near_tol, m2, locate)
 
 
 def _merge_roots(roots: np.ndarray) -> np.ndarray:
     """Sorted roots, dropping each within 2*BISECT_TOL of the last one kept."""
     merged: list[float] = []
     for r in sorted(roots.tolist()):
-        if merged and r - merged[-1] <= 2 * BISECT_TOL:
-            continue
-        merged.append(r)
+        if not merged or r - merged[-1] > 2 * BISECT_TOL:
+            merged.append(r)
     return np.array(merged)
 
 
 def _counts(scan: _Scan) -> np.ndarray:
     """Zero count of every scanned sample, as count_zeros would give it.
 
-    Brackets have disjoint interiors and each bisects to one root inside
+    Brackets have disjoint interiors and each narrows to one root inside
     it, so two roots can merge only where brackets lie within 2*BISECT_TOL
     of each other, in practice where they share an end point e.  Even then,
     two roots within 2*BISECT_TOL of each other around e give
@@ -631,7 +638,8 @@ def _counts(scan: _Scan) -> np.ndarray:
     |f(e)| keeps them apart.  A root at an exact grid zero r is the width-0
     bracket [r, r] with f_lo = 0, which never passes that exemption: every
     bracket within 2*BISECT_TOL of r counts as close to it.  Only the close
-    brackets are bisected, all in one call.
+    brackets are located, all in one call; with none, locate makes no
+    product.
     """
     counts = np.bincount(scan.row, minlength=scan.tangency.size)
     order = np.lexsort((scan.lo, scan.row))
@@ -642,8 +650,8 @@ def _counts(scan: _Scan) -> np.ndarray:
     close = np.zeros(row.size, dtype=bool)
     close[order[:-1][touching]] = True
     close[order[1:][touching]] = True
-    owner = scan.row[close]
-    roots = _bisect(scan.f_at, owner, scan.lo[close], scan.hi[close], scan.f_lo[close])
+    owner, *brackets = (a[close] for a in (scan.row, scan.lo, scan.hi, scan.f_lo, scan.level))
+    roots = scan.locate(owner, *brackets)
     for i in set(owner.tolist()):
         mine = roots[owner == i]
         counts[i] += _merge_roots(mine).size - mine.size
@@ -654,10 +662,12 @@ def count_zeros(sample: WaveSample, line: LineSegment) -> ZeroCount:
     """Count the zeros of f on [0, L].
 
     The base grid has ceil(GRID_FACTOR * 2 * f_max * L) + 1 uniform points
-    where f_max = max |<mu, alpha>| is the top frequency of f.
+    where f_max = max |<mu, alpha>| is the top frequency of f.  Every
+    bracket of the scan is located, and roots within 2*BISECT_TOL of each
+    other are merged.
     """
     scan = _scan(sample.half_coefficients[None], _base_grid(sample.shell, line))
-    roots = _merge_roots(_bisect(scan.f_at, scan.row, scan.lo, scan.hi, scan.f_lo))
+    roots = _merge_roots(scan.locate(scan.row, scan.lo, scan.hi, scan.f_lo, scan.level))
     flags = ZeroFlags(refinement_depth_hit=bool(scan.depth_hit[0]),
                       near_tangency=bool(scan.tangency[0]))
     return ZeroCount(roots=roots, flags=flags)
@@ -673,7 +683,7 @@ def monte_carlo(
 
     Each trial uses its own substream spawned from the seed and gets the
     count count_zeros gives its sample; trials are scanned BLOCK_TRIALS at
-    a time, counted without bisection wherever no two roots could merge.
+    a time, counted without locating roots wherever no two could merge.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")

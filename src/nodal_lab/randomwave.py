@@ -274,12 +274,15 @@ def covariance(shell: Shell, line: LineSegment, t1: float, t2: float) -> Covaria
     """Closed-form covariance r(t1,t2) and derivatives r1, r2, r12.
 
     r depends on tau = t1 - t2 only; r1 = dr/dt1 = -r2, and r12 is the mixed
-    second derivative, positive on the diagonal.
+    second derivative, positive on the diagonal.  Raises ValueError where
+    tau is not finite, or the phase 2 pi b tau of a frequency b is not.
     """
     b = line_frequencies(shell, line.direction)
     tau = float(t1) - float(t2)
     if not math.isfinite(tau):
         raise ValueError(f"t1 and t2 must be finite with a finite difference, got {t1}, {t2}")
+    if not math.isfinite(TWO_PI * abs(tau) * float(np.max(np.abs(b)))):
+        raise ValueError(f"the phases 2 pi b (t1 - t2) overflow at t1 - t2 = {tau}")
     cos_part, sin_part = _phases(tau, b)
     r = float(np.mean(cos_part))
     r1 = float(np.mean(-TWO_PI * b * sin_part))

@@ -138,6 +138,16 @@ class TestIntegralSq:
         with pytest.raises(ValueError, match="finite"):
             integral_sq(beta, 1.0)
 
+    def test_overflowing_phase_gives_zero(self):
+        # pi L beta overflows (sin(inf) is NaN) or pi^2 beta^2 does; the
+        # value, at most 1 / (pi beta)^2, is then below the smallest normal
+        # float64.  A warning fails the test too.
+        assert integral_sq(1e308, 1.0) == 0.0
+        assert integral_sq(1e300, 1e150) == 0.0
+        vals = integral_sq(np.array([-1e308, 1e160, 0.5]), 1.0)
+        assert vals[:2].tolist() == [0.0, 0.0]
+        assert vals[2] == pytest.approx(4.0 / math.pi**2, rel=1e-14)
+
     def test_zero_and_tiny_beta_give_length_squared(self):
         betas = np.array([0.0, -0.0, 1e-300, -1e-15, 1e-14, 2e-14])
         vals = integral_sq(betas, 0.5)

@@ -1,5 +1,6 @@
 """Zero counting and Monte-Carlo statistics of the count."""
 
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -395,18 +396,23 @@ def test_exact_grid_zero_beside_a_second_root_counts_both():
 
 
 @pytest.mark.parametrize("gap,count", [(1e-12, 1), (3e-12, 2)])
-def test_roots_within_twice_the_bisection_tolerance_merge(gap, count):
+def test_roots_within_twice_the_bisection_tolerance_merge(monkeypatch, gap, count):
     # two width-0 brackets, as exact grid zeros give: one root when they lie
     # within 2 * BISECT_TOL of each other, two beyond it
-    def no_evaluation(row, t):
+    line = LineSegment(E1, 1.0)
+    scan = nodal._scan(amplitudes([cosine_sample()]), nodal._base_grid(enumerate_shell(1), line))
+
+    def no_evaluation(*args):
         raise AssertionError("a width-0 bracket needs no evaluation of f")
 
+    monkeypatch.setattr(nodal, "_phases", no_evaluation)
+    monkeypatch.setattr(nodal, "_anchored_values", no_evaluation)
     at = np.array([0.25, 0.25 + gap])
-    scan = nodal._Scan(row=np.zeros(2, dtype=int), lo=at, hi=at, f_lo=np.zeros(2),
-                       tangency=np.zeros(1, dtype=bool), depth_hit=np.zeros(1, dtype=bool),
-                       near_tol=np.array([1e-10]), m2=np.array([1.0]), f_at=no_evaluation)
+    scan = dataclasses.replace(scan, row=np.zeros(2, dtype=int), lo=at, hi=at, f_lo=np.zeros(2),
+                               level=np.zeros(2, dtype=int), near_tol=np.array([1e-10]),
+                               m2=np.array([1.0]))
     assert nodal._counts(scan).tolist() == [count]
-    roots = nodal._bisect(scan.f_at, scan.row, scan.lo, scan.hi, scan.f_lo)
+    roots = scan.locate(scan.row, scan.lo, scan.hi, scan.f_lo, scan.level)
     assert nodal._merge_roots(roots).size == count
 
 
@@ -572,53 +578,82 @@ def amplitudes(samples):
     return np.array([s.half_coefficients for s in samples])
 
 
-def test_f_at_matches_evaluate_f():
-    shell = enumerate_shell(1009)
-    line = LineSegment(IRR, 1.0)
-    samples = [sample_wave(shell, seed) for seed in (3, 4)]
-    grid = nodal._base_grid(shell, line)
-    lo = np.array([0, 17, 40, 400])
-    hi = np.array([1, 20, 41, 402])
-    t, starts, seg = nodal._sub_grids(grid.t, lo, hi)
-    sizes = np.bincount(seg)
-    owner = np.array([0, 0, 1, 1])
-    values = nodal._scan(amplitudes(samples), grid).f_at(owner[seg], t)
-    direct = np.concatenate([
-        evaluate_f(samples[i], line, t[a:a + size])
-        for i, a, size in zip(owner, starts, sizes)])
-    assert t.size == 9 + 25 + 9 + 17
-    assert np.max(np.abs(values - direct)) < 1e-12 * np.max(np.abs(direct))
-
-
-def narrowed(f_at, row, lo, hi, parts):
-    """The first sign-change cell of width (hi - lo) / parts in each bracket."""
+def narrowed(samples, line, row, lo, hi, parts):
+    """The first sign-change cell of width (hi - lo) / parts in each bracket,
+    and f at its lower end, from evaluate_f of the bracket's own sample."""
     points = np.linspace(lo, hi, parts + 1)
-    values = np.array([f_at(row, p) for p in points])
+    values = np.array([evaluate_f(samples[r], line, points[:, i])
+                       for i, r in enumerate(row.tolist())]).T
     first = np.argmax(values[:-1] * values[1:] < 0, axis=0)
     pick = np.arange(row.size)
     return row, points[first, pick], points[first + 1, pick], values[first, pick]
 
 
-def test_bisect_mixes_bracket_widths_and_samples():
+def test_locate_mixes_bracket_levels_and_samples():
     shell = enumerate_shell(101)
     line = LineSegment(IRR, 1.0)
     grid = nodal._base_grid(shell, line)
     samples = [sample_wave(shell, seed) for seed in (5, 6)]
     scan = nodal._scan(amplitudes(samples), grid)
-    base = np.isclose(scan.hi - scan.lo, grid.t[1], rtol=1e-9)
+    base = scan.level == 1
     assert set(scan.row[base].tolist()) == {0, 1}
-    groups = [narrowed(scan.f_at, scan.row[base], scan.lo[base], scan.hi[base], parts)
-              for parts in (1, 8, 64)]
-    row, lo, hi, f_lo = (np.concatenate(parts) for parts in zip(*groups))
-    assert np.all(f_lo * scan.f_at(row, hi) < 0)
-    together = nodal._bisect(scan.f_at, row, lo, hi, f_lo)
-    apart = np.concatenate([nodal._bisect(scan.f_at, *group) for group in groups])
+    # a level-d bracket is t[1] / REFINE_RATIO^(d - 1) wide
+    groups = [(*narrowed(samples, line, scan.row[base], scan.lo[base], scan.hi[base],
+                         nodal.REFINE_RATIO ** (level - 1)),
+               np.full(base.sum(), level)) for level in (1, 2, 3)]
+    row, lo, hi, f_lo, level = (np.concatenate(parts) for parts in zip(*groups))
+    assert np.allclose(hi - lo, grid.t[1] / nodal.REFINE_RATIO ** (level - 1), rtol=1e-9)
+    together = scan.locate(row, lo, hi, f_lo, level)
+    alone = np.concatenate([scan.locate(*(a[i:i + 1] for a in (row, lo, hi, f_lo, level)))
+                            for i in range(row.size)])
     assert np.all((lo <= together) & (together <= hi))
-    assert np.max(np.abs(together - apart)) <= 2 * nodal.BISECT_TOL
+    assert np.max(np.abs(together - alone)) <= 2 * nodal.BISECT_TOL
     for i, sample in enumerate(samples):  # each midpoint is a root of its own sample
         roots = together[row == i]
         assert np.all(evaluate_f(sample, line, roots - 1e-9)
                       * evaluate_f(sample, line, roots + 1e-9) < 0)
+
+
+@pytest.mark.parametrize("spec", ["irr:std", "halfrat:1,1,sqrt2"])
+def test_roots_far_from_zero_lie_at_sign_changes(spec):
+    # at L = 30 the brackets, and so the anchors of their passes, lie far
+    # from t = 0, where lo + j step and the phases 2 pi b lo round the most:
+    # every root lies within BISECT_TOL, plus the distance the base grid's
+    # noise bound near_tol can move a zero of f, of a sign change of
+    # evaluate_f
+    shell = enumerate_shell(1009)
+    line = LineSegment(parse_direction(spec), 30.0)
+    grid = nodal._base_grid(shell, line)
+    for seed in (0, 1):
+        sample = sample_wave(shell, seed)
+        roots = count_zeros(sample, line).roots
+        near_tol = nodal._scan(amplitudes([sample]), grid).near_tol[0]
+        reach = nodal.BISECT_TOL + near_tol / np.abs(evaluate_f_prime(sample, line, roots))
+        lo = np.maximum(roots - reach, 0.0)
+        hi = np.minimum(roots + reach, line.length)
+        assert roots.size > 500, roots.size
+        assert np.all(evaluate_f(sample, line, lo) * evaluate_f(sample, line, hi) <= 0.0), seed
+
+
+def test_counts_without_close_brackets_build_no_phase_table(monkeypatch):
+    # _counts locates only the brackets that could merge; with none, the
+    # passes of locate are all empty and build no table
+    shell = enumerate_shell(1009)
+    scan = nodal._scan(amplitudes([sample_wave(shell, seed) for seed in range(16)]),
+                       nodal._base_grid(shell, LineSegment(IRR, 1.0)))
+    located = []
+
+    def locate_spy(row, *brackets):
+        located.append(row.size)
+        return scan.locate(row, *brackets)
+
+    def no_table(*args):
+        raise AssertionError("an empty pass builds no phase table")
+
+    monkeypatch.setattr(nodal, "_phases", no_table)
+    counts = nodal._counts(dataclasses.replace(scan, locate=locate_spy))
+    assert located == [0]
+    assert counts.tolist() == np.bincount(scan.row, minlength=16).tolist()
 
 
 def hermite_cubics(rng):
@@ -881,7 +916,7 @@ def test_refinement_builds_no_phase_row_per_point(monkeypatch):
         return sub
 
     def phases_spy(t, b):
-        # the base grid's tables come before any scan, f_at's after it
+        # the base grid's tables come before any scan, locate's after it
         if scanning:
             levels[-1][2].append(np.size(t))
         return phases(t, b)

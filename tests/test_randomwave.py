@@ -179,6 +179,17 @@ def test_covariance_diagonal():
     assert cov.r12 > 0
 
 
+def test_covariance_rejects_an_overflowing_phase():
+    # tau = 1e308 is finite, but 2 pi b tau overflows: the phases would be
+    # NaN, and so would r, r1 and r12
+    shell = enumerate_shell(5)
+    line = LineSegment(E1, 1.0)
+    with pytest.raises(ValueError, match="t1 - t2"):
+        covariance(shell, line, 1e308, 0.0)
+    cov = covariance(shell, line, 1e300, 0.0)
+    assert all(math.isfinite(v) for v in (cov.r, cov.r1, cov.r12))
+
+
 def test_covariance_single_frequency_shell():
     # m=1, alpha=(1,0,0): four frequencies 0 and two +-1
     line = LineSegment(E1, 1.0)
