@@ -4,23 +4,28 @@ The restricted process f is a trigonometric polynomial whose frequencies
 |<mu, alpha>| are at most sqrt(m), so a uniform grid denser than twice the
 top frequency (GRID_FACTOR = 8 times) brackets almost every zero between two
 sign changes.  A pair of roots can still hide inside a cell whose endpoints
-share a sign.  Such cells, and grid points where f is suspiciously small
-without an adjacent sign change, get a local refinement pass at eight times
-the density.  At every depth level the same rule applies: a cell is
-refined only when neither of two exclusion tests rules out a zero inside
-it, w being the cell width at that level:
-  - the curvature test: the smaller endpoint |f| exceeds M2 * w^2 / 8, where
-    M2 = scale * sum (2 pi b)^2 |a| bounds |f''| by the triangle inequality;
+share a sign, or beside a grid point where f is numerically zero.  Such
+cells get a local refinement pass at eight times the density, each run of
+consecutive refined cells making one window.  At every depth level the
+same rule applies: a cell that neither changes sign nor touches an exact
+zero counted as a root is refined only when neither of two exclusion tests
+rules out a zero inside it, w being the cell width at that level:
+  - the curvature test: the smaller endpoint |f| exceeds
+    M2 * w^2 / 8 + near_tol, where M2 = scale * sum (2 pi b)^2 |a| bounds
+    |f''| by the triangle inequality, and near_tol, 1e-10 rms f, bounds the
+    noise in the computed f;
   - the Hermite test: the exact minimum over the cell of sign(f0) * H, with
     H the cubic Hermite interpolant of f and f' at the cell's end points,
     exceeds M4 * w^4 / 384 plus a floating-point margin.
     M4 = scale * sum (2 pi b)^4 |a| bounds |f^(4)|, so M4 * w^4 / 384 bounds
     |f - H| (the classical Hermite remainder), and the margin,
-    2 * near_tol + 64 * eps * S, covers the noise in the computed f and f'
-    (derived in ``_level``).
-Either test rules a cell out only where f provably keeps one sign, so the
-counts are those of the curvature test alone.  The Hermite test is much
-tighter: at m = 1009 it keeps about one in three hundred of the base cells
+    2 * near_tol + 64 * eps * S, covers the noise in the computed f and f'.
+Both are derived in ``_level``.  A cell with an end value of at most
+near_tol fails both, unless that value is the skirt of a root bracketed
+beside it, and so does every cell of a run of exact zeros that does not
+count as a root.  Either test rules a cell out only where f provably keeps
+one sign, so the counts are those of the curvature test alone.  The
+Hermite test is much tighter: at m = 1009 it keeps about one in three hundred of the base cells
 the curvature test would refine.  It needs f' at the end points, which
 costs one more matrix product per block and level: f' is f of the pair
 amplitudes 2 pi i b a, so both products are randomwave's one restriction
@@ -63,8 +68,9 @@ end has the sign opposite to f(lo), or is exactly 0, becomes a bracket of
 level d + 1, and the last one, which ends at hi, where no other does; an
 exact zero becomes a width-0 bracket, which no pass visits.  After
 ceil(log_REFINE_RATIO(t[1] / (2 BISECT_TOL))) passes every bracket is at
-most 2 * BISECT_TOL wide, and its midpoint is its root.  A pass with no
-bracket of its level makes no product.
+most 2 * BISECT_TOL wide, and its midpoint is its root.  The passes start
+at the lowest level any bracket holds, so a call with no bracket makes no
+pass, and from there each pass has brackets unless all met exact zeros.
 ``count_zeros`` locates all the brackets in one call and returns the roots.
 ``monte_carlo`` only counts them: each bracket holds one root, and two roots
 can merge only where brackets lie within 2 * BISECT_TOL of each other, in
@@ -246,20 +252,21 @@ def _run_ends(breaks: np.ndarray, n: int):
 
 
 def _zero_runs(t: np.ndarray, fv: np.ndarray, seg: np.ndarray):
-    """Runs of exact zeros over concatenated segments, as roots and windows.
+    """Runs of exact zeros over concatenated segments that count as roots.
 
     ``seg`` names each point's segment, and a run ends where its segment
     does.  A run counts as one root, at its midpoint, when its flanking
     values differ in sign or it reaches an end of its segment.  Same-sign
     flanks count nothing here: f may touch zero at the run, or cross it
-    there and once more in a cell beside it, so the run and its two flanks
-    make a window [left, right] for refinement.  Returns the roots, the
-    segment of each root and the windows' end points.  Only the zero points
-    and their flanks are indexed.
+    there and once more in a cell beside it, so _level refines the run's
+    cells, which no exclusion test can clear.  Returns the roots, the
+    segment of each root and a mask of the zeros in the runs that count.
+    Only the zero points and their flanks are indexed.
     """
-    zero = np.flatnonzero(fv == 0.0)
+    counted = fv == 0.0
+    zero = np.flatnonzero(counted)
     if zero.size == 0:  # the common case; skips a dozen numpy calls per level
-        return t[zero], zero, zero, zero
+        return t[zero], zero, counted
     first, last = _run_ends((zero[1:] - zero[:-1] > 1) | (seg[zero[1:]] != seg[zero[:-1]]),
                             zero.size)
     lo, hi = zero[first], zero[last]
@@ -267,17 +274,9 @@ def _zero_runs(t: np.ndarray, fv: np.ndarray, seg: np.ndarray):
     left, right = lo - 1, np.minimum(hi + 1, fv.size - 1)
     crossing = ((lo == 0) | (hi + 1 == fv.size) | (seg[left] != run_seg)
                 | (seg[right] != run_seg) | (fv[left] * fv[right] < 0))
+    counted[zero[~np.repeat(crossing, hi - lo + 1)]] = False
     roots = 0.5 * (t[lo] + t[hi])
-    return roots[crossing], run_seg[crossing], left[~crossing], right[~crossing]
-
-
-def _merge_windows(lo: np.ndarray, hi: np.ndarray):
-    """Merge index windows [lo, hi] that overlap or share an end point."""
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    reach = np.maximum.accumulate(hi)
-    opens, closes = _run_ends(lo[1:] > reach[:-1], lo.size)
-    return lo[opens], reach[closes]
+    return roots[crossing], run_seg[crossing], counted
 
 
 def _hermite_min(f0, f1, d0, d1):
@@ -309,35 +308,42 @@ def _hermite_min(f0, f1, d0, d1):
 def _level(t, fv, seg, near_tol, dip_tol, slope, remainder):
     """One depth level over concatenated segments: brackets and windows.
 
-    ``seg`` names each point's segment; ``near_tol`` and ``dip_tol`` (the
-    M2 * w^2 / 8 curvature test) hold one value per segment.  Returns the
-    sign-change cells (index of their left point), the roots at runs of
-    exact zeros with the segment of each (_zero_runs) and the merged
-    refinement windows [lo, hi].  Cells whose endpoints share a sign are
-    refined when the curvature bound says f could reach zero inside; tiny
-    endpoint values that sit next to a sign change are exempt, being the
-    skirt of an already bracketed root.  A run of exact zeros whose flanks
-    share a sign is refined with the two cells beside it, which may hold a
-    second root.  So a true double root at an exact grid zero, where the
-    sub-grids keep meeting an exact or tiny f, refines down to
-    MAX_REFINE_DEPTH and raises both the depth-hit and the tangency flags.
+    ``seg`` names each point's segment and ``slope`` holds f' at every
+    point; ``near_tol``, ``dip_tol`` (M2 * w^2 / 8) and ``remainder``
+    (M4 * w^4 / 384) hold one value per segment.  Returns the sign-change
+    cells (index of their left point), the roots at runs of exact zeros with
+    the segment of each (_zero_runs) and the refinement windows [lo, hi].
+    One rule makes every window: a window is a run of consecutive refined
+    cells.  A cell is refined unless it changes sign, touches a zero that
+    counts as a root, or one of two exclusion tests shows that f keeps the
+    sign of f0 on it and has no zero there.  Both tests allow for the
+    rounding noise in the computed f, at most near_tol, the premise _counts
+    rests on too.
 
-    ``slope`` holds f' at every point and ``remainder`` M4 * w^4 / 384, one
-    value per segment.  A cell that passes the curvature test is refined
-    only if also
+    The curvature test clears a cell where
 
-        min over the cell of sign(f0) * H  <=  remainder + 2 near_tol + 64 eps S
+        min(|f0|, |f1|)  >  dip_tol + near_tol.
+
+    On a cell of width w, f differs from its chord by at most M2 w^2 / 8,
+    |f''| / 2 times (t - t0)(t1 - t) <= w^2 / 4, and a chord between end
+    values of one sign is at least the smaller of them in absolute value.
+    Each true end value lies within near_tol of its computed value, so the
+    true chord is at least the computed minimum minus near_tol.  A tiny end
+    value (at most near_tol) that sits next to a sign change is exempt, being
+    the skirt of an already bracketed root.
+
+    The Hermite test clears a cell where
+
+        min over the cell of sign(f0) * H  >  remainder + 2 near_tol + 64 eps S
 
     with H the cell's cubic Hermite interpolant (_hermite_min), built from
     f0, f1, w f0' and w f1', and S = |f0| + |f1| + w |f0'| + w |f1'|.  The
-    right side bounds |f - H| as computed, so above it f keeps the sign of
-    f0 on the whole cell and has no zero there:
+    right side bounds |f - H| as computed:
       - for exact end data |f - H| <= M4 w^4 / 384, the classical Hermite
         remainder: f^(4)(xi) / 4! times (t - t0)^2 (t - t1)^2 <= w^4 / 16;
-      - the values of f carry at most near_tol of rounding noise, the premise
-        _counts rests on too.  f' is f of the amplitudes 2 pi i b a, the
-        same sum with each term weighted by |2 pi b| <= 2 pi f_max, so its
-        noise is at most 2 pi f_max near_tol.
+      - the noise in f is at most near_tol.  f' is f of the amplitudes
+        2 pi i b a, the same sum with each term weighted by
+        |2 pi b| <= 2 pi f_max, so its noise is at most 2 pi f_max near_tol.
         H depends on f0 and f1 through weights that sum to 1, and on w f0'
         and w f1' through weights whose absolute values sum to
         u (1 - u) <= 1/4.  So the noise moves H by at most
@@ -347,37 +353,37 @@ def _level(t, fv, seg, near_tol, dip_tol, slope, remainder):
       - 64 eps S covers the rounding of the cubic's coefficients, of Horner's
         rule and of its critical points, where an error moves H only to
         second order.
+
+    So a cell with an end value of at most near_tol, other than such a
+    skirt, fails both tests: its Hermite minimum is at most that |f|, below
+    the margin.  Neither test can clear a cell of a run of exact zeros whose
+    flanks share a sign, the two flank cells included: its smaller |f| is 0,
+    and so is its Hermite minimum, sign(0) being 0 at a zero left end.  f
+    may touch zero at the run, or cross it there and once more in a cell
+    beside it, so the run makes the window [left flank, right flank].  A
+    true double root at an exact grid zero, where the sub-grids keep meeting
+    an exact or tiny f, thus refines down to MAX_REFINE_DEPTH and raises
+    both the depth-hit and the tangency flags.
     """
-    n = fv.size
+    roots, root_seg, counted = _zero_runs(t, fv, seg)
     inner = seg[:-1] == seg[1:]  # cells that do not straddle two segments
-    zero = fv == 0.0
     sign_change = inner & (fv[:-1] * fv[1:] < 0.0)
     abs_f = np.abs(fv)
-    tiny = (abs_f <= near_tol[seg]) & ~zero
-    beside_change = np.zeros(n, dtype=bool)
+    beside_change = np.zeros(fv.size, dtype=bool)
     beside_change[:-1] |= sign_change
     beside_change[1:] |= sign_change
-    beside_zero = np.zeros(n, dtype=bool)
-    beside_zero[:-1] |= inner & zero[1:]
-    beside_zero[1:] |= inner & zero[:-1]
 
-    masked = np.where(tiny & beside_change, np.inf, abs_f)
-    zero_edge = zero[:-1] | zero[1:]
-    dip_possible = np.minimum(masked[:-1], masked[1:]) <= dip_tol[seg[:-1]]
-    risky = np.flatnonzero(inner & ~sign_change & ~zero_edge & dip_possible)
+    masked = np.where((abs_f <= near_tol[seg]) & beside_change, np.inf, abs_f)
+    dip_possible = np.minimum(masked[:-1], masked[1:]) <= (dip_tol + near_tol)[seg[:-1]]
+    risky = np.flatnonzero(inner & ~sign_change & ~counted[:-1] & ~counted[1:] & dip_possible)
     f0, f1 = fv[risky], fv[risky + 1]
     w = t[risky + 1] - t[risky]
     d0, d1 = w * slope[risky], w * slope[risky + 1]
     rounding = 64.0 * np.finfo(float).eps * (np.abs(f0) + np.abs(f1) + np.abs(d0) + np.abs(d1))
     margin = remainder[seg[risky]] + 2.0 * near_tol[seg[risky]] + rounding
     risky = risky[_hermite_min(f0, f1, d0, d1) <= margin]
-    suspects = np.flatnonzero(tiny & ~beside_change & ~beside_zero)
-
-    first, last = _run_ends(~inner, n)
-    roots, root_seg, run_lo, run_hi = _zero_runs(t, fv, seg)
-    lo = np.concatenate([risky, np.where(first[suspects], suspects, suspects - 1), run_lo])
-    hi = np.concatenate([risky + 1, np.where(last[suspects], suspects, suspects + 1), run_hi])
-    return np.flatnonzero(sign_change), roots, root_seg, *_merge_windows(lo, hi)
+    first, last = _run_ends(risky[1:] - risky[:-1] > 1, risky.size)
+    return np.flatnonzero(sign_change), roots, root_seg, risky[first], risky[last] + 1
 
 
 def _sub_grids(t, lo, hi):
@@ -484,8 +490,9 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
     masks of _level with both exclusion tests, curvature (M2) and Hermite
     (M4, f'), at its own cell width.  The segment map (seg, the segment of
     each point) of a level is the window map _sub_grids returns for it.
-    Every level also adds the width-0 brackets of its runs of exact zeros,
-    refines the runs whose flanks share a sign (_level), and raises the
+    Every level also adds the width-0 brackets of its runs of exact zeros
+    that count as roots, refines the cells of the others along with every
+    cell the exclusion tests cannot clear (_level), and raises the
     tangency flag for a numerically zero point shared by two sign-change
     cells, a double root that rounding may have split in two.
 
@@ -594,10 +601,8 @@ def _scan(half: np.ndarray, grid: _BaseGrid) -> _Scan:
         t[1] / REFINE_RATIO^d is the bracket's split up to a few eps L."""
         lo, hi, f_lo, level = (np.array(a) for a in (lo, hi, f_lo, level))
         passes = math.ceil(math.log(grid.t[1] / (2 * BISECT_TOL), REFINE_RATIO))
-        for depth in range(1, passes + 1):
+        for depth in range(np.min(level, initial=passes + 1, where=level > 0), passes + 1):
             on = np.flatnonzero(level == depth)
-            if on.size == 0:  # an empty pass builds no table
-                continue
             step = grid.t[1] / REFINE_RATIO**depth
             # f at lo + j step for j <= REFINE_RATIO, -f_lo standing in for
             # f(hi): sub-cell j is the first whose right end has the sign

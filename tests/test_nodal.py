@@ -452,8 +452,10 @@ def test_count_zeros_matches_exact_polynomial_roots(m, spec):
 
 
 def zero_runs_per_segment(t, fv, seg):
-    """The run rule of nodal._zero_runs, one segment and one point at a time."""
-    roots, root_seg, windows = [], [], []
+    """The run rule of nodal._zero_runs, one segment and one point at a time:
+    the roots, their segments, the zeros of the runs that count and the
+    windows [left flank, right flank] of the runs whose flanks share a sign."""
+    roots, root_seg, counted, windows = [], [], [], []
     for s in np.unique(seg):
         ts, fs = t[seg == s], fv[seg == s]
         start = int(np.flatnonzero(seg == s)[0])
@@ -468,10 +470,35 @@ def zero_runs_per_segment(t, fv, seg):
             if i == 0 or j + 1 == fs.size or fs[i - 1] * fs[j + 1] < 0:
                 roots.append(0.5 * (ts[i] + ts[j]))
                 root_seg.append(s)
+                counted.extend(range(start + i, start + j + 1))
             else:
                 windows.append((start + i - 1, start + j + 1))
             i = j + 1
-    return roots, root_seg, windows
+    return roots, root_seg, counted, windows
+
+
+def merged(windows):
+    """Index windows [lo, hi], in order, merged where they share an end point."""
+    out = []
+    for lo, hi in windows:
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def zero_runs_and_windows(t, fv, seg):
+    """nodal._zero_runs' roots, root segments and counted zeros, and the
+    windows _level refines when f' and the curvature and remainder bounds
+    are 0 and near_tol is tiny, so that only the cells of a run of exact
+    zeros can fail the exclusion tests."""
+    roots, root_seg, counted = nodal._zero_runs(t, fv, seg)
+    per_segment = np.zeros(seg.max() + 1)
+    *_, lo, hi = nodal._level(t, fv, seg, per_segment + 1e-300, per_segment,
+                              np.zeros_like(fv), per_segment)
+    return (roots.tolist(), root_seg.tolist(), np.flatnonzero(counted).tolist(),
+            list(zip(lo.tolist(), hi.tolist())))
 
 
 ZERO_RUN_CASES = {
@@ -481,6 +508,8 @@ ZERO_RUN_CASES = {
                                             [(0, 2, 2), (1, 0, 0)], []),
     "two-point run, opposite flanks": ([[1.0, 0.0, 0.0, -1.0, 2.0]], [(0, 1, 2)], []),
     "same-sign flanks": ([[-1.0, 0.0, 0.0, -3.0], [2.0, 0.0, 1.0]], [], [(0, 0, 3), (1, 0, 2)]),
+    "same-sign runs sharing a flank": ([[2.0, 0.0, 1.0, 0.0, 0.0, 3.0, 0.0]], [(0, 6, 6)],
+                                       [(0, 0, 2), (0, 2, 5)]),
     "run at a segment's last point": ([[2.0, -1.0, 0.0, 0.0], [-1.0, 1.0]], [(0, 2, 3)], []),
     "no zeros": ([[1.0, -1.0], [2.0, 3.0]], [], []),
 }
@@ -493,12 +522,13 @@ def test_zero_runs_across_segment_boundaries(case):
     seg = np.repeat(np.arange(len(values)), [len(v) for v in values])
     starts = np.cumsum([0] + [len(v) for v in values])
     t = np.concatenate([s + np.linspace(0.0, 1.0, len(v)) for s, v in enumerate(values)])
-    roots, root_seg, run_lo, run_hi = nodal._zero_runs(t, fv, seg)
-    assert roots.tolist() == [0.5 * (t[starts[s] + i] + t[starts[s] + j]) for s, i, j in runs]
-    assert root_seg.tolist() == [s for s, _, _ in runs]
-    found = list(zip(run_lo.tolist(), run_hi.tolist()))
-    assert found == [(starts[s] + i, starts[s] + j) for s, i, j in windows]
-    assert (roots.tolist(), root_seg.tolist(), found) == zero_runs_per_segment(t, fv, seg)
+    roots, root_seg, counted, found = zero_runs_and_windows(t, fv, seg)
+    assert roots == [0.5 * (t[starts[s] + i] + t[starts[s] + j]) for s, i, j in runs]
+    assert root_seg == [s for s, _, _ in runs]
+    assert counted == [starts[s] + k for s, i, j in runs for k in range(i, j + 1)]
+    assert found == merged([(starts[s] + i, starts[s] + j) for s, i, j in windows])
+    *oracle, oracle_windows = zero_runs_per_segment(t, fv, seg)
+    assert [roots, root_seg, counted, found] == [*oracle, merged(oracle_windows)]
 
 
 def test_zero_runs_match_the_per_segment_rule_on_random_runs():
@@ -508,9 +538,18 @@ def test_zero_runs_match_the_per_segment_rule_on_random_runs():
         fv = rng.choice([-1.0, 0.0, 0.0, 2.0], size=n)
         seg = np.cumsum(rng.random(n) < 0.2)
         t = np.cumsum(rng.random(n))
-        roots, root_seg, run_lo, run_hi = nodal._zero_runs(t, fv, seg)
-        found = list(zip(run_lo.tolist(), run_hi.tolist()))
-        assert (roots.tolist(), root_seg.tolist(), found) == zero_runs_per_segment(t, fv, seg)
+        *oracle, oracle_windows = zero_runs_per_segment(t, fv, seg)
+        assert list(zero_runs_and_windows(t, fv, seg)) == [*oracle, merged(oracle_windows)]
+
+
+def test_curvature_test_counts_the_noise():
+    # the smaller |f|, 1.5, exceeds M2 w^2 / 8 = 1 by less than near_tol = 1:
+    # the true value may be 0.5, from which f can dip to zero inside the
+    # cell, so the cell is refined
+    one = np.array([1.0])
+    *_, lo, hi = nodal._level(np.array([0.0, 1.0]), np.array([1.5, 2.0]), np.array([0, 0]),
+                              one, one, np.zeros(2), 10.0 * one)
+    assert (lo.tolist(), hi.tolist()) == ([0], [1])
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])

@@ -34,7 +34,13 @@ prints nothing.  The entries:
     each shell of REGION_MS, their parameters as float.hex and their
     count_in, and approx_direction of APPROX_DIRECTIONS at APPROX_HS;
   - kappas: m, N and kappa of every shell with N >= 4 and m <= KAPPA_M_MAX,
-    and of KAPPA_MS.
+    and of KAPPA_MS;
+  - touch: count_zeros' count, flags and roots (float.hex) on E(1) at L = 1
+    for cos 2 pi t + c at each c of TOUCH_CS, where f touches or nearly
+    touches zero, and for cos 2 pi t - cos 2 pi t_k, exactly zero at the
+    grid point t_k, at t_k = 5/16 and then at every base-grid point for
+    each amplitude of PLANTED_CS, with _counts of the block of those
+    planted samples.
 The whole set takes about 22 s (2-core x86 host, Python 3.11, numpy 2.4).
 """
 
@@ -73,6 +79,10 @@ APPROX_DIRECTIONS = ("irr:std", "halfrat:1,1,sqrt2")
 APPROX_HS = (3, 10, 50)
 KAPPA_M_MAX = 3000
 KAPPA_MS = (10001, 100001)
+# a double root at t = 1/2 (c = 1), lifted or lowered by 1e-12 (below the
+# near-zero tolerance) and by 1e-9 (above it)
+TOUCH_CS = (1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-9, 1.0 - 1e-9)
+PLANTED_CS = (0.5, 1.0, 2.0)
 
 
 def _slug(spec: str) -> str:
@@ -205,6 +215,38 @@ def kappas() -> None:
             print(m, shell.n, kappa(shell))
 
 
+def touch() -> None:
+    """Print count_zeros' count, flags and roots for cosines that touch zero
+    or vanish exactly at a grid point, then _counts over each block of
+    planted grid zeros."""
+    from nodal_lab import nodal
+    from nodal_lab.diophantine import Direction
+    from nodal_lab.lattice import enumerate_shell
+    from nodal_lab.randomwave import LineSegment, WaveSample
+
+    shell = enumerate_shell(1)
+    line = LineSegment(Direction.rational(1, 0, 0), 1.0)
+    grid = nodal._base_grid(shell, line)
+
+    def cosine(a, c):  # a cos(2 pi t) + c along E(1), up to the shell's scale
+        return WaveSample.from_coefficients(shell, {(1, 0, 0): a, (0, 1, 0): c})
+
+    def show(*label, sample):
+        zeros = nodal.count_zeros(sample, line)
+        print(*label, zeros.count, int(zeros.flags.refinement_depth_hit),
+              int(zeros.flags.near_tangency), *map(float.hex, zeros.roots.tolist()))
+
+    for c in TOUCH_CS:
+        show("touch", float.hex(c), sample=cosine(1.0, c))
+    show("grid zero 0.3125", sample=cosine(1.0, -float(np.cos(2 * math.pi * 0.3125))))
+    for a in PLANTED_CS:
+        block = [cosine(a, -a * float(np.cos(2 * math.pi * t_k))) for t_k in grid.t]
+        for k, sample in enumerate(block):
+            show("planted", a, k, sample=sample)
+        half = np.array([sample.half_coefficients for sample in block])
+        print("planted counts", a, *nodal._counts(nodal._scan(half, grid)).tolist())
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -215,7 +257,7 @@ def main(argv: list[str]) -> int:
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]))
     cli = "import sys; from nodal_lab.cli import main; sys.exit(main(sys.argv[1:]))"
     entries = {name: ["-c", cli, *args] for name, args in reports().items()}
-    for name in ("library", "roots", "regions", "kappas"):
+    for name in ("library", "roots", "regions", "kappas", "touch"):
         entries[name] = ["-c", f"import report_matrix; report_matrix.{name}()"]
     for name, args in entries.items():
         done = subprocess.run([sys.executable, *args], env=env, cwd=out,
